@@ -133,9 +133,11 @@ fn cmd_gen(args: &[String]) -> ExitCode {
     let f1 = evaluate_f1(&model, &split.test);
 
     let pool = world.records_for(Some(&seen));
-    let baseline = DriftBaseline::build_with_pool(&model, &split.train, &pool);
+    let schema = model.extractor().schema();
+    let baseline =
+        DriftBaseline::build_with_pool(schema, &model.score(split.train.pairs.clone()), &pool);
     let monitor = DriftMonitor::new(baseline);
-    let drifts = monitor.assess(&model, &split.test);
+    let drifts = monitor.assess(schema, &model.score(split.test.pairs.clone()));
     let mut warnings = 0usize;
     for d in &drifts {
         warnings += d.warnings.len();

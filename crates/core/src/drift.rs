@@ -15,6 +15,11 @@
 //! | `attention_shift` | Eq. 5–6 | KL/JS divergence of the per-source mean attention vector from the frozen source-domain mean |
 //! | `calibration` | — | ECE of match scores vs ground truth, with a fixed-bin score histogram |
 //!
+//! Drift never runs the model: it reads a [`ScoredPairs`] batch, the
+//! scores and attention rows of the forward pass that already scored the
+//! pairs (`Linker::score_candidates` returns one beside its matches, and
+//! [`AdamelModel::score`](crate::model::AdamelModel::score) builds one).
+//!
 //! Each signal compares against a configurable [`DriftThresholds`] entry;
 //! exceedances become [`DriftWarning`]s, and
 //! [`SourceDrift::emit_runlog`] writes the whole assessment (plus one
@@ -23,10 +28,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::model::AdamelModel;
+use crate::model::ScoredPairs;
 use adamel_metrics::ece;
 use adamel_obs::runlog;
-use adamel_schema::{Domain, Record, SourceId};
+use adamel_schema::{Record, Schema, SourceId};
 use adamel_tensor::Matrix;
 use adamel_text::tokenize;
 
@@ -84,19 +89,20 @@ pub struct DriftBaseline {
 }
 
 impl DriftBaseline {
-    /// Builds a baseline from the training domain: record statistics from
-    /// the pairs' records, attention from the trained model.
-    pub fn build(model: &AdamelModel, train: &Domain) -> Self {
+    /// Builds a baseline from the scored training pairs: record statistics
+    /// from the pairs' records, the attention mean from their attention
+    /// rows. `schema` is the model's, over which missing rates are taken.
+    pub fn build(schema: &Schema, train: &ScoredPairs) -> Self {
         let records: Vec<Record> =
             train.pairs.iter().flat_map(|p| [p.left.clone(), p.right.clone()]).collect();
-        Self::build_with_pool(model, train, &records)
+        Self::build_with_pool(schema, train, &records)
     }
 
     /// Builds a baseline whose record statistics (attributes, missing
     /// rate, vocabulary) come from `pool` — typically the full
     /// source-domain record pool, wider than the sampled training pairs —
     /// while the frozen attention mean still comes from `train`.
-    pub fn build_with_pool(model: &AdamelModel, train: &Domain, pool: &[Record]) -> Self {
+    pub fn build_with_pool(schema: &Schema, train: &ScoredPairs, pool: &[Record]) -> Self {
         let mut attributes = BTreeSet::new();
         let mut vocabulary = BTreeSet::new();
         for r in pool {
@@ -110,12 +116,11 @@ impl DriftBaseline {
                 }
             }
         }
-        let schema_attrs = model.extractor().schema().attributes();
-        let missing_rate = missing_rate_over(pool.iter(), schema_attrs);
-        let mean_attention = if train.is_empty() {
-            vec![0.0; model.extractor().num_features()]
+        let missing_rate = missing_rate_over(pool.iter(), schema.attributes());
+        let mean_attention = if train.pairs.is_empty() {
+            vec![0.0; train.attention.cols()]
         } else {
-            model.attention(&train.pairs).mean_rows().into_vec()
+            train.attention.mean_rows().into_vec()
         };
         Self { attributes, missing_rate, vocabulary, mean_attention }
     }
@@ -262,21 +267,25 @@ impl DriftMonitor {
         Self { baseline, thresholds }
     }
 
-    /// Assesses every source occurring in `target`, in source-id order.
+    /// Assesses every source occurring in the scored `target` pairs, in
+    /// source-id order; `schema` is the model's.
     ///
     /// Record-level signals (C1/C2/C3) use each source's distinct records
-    /// (deduplicated by entity id); model-level signals use the pairs
-    /// touching the source.
+    /// (deduplicated by entity id); model-level signals gather the scores
+    /// and attention rows of the pairs touching the source, in pair order.
     #[must_use = "assess has no side effects; the drift report is its only output"]
-    pub fn assess(&self, model: &AdamelModel, target: &Domain) -> Vec<SourceDrift> {
-        let mut out = Vec::new();
-        for source in target.sources() {
-            out.push(self.assess_source(model, target, source));
-        }
-        out
+    pub fn assess(&self, schema: &Schema, target: &ScoredPairs) -> Vec<SourceDrift> {
+        let sources: BTreeSet<SourceId> =
+            target.pairs.iter().flat_map(|p| [p.left.source, p.right.source]).collect();
+        sources.into_iter().map(|source| self.assess_source(schema, target, source)).collect()
     }
 
-    fn assess_source(&self, model: &AdamelModel, target: &Domain, source: SourceId) -> SourceDrift {
+    fn assess_source(
+        &self,
+        schema: &Schema,
+        target: &ScoredPairs,
+        source: SourceId,
+    ) -> SourceDrift {
         // Distinct records of this source among the pairs.
         let mut by_entity: BTreeMap<u64, &Record> = BTreeMap::new();
         let mut pair_indices = Vec::new();
@@ -291,8 +300,7 @@ impl DriftMonitor {
             }
         }
 
-        let schema_attrs = model.extractor().schema().attributes();
-        let missing_rate = missing_rate_over(by_entity.values().copied(), schema_attrs);
+        let missing_rate = missing_rate_over(by_entity.values().copied(), schema.attributes());
 
         let mut new_attributes = BTreeSet::new();
         let mut tokens = 0u64;
@@ -316,24 +324,24 @@ impl DriftMonitor {
         let oov_rate = if tokens == 0 { 0.0 } else { oov as f64 / tokens as f64 };
 
         // Model-level signals over the pairs touching this source.
-        let subset: Vec<_> = pair_indices.iter().map(|&i| target.pairs[i].clone()).collect();
         let (attention_kl, attention_js, attention_entropy, score_hist, ece_value) =
-            if subset.is_empty() {
+            if pair_indices.is_empty() {
                 (0.0, 0.0, 0.0, [0u64; SCORE_BINS], 0.0)
             } else {
-                let att = model.attention(&subset);
+                let att = target.attention.select_rows(&pair_indices);
                 let mean = att.mean_rows();
                 let kl = kl_divergence(mean.as_slice(), &self.baseline.mean_attention);
                 let js = js_divergence(mean.as_slice(), &self.baseline.mean_attention);
                 let entropy = mean_row_entropy(&att);
-                let scores = model.predict(&subset);
+                let scores: Vec<f32> = pair_indices.iter().map(|&i| target.scores[i]).collect();
                 let mut hist = [0u64; SCORE_BINS];
                 for &s in &scores {
                     let s = if s.is_finite() { f64::from(s).clamp(0.0, 1.0) } else { 0.0 };
                     let b = ((s * SCORE_BINS as f64) as usize).min(SCORE_BINS - 1);
                     hist[b] += 1;
                 }
-                let labels: Vec<bool> = subset.iter().map(|p| p.ground_truth()).collect();
+                let labels: Vec<bool> =
+                    pair_indices.iter().map(|&i| target.pairs[i].ground_truth()).collect();
                 (kl, js, entropy, hist, ece(&scores, &labels, SCORE_BINS))
             };
 
@@ -538,7 +546,8 @@ pub fn mean_row_entropy(m: &Matrix) -> f64 {
 mod tests {
     use super::*;
     use crate::config::AdamelConfig;
-    use adamel_schema::{EntityPair, Schema};
+    use crate::model::AdamelModel;
+    use adamel_schema::EntityPair;
 
     fn rec(source: u32, id: u64, kv: &[(&str, &str)]) -> Record {
         let mut r = Record::new(SourceId(source), id);
@@ -551,6 +560,18 @@ mod tests {
     fn tiny_model(attrs: &[&str]) -> AdamelModel {
         let schema = Schema::new(attrs.iter().map(|s| s.to_string()).collect());
         AdamelModel::new(AdamelConfig::tiny(), schema)
+    }
+
+    fn baseline(model: &AdamelModel, train: Vec<EntityPair>) -> DriftBaseline {
+        DriftBaseline::build(model.extractor().schema(), &model.score(train))
+    }
+
+    fn assess(
+        monitor: &DriftMonitor,
+        model: &AdamelModel,
+        target: Vec<EntityPair>,
+    ) -> Vec<SourceDrift> {
+        monitor.assess(model.extractor().schema(), &model.score(target))
     }
 
     #[test]
@@ -582,12 +603,12 @@ mod tests {
     #[test]
     fn baseline_collects_attributes_vocab_and_missing_rate() {
         let model = tiny_model(&["a", "b"]);
-        let train = Domain::new(vec![EntityPair::labeled(
+        let train = vec![EntityPair::labeled(
             rec(0, 1, &[("a", "alpha beta")]),
             rec(1, 1, &[("a", "alpha"), ("b", "gamma")]),
             true,
-        )]);
-        let base = DriftBaseline::build(&model, &train);
+        )];
+        let base = baseline(&model, train);
         assert!(base.attributes.contains("a") && base.attributes.contains("b"));
         for t in ["alpha", "beta", "gamma"] {
             assert!(base.vocabulary.contains(t), "missing token {t}");
@@ -600,19 +621,19 @@ mod tests {
     #[test]
     fn monitor_flags_each_challenge_on_crafted_records() {
         let model = tiny_model(&["a", "b"]);
-        let train = Domain::new(vec![EntityPair::labeled(
+        let train = vec![EntityPair::labeled(
             rec(0, 1, &[("a", "alpha beta"), ("b", "gamma")]),
             rec(1, 1, &[("a", "alpha beta"), ("b", "gamma")]),
             true,
-        )]);
-        let monitor = DriftMonitor::new(DriftBaseline::build(&model, &train));
+        )];
+        let monitor = DriftMonitor::new(baseline(&model, train));
 
         // C1: target records missing everything except one attribute.
-        let sparse = Domain::new(vec![EntityPair::unlabeled(
+        let sparse = vec![EntityPair::unlabeled(
             rec(5, 10, &[("a", "alpha")]),
             rec(6, 10, &[("a", "alpha")]),
-        )]);
-        let drifts = monitor.assess(&model, &sparse);
+        )];
+        let drifts = assess(&monitor, &model, sparse);
         assert_eq!(drifts.len(), 2);
         for d in &drifts {
             assert!(d.warned(DriftSignal::MissingRate), "C1 should fire: {:?}", d.warnings);
@@ -621,11 +642,11 @@ mod tests {
         }
 
         // C2 + C3: a new attribute carrying unseen tokens.
-        let novel = Domain::new(vec![EntityPair::unlabeled(
+        let novel = vec![EntityPair::unlabeled(
             rec(7, 11, &[("a", "alpha beta"), ("b", "gamma"), ("z", "zeta omega")]),
             rec(8, 11, &[("a", "alpha beta"), ("b", "gamma"), ("z", "zeta omega")]),
-        )]);
-        let drifts = monitor.assess(&model, &novel);
+        )];
+        let drifts = assess(&monitor, &model, novel);
         for d in &drifts {
             assert!(!d.warned(DriftSignal::MissingRate));
             assert!(d.warned(DriftSignal::NewAttributes), "C2 should fire");
@@ -634,11 +655,11 @@ mod tests {
         }
 
         // Control: records drawn from the training distribution are quiet.
-        let control = Domain::new(vec![EntityPair::unlabeled(
+        let control = vec![EntityPair::unlabeled(
             rec(9, 12, &[("a", "alpha beta"), ("b", "gamma")]),
             rec(0, 12, &[("a", "alpha beta"), ("b", "gamma")]),
-        )]);
-        for d in monitor.assess(&model, &control) {
+        )];
+        for d in assess(&monitor, &model, control) {
             assert!(!d.warned(DriftSignal::MissingRate));
             assert!(!d.warned(DriftSignal::NewAttributes));
             assert!(!d.warned(DriftSignal::OovRate));
@@ -648,17 +669,14 @@ mod tests {
     #[test]
     fn assess_orders_sources_and_counts_pairs() {
         let model = tiny_model(&["a"]);
-        let train = Domain::new(vec![EntityPair::labeled(
-            rec(0, 1, &[("a", "x")]),
-            rec(1, 1, &[("a", "x")]),
-            true,
-        )]);
-        let monitor = DriftMonitor::new(DriftBaseline::build(&model, &train));
-        let target = Domain::new(vec![
+        let train =
+            vec![EntityPair::labeled(rec(0, 1, &[("a", "x")]), rec(1, 1, &[("a", "x")]), true)];
+        let monitor = DriftMonitor::new(baseline(&model, train));
+        let target = vec![
             EntityPair::unlabeled(rec(4, 1, &[("a", "x")]), rec(3, 1, &[("a", "x")])),
             EntityPair::unlabeled(rec(3, 2, &[("a", "x")]), rec(4, 3, &[("a", "x")])),
-        ]);
-        let drifts = monitor.assess(&model, &target);
+        ];
+        let drifts = assess(&monitor, &model, target);
         let ids: Vec<u32> = drifts.iter().map(|d| d.source.0).collect();
         assert_eq!(ids, vec![3, 4]);
         for d in &drifts {
@@ -673,15 +691,11 @@ mod tests {
     fn emit_runlog_is_inert_when_disabled() {
         runlog::set_forced_path(Some(""));
         let model = tiny_model(&["a"]);
-        let train = Domain::new(vec![EntityPair::labeled(
-            rec(0, 1, &[("a", "x")]),
-            rec(1, 1, &[("a", "x")]),
-            true,
-        )]);
-        let monitor = DriftMonitor::new(DriftBaseline::build(&model, &train));
-        let target =
-            Domain::new(vec![EntityPair::unlabeled(rec(4, 1, &[("a", "x")]), rec(3, 1, &[]))]);
-        for d in monitor.assess(&model, &target) {
+        let train =
+            vec![EntityPair::labeled(rec(0, 1, &[("a", "x")]), rec(1, 1, &[("a", "x")]), true)];
+        let monitor = DriftMonitor::new(baseline(&model, train));
+        let target = vec![EntityPair::unlabeled(rec(4, 1, &[("a", "x")]), rec(3, 1, &[]))];
+        for d in assess(&monitor, &model, target) {
             d.emit_runlog(); // must not panic or write anywhere
         }
         runlog::set_forced_path(None);

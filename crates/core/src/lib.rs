@@ -48,6 +48,6 @@ pub use drift::{
 };
 pub use eval::{evaluate_f1, evaluate_prauc};
 pub use io::{load_model, save_model};
-pub use model::AdamelModel;
+pub use model::{AdamelModel, ScoredPairs};
 pub use pipeline::{Linker, LinkerConfig, MatchResult};
 pub use train::{fit, support_weights, TrainReport};

@@ -8,7 +8,7 @@
 
 use crate::config::AdamelConfig;
 use adamel_schema::{EntityPair, FeatureExtractor, Schema};
-use adamel_tensor::plan::{BufferPool, CompiledPlan};
+use adamel_tensor::plan::{BufferPool, CompiledPlan, PlanBuffers};
 use adamel_tensor::{init, parallel, Graph, Matrix, ParamId, ParamSet, Var};
 use adamel_text::HashedFastText;
 use rand::rngs::StdRng;
@@ -48,10 +48,13 @@ pub(crate) struct ForwardNodes {
 
 /// The tape-free inference programs, compiled lazily from one probe forward.
 ///
-/// Two separately pruned plans: the attention plan stops at `f(x)` and never
-/// replays the classifier, so knowledge-transfer extraction (`attention_*`)
-/// pays only the head's FLOPs. Each plan gets its own warm-buffer pool
-/// because buffer *i* holds differently shaped intermediates per plan.
+/// The predict plan has two outputs, `[logits, attention]`, so one replay
+/// both scores a batch and yields its Eq. 5–6 attention rows. The attention
+/// plan stops at `f(x)` and never replays the classifier; it serves the
+/// callers that never need scores (training's target-attention mean,
+/// `support_weights`, `feature_importance`). Each plan gets its own
+/// warm-buffer pool because buffer *i* holds differently shaped
+/// intermediates per plan.
 struct CompiledForward {
     predict: CompiledPlan,
     attention: CompiledPlan,
@@ -59,17 +62,30 @@ struct CompiledForward {
     attention_pool: BufferPool,
 }
 
+/// Pairs together with the outputs of one forward pass over them: row `i`
+/// of `scores` and `attention` belongs to `pairs[i]`.
+#[derive(Debug, Clone)]
+pub struct ScoredPairs {
+    /// The scored pairs.
+    pub pairs: Vec<EntityPair>,
+    /// Match score (`sigmoid(logit)`) per pair.
+    pub scores: Vec<f32>,
+    /// Attention distribution `f(x)` per pair, `pairs.len() x F`.
+    pub attention: Matrix,
+}
+
 /// Probe batch size used to record the plan. Any value ≥ 2 works; 2 keeps
 /// the probe cheap while staying clear of row-count 1, which legitimate
-/// `1 x k` constants (none today) could collide with in the compiler's
-/// scaling-constant check.
+/// `1 x k` constants (none today) would collide with in the compiler's
+/// batch-sized-constant check, and lets that check see whether the
+/// uniform-attention constant's rows are identical.
 const PLAN_PROBE_ROWS: usize = 2;
 
-/// Batch-inference chunk size: `predict`/`attention` build one bounded
-/// autograd graph per block of this many rows and score blocks on scoped
-/// worker threads. Every forward op is row-independent, so block boundaries
-/// (a function of this constant alone, never the thread count) do not change
-/// the numbers: chunked output is bit-identical to one monolithic graph.
+/// Batch-inference chunk size: `predict`/`attention` replay the plan once
+/// per block of this many rows and score blocks on scoped worker threads.
+/// Every forward op is row-independent, so block boundaries (a function of
+/// this constant alone, never the thread count) do not change the numbers:
+/// chunked output is bit-identical to one monolithic `forward_graph` tape.
 const PREDICT_CHUNK_ROWS: usize = 512;
 
 /// The AdaMEL model: feature extraction plus network parameters.
@@ -82,12 +98,10 @@ pub struct AdamelModel {
     pub(crate) extractor: FeatureExtractor,
     pub(crate) params: ParamSet,
     pub(crate) ids: ModelParams,
-    /// Lazily compiled inference plans. `None` inside the cell means the
-    /// graph was probed and found non-specializable (uniform-attention
-    /// ablation, zero features) — inference then stays on the tape path.
-    /// Plans read parameters live from `self.params`, so training and
+    /// Lazily compiled inference plans. Plans read parameters live from
+    /// `self.params`, so training and
     /// [`restore_params`](Self::restore_params) never invalidate them.
-    plan: OnceLock<Option<CompiledForward>>,
+    plan: OnceLock<CompiledForward>,
 }
 
 impl AdamelModel {
@@ -236,39 +250,64 @@ impl AdamelModel {
     }
 
     /// The compiled inference plans, built on first use from one probe
-    /// forward at [`PLAN_PROBE_ROWS`] rows. Returns `None` when the graph
-    /// cannot be shape-specialized (the uniform-attention ablation records
-    /// a batch-sized constant; a featureless schema has nothing to record)
-    /// — callers then fall back to the tape path, which handles every graph.
-    fn compiled(&self) -> Option<&CompiledForward> {
-        self.plan
-            .get_or_init(|| {
-                let cols = self.extractor.num_features() * self.cfg.embed_dim;
-                if cols == 0 {
-                    return None;
-                }
-                let mut g = Graph::new();
-                let nodes = self.forward(&mut g, Matrix::zeros(PLAN_PROBE_ROWS, cols));
-                let predict = CompiledPlan::compile(&g, nodes.input, &[nodes.logits]).ok()?;
-                let attention = CompiledPlan::compile(&g, nodes.input, &[nodes.attention]).ok()?;
-                Some(CompiledForward {
-                    predict,
-                    attention,
-                    predict_pool: BufferPool::new(),
-                    attention_pool: BufferPool::new(),
-                })
-            })
-            .as_ref()
+    /// forward at [`PLAN_PROBE_ROWS`] rows.
+    fn compiled(&self) -> &CompiledForward {
+        self.plan.get_or_init(|| {
+            let cols = self.extractor.num_features() * self.cfg.embed_dim;
+            let mut g = Graph::new();
+            let nodes = self.forward(&mut g, Matrix::zeros(PLAN_PROBE_ROWS, cols));
+            // The forward records only replayable ops, and its one
+            // batch-sized constant (uniform attention) has identical rows.
+            let compile = |outputs: &[Var]| {
+                CompiledPlan::compile(&g, nodes.input, outputs)
+                    .unwrap_or_else(|e| panic!("AdamelModel: forward does not compile: {e}"))
+            };
+            CompiledForward {
+                predict: compile(&[nodes.logits, nodes.attention]),
+                attention: compile(&[nodes.attention]),
+                predict_pool: BufferPool::new(),
+                attention_pool: BufferPool::new(),
+            }
+        })
     }
 
     /// Builds the full forward graph over an encoded batch and returns the
     /// `(attention, logits)` node handles. This is the single-graph hook the
-    /// differential oracle and the chunking boundary tests use to compare
-    /// [`predict_encoded`](Self::predict_encoded) against one monolithic
-    /// forward pass.
+    /// differential oracle, the plan tests and the `predict_tape` bench row
+    /// use to compare the compiled plan against one recorded tape.
     pub fn forward_graph(&self, g: &mut Graph, encoded: Matrix) -> (Var, Var) {
         let nodes = self.forward(g, encoded);
         (nodes.attention, nodes.logits)
+    }
+
+    /// Replays `plan` over `encoded` in [`PREDICT_CHUNK_ROWS`]-row chunks,
+    /// each into warm buffers from `pool`, and returns a row-major block of
+    /// `width` values per row that `emit` fills from each chunk's outputs.
+    /// Each chunk's rows are staged by the same row copy `slice_rows`
+    /// performs, and replay runs the kernels the tape ops delegate to, so
+    /// the values are bit-identical to one `forward_graph` tape.
+    fn replay(
+        &self,
+        plan: &CompiledPlan,
+        pool: &BufferPool,
+        encoded: &Matrix,
+        width: usize,
+        emit: impl Fn(&PlanBuffers, &mut [f32]) + Sync,
+    ) -> Vec<f32> {
+        let mut out = vec![0.0f32; encoded.rows() * width];
+        parallel::parallel_for_row_blocks(
+            &mut out,
+            width,
+            PREDICT_CHUNK_ROWS,
+            self.per_row_flops(),
+            |start, block| {
+                let mut bufs = pool.checkout();
+                plan.execute_rows(&self.params, encoded, start, block.len() / width, &mut bufs);
+                emit(&bufs, block);
+                pool.put_back(bufs);
+            },
+        );
+        out
     }
 
     /// Match scores (`sigmoid(logit)`) for a batch of pairs.
@@ -276,101 +315,45 @@ impl AdamelModel {
         if pairs.is_empty() {
             return Vec::new();
         }
-        if self.compiled().is_some() {
-            return self.predict_encoded(&self.encode(pairs));
-        }
-        self.predict_owned(self.encode(pairs))
+        self.predict_encoded(&self.encode(pairs))
     }
 
-    /// Match scores for pre-encoded pairs. Replays the compiled plan when
-    /// the graph is specializable, else records a tape per chunk; both paths
-    /// chunk at the same boundaries and are bit-identical.
+    /// Match scores for pre-encoded pairs.
     pub fn predict_encoded(&self, encoded: &Matrix) -> Vec<f32> {
-        match self.compiled() {
-            Some(cf) => self.predict_plan(cf, encoded),
-            None => self.predict_encoded_tape(encoded),
-        }
+        self.predict_with_attention(encoded).0
     }
 
-    /// Tape-path scoring: records a fresh autograd graph per chunk. This is
-    /// the reference implementation the plan path is bit-compared against
-    /// (and the fallback for non-specializable graphs).
-    pub fn predict_encoded_tape(&self, encoded: &Matrix) -> Vec<f32> {
-        if encoded.rows() <= PREDICT_CHUNK_ROWS {
-            // Single-graph path; the clone here matches the historical cost
-            // of the borrowed-forward copy and only hits small batches.
-            return self.predict_owned(encoded.clone());
-        }
+    /// Match scores and attention rows for pre-encoded pairs, from one
+    /// replay of the predict plan: `f(x)` is an intermediate of scoring, so
+    /// it costs no second forward.
+    pub fn predict_with_attention(&self, encoded: &Matrix) -> (Vec<f32>, Matrix) {
         adamel_obs::trace_span!("predict");
         adamel_obs::trace_count!("predict.rows", encoded.rows() as u64);
         adamel_obs::trace_count!(
             "predict.chunks",
             encoded.rows().div_ceil(PREDICT_CHUNK_ROWS) as u64
         );
-        let mut scores = vec![0.0f32; encoded.rows()];
-        parallel::parallel_for_row_blocks(
-            &mut scores,
-            1,
-            PREDICT_CHUNK_ROWS,
-            self.per_row_flops(),
-            |start, block| {
-                let chunk = encoded.slice_rows(start, block.len());
-                let mut g = Graph::new();
-                let nodes = self.forward(&mut g, chunk);
-                for (o, &z) in block.iter_mut().zip(g.value(nodes.logits).as_slice()) {
-                    *o = 1.0 / (1.0 + (-z).exp());
-                }
-            },
-        );
-        scores
+        let cf = self.compiled();
+        let f = self.extractor.num_features();
+        let rows = self.replay(&cf.predict, &cf.predict_pool, encoded, 1 + f, |bufs, block| {
+            let logits = cf.predict.output(0, bufs).as_slice();
+            let att = cf.predict.output(1, bufs).as_slice();
+            for ((row, &z), a) in block.chunks_exact_mut(1 + f).zip(logits).zip(att.chunks_exact(f))
+            {
+                row[0] = 1.0 / (1.0 + (-z).exp());
+                row[1..].copy_from_slice(a);
+            }
+        });
+        let scores = rows.iter().step_by(1 + f).copied().collect();
+        let attention: Vec<f32> = rows.chunks_exact(1 + f).flat_map(|r| &r[1..]).copied().collect();
+        (scores, Matrix::from_vec(encoded.rows(), f, attention))
     }
 
-    /// Single-allocation tape fast path when the caller can hand over the
-    /// batch (only reached when no plan is available).
-    fn predict_owned(&self, encoded: Matrix) -> Vec<f32> {
-        if encoded.rows() > PREDICT_CHUNK_ROWS {
-            return self.predict_encoded_tape(&encoded);
-        }
-        adamel_obs::trace_span!("predict");
-        adamel_obs::trace_count!("predict.rows", encoded.rows() as u64);
-        let mut g = Graph::new();
-        let nodes = self.forward(&mut g, encoded);
-        g.value(nodes.logits).as_slice().iter().map(|&z| 1.0 / (1.0 + (-z).exp())).collect()
-    }
-
-    /// Plan-path scoring: replays the compiled program per chunk into warm
-    /// buffers from the pool. Chunk boundaries are the same function of
-    /// [`PREDICT_CHUNK_ROWS`] as the tape path, each chunk's rows are staged
-    /// by the same row-copy `slice_rows` performs, and replay runs the same
-    /// kernels the tape ops delegate to — so scores are bit-identical to
-    /// [`predict_encoded_tape`](Self::predict_encoded_tape).
-    fn predict_plan(&self, cf: &CompiledForward, encoded: &Matrix) -> Vec<f32> {
-        adamel_obs::trace_span!("predict");
-        adamel_obs::trace_count!("predict.rows", encoded.rows() as u64);
-        adamel_obs::trace_count!(
-            "predict.chunks",
-            encoded.rows().div_ceil(PREDICT_CHUNK_ROWS) as u64
-        );
-        let mut scores = vec![0.0f32; encoded.rows()];
-        if encoded.rows() == 0 {
-            return scores;
-        }
-        parallel::parallel_for_row_blocks(
-            &mut scores,
-            1,
-            PREDICT_CHUNK_ROWS,
-            self.per_row_flops(),
-            |start, block| {
-                let mut bufs = cf.predict_pool.checkout();
-                cf.predict.execute_rows(&self.params, encoded, start, block.len(), &mut bufs);
-                let logits = cf.predict.output(0, &bufs);
-                for (o, &z) in block.iter_mut().zip(logits.as_slice()) {
-                    *o = 1.0 / (1.0 + (-z).exp());
-                }
-                cf.predict_pool.put_back(bufs);
-            },
-        );
-        scores
+    /// Encodes and scores `pairs` in one forward pass, keeping the pairs
+    /// beside their scores and attention rows.
+    pub fn score(&self, pairs: Vec<EntityPair>) -> ScoredPairs {
+        let (scores, attention) = self.predict_with_attention(&self.encode(&pairs));
+        ScoredPairs { pairs, scores, attention }
     }
 
     /// Per-pair attention distributions `f(x)` (`n x F`, rows sum to 1) —
@@ -380,67 +363,17 @@ impl AdamelModel {
         self.attention_encoded(&encoded)
     }
 
-    /// Attention distributions for pre-encoded pairs. Replays the pruned
-    /// attention plan (classifier skipped) when available, else records a
-    /// tape per chunk; both paths are bit-identical.
+    /// Attention distributions for pre-encoded pairs, from the attention
+    /// plan (classifier skipped).
     pub fn attention_encoded(&self, encoded: &Matrix) -> Matrix {
-        match self.compiled() {
-            Some(cf) => self.attention_plan(cf, encoded),
-            None => self.attention_encoded_tape(encoded),
-        }
-    }
-
-    /// Plan-path attention extraction; see
-    /// [`predict_plan`](Self::predict_plan) for the bit-identity argument.
-    fn attention_plan(&self, cf: &CompiledForward, encoded: &Matrix) -> Matrix {
         adamel_obs::trace_span!("attention");
         adamel_obs::trace_count!("attention.rows", encoded.rows() as u64);
+        let cf = self.compiled();
         let f = self.extractor.num_features();
-        let mut out = Matrix::zeros(encoded.rows(), f);
-        if encoded.rows() == 0 {
-            return out;
-        }
-        parallel::parallel_for_row_blocks(
-            out.as_mut_slice(),
-            f,
-            PREDICT_CHUNK_ROWS,
-            self.per_row_flops(),
-            |start, block| {
-                let mut bufs = cf.attention_pool.checkout();
-                let rows = block.len() / f;
-                cf.attention.execute_rows(&self.params, encoded, start, rows, &mut bufs);
-                block.copy_from_slice(cf.attention.output(0, &bufs).as_slice());
-                cf.attention_pool.put_back(bufs);
-            },
-        );
-        out
-    }
-
-    /// Tape-path attention extraction: records a fresh graph per chunk. The
-    /// reference implementation the plan path is bit-compared against.
-    pub fn attention_encoded_tape(&self, encoded: &Matrix) -> Matrix {
-        adamel_obs::trace_span!("attention");
-        adamel_obs::trace_count!("attention.rows", encoded.rows() as u64);
-        let f = self.extractor.num_features();
-        if encoded.rows() <= PREDICT_CHUNK_ROWS || f == 0 {
-            let mut g = Graph::new();
-            let nodes = self.forward(&mut g, encoded.clone());
-            return g.value(nodes.attention).clone();
-        }
-        let mut out = Matrix::zeros(encoded.rows(), f);
-        parallel::parallel_for_row_blocks(
-            out.as_mut_slice(),
-            f,
-            PREDICT_CHUNK_ROWS,
-            self.per_row_flops(),
-            |start, block| {
-                let chunk = encoded.slice_rows(start, block.len() / f);
-                let mut g = Graph::new();
-                let nodes = self.forward(&mut g, chunk);
-                block.copy_from_slice(g.value(nodes.attention).as_slice());
-            },
-        );
-        out
+        let out = self.replay(&cf.attention, &cf.attention_pool, encoded, f, |bufs, block| {
+            block.copy_from_slice(cf.attention.output(0, bufs).as_slice())
+        });
+        Matrix::from_vec(encoded.rows(), f, out)
     }
 
     /// Deep copies of all parameter tensors, in registration order (for

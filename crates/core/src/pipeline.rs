@@ -6,10 +6,10 @@
 //! trained [`AdamelModel`] with token blocking so linking two collections is
 //! one call.
 
-use crate::model::AdamelModel;
+use crate::model::{AdamelModel, ScoredPairs};
 use adamel_schema::blocking::BlockingIndex;
 use adamel_schema::{EntityPair, Record};
-use adamel_tensor::parallel;
+use adamel_tensor::{parallel, Matrix};
 
 /// A scored candidate match between two records.
 #[derive(Debug, Clone)]
@@ -89,17 +89,21 @@ impl Linker {
             |li| index.candidates_for(&left[li], &block_attrs, self.cfg.max_candidates_per_record),
         );
         drop(blocking);
-        self.score_candidates(left, right, &per_left)
+        self.score_candidates(left, right, &per_left).0
     }
 
     /// Scores a pre-blocked candidate set: `candidates[li]` lists the
     /// `right` indices paired with `left[li]`. This is the second half of
     /// [`link`](Self::link) — pair construction in `(li, ri)` order, one
-    /// batched `predict`, thresholding, the stable descending sort, and the
-    /// optional one-to-one reduction — exposed so callers that maintain
+    /// batched forward pass, thresholding, the stable descending sort, and
+    /// the optional one-to-one reduction — exposed so callers that maintain
     /// their own incremental blocking index (`adamel-serve`'s `LiveIndex`)
     /// produce **bit-identical** results to the offline pipeline on the
     /// same candidates.
+    ///
+    /// Beside the matches it returns every pair it built, in that order,
+    /// with the scores and attention rows of the same forward pass — what
+    /// [`DriftMonitor::assess`](crate::drift::DriftMonitor::assess) reads.
     ///
     /// Out-of-range candidate indices are skipped (an incremental index can
     /// momentarily disagree with the snapshot it was probed against);
@@ -109,7 +113,7 @@ impl Linker {
         left: &[Record],
         right: &[Record],
         candidates: &[Vec<usize>],
-    ) -> Vec<MatchResult> {
+    ) -> (Vec<MatchResult>, ScoredPairs) {
         let mut pairs = Vec::new();
         let mut pair_ids = Vec::new();
         for (li, (lrec, cands)) in left.iter().zip(candidates.iter()).enumerate() {
@@ -130,17 +134,18 @@ impl Linker {
                 .int("matches", 0)
                 .num("threshold", f64::from(self.cfg.threshold))
                 .emit();
-            return Vec::new();
+            let attention = Matrix::zeros(0, self.model.extractor().num_features());
+            return (Vec::new(), ScoredPairs { pairs, scores: Vec::new(), attention });
         }
         let score_span = adamel_obs::span("score");
-        let scores = self.model.predict(&pairs);
+        let batch = self.model.score(pairs);
         drop(score_span);
-        adamel_obs::trace_count!("link.pairs_scored", scores.len() as u64);
-        let scored = scores.len();
+        let scored = batch.scores.len();
+        adamel_obs::trace_count!("link.pairs_scored", scored as u64);
 
         let mut results: Vec<MatchResult> = pair_ids
             .into_iter()
-            .zip(scores)
+            .zip(batch.scores.iter().copied())
             .filter(|(_, s)| *s >= self.cfg.threshold)
             .map(|((left, right), score)| MatchResult { left, right, score })
             .collect();
@@ -158,12 +163,12 @@ impl Linker {
         adamel_obs::runlog::event("link")
             .int("left_records", left.len() as u64)
             .int("right_records", right.len() as u64)
-            .int("candidates", pairs.len() as u64)
+            .int("candidates", batch.pairs.len() as u64)
             .int("scored", scored as u64)
             .int("matches", results.len() as u64)
             .num("threshold", f64::from(self.cfg.threshold))
             .emit();
-        results
+        (results, batch)
     }
 }
 
@@ -237,13 +242,19 @@ mod tests {
             .iter()
             .map(|l| index.candidates_for(l, &attrs, linker.cfg.max_candidates_per_record))
             .collect();
-        let via_candidates = linker.score_candidates(&left, &right, &per_left);
+        let (via_candidates, batch) = linker.score_candidates(&left, &right, &per_left);
         let via_link = linker.link(&left, &right);
         assert_eq!(via_candidates.len(), via_link.len());
         for (a, b) in via_candidates.iter().zip(via_link.iter()) {
             assert_eq!((a.left, a.right), (b.left, b.right));
             assert_eq!(a.score.to_bits(), b.score.to_bits(), "scores must match bitwise");
         }
+        // The returned batch is the one forward pass `predict` would run.
+        let reference = linker.model().predict(&batch.pairs);
+        let bits = |s: &[f32]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&batch.scores), bits(&reference));
+        let attention = linker.model().attention(&batch.pairs);
+        assert_eq!(bits(batch.attention.as_slice()), bits(attention.as_slice()));
     }
 
     #[test]
@@ -251,8 +262,9 @@ mod tests {
         let linker = trained_linker(false);
         let left = vec![rec(0, 1, "alpha beta")];
         let right = vec![rec(1, 3, "alpha beta")];
-        let matches = linker.score_candidates(&left, &right, &[vec![0, 7]]);
+        let (matches, batch) = linker.score_candidates(&left, &right, &[vec![0, 7]]);
         assert!(matches.iter().all(|m| m.right < right.len()));
+        assert_eq!(batch.pairs.len(), 1);
     }
 
     #[test]

@@ -8,13 +8,20 @@
 //!   never render the five target-only attributes.
 //! * Seen pairs degraded with extra missingness: C1 fires alone — dropping
 //!   values cannot introduce new attributes or new tokens.
+//!
+//! Drift reads the scores and attention rows of the forward pass that
+//! scored a batch; it must equal, to the bit, running the model again on
+//! each source's pairs.
 
-use adamel::drift::{DriftBaseline, DriftMonitor, DriftSignal};
+use adamel::drift::{
+    js_divergence, kl_divergence, mean_row_entropy, DriftBaseline, DriftMonitor, DriftSignal,
+    SourceDrift, SCORE_BINS,
+};
 use adamel::{fit, AdamelConfig, AdamelModel, Variant};
 use adamel_data::{
     degrade_pairs, make_mel_split, MonitorConfig, MonitorWorld, Scenario, SplitCounts,
 };
-use adamel_schema::Domain;
+use adamel_schema::{Domain, EntityPair};
 use std::collections::BTreeSet;
 use std::sync::OnceLock;
 
@@ -54,9 +61,15 @@ fn build_fixture() -> Fixture {
     // Vocabulary and missing-rate baseline over *all* seen-source records,
     // so the control's OOV rate is exactly zero.
     let pool = world.records_for(Some(&seen));
-    let baseline = DriftBaseline::build_with_pool(&model, &split.train, &pool);
+    let scored_train = model.score(split.train.pairs.clone());
+    let baseline = DriftBaseline::build_with_pool(model.extractor().schema(), &scored_train, &pool);
     let monitor = DriftMonitor::new(baseline);
     Fixture { model, monitor, train: split.train, test: split.test }
+}
+
+/// Scores `pairs` in one forward pass and assesses the scored batch.
+fn assess(fx: &Fixture, pairs: &[EntityPair]) -> Vec<SourceDrift> {
+    fx.monitor.assess(fx.model.extractor().schema(), &fx.model.score(pairs.to_vec()))
 }
 
 const C_SIGNALS: [DriftSignal; 3] =
@@ -65,7 +78,7 @@ const C_SIGNALS: [DriftSignal; 3] =
 #[test]
 fn control_seen_pairs_trip_no_c_signal() {
     let fx = fixture();
-    let drifts = fx.monitor.assess(&fx.model, &fx.train);
+    let drifts = assess(fx, &fx.train.pairs);
     assert!(!drifts.is_empty());
     for d in &drifts {
         for sig in C_SIGNALS {
@@ -84,7 +97,7 @@ fn control_seen_pairs_trip_no_c_signal() {
 #[test]
 fn unseen_sources_trip_c2_and_c3_but_not_c1() {
     let fx = fixture();
-    let drifts = fx.monitor.assess(&fx.model, &fx.test);
+    let drifts = assess(fx, &fx.test.pairs);
     assert!(!drifts.is_empty());
     let mut union_new: BTreeSet<String> = BTreeSet::new();
     for d in &drifts {
@@ -126,7 +139,7 @@ fn unseen_sources_trip_c2_and_c3_but_not_c1() {
 fn degraded_seen_pairs_trip_c1_alone() {
     let fx = fixture();
     let degraded = Domain::new(degrade_pairs(&fx.train.pairs, 0.5, SEED));
-    let drifts = fx.monitor.assess(&fx.model, &degraded);
+    let drifts = assess(fx, &degraded.pairs);
     assert!(!drifts.is_empty());
     for d in &drifts {
         assert!(
@@ -148,7 +161,7 @@ fn degraded_seen_pairs_trip_c1_alone() {
 #[test]
 fn drift_warnings_round_trip_through_the_ledger() {
     let fx = fixture();
-    let drifts = fx.monitor.assess(&fx.model, &fx.test);
+    let drifts = assess(fx, &fx.test.pairs);
 
     let path =
         std::env::temp_dir().join(format!("adamel-drift-ledger-{}.jsonl", std::process::id()));
@@ -181,4 +194,48 @@ fn drift_warnings_round_trip_through_the_ledger() {
     assert!(warn_signals.contains("c2_new_attributes"), "signals: {warn_signals:?}");
     assert!(warn_signals.contains("c3_oov_rate"), "signals: {warn_signals:?}");
     assert!(!warn_signals.contains("c1_missing_rate"), "signals: {warn_signals:?}");
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+#[test]
+fn drift_on_the_scored_batch_matches_rerunning_the_model_per_source() {
+    let fx = fixture();
+    let model = &fx.model;
+    let baseline = &fx.monitor.baseline;
+    let reference_mean = model.attention(&fx.train.pairs).mean_rows();
+    assert_eq!(bits(&baseline.mean_attention), bits(reference_mean.as_slice()));
+
+    let pairs = &fx.test.pairs;
+    let drifts = assess(fx, pairs);
+    assert_eq!(drifts.len(), fx.test.sources().len());
+    for d in &drifts {
+        let subset: Vec<EntityPair> = pairs
+            .iter()
+            .filter(|p| p.left.source == d.source || p.right.source == d.source)
+            .cloned()
+            .collect();
+        let att = model.attention(&subset);
+        let mean = att.mean_rows();
+        let scores = model.predict(&subset);
+        let mut hist = [0u64; SCORE_BINS];
+        for &s in &scores {
+            hist[((f64::from(s).clamp(0.0, 1.0) * SCORE_BINS as f64) as usize)
+                .min(SCORE_BINS - 1)] += 1;
+        }
+        let labels: Vec<bool> = subset.iter().map(|p| p.ground_truth()).collect();
+        let ece = adamel_metrics::ece(&scores, &labels, SCORE_BINS);
+        let source = d.source;
+        assert_eq!(d.pairs, subset.len(), "{source:?} pairs");
+        let kl = kl_divergence(mean.as_slice(), &baseline.mean_attention);
+        let js = js_divergence(mean.as_slice(), &baseline.mean_attention);
+        assert_eq!(d.attention_kl.to_bits(), kl.to_bits(), "{source:?} attention_kl");
+        assert_eq!(d.attention_js.to_bits(), js.to_bits(), "{source:?} attention_js");
+        let entropy = mean_row_entropy(&att);
+        assert_eq!(d.attention_entropy.to_bits(), entropy.to_bits(), "{source:?} entropy");
+        assert_eq!(d.score_hist, hist, "{source:?} score_hist");
+        assert_eq!(d.ece.to_bits(), ece.to_bits(), "{source:?} ece");
+    }
 }

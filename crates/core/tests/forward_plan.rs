@@ -1,16 +1,15 @@
 //! The compiled inference plan must be invisible: replaying the tape-free
-//! [`CompiledPlan`] program must produce **bit-identical** scores and
-//! attention distributions to recording a fresh autograd graph per chunk,
-//! at every chunk-boundary batch size, in every feature mode, at every
-//! thread count, and after parameters change. Graphs that cannot be
-//! shape-specialized (the uniform-attention ablation) must fall back to the
-//! tape path silently.
+//! `CompiledPlan` program must produce **bit-identical** scores and
+//! attention distributions to recording one monolithic `forward_graph`
+//! tape over the whole batch, at every chunk-boundary batch size, in every
+//! feature mode, at every thread count, after parameters change, and for
+//! the uniform-attention ablation.
 
 use adamel::config::AdamelConfig;
 use adamel::model::AdamelModel;
 use adamel::{fit, Variant};
 use adamel_schema::{Domain, EntityPair, FeatureMode, Record, Schema, SourceId};
-use adamel_tensor::parallel;
+use adamel_tensor::{parallel, Graph, Matrix};
 
 fn rec(source: u32, id: u64, name: &str, city: &str) -> Record {
     let mut r = Record::new(SourceId(source), id);
@@ -43,20 +42,37 @@ fn bits(scores: &[f32]) -> Vec<u32> {
     scores.iter().map(|v| v.to_bits()).collect()
 }
 
-/// Asserts plan and tape agree bit-for-bit on both inference surfaces.
+/// Scores and attention from one `forward_graph` tape over the whole batch.
+fn tape(m: &AdamelModel, encoded: &Matrix) -> (Vec<f32>, Matrix) {
+    let mut g = Graph::new();
+    let (attention, logits) = m.forward_graph(&mut g, encoded.clone());
+    let scores = g.value(logits).as_slice().iter().map(|&z| 1.0 / (1.0 + (-z).exp())).collect();
+    (scores, g.value(attention).clone())
+}
+
+/// Asserts the plan and one tape agree bit-for-bit on every inference
+/// surface: `predict_encoded`, `predict_with_attention` (both outputs of
+/// the predict plan) and `attention_encoded` (the attention plan).
 fn assert_plan_matches_tape(m: &AdamelModel, n: u64, label: &str) {
     let encoded = m.encode(&pairs_n(n));
+    let (tape_scores, tape_att) = tape(m, &encoded);
 
     let plan_scores = m.predict_encoded(&encoded);
-    let tape_scores = m.predict_encoded_tape(&encoded);
     assert_eq!(
         bits(&plan_scores),
         bits(&tape_scores),
         "{label}: plan scores drifted from tape at n = {n}"
     );
+    let (scores, att) = m.predict_with_attention(&encoded);
+    assert_eq!(bits(&scores), bits(&tape_scores), "{label}: two-output scores at n = {n}");
+    assert_eq!(att.shape(), tape_att.shape(), "{label}: two-output attention shape at n = {n}");
+    assert_eq!(
+        bits(att.as_slice()),
+        bits(tape_att.as_slice()),
+        "{label}: two-output attention drifted from tape at n = {n}"
+    );
 
     let plan_att = m.attention_encoded(&encoded);
-    let tape_att = m.attention_encoded_tape(&encoded);
     assert_eq!(plan_att.shape(), tape_att.shape(), "{label}: attention shape at n = {n}");
     assert_eq!(
         bits(plan_att.as_slice()),
@@ -68,8 +84,7 @@ fn assert_plan_matches_tape(m: &AdamelModel, n: u64, label: &str) {
 #[test]
 fn plan_matches_tape_at_chunk_boundaries() {
     // One below, exactly at, one above, and a multiple of the 512-row chunk
-    // size: the plan path chunks at the same boundaries as the tape path,
-    // so every split point is exercised.
+    // size: the plan splits the batch there, the reference tape does not.
     let m = AdamelModel::new(AdamelConfig::tiny(), schema());
     for n in [511u64, 512, 513, 1024] {
         assert_plan_matches_tape(&m, n, "boundaries");
@@ -81,7 +96,9 @@ fn plan_matches_tape_across_feature_modes() {
     for mode in [FeatureMode::SharedOnly, FeatureMode::UniqueOnly, FeatureMode::Both] {
         let cfg = AdamelConfig::tiny().with_feature_mode(mode);
         let m = AdamelModel::new(cfg, schema());
-        assert_plan_matches_tape(&m, 600, &format!("{mode:?}"));
+        for n in [511u64, 512, 513, 1024] {
+            assert_plan_matches_tape(&m, n, &format!("{mode:?}"));
+        }
     }
 }
 
@@ -104,20 +121,19 @@ fn plan_is_thread_count_invariant() {
 }
 
 #[test]
-fn uniform_attention_falls_back_to_tape() {
-    // The ablation records an `n x F` constant, which the plan compiler must
-    // reject (it cannot be shape-specialized); inference silently stays on
-    // the tape path and still crosses chunk boundaries correctly.
+fn uniform_attention_compiles_and_matches_forward_graph() {
+    // The ablation records an `n x F` constant of identical rows, which the
+    // plan replays as a row fill at each chunk's row count.
     let cfg = AdamelConfig::tiny().with_uniform_attention(true);
     let m = AdamelModel::new(cfg, schema());
-    let encoded = m.encode(&pairs_n(600));
-    let scores = m.predict_encoded(&encoded);
-    assert_eq!(bits(&scores), bits(&m.predict_encoded_tape(&encoded)));
-    let att = m.attention_encoded(&encoded);
+    for n in [1u64, 511, 513] {
+        assert_plan_matches_tape(&m, n, "uniform");
+    }
+    let att = m.attention_encoded(&m.encode(&pairs_n(600)));
     let f = m.extractor().num_features();
     for i in 0..att.rows() {
         for &v in att.row(i) {
-            assert_eq!(v, 1.0 / f as f32, "uniform attention row {i}");
+            assert_eq!(v.to_bits(), (1.0 / f as f32).to_bits(), "uniform attention row {i}");
         }
     }
 }

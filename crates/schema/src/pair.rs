@@ -1,11 +1,10 @@
 //! Entity pairs and domains (source domain, target domain, support set).
 
 use crate::record::{Record, Schema, SourceId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// A pair of entity records, optionally labeled.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EntityPair {
     /// Left record.
     pub left: Record,
@@ -47,7 +46,7 @@ impl EntityPair {
 
 /// A collection of entity pairs with convenience views — used for `D_S`,
 /// `D_T`, and `S_U`.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Domain {
     /// The pairs in this domain.
     pub pairs: Vec<EntityPair>,

@@ -1,11 +1,10 @@
 //! Entity records, data sources, and schemas.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Identifier of a data source (a website or database the record was
 /// sampled from) — the paper's `r*`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SourceId(pub u32);
 
 /// An entity record: a bag of textual attribute values collected from one
@@ -13,7 +12,7 @@ pub struct SourceId(pub u32);
 ///
 /// `entity_id` is the generator's ground-truth identity used to derive
 /// labels; models never see it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Record {
     /// The data source this record was crawled from.
     pub source: SourceId,
@@ -59,7 +58,7 @@ impl Record {
 ///
 /// Ordering is canonical (sorted) so feature indices are stable across runs
 /// and data sources.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     attributes: Vec<String>,
 }

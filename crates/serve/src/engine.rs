@@ -24,17 +24,19 @@
 //!
 //! ## Live drift
 //!
-//! When configured, every `assess_every`-th link batch is re-examined by
-//! the [`DriftMonitor`]: per-source C1/C2/C3, attention-shift, and
-//! calibration signals become `drift`/`warn` run-ledger events. A sliding
+//! When configured, every link batch is handed to the [`DriftMonitor`]
+//! together with the scores and attention rows of the forward pass that
+//! scored it, so drift runs no model work of its own: per-source C1/C2/C3,
+//! attention-shift, and calibration signals become `drift`/`warn`
+//! run-ledger events. A sliding
 //! window over query sources raises `readapt_recommended` once traffic
 //! from sources unseen in training dominates — the operational signal that
 //! an AdaMEL-zero re-adaptation pass is warranted.
 
 use crate::api::{HealthResponse, LinkMatch};
-use adamel::{AdamelModel, DriftBaseline, DriftMonitor, DriftThresholds, Linker};
+use adamel::{AdamelModel, DriftBaseline, DriftMonitor, DriftThresholds, Linker, ScoredPairs};
 use adamel_obs::json;
-use adamel_schema::{Domain, EntityPair, LiveIndex, Record, RecordKey, SourceId};
+use adamel_schema::{LiveIndex, Record, RecordKey, SourceId};
 use adamel_tensor::parallel;
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -55,8 +57,6 @@ pub struct DriftConfig {
     /// Sources that participated in training. Queries from any other
     /// source count toward unseen-source dominance.
     pub seen_sources: BTreeSet<u32>,
-    /// Assess every Nth link batch (1 = every batch). Floored at 1.
-    pub assess_every: u64,
     /// Sliding-window length (in query records) for the unseen-source
     /// dominance hook. Floored at 1.
     pub dominance_window: usize,
@@ -71,7 +71,6 @@ impl Default for DriftConfig {
             thresholds: DriftThresholds::default(),
             baseline: None,
             seen_sources: BTreeSet::new(),
-            assess_every: 1,
             dominance_window: 1024,
             dominance_threshold: 0.5,
         }
@@ -118,8 +117,6 @@ struct DriftState {
     monitor: Option<Arc<DriftMonitor>>,
     thresholds: DriftThresholds,
     seen_sources: BTreeSet<u32>,
-    assess_every: u64,
-    batches: u64,
     window: VecDeque<u32>,
     window_cap: usize,
     dominance_threshold: f64,
@@ -176,8 +173,6 @@ impl Engine {
                     .map(|b| Arc::new(DriftMonitor::with_thresholds(b, d.thresholds.clone()))),
                 thresholds: d.thresholds,
                 seen_sources: d.seen_sources,
-                assess_every: d.assess_every.max(1),
-                batches: 0,
                 window: VecDeque::new(),
                 window_cap: d.dominance_window.max(1),
                 dominance_threshold: d.dominance_threshold,
@@ -293,7 +288,7 @@ impl Engine {
         drop(corpus);
 
         let candidates: usize = positions.iter().map(Vec::len).sum();
-        let results = if self.compute_threads > 0 {
+        let (results, batch) = if self.compute_threads > 0 {
             parallel::with_threads(self.compute_threads, || {
                 linker.score_candidates(queries, &snapshot.records, &positions)
             })
@@ -313,38 +308,22 @@ impl Engine {
         self.counters.pairs_scored.fetch_add(candidates as u64, Ordering::Relaxed);
         self.counters.matches.fetch_add(matches.len() as u64, Ordering::Relaxed);
 
-        self.observe_drift(queries, &positions, &snapshot, &linker);
+        self.observe_drift(queries, &batch, &linker);
 
         LinkOutcome { matches, candidates, corpus_records: snapshot.records.len() }
     }
 
-    /// Drift bookkeeping for one served batch. Window updates happen under
-    /// the drift lock; the assessment itself (which dispatches onto the
-    /// parallel runtime) runs on `Arc` clones **outside** it, per the
-    /// workspace's lock-across-dispatch discipline.
-    fn observe_drift(
-        &self,
-        queries: &[Record],
-        positions: &[Vec<usize>],
-        snapshot: &Snapshot,
-        linker: &Linker,
-    ) {
+    /// Drift bookkeeping for one served batch: `batch` holds the pairs the
+    /// linker scored with their scores and attention rows. Window updates
+    /// happen under the drift lock; the baseline build and the assessment
+    /// run on `Arc` clones **outside** it.
+    fn observe_drift(&self, queries: &[Record], batch: &ScoredPairs, linker: &Linker) {
         let Some(drift) = &self.drift else { return };
         if queries.is_empty() {
             return;
         }
-        let pairs: Vec<EntityPair> = queries
-            .iter()
-            .zip(positions.iter())
-            .flat_map(|(q, cands)| {
-                cands.iter().filter_map(|&ri| {
-                    Some(EntityPair::unlabeled(q.clone(), snapshot.records.get(ri)?.clone()))
-                })
-            })
-            .collect();
 
         let mut st = lock(drift);
-        st.batches += 1;
         for q in queries {
             if st.window.len() == st.window_cap {
                 st.window.pop_front();
@@ -363,33 +342,23 @@ impl Engine {
         if emit_readapt {
             st.readapt_emitted = true;
         }
-        let needs_baseline = st.monitor.is_none() && !pairs.is_empty();
+        let needs_baseline = st.monitor.is_none() && !batch.pairs.is_empty();
         let thresholds = st.thresholds.clone();
-        let assess_now = st.batches % st.assess_every == 0;
-        let mut monitor = if assess_now { st.monitor.clone() } else { None };
+        let mut monitor = st.monitor.clone();
         let threshold = st.dominance_threshold;
         drop(st);
 
+        let schema = linker.model().extractor().schema();
         if needs_baseline {
             // First-batch freeze (see DriftConfig::baseline for the bias
-            // this carries). The build dispatches onto the parallel
-            // runtime, so it must happen with no guard held; if two
-            // batches race here, the first install wins.
-            let baseline = DriftBaseline::build_with_pool(
-                linker.model(),
-                &Domain::new(pairs.clone()),
-                queries,
-            );
+            // this carries), built with no guard held; if two batches race
+            // here, the first install wins.
+            let baseline = DriftBaseline::build_with_pool(schema, batch, queries);
             let built = Arc::new(DriftMonitor::with_thresholds(baseline, thresholds));
             let mut st = lock(drift);
-            if st.monitor.is_none() {
-                st.monitor = Some(built);
-            }
-            let installed = st.monitor.clone();
+            let installed = Arc::clone(st.monitor.get_or_insert(built));
             drop(st);
-            if assess_now && monitor.is_none() {
-                monitor = installed;
-            }
+            monitor.get_or_insert(installed);
         }
 
         if emit_readapt {
@@ -401,8 +370,8 @@ impl Engine {
                 .emit();
         }
         if let Some(monitor) = monitor {
-            if !pairs.is_empty() {
-                let assessments = monitor.assess(linker.model(), &Domain::new(pairs));
+            if !batch.pairs.is_empty() {
+                let assessments = monitor.assess(schema, batch);
                 let warnings: usize = assessments.iter().map(|a| a.warnings.len()).sum();
                 for a in &assessments {
                     a.emit_runlog();
@@ -528,7 +497,7 @@ mod tests {
     use adamel::config::{AdamelConfig, Variant};
     use adamel::train::fit;
     use adamel::LinkerConfig;
-    use adamel_schema::Schema;
+    use adamel_schema::{Domain, EntityPair, Schema};
 
     fn rec(source: u32, id: u64, name: &str) -> Record {
         let mut r = Record::new(SourceId(source), id);

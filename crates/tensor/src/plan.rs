@@ -14,21 +14,23 @@
 //!
 //! Replay calls the exact same `*_into` kernels the tape ops delegate to
 //! ([`Matrix::matmul_into`] and friends), so plan output is **bit-identical**
-//! to the tape path; the equivalence suite in `adamel` compares the two
-//! paths bit-for-bit across chunk boundaries and feature modes. The runtime
+//! to recording the same ops on a tape; the equivalence suite in `adamel`
+//! compares the plan against one `forward_graph` tape bit-for-bit across
+//! chunk boundaries and feature modes. The runtime
 //! sanitizer hooks ([`crate::sanitize`]) run per replayed step with the same
 //! op provenance as the tape.
 //!
 //! ## Shape specialization
 //!
 //! A plan is *row-polymorphic*: the probe batch fixes every column width
-//! while row counts follow the replay input. That only works when no leaf
-//! other than the designated input scales with the batch — so
-//! [`CompiledPlan::compile`] rejects any non-input constant whose row count
-//! matches the probe batch ([`PlanError::ScalingConstant`]; the
-//! uniform-attention ablation materializes exactly such an `n x F` constant,
-//! and callers fall back to the tape path). Loss/reduction ops are recording
-//! -only and likewise rejected when reachable from the requested outputs.
+//! while row counts follow the replay input. A non-input constant whose row
+//! count matches the probe batch is taken to scale with the batch. When its
+//! rows are all identical (the uniform-attention ablation's `n x F` matrix
+//! of `1/F`), the plan keeps one row and replays it as a row fill at the
+//! replay's row count; when they differ, no replay can reproduce it and
+//! [`CompiledPlan::compile`] rejects it ([`PlanError::ScalingConstant`]).
+//! Loss/reduction ops are recording-only and likewise rejected when
+//! reachable from the requested outputs.
 
 use crate::graph::{Graph, Op, Var};
 use crate::matrix::Matrix;
@@ -43,9 +45,9 @@ pub enum PlanError {
     /// A reachable op only exists for training (losses, full reductions);
     /// the payload is the op's stable name.
     UnsupportedOp(&'static str),
-    /// A non-input constant's row count matches the probe batch, so its
-    /// rows would (conservatively) scale with the batch and a frozen copy
-    /// would be replayed at the wrong shape.
+    /// A non-input constant's row count matches the probe batch, so it
+    /// scales with the batch, and its rows differ, so no row fill can
+    /// replay it at another batch size.
     ScalingConstant,
     /// A requested output is a leaf (constant/parameter/input), not a
     /// computed node; replay only materializes computed nodes.
@@ -59,7 +61,7 @@ impl fmt::Display for PlanError {
                 write!(f, "plan: op `{name}` is not replayable (training-only)")
             }
             PlanError::ScalingConstant => {
-                write!(f, "plan: constant scales with the batch; cannot shape-specialize")
+                write!(f, "plan: constant scales with the batch and its rows differ")
             }
             PlanError::UnsupportedOutput => {
                 write!(f, "plan: requested output is a leaf, not a computed node")
@@ -96,7 +98,14 @@ enum StepOp {
     Sigmoid(Src),
     SoftmaxRows(Src),
     ConcatCols(Vec<Src>),
-    SliceCols { input: Src, start: usize, width: usize },
+    SliceCols {
+        input: Src,
+        start: usize,
+        width: usize,
+    },
+    /// A batch-sized constant with identical rows: the frozen `1 x k` row
+    /// (a `Src::Const`) repeated once per replay row.
+    FillRows(usize),
 }
 
 impl StepOp {
@@ -115,6 +124,7 @@ impl StepOp {
             StepOp::SoftmaxRows(_) => "softmax_rows",
             StepOp::ConcatCols(_) => "concat_cols",
             StepOp::SliceCols { .. } => "slice_cols",
+            StepOp::FillRows(_) => "fill_rows",
         }
     }
 }
@@ -234,7 +244,7 @@ impl CompiledPlan {
     /// `input` as the replay-time batch leaf. Nodes the outputs don't reach
     /// are pruned (so a plan for the attention head alone skips the
     /// classifier). The probe graph's batch size is read from `input` and
-    /// only used for the scaling-constant check; replays accept any row
+    /// only used to find batch-sized constants; replays accept any row
     /// count with `input`'s column width.
     pub fn compile(g: &Graph, input: Var, outputs: &[Var]) -> Result<CompiledPlan, PlanError> {
         let tape = g.tape();
@@ -267,10 +277,20 @@ impl CompiledPlan {
                 continue;
             }
             let op = match &node.op {
-                Op::Constant => {
-                    if node.value.rows() == probe_rows {
+                Op::Constant if node.value.rows() == probe_rows => {
+                    // Batch-sized: replayable only as one row repeated,
+                    // so every row must match the first bit for bit.
+                    let v = &node.value;
+                    let differs = |r: usize| {
+                        v.row(r).iter().zip(v.row(0)).any(|(a, b)| a.to_bits() != b.to_bits())
+                    };
+                    if probe_rows == 0 || (1..probe_rows).any(differs) {
                         return Err(PlanError::ScalingConstant);
                     }
+                    consts.push(v.slice_rows(0, 1));
+                    StepOp::FillRows(consts.len() - 1)
+                }
+                Op::Constant => {
                     consts.push(node.value.clone());
                     src[i] = Some(Src::Const(consts.len() - 1));
                     continue;
@@ -385,6 +405,13 @@ impl CompiledPlan {
                 StepOp::SliceCols { input: a, start, width } => {
                     val(*a).slice_cols_into(*start, *width, out)
                 }
+                StepOp::FillRows(c) => {
+                    let row = self.consts[*c].as_slice();
+                    out.reset_shape(input.rows(), row.len());
+                    for r in 0..input.rows() {
+                        out.row_mut(r).copy_from_slice(row);
+                    }
+                }
             }
             // Same runtime-sanitizer contract as the tape (self-gated; one
             // atomic load when off), with matching op provenance.
@@ -495,19 +522,51 @@ mod tests {
         assert_eq!(window.as_slice(), plan.output(0, &bufs).as_slice());
     }
 
+    /// Records `relu(x @ w + b) * c`, with `c` a batch-sized constant whose
+    /// rows come from `row_of(r)`.
+    fn record_with_constant(
+        params: &ParamSet,
+        w: ParamId,
+        b: ParamId,
+        x: Matrix,
+        row_of: impl Fn(usize) -> Vec<f32>,
+    ) -> (Graph, Var, Var) {
+        let mut g = Graph::new();
+        let n = x.rows();
+        let input = g.constant(x);
+        let wv = g.param(params, w);
+        let bv = g.param(params, b);
+        let h = g.linear_relu(input, wv, bv);
+        let rows: Vec<Vec<f32>> = (0..n).map(&row_of).collect();
+        let c = g.constant(Matrix::from_rows(&rows));
+        let out = g.mul(h, c);
+        (g, input, out)
+    }
+
+    #[test]
+    fn identical_row_constant_replays_as_a_row_fill() {
+        // The uniform-attention shape: an `n x k` constant whose rows are
+        // all the same compiles, and replays at every batch size as if it
+        // had been recorded at that size.
+        let (params, w, b) = setup();
+        let uniform = |_: usize| vec![1.0 / 3.0; 3];
+        let (g, input, out) = record_with_constant(&params, w, b, batch(2, 0.0), uniform);
+        let plan = CompiledPlan::compile(&g, input, &[out]).expect("row-fill constant compiles");
+        let mut bufs = PlanBuffers::new();
+        for rows in [1, 2, 5, 17] {
+            let x = batch(rows, 0.75);
+            let (g2, _, out2) = record_with_constant(&params, w, b, x.clone(), uniform);
+            plan.execute(&params, &x, &mut bufs);
+            assert_eq!(plan.output(0, &bufs).as_slice(), g2.value(out2).as_slice(), "rows={rows}");
+        }
+    }
+
     #[test]
     fn scaling_constant_is_rejected() {
+        // A batch-sized constant whose rows differ has no row-fill replay.
         let (params, w, b) = setup();
-        let mut g = Graph::new();
-        let x = batch(4, 0.0);
-        let input = g.constant(x);
-        let wv = g.param(&params, w);
-        let bv = g.param(&params, b);
-        let h = g.linear_relu(input, wv, bv);
-        // A constant materialized at the batch size (the uniform-attention
-        // shape) cannot be shape-specialized.
-        let uniform = g.constant(Matrix::full(4, 3, 1.0 / 3.0));
-        let out = g.mul(h, uniform);
+        let varying = |r: usize| vec![r as f32, 1.0, 2.0];
+        let (g, input, out) = record_with_constant(&params, w, b, batch(4, 0.0), varying);
         assert!(matches!(
             CompiledPlan::compile(&g, input, &[out]),
             Err(PlanError::ScalingConstant)
