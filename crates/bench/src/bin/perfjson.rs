@@ -3,7 +3,7 @@
 //! pair encoding, and end-to-end prediction at 1/2/4/8 worker threads —
 //! the latter measured both through the compiled inference plan
 //! (`predict_plan`, also the headline `predict` row) and through one
-//! `forward_graph` tape recorded per 512-row chunk (`predict_tape`). Pair encoding is measured three
+//! `forward_graph` tape recorded per 128-row chunk (`predict_tape`). Pair encoding is measured three
 //! ways — `encode_pairs_cold` (record-level cache dropped before every
 //! run), `encode_pairs` (the headline warm row), and `encode_pairs_cached`
 //! (explicit warm phase whose hit/miss deltas feed the `"cache"` section:
@@ -100,7 +100,7 @@ fn bench(reps: usize, mut f: impl FnMut()) -> (f64, u64) {
 
 /// Rows per recorded tape in the `predict_tape` reference: the chunk size
 /// `AdamelModel::predict_encoded` replays its plan at.
-const TAPE_CHUNK_ROWS: usize = 512;
+const TAPE_CHUNK_ROWS: usize = 128;
 
 /// The tape reference the `predict_tape` row times: one `forward_graph`
 /// tape recorded per [`TAPE_CHUNK_ROWS`]-row chunk, chunks spread over the
@@ -164,11 +164,11 @@ fn synth_pairs(n: usize) -> (Schema, Vec<EntityPair>) {
 /// Runs every instrumented hot path once so the `--obs` report covers the
 /// encode, attention, classifier, train-epoch, predict, and linking spans:
 /// a small AdaMEL-hyb training run on a separable toy task, a chunked
-/// (>512-row) predict over the synthetic paper-shaped pairs, an attention
+/// (>128-row) predict over the synthetic paper-shaped pairs, an attention
 /// pass, and an end-to-end `Linker::link` call.
 fn run_obs_exercise(chunk_model: &AdamelModel, pairs: &[EntityPair]) {
     // Chunked predict + attention on the 13-attribute synthetic pairs
-    // (600 rows > the 512-row chunk size, so the chunked path is exercised).
+    // (600 rows > the 128-row chunk size, so the chunked path is exercised).
     let sample = &pairs[..600.min(pairs.len())];
     std::hint::black_box(chunk_model.predict(sample));
     std::hint::black_box(chunk_model.attention(&sample[..16.min(sample.len())]));

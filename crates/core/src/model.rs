@@ -86,7 +86,12 @@ const PLAN_PROBE_ROWS: usize = 2;
 /// Every forward op is row-independent, so block boundaries (a function of
 /// this constant alone, never the thread count) do not change the numbers:
 /// chunked output is bit-identical to one monolithic `forward_graph` tape.
-const PREDICT_CHUNK_ROWS: usize = 512;
+///
+/// A chunk's replay arena holds every intermediate of the forward, about
+/// 0.22 MB per row at paper dimensions, so 128 rows keep it near 28 MB.
+/// Smaller chunks cost no repacking: the plan packs its weights once per
+/// parameter generation, not once per replay.
+const PREDICT_CHUNK_ROWS: usize = 128;
 
 /// The AdaMEL model: feature extraction plus network parameters.
 ///
@@ -100,7 +105,9 @@ pub struct AdamelModel {
     pub(crate) ids: ModelParams,
     /// Lazily compiled inference plans. Plans read parameters live from
     /// `self.params`, so training and
-    /// [`restore_params`](Self::restore_params) never invalidate them.
+    /// [`restore_params`](Self::restore_params) never invalidate them; the
+    /// weights a plan keeps packed follow the parameters' generation and
+    /// are repacked on the first replay after a change.
     plan: OnceLock<CompiledForward>,
 }
 

@@ -15,7 +15,7 @@ fn rec(source: u32, id: u64, name: &str, city: &str) -> Record {
     r
 }
 
-/// `n` synthetic pairs; callers pick counts that straddle the 512-row chunk
+/// `n` synthetic pairs; callers pick counts that straddle the 128-row chunk
 /// boundary.
 fn pairs_n(n: u64) -> Vec<EntityPair> {
     let names = ["acme corp", "globex", "initech", "umbrella", "hooli", "stark"];
@@ -32,7 +32,7 @@ fn pairs_n(n: u64) -> Vec<EntityPair> {
         .collect()
 }
 
-/// 600 synthetic pairs — enough to cross the 512-row chunk boundary.
+/// 600 synthetic pairs — enough to cross several 128-row chunk boundaries.
 fn pairs() -> Vec<EntityPair> {
     pairs_n(600)
 }
@@ -49,9 +49,10 @@ fn chunked_predict_matches_small_batches() {
     let full = m.predict(&all);
     assert_eq!(full.len(), all.len());
 
-    // Split points chosen to straddle the 512-row chunk boundary.
+    // Split points chosen off the 128-row chunk grid, so no sub-batch's
+    // chunks line up with the full batch's.
     let mut stitched = Vec::new();
-    for part in [&all[..200], &all[200..512], &all[512..]] {
+    for part in [&all[..200], &all[200..327], &all[327..512], &all[512..]] {
         stitched.extend(m.predict(part));
     }
     assert_eq!(full, stitched, "chunked batch disagrees with monolithic sub-batches");
@@ -74,11 +75,12 @@ fn chunked_attention_matches_small_batches() {
 
 #[test]
 fn chunk_boundary_sizes_match_single_shot_graph() {
-    // Exactly-at, one-below, one-above, and a multiple of the 512-row chunk
-    // size: chunked inference must be bit-identical to one monolithic
-    // forward graph followed by the same sigmoid.
+    // One below, exactly at, one above, and a multiple of the 128-row chunk
+    // size, and the same around the 512-row chunk it replaced: chunked
+    // inference must be bit-identical to one monolithic forward graph
+    // followed by the same sigmoid.
     let m = model();
-    for n in [511u64, 512, 513, 1024] {
+    for n in [127u64, 128, 129, 640, 511, 512, 513, 1024] {
         let batch = pairs_n(n);
         let encoded = m.encode(&batch);
         let chunked = m.predict_encoded(&encoded);

@@ -81,12 +81,15 @@ fn assert_plan_matches_tape(m: &AdamelModel, n: u64, label: &str) {
     );
 }
 
+/// Batch sizes around the 128-row predict chunk (one below, at, one above,
+/// and five chunks) and around the 512-row chunk it replaced.
+const CHUNK_EDGES: [u64; 8] = [127, 128, 129, 640, 511, 512, 513, 1024];
+
 #[test]
 fn plan_matches_tape_at_chunk_boundaries() {
-    // One below, exactly at, one above, and a multiple of the 512-row chunk
-    // size: the plan splits the batch there, the reference tape does not.
+    // The plan splits the batch at chunk edges, the reference tape does not.
     let m = AdamelModel::new(AdamelConfig::tiny(), schema());
-    for n in [511u64, 512, 513, 1024] {
+    for n in CHUNK_EDGES {
         assert_plan_matches_tape(&m, n, "boundaries");
     }
 }
@@ -96,7 +99,7 @@ fn plan_matches_tape_across_feature_modes() {
     for mode in [FeatureMode::SharedOnly, FeatureMode::UniqueOnly, FeatureMode::Both] {
         let cfg = AdamelConfig::tiny().with_feature_mode(mode);
         let m = AdamelModel::new(cfg, schema());
-        for n in [511u64, 512, 513, 1024] {
+        for n in CHUNK_EDGES {
             assert_plan_matches_tape(&m, n, &format!("{mode:?}"));
         }
     }
@@ -126,7 +129,7 @@ fn uniform_attention_compiles_and_matches_forward_graph() {
     // plan replays as a row fill at each chunk's row count.
     let cfg = AdamelConfig::tiny().with_uniform_attention(true);
     let m = AdamelModel::new(cfg, schema());
-    for n in [1u64, 511, 513] {
+    for n in [1u64, 127, 129, 511, 513] {
         assert_plan_matches_tape(&m, n, "uniform");
     }
     let att = m.attention_encoded(&m.encode(&pairs_n(600)));

@@ -1,14 +1,18 @@
 //! Std-only fuzz driver for the differential oracle.
 //!
 //! Generates seeded random tape programs, checks the production forward and
-//! backward passes against the `f64` oracle, and on the first discrepancy
-//! shrinks the program to a minimal reproducer printed as a paste-able test.
+//! backward passes against the `f64` oracle and the compiled plan against
+//! the tape, and on the first discrepancy shrinks the program to a minimal
+//! reproducer printed as a paste-able test. Programs the plan compiler
+//! refuses are counted, not failed.
 //!
 //! ```text
 //! cargo run -p adamel-oracle --bin fuzz -- --iters 500 --seed 42 --size 12
 //! ```
 
-use adamel_oracle::{check_program, gen_program_with, render_reproducer, shrink, GenOptions};
+use adamel_oracle::{
+    check_program, gen_program_with, render_reproducer, shrink, GenOptions, PlanCheck,
+};
 use std::process::ExitCode;
 
 struct Args {
@@ -61,13 +65,25 @@ fn main() -> ExitCode {
         args.size,
         if args.blocked { ", blocked-kernel shapes" } else { "" }
     );
+    let (mut plan_outputs, mut plan_refused) = (0usize, 0u64);
     for i in 0..args.iters {
         // Mix the iteration index into the seed so each program is
         // independent yet the whole run replays from --seed alone.
         let seed = args.seed.wrapping_add(i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
         let program =
             gen_program_with(seed, &GenOptions { size: args.size, blocked: args.blocked });
-        let Err(d) = check_program(&program) else {
+        let d = match check_program(&program) {
+            Ok(PlanCheck::Matched(outputs)) => {
+                plan_outputs += outputs;
+                None
+            }
+            Ok(PlanCheck::Refused(_)) => {
+                plan_refused += 1;
+                None
+            }
+            Err(d) => Some(d),
+        };
+        let Some(d) = d else {
             if (i + 1) % 50 == 0 {
                 println!("  {}/{} ok", i + 1, args.iters);
             }
@@ -81,5 +97,8 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     println!("no discrepancies in {} programs", args.iters);
+    println!(
+        "plan replay matched the tape on {plan_outputs} outputs; {plan_refused} programs refused by the plan compiler"
+    );
     ExitCode::SUCCESS
 }

@@ -9,7 +9,13 @@
 //!   unbounded upstream error amplification), within the ULP/absolute budgets
 //!   of [`crate::ulp`], and
 //! * every parameter gradient from the production backward pass against
-//!   central finite differences of the full `f64` oracle.
+//!   central finite differences of the full `f64` oracle, and
+//! * the program's forward part compiled into a [`CompiledPlan`] and
+//!   replayed, which must equal the tape **bit for bit**, before and after
+//!   perturbed parameter values are restored into the plan's `ParamSet`
+//!   (`check_plan`).
+//!   Every leaf is a `Param`, so products with a wide enough right operand
+//!   replay over the plan's packed weights, and the restore makes it repack.
 //!
 //! [`gen_program`] builds random well-shaped programs from a seed, and
 //! [`shrink`] reduces a failing program to a minimal reproducer that
@@ -17,7 +23,8 @@
 
 use crate::refmat::RefMatrix;
 use crate::ulp::{op_ulps, ulp_distance, Budget, EPS32};
-use adamel_tensor::{Graph, Matrix, ParamSet, Var};
+use adamel_tensor::plan::{CompiledPlan, PlanBuffers, PlanError};
+use adamel_tensor::{Graph, Matrix, ParamId, ParamSet, Var};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -226,18 +233,27 @@ pub struct Fault {
     pub rel: f32,
 }
 
+/// What the compiled-plan check inside [`check_program`] found for a program
+/// that did not disagree.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PlanCheck {
+    /// The plan compiled and every output equalled the tape bit for bit;
+    /// the payload is the number of outputs compared.
+    Matched(usize),
+    /// The plan compiler refused the program, so nothing was compared.
+    Refused(PlanError),
+}
+
 struct ProdRun {
     values: Vec<Matrix>,
     grads: Vec<Option<Matrix>>,
 }
 
-/// Runs the program through the production tape, recording every forward
-/// value and (when the root is 1x1) every parameter gradient.
-fn run_production(p: &Program) -> ProdRun {
-    let mut params = ParamSet::new();
-    let mut g = Graph::new();
+/// Records the program onto `g`, registering its parameters in `params`;
+/// returns each instruction's node and, for `Param`s, its handle.
+fn record(p: &Program, params: &mut ParamSet, g: &mut Graph) -> (Vec<Var>, Vec<Option<ParamId>>) {
     let mut vars: Vec<Var> = Vec::with_capacity(p.insts.len());
-    let mut ids: Vec<Option<adamel_tensor::ParamId>> = Vec::with_capacity(p.insts.len());
+    let mut ids: Vec<Option<ParamId>> = Vec::with_capacity(p.insts.len());
     for (i, inst) in p.insts.iter().enumerate() {
         let mut id = None;
         let v = match inst {
@@ -245,7 +261,7 @@ fn run_production(p: &Program) -> ProdRun {
                 let pid =
                     params.insert(format!("p{i}"), Matrix::from_vec(*rows, *cols, data.clone()));
                 id = Some(pid);
-                g.param(&params, pid)
+                g.param(params, pid)
             }
             Inst::MatMul { a, b } => g.matmul(vars[*a], vars[*b]),
             Inst::Add { a, b } => g.add(vars[*a], vars[*b]),
@@ -281,6 +297,15 @@ fn run_production(p: &Program) -> ProdRun {
         ids.push(id);
         vars.push(v);
     }
+    (vars, ids)
+}
+
+/// Runs the program through the production tape, recording every forward
+/// value and (when the root is 1x1) every parameter gradient.
+fn run_production(p: &Program) -> ProdRun {
+    let mut params = ParamSet::new();
+    let mut g = Graph::new();
+    let (vars, ids) = record(p, &mut params, &mut g);
     let values: Vec<Matrix> = vars.iter().map(|&v| g.value(v).clone()).collect();
     let mut grads: Vec<Option<Matrix>> = vec![None; p.insts.len()];
     if values[p.root].shape() == (1, 1) {
@@ -417,9 +442,96 @@ pub fn eval_oracle_root(p: &Program, param_values: &[RefMatrix]) -> f64 {
 }
 
 /// Checks one program: production forward per-op against the oracle within
-/// budget, and production gradients against oracle finite differences.
-pub fn check_program(p: &Program) -> Result<(), Discrepancy> {
+/// budget, the compiled plan against the tape (`check_plan`), and
+/// production gradients against oracle finite differences. A program the
+/// plan compiler refuses is not a failure; the `Ok` value says which.
+pub fn check_program(p: &Program) -> Result<PlanCheck, Discrepancy> {
     check_with_fault(p, None)
+}
+
+/// True for the ops a [`CompiledPlan`] refuses (losses and full reductions).
+fn training_only(inst: &Inst) -> bool {
+    matches!(
+        inst,
+        Inst::MeanAll { .. }
+            | Inst::SumAll { .. }
+            | Inst::WeightedBce { .. }
+            | Inst::KlConstRows { .. }
+    )
+}
+
+/// Compiles the program's forward ancestors of the root — every computed
+/// node the root depends on that no training-only op feeds — into a
+/// [`CompiledPlan`], with a dummy input the program never reads, and checks
+/// that a replay equals the tape bit for bit. Then it restores negated,
+/// halved parameter values into the same `ParamSet` (a new generation, so
+/// the plan must repack its weights) and compares a second replay against a
+/// fresh tape of the perturbed program.
+fn check_plan(p: &Program) -> Result<PlanCheck, Discrepancy> {
+    let mut ancestor = vec![false; p.insts.len()];
+    ancestor[p.root] = true;
+    for i in (0..p.insts.len()).rev() {
+        if ancestor[i] {
+            for q in p.insts[i].parents() {
+                ancestor[q] = true;
+            }
+        }
+    }
+    let mut forward = vec![true; p.insts.len()];
+    for (i, inst) in p.insts.iter().enumerate() {
+        forward[i] = !training_only(inst) && inst.parents().iter().all(|&q| forward[q]);
+    }
+    let outputs: Vec<usize> = (0..p.insts.len())
+        .filter(|&i| ancestor[i] && forward[i] && !matches!(p.insts[i], Inst::Param { .. }))
+        .collect();
+
+    let dummy = Matrix::zeros(1, 1);
+    let mut params = ParamSet::new();
+    let mut g = Graph::new();
+    let input = g.constant(dummy.clone());
+    let (vars, _) = record(p, &mut params, &mut g);
+    let out_vars: Vec<Var> = outputs.iter().map(|&i| vars[i]).collect();
+    let plan = match CompiledPlan::compile(&g, input, &out_vars) {
+        Ok(plan) => plan,
+        Err(e) => return Ok(PlanCheck::Refused(e)),
+    };
+    let mut bufs = PlanBuffers::new();
+    let compare = |tape: &Graph, tape_vars: &[Var], bufs: &PlanBuffers, when: &str| {
+        for (o, &i) in outputs.iter().enumerate() {
+            let (got, want) = (plan.output(o, bufs), tape.value(tape_vars[i]));
+            let differs = got.shape() != want.shape()
+                || got
+                    .as_slice()
+                    .iter()
+                    .zip(want.as_slice())
+                    .any(|(a, b)| a.to_bits() != b.to_bits());
+            if differs {
+                return Err(Discrepancy {
+                    inst: i,
+                    op: p.insts[i].op_name(),
+                    kind: "plan",
+                    detail: format!("{when}: plan replay {got:?} != tape {want:?}"),
+                });
+            }
+        }
+        Ok(())
+    };
+    plan.execute(&params, &dummy, &mut bufs);
+    compare(&g, &vars, &bufs, "first replay")?;
+
+    let mut perturbed = p.clone();
+    for inst in &mut perturbed.insts {
+        if let Inst::Param { data, .. } = inst {
+            data.iter_mut().for_each(|v| *v *= -0.5);
+        }
+    }
+    let mut fresh_params = ParamSet::new();
+    let mut fresh = Graph::new();
+    let (fresh_vars, _) = record(&perturbed, &mut fresh_params, &mut fresh);
+    params.restore(&fresh_params.snapshot());
+    plan.execute(&params, &dummy, &mut bufs);
+    compare(&fresh, &fresh_vars, &bufs, "replay after restore")?;
+    Ok(PlanCheck::Matched(outputs.len()))
 }
 
 /// Upper bound on gradient elements finite-difference-checked per parameter;
@@ -428,7 +540,7 @@ const GRAD_CHECK_MAX_ELEMENTS: usize = 64;
 
 /// [`check_program`] with an optional injected fault — the mutation hook the
 /// harness's own tests use to prove a corrupted kernel output is caught.
-pub fn check_with_fault(p: &Program, fault: Option<Fault>) -> Result<(), Discrepancy> {
+pub fn check_with_fault(p: &Program, fault: Option<Fault>) -> Result<PlanCheck, Discrepancy> {
     let run = run_production(p);
     let mut values = run.values;
     if let Some(f) = fault {
@@ -478,6 +590,9 @@ pub fn check_with_fault(p: &Program, fault: Option<Fault>) -> Result<(), Discrep
             }
         }
     }
+
+    // Compiled plan: bit-identical to the tape, before and after a restore.
+    let plan = check_plan(p)?;
 
     // Backward: production gradients vs oracle central finite differences.
     // Large parameters (the blocked-shape profile emits up to 17x17 leaves)
@@ -534,7 +649,7 @@ pub fn check_with_fault(p: &Program, fault: Option<Fault>) -> Result<(), Discrep
             }
         }
     }
-    Ok(())
+    Ok(plan)
 }
 
 /// Shape profile for [`gen_program_with`].
@@ -929,6 +1044,12 @@ mod tests {
     }
 
     #[test]
+    fn plan_check_replays_the_forward_part() {
+        // MatMul and Tanh are compared; the MeanAll root is training-only.
+        assert_eq!(check_plan(&tiny_program()).expect("plan matches"), PlanCheck::Matched(2));
+    }
+
+    #[test]
     fn injected_fault_is_caught() {
         let p = tiny_program();
         let err = check_with_fault(&p, Some(Fault { inst: 2, rel: 1e-3 }))
@@ -956,7 +1077,9 @@ mod tests {
         // Across a handful of seeds the blocked palette must generate at
         // least one matmul that actually takes the blocked kernel path —
         // otherwise the `--blocked` fuzz profile silently tests nothing new.
-        let mut hit = false;
+        // One such matmul must also multiply by a `Param`, which the plan
+        // check replays over a packed weight.
+        let (mut hit, mut packed_hit) = (false, false);
         for seed in 0..24 {
             let p = gen_program_with(seed, &GenOptions { size: 10, blocked: true });
             let mut shapes: Vec<(usize, usize)> = Vec::new();
@@ -974,12 +1097,14 @@ mod tests {
                     debug_assert_eq!(k, shapes[*b].0);
                     if use_blocked(n, k, m) {
                         hit = true;
+                        packed_hit |= matches!(p.insts[*b], Inst::Param { .. });
                     }
                 }
                 shapes.push(v.shape());
             }
         }
         assert!(hit, "no generated matmul dispatches to the blocked kernels");
+        assert!(packed_hit, "no blocked matmul multiplies by a packable parameter");
     }
 
     #[test]

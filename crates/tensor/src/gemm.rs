@@ -1,4 +1,4 @@
-//! Cache-blocked GEMM microkernels behind the three [`Matrix`](crate::Matrix) matmul
+//! Cache-blocked GEMM microkernels behind the three [`Matrix`] matmul
 //! variants.
 //!
 //! The naive `ikj` loops stream the full `B` operand through cache once per
@@ -13,7 +13,14 @@
 //!   rows per [`KC`]-deep slab the same way. Packing is what makes the inner
 //!   loop autovectorization-friendly regardless of the logical operand
 //!   layout — the same packed kernel serves `A·B`, `Aᵀ·B`, and `A·Bᵀ` by
-//!   changing only the *pack-time* strides.
+//!   changing only the *pack-time* strides. A `B` that outlives many
+//!   products (an inference weight) can be packed once into a `PackedB`
+//!   and multiplied through `gemm_packed`, which skips the per-call pack;
+//!   packing is a pure copy, so both entry points compute the same bits.
+//! * **Matrix-vector products.** A `B` of one column never reaches the
+//!   blocked path (it is narrower than [`NR`]); `dot_rows` computes those
+//!   products with [`DOT_ROWS`] row dot products interleaved, so the
+//!   independent accumulator chains overlap instead of serializing.
 //! * **Register-blocked microkernel.** An [`MR`]`x`[`NR`] accumulator tile
 //!   lives in a local array; each of the `KC` iterations broadcasts one `A`
 //!   lane against [`NR`] `B` lanes. The constant tile bounds let LLVM keep
@@ -39,7 +46,7 @@
 //! (DESIGN.md §15) so a future kernel may split the `k` reduction across
 //! panels without a budget change.
 
-use crate::parallel;
+use crate::{parallel, Matrix};
 use std::cell::Cell;
 
 /// Microkernel tile height: rows of `A` (and `C`) per register tile.
@@ -123,14 +130,108 @@ pub(crate) fn gemm(
     // grown capacity, so capacity *is* the footprint. `pack_a` reports the
     // max across workers (every worker observes the same gauge).
     adamel_obs::mem::observe("tensor.gemm.pack_b.bytes", (bbuf.capacity() * 4) as u64);
-    let bpacked: &[f32] = &bbuf;
+    gemm_panels(k, m, a, &bbuf, out);
+    PACK_B.with(|c| c.set(bbuf));
+}
+
+/// A `k x m` right operand packed into the `NR`-lane column panels
+/// [`gemm`] builds per call. Packing it once lets every later product with
+/// the same `B` skip the pack; the panels are a pure copy of `B`, so
+/// [`gemm_packed`] over them is bit-identical to [`gemm`] over `B`.
+pub(crate) struct PackedB {
+    k: usize,
+    m: usize,
+    panels: Vec<f32>,
+}
+
+impl PackedB {
+    /// Packs `b` as the right operand of `A · b`.
+    pub(crate) fn pack(b: &Matrix) -> PackedB {
+        let (k, m) = b.shape();
+        let mut panels = Vec::new();
+        pack_b(k, m, &Operand { data: b.as_slice(), rs: m, cs: 1 }, &mut panels);
+        PackedB { k, m, panels }
+    }
+
+    /// Logical `(k, m)` shape of the packed operand.
+    pub(crate) fn shape(&self) -> (usize, usize) {
+        (self.k, self.m)
+    }
+
+    /// Bytes held by the panels (zero padding included).
+    pub(crate) fn bytes(&self) -> u64 {
+        (self.panels.len() * 4) as u64
+    }
+}
+
+/// [`gemm`] against a pre-packed `B`: `out = A · B` for a logical `(n,k)`
+/// `A` and the `k x m` operand `b` was packed from.
+pub(crate) fn gemm_packed(n: usize, a: &Operand<'_>, b: &PackedB, out: &mut [f32]) {
+    let (k, m) = b.shape();
+    debug_assert_eq!(out.len(), n * m, "gemm_packed: output buffer shape mismatch");
+    if n == 0 || m == 0 {
+        return;
+    }
+    if k == 0 {
+        out.fill(0.0);
+        return;
+    }
+    gemm_panels(k, m, a, &b.panels, out);
+}
+
+/// The shared body of [`gemm`] and [`gemm_packed`]: `MC`-row blocks of
+/// `C` over already packed `B` panels, dispatched across workers.
+fn gemm_panels(k: usize, m: usize, a: &Operand<'_>, bpacked: &[f32], out: &mut [f32]) {
     parallel::parallel_for_row_blocks(out, m, MC, 2 * k * m, |i0, c_block| {
         let mut abuf = PACK_A.with(Cell::take);
         gemm_block(i0, c_block.len() / m, k, m, a, bpacked, c_block, &mut abuf);
         adamel_obs::mem::observe("tensor.gemm.pack_a.bytes", (abuf.capacity() * 4) as u64);
         PACK_A.with(|c| c.set(abuf));
     });
-    PACK_B.with(|c| c.set(bbuf));
+}
+
+/// Rows whose dot products the matrix-vector kernel interleaves.
+pub const DOT_ROWS: usize = 8;
+
+/// `out[i] = Σ_p a[i*k + p] * b[p]` for the `out.len()` rows of the
+/// row-major `a` (row stride `k`) against the length-`k` column `b`: the
+/// `m == 1` matrix product.
+///
+/// Rows are taken [`DOT_ROWS`] at a time and their dot products advance in
+/// lockstep, so the chains overlap in the pipeline. Each row still keeps a
+/// single accumulator that starts at `+0.0` and adds one rounded product
+/// per `k` in ascending order — the naive kernel's sequence, so the result
+/// is bit-identical to it for finite inputs. (The naive kernel skips exact
+/// zeros of `A`, whose products are `±0.0`; an accumulator that starts at
+/// `+0.0` never becomes `-0.0` under round-to-nearest, so adding `±0.0`
+/// leaves it unchanged.)
+pub(crate) fn dot_rows(a: &[f32], k: usize, b: &[f32], out: &mut [f32]) {
+    debug_assert_eq!(a.len(), out.len() * k, "dot_rows: operand shape mismatch");
+    if k == 0 {
+        out.fill(0.0);
+        return;
+    }
+    let b = &b[..k];
+    let mut groups = out.chunks_exact_mut(DOT_ROWS);
+    let mut row_groups = a.chunks_exact(DOT_ROWS * k);
+    for (o, rows) in (&mut groups).zip(&mut row_groups) {
+        let rows: [&[f32]; DOT_ROWS] = std::array::from_fn(|r| &rows[r * k..(r + 1) * k]);
+        let mut acc = [0.0f32; DOT_ROWS];
+        for (p, &bp) in b.iter().enumerate() {
+            for (slot, row) in acc.iter_mut().zip(&rows) {
+                *slot += row[p] * bp;
+            }
+        }
+        o.copy_from_slice(&acc);
+    }
+    let tail = row_groups.remainder();
+    for (o, row) in groups.into_remainder().iter_mut().zip(tail.chunks_exact(k)) {
+        let mut acc = 0.0f32;
+        for (&x, &bp) in row.iter().zip(b) {
+            acc += x * bp;
+        }
+        *o = acc;
+    }
 }
 
 /// Packs `B` into `NR`-lane column panels: lane `l` of panel `jp` at depth
@@ -331,6 +432,71 @@ mod tests {
         let serial = run(1);
         for threads in [2, 4, 8] {
             assert_eq!(run(threads), serial, "threads={threads}");
+        }
+    }
+
+    /// The loop `Matrix::matmul_into` ran for a one-column `B` before
+    /// [`dot_rows`]: per row, ascending `k`, exact zeros of `A` skipped.
+    fn naive_skipping_zeros(a: &Matrix, b: &Matrix) -> Vec<f32> {
+        (0..a.rows())
+            .map(|i| {
+                let mut acc = 0.0f32;
+                for (&x, &y) in a.row(i).iter().zip(b.as_slice()) {
+                    if x.to_bits() << 1 != 0 {
+                        acc += x * y;
+                    }
+                }
+                acc
+            })
+            .collect()
+    }
+
+    #[test]
+    fn dot_rows_is_bit_identical_to_the_naive_loop() {
+        // Row counts on both sides of each DOT_ROWS group edge, plus a
+        // ragged tail past 128; zeros and negative zeros in both operands.
+        let rows = (1..=9).chain(127..=129);
+        for n in rows {
+            for k in [0, 1, 7, KC + 3] {
+                let mut a = fill(n, k, (n * 31 + k) as u64);
+                let mut b = fill(k, 1, (k * 17 + n) as u64);
+                for (i, v) in a.as_mut_slice().iter_mut().enumerate() {
+                    match i % 7 {
+                        0 => *v = 0.0,
+                        3 => *v = -0.0,
+                        _ => {}
+                    }
+                }
+                for (i, v) in b.as_mut_slice().iter_mut().enumerate() {
+                    if i % 5 == 2 {
+                        *v = if i % 2 == 0 { 0.0 } else { -0.0 };
+                    }
+                }
+                let expected = naive_skipping_zeros(&a, &b);
+                for threads in [1, 3] {
+                    let got = with_threads(threads, || a.matmul(&b));
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(got.shape(), (n, 1));
+                    assert_eq!(
+                        bits(got.as_slice()),
+                        bits(&expected),
+                        "n={n} k={k} threads={threads}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn packed_gemm_is_bit_identical_to_per_call_packing() {
+        for &(n, k, m) in &[(MR, 3, NR), (MC + 1, KC + 1, NR * 2 + 3), (17, KC, 13)] {
+            let a = fill(n, k, (n * 7 + k) as u64);
+            let b = fill(k, m, (k * 7 + m) as u64);
+            let packed = PackedB::pack(&b);
+            assert_eq!(packed.shape(), (k, m));
+            let mut out = Matrix::zeros(0, 0);
+            a.matmul_packed_into(&b, &packed, &mut out);
+            assert_eq!(out.as_slice(), naive(&a, &b).as_slice(), "shape ({n},{k},{m})");
         }
     }
 

@@ -191,6 +191,12 @@ impl Matrix {
         }
     }
 
+    /// Elements the backing allocation can hold without growing, which
+    /// [`reset_shape`](Self::reset_shape) keeps when a buffer shrinks.
+    pub(crate) fn capacity(&self) -> usize {
+        self.data.capacity()
+    }
+
     /// Matrix product `self * other`; shapes `(n,k) x (k,m) -> (n,m)`.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(0, 0);
@@ -213,6 +219,15 @@ impl Matrix {
             gemm::gemm(n, k, m, &a, &b, &mut out.data);
             return;
         }
+        if m == 1 {
+            // Matrix-vector: interleaved row dots, bit-identical to the
+            // loop below for finite inputs (see `gemm::dot_rows`).
+            parallel::parallel_for_row_blocks(&mut out.data, 1, gemm::MC, 2 * k, |i0, block| {
+                let rows = &self.data[i0 * k..(i0 + block.len()) * k];
+                gemm::dot_rows(rows, k, &other.data, block);
+            });
+            return;
+        }
         out.fill_zero();
         parallel::parallel_for_rows(&mut out.data, m, 2 * k * m, |i, out_row| {
             let a_row = &self.data[i * k..(i + 1) * k];
@@ -226,6 +241,33 @@ impl Matrix {
                 }
             }
         });
+    }
+
+    /// [`matmul_into`](Self::matmul_into) with `other` also supplied as
+    /// `packed`, its panels packed ahead of time. Shapes the blocked kernel
+    /// takes run over `packed` without repacking; the rest fall back to
+    /// `matmul_into` on `other`. Packing is a pure copy, so the result is
+    /// bit-identical to `matmul_into` either way.
+    pub(crate) fn matmul_packed_into(
+        &self,
+        other: &Matrix,
+        packed: &gemm::PackedB,
+        out: &mut Matrix,
+    ) {
+        let (n, k, m) = (self.rows, self.cols, other.cols);
+        if !gemm::use_blocked(n, k, m) {
+            self.matmul_into(other, out);
+            return;
+        }
+        assert_eq!(
+            (k, m),
+            packed.shape(),
+            "Matrix::matmul_packed: {n}x{k} * packed {:?} shape mismatch",
+            packed.shape()
+        );
+        out.reset_shape(n, m);
+        let a = gemm::Operand { data: &self.data, rs: k, cs: 1 };
+        gemm::gemm_packed(n, &a, packed, &mut out.data);
     }
 
     /// `selfᵀ * other`; shapes `(k,n)ᵀ x (k,m) -> (n,m)`. Used by backward

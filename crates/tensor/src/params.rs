@@ -3,8 +3,23 @@
 //! Parameters live outside the autograd tape so a fresh [`Graph`](crate::Graph)
 //! can be built every step while values, gradients, and optimizer state
 //! persist across steps.
+//!
+//! Every set carries a *generation*: a number drawn from one process-wide
+//! counter whenever the set is created or any of its values may change.
+//! Two reads that see the same generation saw the same values, in the same
+//! set, so a consumer can cache something derived from the values (the
+//! compiled plan's packed weights) and key it on the generation alone.
 
 use crate::matrix::Matrix;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Source of every [`ParamSet::generation`]; process-wide, so no two value
+/// states of any sets ever share a generation.
+static NEXT_GENERATION: AtomicU64 = AtomicU64::new(1);
+
+fn next_generation() -> u64 {
+    NEXT_GENERATION.fetch_add(1, Ordering::Relaxed)
+}
 
 /// Handle to a parameter inside a [`ParamSet`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -17,21 +32,37 @@ struct ParamEntry {
 }
 
 /// A named collection of trainable matrices with gradient buffers.
-#[derive(Default)]
 pub struct ParamSet {
     entries: Vec<ParamEntry>,
+    generation: u64,
+}
+
+impl Default for ParamSet {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl ParamSet {
     /// Creates an empty parameter set.
     pub fn new() -> Self {
-        Self { entries: Vec::new() }
+        Self { entries: Vec::new(), generation: next_generation() }
+    }
+
+    /// The current value generation (see the module docs): it changes on
+    /// [`insert`](Self::insert), [`value_mut`](Self::value_mut),
+    /// [`value_and_grad_mut`](Self::value_and_grad_mut) and
+    /// [`restore`](Self::restore) — every way to change a value — and is
+    /// never shared with another set. Gradient updates leave it alone.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// Registers a parameter, returning its handle. Names are for
     /// introspection and need not be unique (e.g. per-feature weights share a
     /// prefix).
     pub fn insert(&mut self, name: impl Into<String>, value: Matrix) -> ParamId {
+        self.generation = next_generation();
         let grad = Matrix::zeros(value.rows(), value.cols());
         self.entries.push(ParamEntry { name: name.into(), value, grad });
         ParamId(self.entries.len() - 1)
@@ -60,6 +91,7 @@ impl ParamSet {
 
     /// Mutable value access (used by optimizers and serialization).
     pub fn value_mut(&mut self, id: ParamId) -> &mut Matrix {
+        self.generation = next_generation();
         &mut self.entries[id.0].value
     }
 
@@ -77,6 +109,7 @@ impl ParamSet {
     /// parameter — lets optimizers update in place without cloning the
     /// gradient.
     pub fn value_and_grad_mut(&mut self, id: ParamId) -> (&mut Matrix, &Matrix) {
+        self.generation = next_generation();
         let e = &mut self.entries[id.0];
         (&mut e.value, &e.grad)
     }
@@ -130,6 +163,7 @@ impl ParamSet {
     /// shapes do not line up.
     pub fn restore(&mut self, snapshot: &[Matrix]) {
         assert_eq!(snapshot.len(), self.entries.len(), "ParamSet::restore arity mismatch");
+        self.generation = next_generation();
         for (e, s) in self.entries.iter_mut().zip(snapshot) {
             assert_eq!(e.value.shape(), s.shape(), "ParamSet::restore shape mismatch");
             e.value = s.clone();
@@ -172,6 +206,34 @@ mod tests {
         // Direction is preserved.
         let g = p.grad(a);
         assert!((g.get(0, 0) / g.get(0, 1) - 0.75).abs() < 1e-6);
+    }
+
+    #[test]
+    fn every_value_mutation_moves_the_generation() {
+        let mut p = ParamSet::new();
+        let other = ParamSet::new();
+        assert_ne!(p.generation(), other.generation(), "sets never share a generation");
+        let mut seen = vec![p.generation()];
+        let mut moved = |p: &ParamSet, how: &str| {
+            assert!(!seen.contains(&p.generation()), "{how} kept an old generation");
+            seen.push(p.generation());
+        };
+        let a = p.insert("w", Matrix::zeros(1, 2));
+        moved(&p, "insert");
+        p.value_mut(a).set(0, 0, 1.0);
+        moved(&p, "value_mut");
+        p.value_and_grad_mut(a).0.set(0, 1, 2.0);
+        moved(&p, "value_and_grad_mut");
+        let snap = p.snapshot();
+        p.restore(&snap);
+        moved(&p, "restore");
+        // Gradient-only updates and reads keep it.
+        let g = p.generation();
+        p.grad_mut(a).set(0, 0, 3.0);
+        p.clip_grad_norm(1.0);
+        p.zero_grads();
+        let _ = p.value(a);
+        assert_eq!(p.generation(), g);
     }
 
     #[test]

@@ -1,16 +1,32 @@
 //! Tape-free compiled replay of a recorded forward graph.
 //!
-//! Batched inference used to pay define-by-run overhead per 512-row chunk:
-//! every chunk re-recorded the same op sequence onto a fresh [`Graph`],
-//! cloning every parameter matrix into the tape and allocating every
-//! intermediate. A [`CompiledPlan`] is built **once** from a probe forward
-//! pass and then *replayed*: the op sequence is frozen into a step list,
-//! parameters are read by reference from the live
-//! [`crate::params::ParamSet`] at replay time (so a plan stays
-//! valid across training and [`ParamSet::restore`](crate::params::ParamSet)),
-//! and every intermediate lands in a reusable [`PlanBuffers`] arena —
-//! steady-state replay performs no graph construction, no parameter clones,
-//! and no allocation.
+//! Batched inference used to pay define-by-run overhead per chunk: every
+//! chunk re-recorded the same op sequence onto a fresh [`Graph`], cloning
+//! every parameter matrix into the tape and allocating every intermediate.
+//! A [`CompiledPlan`] is built **once** from a probe forward pass and then
+//! *replayed*: the op sequence is frozen into a step list, parameters are
+//! read by reference from the live [`crate::params::ParamSet`] at replay
+//! time (so a plan stays valid across training and
+//! [`ParamSet::restore`](crate::params::ParamSet)), and every intermediate
+//! lands in a reusable [`PlanBuffers`] arena — steady-state replay performs
+//! no graph construction, no parameter clones, and no allocation.
+//!
+//! ## Packed weights
+//!
+//! A product whose right operand is a parameter at least
+//! [`NR`] columns wide (a layer's weight matrix) replays
+//! against GEMM panels the plan packed from that parameter, so a fixed
+//! weight is packed once rather than on every replay, and a weight several
+//! steps share (the attention head's `W`) once rather than once per step.
+//! The packs are keyed on the [`ParamSet::generation`]: a replay that finds
+//! the generation moved (training, `restore`, or another set) repacks
+//! first, so a plan still reads parameters live. The pack cache sits
+//! behind a mutex held only to clone an `Arc` in or out — never while
+//! packing or across kernel dispatch — so two replays racing past a stale
+//! generation may both pack, and the later store wins. Packing is a pure
+//! copy and the microkernel is unchanged, so replay over packs is
+//! bit-identical to a fresh tape; the `tensor.plan.packed.bytes` gauge
+//! counts the packs alive.
 //!
 //! Replay calls the exact same `*_into` kernels the tape ops delegate to
 //! ([`Matrix::matmul_into`] and friends), so plan output is **bit-identical**
@@ -32,12 +48,14 @@
 //! Loss/reduction ops are recording-only and likewise rejected when
 //! reachable from the requested outputs.
 
+use crate::gemm::{PackedB, NR};
 use crate::graph::{Graph, Op, Var};
 use crate::matrix::Matrix;
 use crate::params::{ParamId, ParamSet};
 use crate::sanitize;
+use adamel_obs::mem::MemScope;
 use std::fmt;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Why a recorded graph could not be compiled into a replayable plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -88,6 +106,12 @@ enum Src {
 /// One replayable op, mirroring the forward subset of the tape's op set.
 enum StepOp {
     MatMul(Src, Src),
+    /// `a · param` replayed over the plan's pack of `param`, in `slot`.
+    MatMulPacked {
+        a: Src,
+        param: ParamId,
+        slot: usize,
+    },
     Add(Src, Src),
     AddRowBroadcast(Src, Src),
     Mul(Src, Src),
@@ -112,7 +136,7 @@ impl StepOp {
     /// Stable name matching the tape op, for sanitizer provenance.
     fn name(&self) -> &'static str {
         match self {
-            StepOp::MatMul(..) => "matmul",
+            StepOp::MatMul(..) | StepOp::MatMulPacked { .. } => "matmul",
             StepOp::Add(..) => "add",
             StepOp::AddRowBroadcast(..) => "add_row_broadcast",
             StepOp::Mul(..) => "mul",
@@ -144,6 +168,29 @@ pub struct CompiledPlan {
     outputs: Vec<usize>,
     num_bufs: usize,
     input_cols: usize,
+    /// The parameters `MatMulPacked` steps multiply by, in slot order.
+    packed: Vec<ParamId>,
+    /// Their packs for the latest generation replayed (see the module docs).
+    packs: Mutex<Option<Arc<PackedParams>>>,
+}
+
+/// The packs of a plan's `packed` parameters at one generation.
+struct PackedParams {
+    generation: u64,
+    packs: Vec<PackedB>,
+    _gauge: MemScope,
+}
+
+impl PackedParams {
+    fn pack(params: &ParamSet, ids: &[ParamId]) -> PackedParams {
+        let packs: Vec<PackedB> = ids.iter().map(|&id| PackedB::pack(params.value(id))).collect();
+        let bytes = packs.iter().map(PackedB::bytes).sum();
+        PackedParams {
+            generation: params.generation(),
+            packs,
+            _gauge: MemScope::new("tensor.plan.packed.bytes", bytes),
+        }
+    }
 }
 
 /// Reusable per-replay scratch: one buffer per computed step plus an input
@@ -167,16 +214,17 @@ impl PlanBuffers {
         Self { bufs: Vec::new(), input_scratch: Matrix::default() }
     }
 
-    /// Logical footprint of the arena in bytes: every intermediate buffer
-    /// plus the input staging matrix. Feeds the `tensor.plan.pool.bytes`
-    /// memory gauge.
+    /// Footprint of the arena in bytes: the capacity of every intermediate
+    /// buffer plus the input staging matrix. Capacity, not length: a buffer
+    /// keeps its allocation when a smaller batch reshapes it. Feeds the
+    /// `tensor.plan.pool.bytes` memory gauge.
     pub fn logical_bytes(&self) -> u64 {
         let elems: usize = self
             .bufs
             .iter()
-            .map(|m| m.as_slice().len())
+            .map(Matrix::capacity)
             .sum::<usize>()
-            .saturating_add(self.input_scratch.as_slice().len());
+            .saturating_add(self.input_scratch.capacity());
         (elems * 4) as u64
     }
 }
@@ -265,6 +313,7 @@ impl CompiledPlan {
         }
 
         let mut src: Vec<Option<Src>> = vec![None; tape.len()];
+        let mut packed: Vec<ParamId> = Vec::new();
         let mut consts = Vec::new();
         let mut steps = Vec::new();
         let mut num_bufs = 0;
@@ -299,7 +348,16 @@ impl CompiledPlan {
                     src[i] = Some(Src::Param(*id));
                     continue;
                 }
-                Op::MatMul(a, b) => StepOp::MatMul(resolved(&src, *a), resolved(&src, *b)),
+                Op::MatMul(a, b) => match resolved(&src, *b) {
+                    Src::Param(param) if tape[b.index()].value.cols() >= NR => {
+                        let slot = packed.iter().position(|&p| p == param).unwrap_or_else(|| {
+                            packed.push(param);
+                            packed.len() - 1
+                        });
+                        StepOp::MatMulPacked { a: resolved(&src, *a), param, slot }
+                    }
+                    b_src => StepOp::MatMul(resolved(&src, *a), b_src),
+                },
                 Op::Add(a, b) => StepOp::Add(resolved(&src, *a), resolved(&src, *b)),
                 Op::AddRowBroadcast(a, b) => {
                     StepOp::AddRowBroadcast(resolved(&src, *a), resolved(&src, *b))
@@ -339,7 +397,27 @@ impl CompiledPlan {
             })
             .collect::<Result<Vec<_>, _>>()?;
 
-        Ok(CompiledPlan { steps, consts, outputs, num_bufs, input_cols })
+        Ok(CompiledPlan {
+            steps,
+            consts,
+            outputs,
+            num_bufs,
+            input_cols,
+            packed,
+            packs: Mutex::new(None),
+        })
+    }
+
+    /// The packs for `params`' current generation: the cached ones if they
+    /// match, else fresh ones, packed outside the lock and then cached.
+    fn packs_for(&self, params: &ParamSet) -> Arc<PackedParams> {
+        let cached = self.packs.lock().unwrap_or_else(|e| e.into_inner()).clone();
+        if let Some(packs) = cached.filter(|p| p.generation == params.generation()) {
+            return packs;
+        }
+        let fresh = Arc::new(PackedParams::pack(params, &self.packed));
+        *self.packs.lock().unwrap_or_else(|e| e.into_inner()) = Some(Arc::clone(&fresh));
+        fresh
     }
 
     /// Number of replayable steps after pruning.
@@ -358,9 +436,10 @@ impl CompiledPlan {
     }
 
     /// Replays the plan over `input` (any row count, compile-time column
-    /// width), reading parameters from `params` and writing every
-    /// intermediate into `bufs`. Values are bit-identical to recording the
-    /// same ops on a fresh tape.
+    /// width), reading parameters from `params` (packing its weights first
+    /// if their generation moved) and writing every intermediate into
+    /// `bufs`. Values are bit-identical to recording the same ops on a
+    /// fresh tape.
     pub fn execute(&self, params: &ParamSet, input: &Matrix, bufs: &mut PlanBuffers) {
         adamel_obs::trace_span!("plan_replay");
         adamel_obs::trace_count!("plan.replays", 1);
@@ -374,6 +453,7 @@ impl CompiledPlan {
         if bufs.bufs.len() < self.num_bufs {
             bufs.bufs.resize_with(self.num_bufs, Matrix::default);
         }
+        let packs = self.packs_for(params);
         for step in &self.steps {
             // SSA: `out` strictly exceeds every operand buffer index, so
             // splitting at it hands out disjoint borrows.
@@ -389,6 +469,9 @@ impl CompiledPlan {
             };
             match &step.op {
                 StepOp::MatMul(a, b) => val(*a).matmul_into(val(*b), out),
+                StepOp::MatMulPacked { a, param, slot } => {
+                    val(*a).matmul_packed_into(params.value(*param), &packs.packs[*slot], out)
+                }
                 StepOp::Add(a, b) => val(*a).add_into(val(*b), out),
                 StepOp::AddRowBroadcast(a, b) => val(*a).add_row_broadcast_into(val(*b), out),
                 StepOp::Mul(a, b) => val(*a).mul_into(val(*b), out),
@@ -507,6 +590,56 @@ mod tests {
         let mut bufs = PlanBuffers::new();
         plan.execute(&params, &x, &mut bufs);
         assert_eq!(plan.output(0, &bufs).as_slice(), g2.value(out2).as_slice());
+    }
+
+    #[test]
+    fn packed_weights_follow_every_kind_of_parameter_mutation() {
+        // Wide enough (and, at 17+ rows, big enough) that `x · w` takes the
+        // blocked kernel over the plan's pack of `w`.
+        let (k, m) = (16, 2 * crate::gemm::NR);
+        let grid = |rows: usize, cols: usize, seed: f32| {
+            Matrix::from_vec(
+                rows,
+                cols,
+                (0..rows * cols).map(|i| ((i as f32 * 0.61 + seed).sin()) * 1.5).collect(),
+            )
+        };
+        let mut params = ParamSet::new();
+        let w = params.insert("w", grid(k, m, 0.3));
+        let b = params.insert("b", grid(1, m, 0.9));
+        let record = |params: &ParamSet, x: Matrix| record(params, w, b, x);
+        let (g, input, out) = record(&params, Matrix::zeros(2, k));
+        let plan = CompiledPlan::compile(&g, input, &[out]).expect("compiles");
+        assert_eq!(plan.packed, vec![w], "the weight is packed, the bias is not");
+
+        let mut bufs = PlanBuffers::new();
+        let mut check = |params: &ParamSet, label: &str| {
+            for rows in [17, 33] {
+                let x = grid(rows, k, rows as f32);
+                let (g2, _, out2) = record(params, x.clone());
+                plan.execute(params, &x, &mut bufs);
+                assert_eq!(
+                    plan.output(0, &bufs).as_slice(),
+                    g2.value(out2).as_slice(),
+                    "{label}, rows={rows}"
+                );
+            }
+        };
+        check(&params, "fresh");
+        params.value_mut(w).as_mut_slice()[0] += 1.0;
+        check(&params, "value_mut");
+        let (value, _) = params.value_and_grad_mut(w);
+        value.as_mut_slice()[m + 1] -= 2.0;
+        check(&params, "value_and_grad_mut");
+        let flipped: Vec<Matrix> = params.snapshot().iter().map(|v| v.scale(-0.5)).collect();
+        params.restore(&flipped);
+        check(&params, "restore");
+        // Another set with the same shapes is another generation too.
+        let mut other = ParamSet::new();
+        other.insert("w", grid(k, m, 2.0));
+        other.insert("b", grid(1, m, 2.5));
+        check(&other, "other set");
+        check(&params, "back to the first set");
     }
 
     #[test]

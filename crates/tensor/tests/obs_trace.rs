@@ -1,11 +1,23 @@
 //! At `full`, every tape op records one span and `backward` records a
 //! coarse span. This test file runs in its own process, so forcing the
-//! process-global trace level is safe.
+//! process-global trace level cannot reach other suites; within the file
+//! the tests run on parallel threads, so each one holds [`TRACE_LEVEL`]
+//! while it forces a level and reads the report.
 
+use adamel_tensor::plan::{BufferPool, CompiledPlan};
 use adamel_tensor::{Adam, Graph, Matrix, Optimizer, ParamSet};
+use std::sync::{Mutex, MutexGuard};
+
+/// Serializes the tests that force the process-global trace level.
+static TRACE_LEVEL: Mutex<()> = Mutex::new(());
+
+fn exclusive_trace_level() -> MutexGuard<'static, ()> {
+    TRACE_LEVEL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 #[test]
 fn full_trace_covers_tape_ops_backward_and_optimizer() {
+    let _level = exclusive_trace_level();
     adamel_obs::set_forced(Some(adamel_obs::TraceLevel::Full));
     adamel_obs::report::reset();
 
@@ -33,6 +45,7 @@ fn full_trace_covers_tape_ops_backward_and_optimizer() {
 
 #[test]
 fn spans_level_skips_per_op_spans_but_keeps_coarse_ones() {
+    let _level = exclusive_trace_level();
     adamel_obs::set_forced(Some(adamel_obs::TraceLevel::Spans));
     adamel_obs::report::reset();
 
@@ -48,6 +61,42 @@ fn spans_level_skips_per_op_spans_but_keeps_coarse_ones() {
     let json = adamel_obs::report::render_json();
     assert!(json.contains("\"backward\""), "coarse span missing: {json}");
     assert!(!json.contains("\"matmul\""), "per-op span leaked at spans level: {json}");
+
+    adamel_obs::set_forced(None);
+    adamel_obs::report::reset();
+}
+
+#[test]
+fn pool_gauge_counts_the_capacity_a_smaller_replay_keeps() {
+    let _level = exclusive_trace_level();
+    adamel_obs::set_forced(Some(adamel_obs::TraceLevel::Spans));
+    adamel_obs::report::reset();
+
+    // relu(x · w): one product, one map, so the arena holds two `n x 8`
+    // buffers plus the `n x 4` input staging matrix.
+    let mut params = ParamSet::new();
+    let w = params.insert("w", Matrix::full(4, 8, 0.5));
+    let mut g = Graph::new();
+    let x = g.constant(Matrix::full(2, 4, 1.0));
+    let wv = g.param(&params, w);
+    let h = g.matmul(x, wv);
+    let out = g.relu(h);
+    let plan = CompiledPlan::compile(&g, x, &[out]).expect("compiles");
+
+    let pool = BufferPool::new();
+    let gauge = || adamel_obs::mem::current("tensor.plan.pool.bytes").unwrap_or(0);
+    let replay = |rows: usize| {
+        let mut bufs = pool.checkout();
+        plan.execute_rows(&params, &Matrix::full(rows, 4, 1.0), 0, rows, &mut bufs);
+        pool.put_back(bufs);
+    };
+    replay(512);
+    let after_512 = gauge();
+    assert!(after_512 >= (512 * (8 + 8 + 4) * 4) as u64, "arena under-reported: {after_512}");
+    // The 128-row replay reshapes every buffer smaller but keeps its
+    // allocation; the parked arena still holds the 512-row footprint.
+    replay(128);
+    assert_eq!(gauge(), after_512, "parked arena must report its capacity, not its length");
 
     adamel_obs::set_forced(None);
     adamel_obs::report::reset();
