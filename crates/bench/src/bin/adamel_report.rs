@@ -19,18 +19,9 @@
 //!   reports gate too (exit 1 when a gauge's peak grows by more than the
 //!   `M` fraction, default 0.25); drift warning counts and span times are
 //!   reported informationally.
-//! * `validate-bench PATH [--mem-baseline BASE] [--mem-threshold M]` —
-//!   gate a `perfjson` BENCH JSON on the encoding-cache contract:
-//!   `encode_pairs_cold` / `encode_pairs` / `encode_pairs_cached` rows
-//!   present with finite timings, warm-phase hit-rate ≥ 0.99, non-empty
-//!   cache contents, and the cached path no slower than cold. Every row
-//!   must carry a `peak_bytes` column and the document a `"mem"` summary;
-//!   with `--mem-baseline`, each kernel's peak bytes are compared against
-//!   the baseline BENCH JSON and a growth beyond the `M` fraction
-//!   (default 0.25) fails the gate.
 //!
-//! Exit codes: 0 ok, 1 gate failure (diff regression / bench contract
-//! violation), 2 usage / IO / parse error.
+//! Exit codes: 0 ok, 1 gate failure (diff regression), 2 usage / IO /
+//! parse error.
 
 use adamel::drift::{DriftBaseline, DriftMonitor};
 use adamel::{evaluate_f1, evaluate_prauc, fit, AdamelConfig, AdamelModel, Variant};
@@ -49,8 +40,7 @@ fn usage() -> ExitCode {
          \x20 adamel-report gen --out PATH [--seed N] [--epochs N] [--perturb]\n\
          \x20 adamel-report validate PATH\n\
          \x20 adamel-report summary PATH\n\
-         \x20 adamel-report diff A B [--threshold T] [--mem-threshold M]\n\
-         \x20 adamel-report validate-bench PATH [--mem-baseline BASE] [--mem-threshold M]"
+         \x20 adamel-report diff A B [--threshold T] [--mem-threshold M]"
     );
     ExitCode::from(2)
 }
@@ -62,7 +52,6 @@ fn main() -> ExitCode {
         Some("validate") => cmd_validate(&args[1..]),
         Some("summary") => cmd_summary(&args[1..]),
         Some("diff") => cmd_diff(&args[1..]),
-        Some("validate-bench") => cmd_validate_bench(&args[1..]),
         _ => usage(),
     }
 }
@@ -391,240 +380,6 @@ fn cmd_summary(args: &[String]) -> ExitCode {
         }
     }
     ExitCode::SUCCESS
-}
-
-// ----------------------------------------------------- validate-bench ----
-
-/// Per-kernel worst-case (maximum) `peak_bytes` across thread counts, or
-/// an error when a row lacks the column — the memory side of the bench
-/// contract.
-fn peaks_of_bench(doc: &Json) -> Result<BTreeMap<String, u64>, Vec<String>> {
-    let mut peaks: BTreeMap<String, u64> = BTreeMap::new();
-    let mut errors = Vec::new();
-    let Some(rows) = doc.get("rows").and_then(Json::as_array) else {
-        return Err(vec!["missing rows array".into()]);
-    };
-    for r in rows {
-        let Some(kernel) = r.get("kernel").and_then(Json::as_str) else { continue };
-        match r.get("peak_bytes").and_then(Json::as_u64) {
-            Some(p) => {
-                let e = peaks.entry(kernel.to_string()).or_insert(0);
-                *e = (*e).max(p);
-            }
-            None => errors.push(format!("{kernel}: missing peak_bytes column")),
-        }
-    }
-    if errors.is_empty() {
-        Ok(peaks)
-    } else {
-        Err(errors)
-    }
-}
-
-/// Gates a `perfjson` BENCH JSON on the encoding-cache contract and the
-/// compiled-plan contract: a cache regression (cold-path timings on the warm
-/// rows, a broken hit path, an empty cache), a missing/slower-than-tape
-/// `predict_plan` row, a missing `serve_latency` row (the daemon round-trip
-/// stopped being measured), or a GEMM row with no achieved GFLOP/s fails CI
-/// even when the absolute timings still "look fast" on a beefy runner.
-/// With `--mem-baseline`, each kernel's `peak_bytes` is additionally gated
-/// against the baseline document: growth beyond the `--mem-threshold`
-/// fraction (default 0.25) is a memory regression and fails too.
-fn cmd_validate_bench(args: &[String]) -> ExitCode {
-    let mut path: Option<&String> = None;
-    let mut mem_baseline: Option<&String> = None;
-    let mut mem_threshold = 0.25f64;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--mem-baseline" => {
-                i += 1;
-                mem_baseline = args.get(i);
-                if mem_baseline.is_none() {
-                    return usage();
-                }
-            }
-            "--mem-threshold" => {
-                i += 1;
-                mem_threshold = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(v) => v,
-                    None => return usage(),
-                };
-            }
-            _ if path.is_none() => path = Some(&args[i]),
-            _ => return usage(),
-        }
-        i += 1;
-    }
-    let Some(path) = path else { return usage() };
-    let load = |p: &str| {
-        std::fs::read_to_string(p)
-            .map_err(|e| format!("{p}: {e}"))
-            .and_then(|t| Json::parse(&t).map_err(|e| format!("{p}: {e}")))
-    };
-    let doc = match load(path) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("adamel-report: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let mut failures: Vec<String> = Vec::new();
-
-    // Best (minimum) timing and best (maximum) GFLOP/s per kernel across
-    // thread counts.
-    let mut best: BTreeMap<String, f64> = BTreeMap::new();
-    let mut best_gflops: BTreeMap<String, f64> = BTreeMap::new();
-    match doc.get("rows").and_then(Json::as_array) {
-        Some(rows) => {
-            for r in rows {
-                let (Some(kernel), Some(ms)) =
-                    (r.get("kernel").and_then(Json::as_str), r.get("ms").and_then(Json::as_f64))
-                else {
-                    failures.push("row missing kernel/ms".into());
-                    continue;
-                };
-                if !ms.is_finite() || ms < 0.0 {
-                    failures.push(format!("{kernel}: bad ms {ms}"));
-                    continue;
-                }
-                let e = best.entry(kernel.to_string()).or_insert(f64::INFINITY);
-                *e = e.min(ms);
-                if let Some(g) = r.get("gflops").and_then(Json::as_f64) {
-                    let e = best_gflops.entry(kernel.to_string()).or_insert(0.0);
-                    *e = e.max(g);
-                }
-            }
-        }
-        None => failures.push("missing rows array".into()),
-    }
-    for kernel in [
-        "encode_pairs_cold",
-        "encode_pairs",
-        "encode_pairs_cached",
-        "encode_build_cold",
-        "serve_latency",
-    ] {
-        if !best.contains_key(kernel) {
-            failures.push(format!("missing {kernel} row"));
-        }
-    }
-    // Compiled-plan contract: both inference paths must be measured, and the
-    // plan must not lose to the tape it replaced (10% headroom for jitter).
-    for kernel in ["predict_plan", "predict_tape"] {
-        if !best.contains_key(kernel) {
-            failures.push(format!("missing {kernel} row"));
-        }
-    }
-    if let (Some(&plan), Some(&tape)) = (best.get("predict_plan"), best.get("predict_tape")) {
-        if plan > tape * 1.10 {
-            failures.push(format!(
-                "predict_plan ({plan:.3} ms) slower than predict_tape ({tape:.3} ms) + 10%"
-            ));
-        }
-    }
-    // Per-kernel GFLOP/s must be present and nonzero for the GEMM rows — a
-    // zero means the flop accounting broke or a kernel took no measurable
-    // work, either of which invalidates the perf claims.
-    for kernel in ["matmul", "matmul_tn", "matmul_nt"] {
-        match best_gflops.get(kernel) {
-            Some(&g) if g > 0.0 => {}
-            Some(_) => failures.push(format!("{kernel}: gflops is zero")),
-            None => failures.push(format!("{kernel}: missing row or gflops field")),
-        }
-    }
-    if let (Some(&cold), Some(&cached)) =
-        (best.get("encode_pairs_cold"), best.get("encode_pairs_cached"))
-    {
-        // The warm path must never cost more than the cold one; 10% headroom
-        // absorbs timer jitter on tiny --smoke workloads.
-        if cached > cold * 1.10 {
-            failures
-                .push(format!("cached encode ({cached:.3} ms) slower than cold ({cold:.3} ms)"));
-        }
-    }
-    match doc.get("cache") {
-        Some(c) => {
-            let num = |k: &str| c.get(k).and_then(Json::as_f64);
-            match num("hit_rate") {
-                Some(r) if r >= 0.99 => {}
-                Some(r) => failures.push(format!("warm-phase hit_rate {r} below 0.99")),
-                None => failures.push("cache.hit_rate missing".into()),
-            }
-            for key in ["distinct_records", "interned_tokens"] {
-                match num(key) {
-                    Some(v) if v >= 1.0 => {}
-                    _ => failures.push(format!("cache.{key} missing or zero")),
-                }
-            }
-        }
-        None => failures.push("missing cache section".into()),
-    }
-
-    // Memory side of the contract: every row carries `peak_bytes` and the
-    // document a schema-tagged `"mem"` summary.
-    let peaks = match peaks_of_bench(&doc) {
-        Ok(p) => p,
-        Err(errs) => {
-            failures.extend(errs);
-            BTreeMap::new()
-        }
-    };
-    match doc.get("mem") {
-        Some(m) => {
-            if m.get("schema").and_then(Json::as_str) != Some("adamel-mem/v1") {
-                failures.push("mem section has wrong or missing schema".into());
-            }
-            if m.get("gauges").and_then(Json::as_object).is_none() {
-                failures.push("mem section has no gauges object".into());
-            }
-        }
-        None => failures.push("missing mem section".into()),
-    }
-    if let Some(base_path) = mem_baseline {
-        match load(base_path).map_err(|e| vec![e]).and_then(|d| peaks_of_bench(&d)) {
-            Ok(base_peaks) => {
-                for (kernel, &old) in &base_peaks {
-                    let Some(&new) = peaks.get(kernel) else { continue };
-                    // Zero baselines carry no signal (the kernel allocated
-                    // below gauge granularity); any nonzero growth past the
-                    // fractional threshold is a memory regression.
-                    if old > 0 && new as f64 > old as f64 * (1.0 + mem_threshold) {
-                        failures.push(format!(
-                            "{kernel}: peak_bytes {new} exceeds baseline {old} by more than {:.0}%",
-                            mem_threshold * 100.0
-                        ));
-                    }
-                }
-            }
-            Err(errs) => {
-                for e in errs {
-                    failures.push(format!("mem baseline {base_path}: {e}"));
-                }
-            }
-        }
-    }
-
-    if failures.is_empty() {
-        let show = |k: &str| best.get(k).copied().unwrap_or(f64::NAN);
-        println!(
-            "{path}: bench contract ok (cold {:.3} ms, warm {:.3} ms, cached {:.3} ms, \
-             plan {:.3} ms vs tape {:.3} ms, serve {:.3} ms, matmul {:.2} GFLOP/s)",
-            show("encode_pairs_cold"),
-            show("encode_pairs"),
-            show("encode_pairs_cached"),
-            show("predict_plan"),
-            show("predict_tape"),
-            show("serve_latency"),
-            best_gflops.get("matmul").copied().unwrap_or(f64::NAN),
-        );
-        ExitCode::SUCCESS
-    } else {
-        for f in &failures {
-            eprintln!("adamel-report: {path}: {f}");
-        }
-        ExitCode::FAILURE
-    }
 }
 
 // -------------------------------------------------------------- diff ----

@@ -3,8 +3,9 @@
 //! The reproduction harness: experiment-scale worlds, the uniform method
 //! roster, and one module per table/figure of the paper. The `repro` binary
 //! (`cargo run -p adamel-bench --bin repro --release -- --exp all`)
-//! regenerates every artifact; the criterion benches cover the performance
-//! claims.
+//! regenerates every artifact. Timings live in the benchmark of record
+//! (`bench_record/`); the `perfjson` binary writes the deterministic
+//! counters of `BENCH_parallel.json`.
 
 #![forbid(unsafe_code)]
 

@@ -1,5 +1,5 @@
 //! Experiment-scale world and split construction shared by the repro
-//! experiments and criterion benches.
+//! experiments.
 //!
 //! The paper's corpora are orders of magnitude larger than what a test
 //! harness should replay; these scales preserve the corpus *structure*

@@ -1,160 +1,84 @@
-//! Smoke test for the `perfjson` binary: `--smoke --out` must emit a JSON
-//! document that parses and carries the trace off/full overhead pair.
+//! The `perfjson` counters file: a fresh run must meet the bench contract
+//! and equal the committed `BENCH_parallel.json` byte for byte.
 
 use adamel_obs::json::Json;
 use std::process::Command;
+use std::sync::OnceLock;
 
-#[test]
-fn smoke_output_parses_and_has_trace_pair() {
-    let out = std::env::temp_dir().join(format!("perfjson-smoke-{}.json", std::process::id()));
-    let status = Command::new(env!("CARGO_BIN_EXE_perfjson"))
-        .arg("--smoke")
-        .arg("--out")
-        .arg(&out)
-        .stdout(std::process::Stdio::null())
-        .status()
-        .expect("spawn perfjson");
-    assert!(status.success(), "perfjson --smoke failed: {status:?}");
-
-    let text = std::fs::read_to_string(&out).expect("read output");
-    let _ = std::fs::remove_file(&out);
-    let doc = Json::parse(&text).expect("output is valid JSON");
-
-    // The off/full tracing overhead pair the docs point readers at.
-    let trace = doc.get("trace").expect("trace object");
-    for key in ["off_ms", "full_ms", "full_over_off"] {
-        let v = trace.get(key).and_then(Json::as_f64).expect(key);
-        assert!(v.is_finite() && v >= 0.0, "{key} = {v}");
-    }
-
-    // Sanitizer pair and host parallelism ride along.
-    assert!(doc.get("sanitize").and_then(|s| s.get("on_over_off")).is_some());
-    assert!(doc.get("host_parallelism").and_then(Json::as_u64).is_some());
-
-    // Every timing row is well-formed.
-    let rows = doc.get("rows").and_then(Json::as_array).expect("rows array");
-    assert!(!rows.is_empty());
-    for row in rows {
-        assert!(row.get("kernel").and_then(Json::as_str).is_some());
-        assert!(row.get("threads").and_then(Json::as_u64).is_some());
-        let ms = row.get("ms").and_then(Json::as_f64).expect("ms");
-        assert!(ms.is_finite() && ms >= 0.0);
-    }
-
-    // The encoding-cache triple: cold (cleared per run), headline warm, and
-    // the explicit cached phase. Plus the compiled-plan/tape inference pair.
-    for kernel in
-        ["encode_pairs_cold", "encode_pairs", "encode_pairs_cached", "predict_plan", "predict_tape"]
-    {
-        assert!(
-            rows.iter().any(|r| r.get("kernel").and_then(Json::as_str) == Some(kernel)),
-            "missing {kernel} row"
-        );
-    }
-
-    // GEMM rows carry a nonzero achieved-GFLOP/s column.
-    for kernel in ["matmul", "matmul_tn", "matmul_nt"] {
-        let g = rows
-            .iter()
-            .find(|r| r.get("kernel").and_then(Json::as_str) == Some(kernel))
-            .and_then(|r| r.get("gflops"))
-            .and_then(Json::as_f64)
-            .unwrap_or_else(|| panic!("missing gflops on {kernel}"));
-        assert!(g > 0.0, "{kernel} gflops = {g}");
-    }
-
-    // The cache section: warm-phase deltas must show a pure-hit phase over
-    // non-trivial contents (this is deterministic, not a timing property).
-    let cache = doc.get("cache").expect("cache object");
-    let num = |k: &str| cache.get(k).and_then(Json::as_f64).expect(k);
-    assert!(num("hit_rate") >= 0.99, "warm-phase hit_rate {}", num("hit_rate"));
-    assert!(num("misses") == 0.0, "warm-phase misses {}", num("misses"));
-    assert!(num("distinct_records") >= 1.0);
-    assert!(num("interned_tokens") >= 1.0);
+/// The document one `perfjson --out` run writes, shared by both tests.
+fn fresh_output() -> &'static str {
+    static OUT: OnceLock<String> = OnceLock::new();
+    OUT.get_or_init(|| {
+        let out = std::env::temp_dir().join(format!("perfjson-{}.json", std::process::id()));
+        let status = Command::new(env!("CARGO_BIN_EXE_perfjson"))
+            .arg("--out")
+            .arg(&out)
+            .stdout(std::process::Stdio::null())
+            .status()
+            .expect("spawn perfjson");
+        assert!(status.success(), "perfjson failed: {status:?}");
+        let text = std::fs::read_to_string(&out).expect("read output");
+        let _ = std::fs::remove_file(&out);
+        text
+    })
 }
 
-/// The CI gate end-to-end: `adamel-report validate-bench` must pass the JSON
-/// `perfjson --smoke` emits, and must fail one with the cache contract
-/// broken.
 #[test]
-fn validate_bench_gates_smoke_output() {
-    let out = std::env::temp_dir().join(format!("perfjson-gate-{}.json", std::process::id()));
-    let status = Command::new(env!("CARGO_BIN_EXE_perfjson"))
-        .arg("--smoke")
-        .arg("--out")
-        .arg(&out)
-        .stdout(std::process::Stdio::null())
-        .status()
-        .expect("spawn perfjson");
-    assert!(status.success(), "perfjson --smoke failed: {status:?}");
+fn output_meets_the_bench_contract() {
+    let doc = Json::parse(fresh_output()).expect("output is valid JSON");
+    let top = doc.as_object().expect("top level is an object");
+    let keys: Vec<&str> = top.keys().map(String::as_str).collect();
+    assert_eq!(keys, ["cache", "mem", "rows"], "document sections");
 
-    let report = env!("CARGO_BIN_EXE_adamel-report");
-    let ok = Command::new(report)
-        .arg("validate-bench")
-        .arg(&out)
-        .stdout(std::process::Stdio::null())
-        .status()
-        .expect("spawn adamel-report");
-    assert!(ok.success(), "validate-bench rejected healthy smoke output: {ok:?}");
+    // The cache section: the warm run is a pure-hit phase over non-trivial
+    // contents.
+    let cache = doc.get("cache").expect("cache object");
+    let num = |k: &str| cache.get(k).and_then(Json::as_u64).expect(k);
+    assert_eq!(num("misses"), 0, "warm-phase misses");
+    assert_eq!(cache.get("hit_rate").and_then(Json::as_f64), Some(1.0), "warm-phase hit_rate");
+    assert!(num("distinct_records") >= 1);
+    assert!(num("interned_tokens") >= 1);
 
-    let text = std::fs::read_to_string(&out).expect("read output");
-    let must_fail = |broken: String, what: &str| {
-        assert_ne!(broken, text, "mutation for `{what}` did not change the document");
-        std::fs::write(&out, &broken).expect("write broken output");
-        let bad = Command::new(report)
-            .arg("validate-bench")
-            .arg(&out)
-            .stderr(std::process::Stdio::null())
-            .status()
-            .expect("spawn adamel-report");
-        assert_eq!(bad.code(), Some(1), "validate-bench must fail: {what}");
-    };
+    let mem = doc.get("mem").expect("mem object");
+    assert_eq!(mem.get("schema").and_then(Json::as_str), Some("adamel-mem/v1"));
+    assert!(mem.get("gauges").and_then(Json::as_object).is_some(), "mem.gauges");
 
-    // Break the cache contract (pretend the warm phase missed).
-    must_fail(
-        text.replacen("\"hit_rate\": 1.000", "\"hit_rate\": 0.500", 1),
-        "warm-phase hit_rate below 0.99",
+    let rows = doc.get("rows").and_then(Json::as_array).expect("rows array");
+    let kernels: Vec<&str> =
+        rows.iter().map(|r| r.get("kernel").and_then(Json::as_str).expect("kernel")).collect();
+    assert_eq!(
+        kernels,
+        [
+            "matmul",
+            "matmul_tn",
+            "matmul_nt",
+            "encode_pairs_cold",
+            "encode_build_cold",
+            "encode_pairs",
+            "predict",
+            "predict_tape"
+        ]
     );
-    // Hide the compiled-plan row.
-    must_fail(
-        text.replace("\"kernel\": \"predict_plan\"", "\"kernel\": \"predict_plan_gone\""),
-        "missing predict_plan row",
-    );
-    // Make the plan lose badly to the tape it replaced (rows are one per
-    // line, so rewrite the `ms` value on the predict_plan lines).
-    must_fail(
-        text.lines()
-            .map(|l| {
-                if l.contains("\"kernel\": \"predict_plan\"") {
-                    let (head, rest) = l.split_once("\"ms\": ").expect("ms field");
-                    let (_, tail) = rest.split_once(',').expect("ms value end");
-                    format!("{head}\"ms\": 999999.0,{tail}")
-                } else {
-                    l.to_string()
-                }
-            })
-            .collect::<Vec<_>>()
-            .join("\n")
-            + "\n",
-        "predict_plan slower than predict_tape",
-    );
-    // Zero out the GEMM flop accounting (rows are one per line).
-    must_fail(
-        text.lines()
-            .map(|l| {
-                if l.contains("\"kernel\": \"matmul") {
-                    let (head, rest) = l.split_once("\"gflops\": ").expect("gflops field");
-                    let tail = if rest.trim_end().ends_with("},") { "}," } else { "}" };
-                    format!("{head}\"gflops\": 0.000{tail}")
-                } else {
-                    l.to_string()
-                }
-            })
-            .collect::<Vec<_>>()
-            .join("\n")
-            + "\n",
-        "matmul gflops zeroed",
-    );
+    for (kernel, row) in kernels.iter().zip(rows) {
+        assert!(row.get("n").and_then(Json::as_u64).is_some_and(|n| n > 0), "{kernel}: n");
+        assert!(row.get("peak_bytes").and_then(Json::as_u64).is_some(), "{kernel}: peak_bytes");
+        let flops = row.get("flops").and_then(Json::as_u64).expect("flops");
+        if kernel.starts_with("matmul") || kernel.starts_with("predict") {
+            assert!(flops > 0, "{kernel}: flops = {flops}");
+        }
+    }
+}
 
-    let _ = std::fs::remove_file(&out);
+#[test]
+fn output_equals_committed_bench_parallel_json() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_parallel.json");
+    let committed = std::fs::read_to_string(path).expect("read BENCH_parallel.json");
+    assert!(
+        fresh_output() == committed,
+        "perfjson output differs from the committed BENCH_parallel.json; if the change is \
+         intended, regenerate it from the repository root with \
+         `cargo run --release -p adamel-bench --bin perfjson` and commit it\n\
+         --- fresh ---\n{}",
+        fresh_output()
+    );
 }

@@ -1,8 +1,8 @@
 //! Trace-level policy: `ADAMEL_TRACE` parsing and runtime overrides.
 //!
 //! Mirrors the `ADAMEL_SANITIZE` machinery in `adamel_tensor::sanitize`:
-//! the environment is read once per process, a forced override (for tests
-//! and benches) lives in one atomic, and the fast path — [`level`] when
+//! the environment is read once per process, a forced override (for tests,
+//! `perfjson` and the benchmark of record) lives in one atomic, and the fast path — [`level`] when
 //! tracing is off — is a single relaxed load plus a cached read.
 
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -44,8 +44,9 @@ impl TraceLevel {
 static FORCED: AtomicU8 = AtomicU8::new(0);
 
 /// Forces the trace level (`Some`) or restores the `ADAMEL_TRACE`
-/// environment default (`None`). Process-global: intended for benches (the
-/// `perfjson --obs` exercise pass) and isolated test binaries, not for
+/// environment default (`None`). Process-global: intended for benches
+/// (`perfjson`'s ledger probes and its `--obs` exercise pass, the benchmark
+/// of record's traced replays) and isolated test binaries, not for
 /// toggling mid-run — spans opened under one level still close correctly
 /// under another, but the report then mixes detail levels.
 ///

@@ -192,8 +192,9 @@ pub fn peak_total() -> u64 {
 
 /// Resets every gauge's peak to its current value, starting a fresh
 /// peak-measurement window without losing live balances. Bench harnesses
-/// call this between rows so each row's `peak_bytes` reflects only that
-/// row's work.
+/// call this between rows, so a row's `peak_bytes` is the bytes still
+/// held from earlier work (caches, arenas, packed weights) plus whatever
+/// the row itself raises them to.
 ///
 /// # Examples
 ///

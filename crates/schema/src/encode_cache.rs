@@ -54,7 +54,8 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 
 /// Aggregate cache statistics, reported by
-/// [`crate::FeatureExtractor::cache_stats`] and the `perfjson` bench.
+/// [`crate::FeatureExtractor::cache_stats`] and the `"cache"` section of
+/// `perfjson`'s `BENCH_parallel.json`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EncodeCacheStats {
     /// Distinct records (by content key) currently cached.

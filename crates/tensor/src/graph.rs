@@ -113,12 +113,15 @@ impl Default for Graph {
 impl Drop for Graph {
     fn drop(&mut self) {
         // Observe-at-death: nodes only ever append, so a tape's footprint
-        // peaks exactly when it drops. One absolute gauge observation per
-        // graph keeps the per-op hot path untouched; when tracing is off
-        // this is a single relaxed atomic load.
+        // peaks exactly when it drops. The footprint raises the gauge's
+        // peak, and `current` returns to 0 because the tape's bytes are
+        // freed right here. Observing at drop keeps the per-op hot path
+        // untouched; when tracing is off this is a single relaxed atomic
+        // load.
         if adamel_obs::enabled() {
             let bytes: u64 = self.nodes.iter().map(|n| (n.value.as_slice().len() * 4) as u64).sum();
             adamel_obs::mem::observe("tensor.graph.bytes", bytes);
+            adamel_obs::mem::observe("tensor.graph.bytes", 0);
         }
     }
 }

@@ -75,11 +75,6 @@ pub fn current_threads() -> usize {
     }
 }
 
-/// The host's available parallelism (ignoring any override), for reporting.
-pub fn host_parallelism() -> usize {
-    std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1)
-}
-
 /// Runs `f` with dispatches on this thread forced to exactly `threads`
 /// workers, bypassing the FLOP threshold. `with_threads(1, ..)` is the
 /// canonical way to obtain a serial reference result; equivalence tests and

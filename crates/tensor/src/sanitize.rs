@@ -16,15 +16,16 @@
 //! * unset — on under `debug_assertions`, off in release.
 //!
 //! The environment is read once; [`set_forced`] overrides it at runtime for
-//! benches that measure the overhead pair.
+//! tests that pin either mode.
 //!
 //! ## Cost
 //!
 //! Every check is gated on [`enabled`], a relaxed atomic load plus a cached
 //! bool — when the sanitizer is off the per-op cost is one predictable
-//! branch, which is unmeasurable next to any tape op's own work (the
-//! `sanitize` rows of `BENCH_parallel.json` record the pair). When on, each
-//! op adds one pass over its output.
+//! branch, which is unmeasurable next to any tape op's own work. When on,
+//! each op adds one pass over its output: 1.037× on single-thread batched
+//! inference of 10,000 pairs when last measured (`BENCH_parallel.json` at
+//! ca4484a).
 //!
 //! Violations abort via `panic!` with an `adamel-sanitize:` prefix. That is
 //! a deliberate `no-panic` lint exception (see `lint.allow`): a NaN in the
@@ -42,8 +43,7 @@ static FORCED: AtomicU8 = AtomicU8::new(0);
 
 /// Forces the sanitizer on/off (`Some`) or back to the environment default
 /// (`None`), overriding `ADAMEL_SANITIZE`. Process-global: intended for
-/// single-threaded benches (the perfjson overhead pair) and isolated test
-/// binaries, not for toggling mid-training.
+/// isolated test binaries, not for toggling mid-training.
 pub fn set_forced(on: Option<bool>) {
     let v = match on {
         None => 0,

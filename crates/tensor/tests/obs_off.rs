@@ -39,10 +39,16 @@ fn trace_off_records_nothing_and_changes_nothing() {
     adamel_obs::set_forced(Some(adamel_obs::TraceLevel::Full));
     let loss_full = run_tape();
     assert_eq!(loss_off.to_bits(), loss_full.to_bits());
-    // With tracing on, the graph-drop observer reports the tape footprint.
+    // With tracing on, the graph-drop observer reports the tape footprint
+    // as the gauge's peak, and the dropped tape holds no bytes afterwards.
     assert!(
         adamel_obs::mem::peak("tensor.graph.bytes").unwrap_or(0) > 0,
         "tensor.graph.bytes gauge missing under full tracing"
+    );
+    assert_eq!(
+        adamel_obs::mem::current("tensor.graph.bytes"),
+        Some(0),
+        "a dropped tape still counts toward tensor.graph.bytes"
     );
 
     adamel_obs::set_forced(None);

@@ -125,20 +125,25 @@ fn incremental_adaptation_stays_stable() {
 }
 
 /// §4.5 / §5.5: the AdaMEL parameter budget is orders of magnitude below
-/// EntityMatcher's at matched text dimensions.
+/// EntityMatcher's at matched text dimensions, and Fig. 9's training-cost
+/// ordering holds in parameters: AdaMEL < CorDel and DeepMatcher, and both
+/// of those < EntityMatcher.
 #[test]
 fn adamel_is_much_smaller_than_entitymatcher() {
-    use adamel_baselines::{BaselineConfig, EntityMatcher, EntityMatcherModel};
+    use adamel_baselines::{
+        BaselineConfig, CorDel, DeepMatcher, EntityMatcher, EntityMatcherModel,
+    };
     let world = MonitorWorld::generate(&MonitorConfig::tiny(), 4);
     let schema = world.schema().clone();
-    let adamel = AdamelModel::new(AdamelConfig::default(), schema.clone());
-    let em = EntityMatcher::new(schema, BaselineConfig::default());
-    assert!(
-        em.num_parameters() > 3 * adamel.num_parameters(),
-        "EntityMatcher {} vs AdaMEL {}",
-        em.num_parameters(),
-        adamel.num_parameters()
-    );
+    let adamel = AdamelModel::new(AdamelConfig::default(), schema.clone()).num_parameters();
+    let cordel = CorDel::new(schema.clone(), BaselineConfig::default()).num_parameters();
+    let deepmatcher = DeepMatcher::new(schema.clone(), BaselineConfig::default()).num_parameters();
+    let em = EntityMatcher::new(schema, BaselineConfig::default()).num_parameters();
+    let counts =
+        format!("AdaMEL {adamel}, CorDel {cordel}, DeepMatcher {deepmatcher}, EntityMatcher {em}");
+    assert!(em > 3 * adamel, "{counts}");
+    assert!(adamel < cordel && adamel < deepmatcher, "{counts}");
+    assert!(cordel < em && deepmatcher < em, "{counts}");
 }
 
 /// Design ablation (DESIGN.md §7): the uniform-attention variant. Two
