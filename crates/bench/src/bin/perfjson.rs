@@ -10,11 +10,12 @@
 //! peak_bytes}`: `flops` is the arithmetic work of the run (0 for the
 //! encoding rows) and `peak_bytes` is `mem::peak_total()` afterwards. The
 //! rows are the three GEMM variants, cold pair encoding
-//! (`encode_pairs_cold`, record-level cache dropped first), a cold
-//! vocabulary build (`encode_build_cold`), warm pair encoding
-//! (`encode_pairs`, whose cache-stats delta feeds the `"cache"` section),
-//! and prediction through the compiled plan (`predict`) and through one
-//! `forward_graph` tape per 128-row chunk (`predict_tape`). A `"mem"`
+//! (`encode_pairs_cold`, record-level cache dropped first), warm pair
+//! encoding (`encode_pairs`, whose cache-stats delta feeds the `"cache"`
+//! section), and prediction through the compiled plan (`predict`) and
+//! through one `forward_graph` tape per 128-row chunk (`predict_tape`).
+//! `flops` counts the analytic per-pair work (`per_row_flops`), not the
+//! arithmetic the plan's row grouping skips. A `"mem"`
 //! section (`adamel-mem/v1`) holds the largest row peak and the final
 //! per-gauge ledger. Rows run on one thread because above one the number
 //! of plan arenas parked at the peak depends on scheduling, and the file
@@ -45,7 +46,6 @@ use std::time::Instant;
 
 const MATMUL_M: usize = 128;
 const NUM_PAIRS: usize = 200;
-const BUILD_TOKENS: usize = 500;
 
 /// The compiled plan may take at most this multiple of the tape's time.
 const PLAN_OVER_TAPE_MAX: f64 = 1.10;
@@ -261,19 +261,6 @@ fn main() {
     rows.push(row("encode_pairs_cold", NUM_PAIRS, 0, || {
         extractor.clear_cache();
         std::hint::black_box(extractor.encode_pairs(&pairs));
-    }));
-    // Cold vocabulary build in isolation: intern a batch of distinct
-    // tokens into a fresh `TokenVocab` and compute every embedding row.
-    // This is the `encode.embed_hash` hot spot (n-gram hashing per
-    // first-seen token) without the rest of the encode pipeline.
-    let build_tokens: Vec<String> = (0..BUILD_TOKENS).map(|i| format!("token{i:05}")).collect();
-    rows.push(row("encode_build_cold", BUILD_TOKENS, 0, || {
-        let mut vocab = adamel_text::TokenVocab::new(adamel_text::HashedFastText::new(300, 7));
-        for tok in &build_tokens {
-            vocab.intern_deferred(tok);
-        }
-        vocab.compute_pending();
-        std::hint::black_box(vocab.len());
     }));
     // Warm: fill the cache, then run once more. The stats delta around the
     // warm run gives the report's hit-rate: with a working cache every

@@ -53,7 +53,6 @@ fn output_meets_the_bench_contract() {
             "matmul_tn",
             "matmul_nt",
             "encode_pairs_cold",
-            "encode_build_cold",
             "encode_pairs",
             "predict",
             "predict_tape"

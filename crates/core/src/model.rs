@@ -87,10 +87,13 @@ const PLAN_PROBE_ROWS: usize = 2;
 /// this constant alone, never the thread count) do not change the numbers:
 /// chunked output is bit-identical to one monolithic `forward_graph` tape.
 ///
-/// A chunk's replay arena holds every intermediate of the forward, about
-/// 0.22 MB per row at paper dimensions, so 128 rows keep it near 28 MB.
-/// Smaller chunks cost no repacking: the plan packs its weights once per
-/// parameter generation, not once per replay.
+/// A chunk's replay arena holds every intermediate of the forward. The plan
+/// computes each feature's Eq. 4–5 stages once per distinct feature block,
+/// so the arena depends on how often blocks repeat: at paper dimensions it
+/// is 28.1 MB for a chunk that repeats none, plus at most 3.4 MB of gather
+/// buffers, and 26.0 MB (`tensor.plan.pool.bytes`) after `perfjson`'s
+/// 200-pair `predict` row. Smaller chunks cost no repacking: the plan packs
+/// its weights once per parameter generation, not once per replay.
 const PREDICT_CHUNK_ROWS: usize = 128;
 
 /// The AdaMEL model: feature extraction plus network parameters.

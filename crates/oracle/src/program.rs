@@ -40,6 +40,18 @@ pub enum Inst {
         /// Row-major values.
         data: Vec<f32>,
     },
+    /// The batch leaf: a constant that [`check_program`]'s plan check
+    /// compiles as the plan's replay input. Generated programs read it only
+    /// through `SliceCols`, so its column windows reach the plan's row
+    /// grouping.
+    Input {
+        /// Row count (the probe batch size).
+        rows: usize,
+        /// Column count.
+        cols: usize,
+        /// Row-major values.
+        data: Vec<f32>,
+    },
     /// `(n,k) x (k,m)` product.
     MatMul {
         /// Left operand.
@@ -152,7 +164,7 @@ impl Inst {
     /// Indices of the instructions this one reads.
     pub fn parents(&self) -> Vec<usize> {
         match self {
-            Inst::Param { .. } => Vec::new(),
+            Inst::Param { .. } | Inst::Input { .. } => Vec::new(),
             Inst::MatMul { a, b } | Inst::Add { a, b } | Inst::Mul { a, b } => vec![*a, *b],
             Inst::AddRowBroadcast { a, bias } => vec![*a, *bias],
             Inst::MulColBroadcast { a, col } => vec![*a, *col],
@@ -174,6 +186,7 @@ impl Inst {
     pub fn op_name(&self) -> &'static str {
         match self {
             Inst::Param { .. } => "param",
+            Inst::Input { .. } => "constant",
             Inst::MatMul { .. } => "matmul",
             Inst::Add { .. } => "add",
             Inst::AddRowBroadcast { .. } => "add_row_broadcast",
@@ -249,12 +262,36 @@ struct ProdRun {
     grads: Vec<Option<Matrix>>,
 }
 
+/// A batch to record in place of the program's `Input` rows, and which
+/// instructions to record with it: the forward ones (a loss's constants are
+/// sized to the program's own rows).
+type Regroup<'a> = (&'a Matrix, &'a [bool]);
+
 /// Records the program onto `g`, registering its parameters in `params`;
-/// returns each instruction's node and, for `Param`s, its handle.
-fn record(p: &Program, params: &mut ParamSet, g: &mut Graph) -> (Vec<Var>, Vec<Option<ParamId>>) {
+/// returns each instruction's node and, for `Param`s, its handle. With a
+/// [`Regroup`], an instruction left out gets its first instruction's node
+/// as a placeholder that nothing recorded reads.
+fn record(
+    p: &Program,
+    params: &mut ParamSet,
+    g: &mut Graph,
+    regroup: Option<Regroup<'_>>,
+) -> (Vec<Var>, Vec<Option<ParamId>>) {
     let mut vars: Vec<Var> = Vec::with_capacity(p.insts.len());
     let mut ids: Vec<Option<ParamId>> = Vec::with_capacity(p.insts.len());
     for (i, inst) in p.insts.iter().enumerate() {
+        if let Some((batch, forward)) = regroup {
+            let stand_in = match inst {
+                _ if !forward[i] => Some(vars[0]),
+                Inst::Input { .. } => Some(g.constant(batch.clone())),
+                _ => None,
+            };
+            if let Some(v) = stand_in {
+                ids.push(None);
+                vars.push(v);
+                continue;
+            }
+        }
         let mut id = None;
         let v = match inst {
             Inst::Param { rows, cols, data } => {
@@ -262,6 +299,9 @@ fn record(p: &Program, params: &mut ParamSet, g: &mut Graph) -> (Vec<Var>, Vec<O
                     params.insert(format!("p{i}"), Matrix::from_vec(*rows, *cols, data.clone()));
                 id = Some(pid);
                 g.param(params, pid)
+            }
+            Inst::Input { rows, cols, data } => {
+                g.constant(Matrix::from_vec(*rows, *cols, data.clone()))
             }
             Inst::MatMul { a, b } => g.matmul(vars[*a], vars[*b]),
             Inst::Add { a, b } => g.add(vars[*a], vars[*b]),
@@ -305,7 +345,7 @@ fn record(p: &Program, params: &mut ParamSet, g: &mut Graph) -> (Vec<Var>, Vec<O
 fn run_production(p: &Program) -> ProdRun {
     let mut params = ParamSet::new();
     let mut g = Graph::new();
-    let (vars, ids) = record(p, &mut params, &mut g);
+    let (vars, ids) = record(p, &mut params, &mut g, None);
     let values: Vec<Matrix> = vars.iter().map(|&v| g.value(v).clone()).collect();
     let mut grads: Vec<Option<Matrix>> = vec![None; p.insts.len()];
     if values[p.root].shape() == (1, 1) {
@@ -322,7 +362,9 @@ fn run_production(p: &Program) -> ProdRun {
 /// Applies the oracle version of one instruction to already-promoted parents.
 fn oracle_apply(inst: &Inst, parents: &[RefMatrix]) -> RefMatrix {
     match inst {
-        Inst::Param { rows, cols, data } => RefMatrix::from_f32(*rows, *cols, data),
+        Inst::Param { rows, cols, data } | Inst::Input { rows, cols, data } => {
+            RefMatrix::from_f32(*rows, *cols, data)
+        }
         Inst::MatMul { .. } => parents[0].matmul(&parents[1]),
         Inst::Add { .. } => parents[0].add(&parents[1]),
         Inst::AddRowBroadcast { .. } => parents[0].add_row_broadcast(&parents[1]),
@@ -462,11 +504,14 @@ fn training_only(inst: &Inst) -> bool {
 
 /// Compiles the program's forward ancestors of the root — every computed
 /// node the root depends on that no training-only op feeds — into a
-/// [`CompiledPlan`], with a dummy input the program never reads, and checks
-/// that a replay equals the tape bit for bit. Then it restores negated,
-/// halved parameter values into the same `ParamSet` (a new generation, so
-/// the plan must repack its weights) and compares a second replay against a
-/// fresh tape of the perturbed program.
+/// [`CompiledPlan`] whose input is the program's `Input` leaf (or, in a
+/// program without one, a dummy it never reads), and checks that a replay
+/// equals the tape bit for bit. A program with an `Input` is then replayed
+/// over [`regrouped_batch`] of its rows, at another row count, against a
+/// tape of its forward part recorded over that batch. Last, it restores
+/// negated, halved parameter values into the same `ParamSet` (a new
+/// generation, so the plan must repack its weights) and compares a replay
+/// against a fresh tape of the perturbed program.
 fn check_plan(p: &Program) -> Result<PlanCheck, Discrepancy> {
     let mut ancestor = vec![false; p.insts.len()];
     ancestor[p.root] = true;
@@ -482,29 +527,42 @@ fn check_plan(p: &Program) -> Result<PlanCheck, Discrepancy> {
         forward[i] = !training_only(inst) && inst.parents().iter().all(|&q| forward[q]);
     }
     let outputs: Vec<usize> = (0..p.insts.len())
-        .filter(|&i| ancestor[i] && forward[i] && !matches!(p.insts[i], Inst::Param { .. }))
+        .filter(|&i| {
+            let leaf = matches!(p.insts[i], Inst::Param { .. } | Inst::Input { .. });
+            ancestor[i] && forward[i] && !leaf
+        })
         .collect();
 
-    let dummy = Matrix::zeros(1, 1);
     let mut params = ParamSet::new();
     let mut g = Graph::new();
-    let input = g.constant(dummy.clone());
-    let (vars, _) = record(p, &mut params, &mut g);
+    let dummy = g.constant(Matrix::zeros(1, 1));
+    let (vars, _) = record(p, &mut params, &mut g, None);
+    let batch_leaf = p.insts.iter().position(|inst| matches!(inst, Inst::Input { .. }));
+    let input = batch_leaf.map_or(dummy, |k| vars[k]);
+    let probe = g.value(input).clone();
     let out_vars: Vec<Var> = outputs.iter().map(|&i| vars[i]).collect();
     let plan = match CompiledPlan::compile(&g, input, &out_vars) {
         Ok(plan) => plan,
         Err(e) => return Ok(PlanCheck::Refused(e)),
     };
     let mut bufs = PlanBuffers::new();
+    // Every regrouped row holds at most one NaN, so the NaN bits a row
+    // computes are fixed, until sigmoid's `-v` flips a NaN's sign and the
+    // two signs meet in a binary op. Which operand's NaN the kernel keeps
+    // then depends on whether the element lands in a vectorized body or a
+    // scalar tail (an `add` of `+NaN` and `-NaN` keeps the second operand's
+    // in the 8-wide body and the first's in the tail), and grouping moves
+    // elements between the two. Such programs match NaN to any NaN.
+    let nan_signs_meet =
+        (0..p.insts.len()).any(|i| forward[i] && matches!(p.insts[i], Inst::Sigmoid { .. }));
     let compare = |tape: &Graph, tape_vars: &[Var], bufs: &PlanBuffers, when: &str| {
+        let same = |a: &f32, b: &f32| {
+            a.to_bits() == b.to_bits() || (nan_signs_meet && a.is_nan() && b.is_nan())
+        };
         for (o, &i) in outputs.iter().enumerate() {
             let (got, want) = (plan.output(o, bufs), tape.value(tape_vars[i]));
             let differs = got.shape() != want.shape()
-                || got
-                    .as_slice()
-                    .iter()
-                    .zip(want.as_slice())
-                    .any(|(a, b)| a.to_bits() != b.to_bits());
+                || !got.as_slice().iter().zip(want.as_slice()).all(|(a, b)| same(a, b));
             if differs {
                 return Err(Discrepancy {
                     inst: i,
@@ -516,8 +574,17 @@ fn check_plan(p: &Program) -> Result<PlanCheck, Discrepancy> {
         }
         Ok(())
     };
-    plan.execute(&params, &dummy, &mut bufs);
+    plan.execute(&params, &probe, &mut bufs);
     compare(&g, &vars, &bufs, "first replay")?;
+
+    if batch_leaf.is_some() {
+        let batch = regrouped_batch(&probe);
+        let mut tape_params = ParamSet::new();
+        let mut tape = Graph::new();
+        let (tape_vars, _) = record(p, &mut tape_params, &mut tape, Some((&batch, &forward)));
+        plan.execute(&params, &batch, &mut bufs);
+        compare(&tape, &tape_vars, &bufs, "grouped replay")?;
+    }
 
     let mut perturbed = p.clone();
     for inst in &mut perturbed.insts {
@@ -527,11 +594,46 @@ fn check_plan(p: &Program) -> Result<PlanCheck, Discrepancy> {
     }
     let mut fresh_params = ParamSet::new();
     let mut fresh = Graph::new();
-    let (fresh_vars, _) = record(&perturbed, &mut fresh_params, &mut fresh);
+    let (fresh_vars, _) = record(&perturbed, &mut fresh_params, &mut fresh, None);
     params.restore(&fresh_params.snapshot());
-    plan.execute(&params, &dummy, &mut bufs);
+    plan.execute(&params, &probe, &mut bufs);
     compare(&fresh, &fresh_vars, &bufs, "replay after restore")?;
     Ok(PlanCheck::Matched(outputs.len()))
+}
+
+/// Quiet NaNs that differ only in payload (the last also in sign).
+const NAN_PAYLOADS: [u32; 3] = [0x7fc0_0001, 0x7fc0_0002, 0xffc0_0003];
+
+/// The batch [`check_plan`] regroups a program's probe rows into: `3n + 1`
+/// rows cycling through the probe's `n` in another order; the first probe
+/// row holding a zero, with that zero's sign flipped; and, unless the
+/// numerics sanitizer is on (non-finite values abort it by contract),
+/// probe row 0 with column 0 set to each of [`NAN_PAYLOADS`], twice each.
+/// Rows repeat, and some differ from another only in the sign of a zero or
+/// in a NaN payload, which the plan's row grouping must keep apart.
+fn regrouped_batch(probe: &Matrix) -> Matrix {
+    let n = probe.rows();
+    if n == 0 || probe.cols() == 0 {
+        return Matrix::zeros(3, probe.cols());
+    }
+    let mut rows: Vec<Vec<f32>> =
+        (0..3 * n + 1).map(|r| probe.row((5 * r + 1) % n).to_vec()).collect();
+    let is_zero = |v: &f32| v.to_bits() << 1 == 0;
+    if let Some(mut row) = (0..n).map(|r| probe.row(r).to_vec()).find(|r| r.iter().any(is_zero)) {
+        if let Some(zero) = row.iter_mut().find(|v| is_zero(v)) {
+            *zero = -*zero;
+        }
+        rows.push(row);
+    }
+    if !adamel_tensor::sanitize::enabled() {
+        for &payload in &NAN_PAYLOADS {
+            let mut row = probe.row(0).to_vec();
+            row[0] = f32::from_bits(payload);
+            rows.push(row.clone());
+            rows.push(row);
+        }
+    }
+    Matrix::from_rows(&rows)
 }
 
 /// Upper bound on gradient elements finite-difference-checked per parameter;
@@ -670,9 +772,45 @@ impl Default for GenOptions {
     }
 }
 
+/// Rows of a generated program's `Input` leaf: 6, or 18 in the blocked
+/// profile, where products of the batch by a 16-wide parameter then take
+/// the blocked kernels. Neither parameter palette has either dim, so a node
+/// has this many rows exactly when it is computed from the batch, and the
+/// batch's rows never meet a parameter's.
+fn batch_rows(opts: &GenOptions) -> usize {
+    if opts.blocked {
+        18
+    } else {
+        6
+    }
+}
+
+/// The `rows x cols` data of a generated `Input`: three base rows (about a
+/// quarter of their entries zero, base 0 starting with one), laid out
+/// `b0 b1 b0 b2 b0' b1` and repeated, where `b0'` is `b0` with that first
+/// zero negated. Rows repeat, and some differ only in the sign of a zero.
+fn batch_data(rng: &mut StdRng, rows: usize, cols: usize) -> Vec<f32> {
+    let mut base: Vec<Vec<f32>> = (0..3)
+        .map(|_| {
+            let mut entry = || if rng.gen_bool(0.25) { 0.0 } else { rng.gen_range(-2.0f32..2.0) };
+            (0..cols).map(|_| entry()).collect()
+        })
+        .collect();
+    base[0][0] = 0.0;
+    let mut signed = base[0].clone();
+    signed[0] = -0.0;
+    let pattern = [&base[0], &base[1], &base[0], &base[2], &signed, &base[1]];
+    pattern.iter().cycle().take(rows).flat_map(|r| r.iter().copied()).collect()
+}
+
 /// Generates a random well-shaped program with roughly `size` instructions,
-/// rejecting nodes whose oracle value explodes past `1e4`. All sinks are
-/// folded through `MeanAll` and an `Add` chain into a single scalar root.
+/// rejecting nodes whose oracle value explodes past `1e4`. Instruction 0 is
+/// an `Input` of two or three column windows of palette widths, which the
+/// program reads only through `SliceCols` (one per window up front, times a
+/// weight of its own, more at random); products never take a batch node as
+/// their right operand, so the plan check can replay the forward part at
+/// another row count. All sinks are folded through `MeanAll` and an `Add`
+/// chain into a single scalar root.
 pub fn gen_program(seed: u64, size: usize) -> Program {
     gen_program_with(seed, &GenOptions { size, blocked: false })
 }
@@ -709,6 +847,27 @@ pub fn gen_program_with(seed: u64, opts: &GenOptions) -> Program {
             rng.gen_range(1..=4usize)
         }
     };
+    let mut windows: Vec<(usize, usize)> = Vec::new();
+    let mut cols = 0;
+    for _ in 0..2 + rng.gen_range(0..2usize) {
+        let width = dim(&mut rng);
+        windows.push((cols, width));
+        cols += width;
+    }
+    let rows = batch_rows(opts);
+    let data = batch_data(&mut rng, rows, cols);
+    push(&mut insts, &mut values, Inst::Input { rows, cols, data });
+    // Each window's slice times a weight of its own: the model's Eq. 4
+    // shape, so every program's plan runs a product over grouped rows.
+    for &(start, width) in &windows {
+        push(&mut insts, &mut values, Inst::SliceCols { a: 0, start, width });
+        let cols = dim(&mut rng);
+        let data: Vec<f32> = (0..width * cols).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
+        push(&mut insts, &mut values, Inst::Param { rows: width, cols, data });
+        let n = insts.len();
+        push(&mut insts, &mut values, Inst::MatMul { a: n - 2, b: n - 1 });
+    }
+    let batch_insts = insts.len();
     let n_params = 1 + rng.gen_range(0..3usize) + usize::from(opts.blocked);
     for _ in 0..n_params {
         let rows = dim(&mut rng);
@@ -718,16 +877,18 @@ pub fn gen_program_with(seed: u64, opts: &GenOptions) -> Program {
     }
 
     let mut attempts = 0;
-    while insts.len() < size.max(n_params + 1) && attempts < 40 * size {
+    while insts.len() < batch_insts + size.max(n_params + 1) && attempts < 40 * size {
         attempts += 1;
         let n = insts.len();
-        let pick = |rng: &mut StdRng| rng.gen_range(0..n);
+        // Instruction 0, the batch, is read only through `SliceCols`.
+        let pick = |rng: &mut StdRng| rng.gen_range(1..n);
         let inst = match rng.gen_range(0..14u32) {
             0 => {
-                // MatMul: find a pair with a.cols == b.rows.
+                // MatMul: find a pair with a.cols == b.rows, b not a batch.
                 let a = pick(&mut rng);
-                let candidates: Vec<usize> =
-                    (0..n).filter(|&b| values[b].rows() == values[a].cols()).collect();
+                let candidates: Vec<usize> = (1..n)
+                    .filter(|&b| values[b].rows() == values[a].cols() && values[b].rows() != rows)
+                    .collect();
                 if candidates.is_empty() {
                     continue;
                 }
@@ -737,7 +898,7 @@ pub fn gen_program_with(seed: u64, opts: &GenOptions) -> Program {
             1 | 2 => {
                 let a = pick(&mut rng);
                 let candidates: Vec<usize> =
-                    (0..n).filter(|&b| values[b].shape() == values[a].shape()).collect();
+                    (1..n).filter(|&b| values[b].shape() == values[a].shape()).collect();
                 let b = candidates[rng.gen_range(0..candidates.len())];
                 if rng.gen_bool(0.5) {
                     Inst::Add { a, b }
@@ -747,7 +908,7 @@ pub fn gen_program_with(seed: u64, opts: &GenOptions) -> Program {
             }
             3 => {
                 let a = pick(&mut rng);
-                let candidates: Vec<usize> = (0..n)
+                let candidates: Vec<usize> = (1..n)
                     .filter(|&b| values[b].rows() == 1 && values[b].cols() == values[a].cols())
                     .collect();
                 if candidates.is_empty() {
@@ -758,7 +919,7 @@ pub fn gen_program_with(seed: u64, opts: &GenOptions) -> Program {
             }
             4 => {
                 let a = pick(&mut rng);
-                let candidates: Vec<usize> = (0..n)
+                let candidates: Vec<usize> = (1..n)
                     .filter(|&b| values[b].cols() == 1 && values[b].rows() == values[a].rows())
                     .collect();
                 if candidates.is_empty() {
@@ -775,9 +936,13 @@ pub fn gen_program_with(seed: u64, opts: &GenOptions) -> Program {
             10 => {
                 let a = pick(&mut rng);
                 let candidates: Vec<usize> =
-                    (0..n).filter(|&b| values[b].rows() == values[a].rows()).collect();
+                    (1..n).filter(|&b| values[b].rows() == values[a].rows()).collect();
                 let b = candidates[rng.gen_range(0..candidates.len())];
                 Inst::ConcatCols { parts: vec![a, b] }
+            }
+            11 if rng.gen_bool(0.3) => {
+                let (start, width) = windows[rng.gen_range(0..windows.len())];
+                Inst::SliceCols { a: 0, start, width }
             }
             11 => {
                 let a = pick(&mut rng);
@@ -788,7 +953,7 @@ pub fn gen_program_with(seed: u64, opts: &GenOptions) -> Program {
             }
             12 => {
                 // BCE needs an n x 1 logit column; slice one if necessary.
-                let candidates: Vec<usize> = (0..n).filter(|&b| values[b].cols() == 1).collect();
+                let candidates: Vec<usize> = (1..n).filter(|&b| values[b].cols() == 1).collect();
                 if candidates.is_empty() {
                     continue;
                 }
@@ -855,7 +1020,7 @@ fn remove_insts(p: &Program, dead: &[bool]) -> Option<Program> {
         }
         let mut inst = inst.clone();
         match &mut inst {
-            Inst::Param { .. } => {}
+            Inst::Param { .. } | Inst::Input { .. } => {}
             Inst::MatMul { a, b } | Inst::Add { a, b } | Inst::Mul { a, b } => {
                 *a = remap[*a];
                 *b = remap[*b];
@@ -986,6 +1151,9 @@ fn render_inst(inst: &Inst) -> String {
         Inst::Param { rows, cols, data } => {
             format!("Inst::Param {{ rows: {rows}, cols: {cols}, data: {} }}", render_f32s(data))
         }
+        Inst::Input { rows, cols, data } => {
+            format!("Inst::Input {{ rows: {rows}, cols: {cols}, data: {} }}", render_f32s(data))
+        }
         Inst::MatMul { a, b } => format!("Inst::MatMul {{ a: {a}, b: {b} }}"),
         Inst::Add { a, b } => format!("Inst::Add {{ a: {a}, b: {b} }}"),
         Inst::AddRowBroadcast { a, bias } => {
@@ -1063,9 +1231,16 @@ mod tests {
             let p = gen_program(seed, 8);
             assert!(!p.insts.is_empty());
             assert!(p.root < p.insts.len());
+            assert!(matches!(p.insts[0], Inst::Input { rows: 6, .. }), "seed {seed}: batch leaf");
             for (i, inst) in p.insts.iter().enumerate() {
                 for q in inst.parents() {
                     assert!(q < i, "forward reference in seed {seed}");
+                }
+                if inst.parents().contains(&0) {
+                    assert!(
+                        matches!(inst, Inst::SliceCols { .. }),
+                        "seed {seed}: the batch is read only through slice_cols"
+                    );
                 }
             }
         }

@@ -47,6 +47,27 @@
 //! [`CompiledPlan::compile`] rejects it ([`PlanError::ScalingConstant`]).
 //! Loss/reduction ops are recording-only and likewise rejected when
 //! reachable from the requested outputs.
+//!
+//! ## Row grouping
+//!
+//! Batches repeat row blocks: the model embeds every empty token set as one
+//! fixed missing-value vector, so many of a chunk's per-feature column
+//! windows are bit-identical. Compile tags each step with the input window
+//! `slice_cols(Input, start, width)` it is a row-local function of: the
+//! slice itself; a plain or packed product by, or a row-broadcast add of, a
+//! `Param`/`Const`; `relu`, `tanh`, `sigmoid`, `scale` and `softmax_rows`;
+//! and `add`, `mul`, `mul_col_broadcast`, `concat_cols` and `slice_cols`
+//! whose row operands all share the window. Replay keys each window's rows
+//! by their bit pattern, numbers the distinct ones in first-seen order (the
+//! hash only steers probing, so no result depends on it) and runs the
+//! window's tagged steps over those distinct rows alone. A tagged buffer is
+//! gathered back to one row per input row only where an untagged step or a
+//! requested output reads it, and not at all when the window repeated no
+//! row. Every row is still computed by the same kernel from the same row,
+//! and the blocked and naive GEMM paths agree bit for bit on finite input,
+//! so a grouped replay equals the tape bit for bit. At `spans` and above
+//! the `plan.window_rows` and `plan.window_distinct_rows` counters sum each
+//! replay's rows and distinct rows over its windows.
 
 use crate::gemm::{PackedB, NR};
 use crate::graph::{Graph, Op, Var};
@@ -101,6 +122,29 @@ enum Src {
     Param(ParamId),
     /// An earlier step's output buffer.
     Buf(usize),
+    /// A window-tagged buffer at one row per input row.
+    Gathered(FullRows),
+}
+
+/// A buffer as untagged steps and requested outputs read it: `buf`, unless
+/// `window` repeated no row in the replay, in which case the `Gather` step
+/// into `buf` was skipped and the tagged buffer `src` already holds one row
+/// per input row.
+#[derive(Debug, Clone, Copy)]
+struct FullRows {
+    buf: usize,
+    src: usize,
+    window: Option<usize>,
+}
+
+impl FullRows {
+    /// The buffer holding the rows after a replay that grouped `groups`.
+    fn index(self, groups: &[RowGroups]) -> usize {
+        match self.window {
+            Some(w) if groups[w].all_distinct() => self.src,
+            _ => self.buf,
+        }
+    }
 }
 
 /// One replayable op, mirroring the forward subset of the tape's op set.
@@ -130,6 +174,15 @@ enum StepOp {
     /// A batch-sized constant with identical rows: the frozen `1 x k` row
     /// (a `Src::Const`) repeated once per replay row.
     FillRows(usize),
+    /// `slice_cols(Input, start, width)` of window `.0`, one row per
+    /// distinct row of the window.
+    WindowRows(usize),
+    /// Buffer `src`, tagged with `window`, expanded to one row per input
+    /// row; skipped when the window repeated no row.
+    Gather {
+        src: usize,
+        window: usize,
+    },
 }
 
 impl StepOp {
@@ -147,8 +200,62 @@ impl StepOp {
             StepOp::Sigmoid(_) => "sigmoid",
             StepOp::SoftmaxRows(_) => "softmax_rows",
             StepOp::ConcatCols(_) => "concat_cols",
-            StepOp::SliceCols { .. } => "slice_cols",
+            StepOp::SliceCols { .. } | StepOp::WindowRows(_) => "slice_cols",
             StepOp::FillRows(_) => "fill_rows",
+            StepOp::Gather { .. } => "gather",
+        }
+    }
+
+    /// The operands this step reads.
+    fn srcs_mut(&mut self) -> Vec<&mut Src> {
+        match self {
+            StepOp::MatMul(a, b)
+            | StepOp::Add(a, b)
+            | StepOp::AddRowBroadcast(a, b)
+            | StepOp::Mul(a, b)
+            | StepOp::MulColBroadcast(a, b) => vec![a, b],
+            StepOp::MatMulPacked { a, .. }
+            | StepOp::Scale(a, _)
+            | StepOp::Relu(a)
+            | StepOp::Tanh(a)
+            | StepOp::Sigmoid(a)
+            | StepOp::SoftmaxRows(a)
+            | StepOp::SliceCols { input: a, .. } => vec![a],
+            StepOp::ConcatCols(parts) => parts.iter_mut().collect(),
+            StepOp::FillRows(_) | StepOp::WindowRows(_) | StepOp::Gather { .. } => Vec::new(),
+        }
+    }
+
+    /// The input window this step is a row-local function of, given the
+    /// window of every earlier buffer (see the module docs), or `None`.
+    fn window(&self, buf_window: &[Option<usize>]) -> Option<usize> {
+        let win = |s: &Src| match s {
+            Src::Buf(i) => buf_window[*i],
+            _ => None,
+        };
+        let leaf = |s: &Src| matches!(s, Src::Param(_) | Src::Const(_));
+        let shared = |srcs: &[Src]| {
+            let w = win(srcs.first()?)?;
+            srcs.iter().all(|s| win(s) == Some(w)).then_some(w)
+        };
+        match self {
+            StepOp::WindowRows(w) => Some(*w),
+            StepOp::MatMul(a, b) | StepOp::AddRowBroadcast(a, b) if leaf(b) => win(a),
+            StepOp::MatMulPacked { a, .. }
+            | StepOp::Scale(a, _)
+            | StepOp::Relu(a)
+            | StepOp::Tanh(a)
+            | StepOp::Sigmoid(a)
+            | StepOp::SoftmaxRows(a)
+            | StepOp::SliceCols { input: a, .. } => win(a),
+            StepOp::Add(a, b) | StepOp::Mul(a, b) | StepOp::MulColBroadcast(a, b) => {
+                shared(&[*a, *b])
+            }
+            StepOp::ConcatCols(parts) => shared(parts),
+            StepOp::MatMul(..)
+            | StepOp::AddRowBroadcast(..)
+            | StepOp::FillRows(_)
+            | StepOp::Gather { .. } => None,
         }
     }
 }
@@ -164,10 +271,11 @@ struct Step {
 pub struct CompiledPlan {
     steps: Vec<Step>,
     consts: Vec<Matrix>,
-    /// Buffer index per requested output, in request order.
-    outputs: Vec<usize>,
-    num_bufs: usize,
+    /// Where each requested output lives, in request order.
+    outputs: Vec<FullRows>,
     input_cols: usize,
+    /// `(start, width)` of each input column window, in window order.
+    windows: Vec<(usize, usize)>,
     /// The parameters `MatMulPacked` steps multiply by, in slot order.
     packed: Vec<ParamId>,
     /// Their packs for the latest generation replayed (see the module docs).
@@ -193,13 +301,102 @@ impl PackedParams {
     }
 }
 
-/// Reusable per-replay scratch: one buffer per computed step plus an input
-/// staging matrix. Buffers grow to the largest batch replayed through them
-/// and are then reused allocation-free; contents are meaningless between
-/// replays.
+/// Marks an empty slot of [`RowGroups::table`].
+const EMPTY_SLOT: usize = usize::MAX;
+
+/// One window's rows grouped by bit pattern, for the latest replay.
+#[derive(Default)]
+struct RowGroups {
+    /// Distinct-row id of each input row.
+    id_of_row: Vec<usize>,
+    /// First input row of each distinct id; ids count up in first-seen
+    /// order.
+    first_rows: Vec<usize>,
+    /// Open-addressing table of distinct ids keyed by row hash
+    /// ([`EMPTY_SLOT`] when free).
+    table: Vec<usize>,
+}
+
+impl RowGroups {
+    /// Groups the rows of `input`'s columns `[start, start + width)`.
+    fn group(&mut self, input: &Matrix, start: usize, width: usize) {
+        let rows = input.rows();
+        let key = |r: usize| &input.row(r)[start..start + width];
+        let mask = (2 * rows).next_power_of_two() - 1;
+        self.table.clear();
+        self.table.resize(mask + 1, EMPTY_SLOT);
+        self.id_of_row.clear();
+        self.first_rows.clear();
+        for r in 0..rows {
+            let row = key(r);
+            let mut slot = row_hash(row) & mask;
+            let id = loop {
+                let id = self.table[slot];
+                if id == EMPTY_SLOT {
+                    let id = self.first_rows.len();
+                    self.table[slot] = id;
+                    self.first_rows.push(r);
+                    break id;
+                }
+                if same_bits(key(self.first_rows[id]), row) {
+                    break id;
+                }
+                slot = (slot + 1) & mask;
+            };
+            self.id_of_row.push(id);
+        }
+    }
+
+    /// True when no row repeated, so the distinct rows are the input rows
+    /// in order and a gather would be the identity.
+    fn all_distinct(&self) -> bool {
+        self.first_rows.len() == self.id_of_row.len()
+    }
+
+    /// Writes the distinct rows of `input`'s window into `out`.
+    fn distinct_rows(&self, input: &Matrix, start: usize, width: usize, out: &mut Matrix) {
+        out.reset_shape(self.first_rows.len(), width);
+        for (id, &r) in self.first_rows.iter().enumerate() {
+            out.row_mut(id).copy_from_slice(&input.row(r)[start..start + width]);
+        }
+    }
+
+    /// Writes one row of `distinct` per input row into `out`.
+    fn gather(&self, distinct: &Matrix, out: &mut Matrix) {
+        out.reset_shape(self.id_of_row.len(), distinct.cols());
+        for (r, &id) in self.id_of_row.iter().enumerate() {
+            out.row_mut(r).copy_from_slice(distinct.row(id));
+        }
+    }
+
+    fn capacity_bytes(&self) -> usize {
+        let words = self.id_of_row.capacity() + self.first_rows.capacity() + self.table.capacity();
+        words * std::mem::size_of::<usize>()
+    }
+}
+
+/// FxHash-style mix of a row's bit patterns; it only picks the first probe
+/// slot, so its quality affects speed, never results.
+fn row_hash(row: &[f32]) -> usize {
+    let h = row.iter().fold(0u64, |h, v| {
+        (h.rotate_left(5) ^ u64::from(v.to_bits())).wrapping_mul(0x517c_c1b7_2722_0a95)
+    });
+    (h ^ (h >> 29)) as usize
+}
+
+/// Bitwise row equality: `+0.0` and `-0.0` differ, and so do NaN payloads.
+fn same_bits(a: &[f32], b: &[f32]) -> bool {
+    a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// Reusable per-replay scratch: one buffer per computed step, an input
+/// staging matrix, and each window's row groups. Buffers grow to the
+/// largest batch replayed through them and are then reused allocation-free;
+/// contents are meaningless between replays.
 pub struct PlanBuffers {
     bufs: Vec<Matrix>,
     input_scratch: Matrix,
+    groups: Vec<RowGroups>,
 }
 
 impl Default for PlanBuffers {
@@ -211,13 +408,14 @@ impl Default for PlanBuffers {
 impl PlanBuffers {
     /// An empty arena; [`CompiledPlan::execute`] sizes it on first use.
     pub fn new() -> Self {
-        Self { bufs: Vec::new(), input_scratch: Matrix::default() }
+        Self { bufs: Vec::new(), input_scratch: Matrix::default(), groups: Vec::new() }
     }
 
     /// Footprint of the arena in bytes: the capacity of every intermediate
-    /// buffer plus the input staging matrix. Capacity, not length: a buffer
-    /// keeps its allocation when a smaller batch reshapes it. Feeds the
-    /// `tensor.plan.pool.bytes` memory gauge.
+    /// and gather buffer, the input staging matrix, and the row-group index
+    /// vectors. Capacity, not length: a buffer keeps its allocation when a
+    /// smaller batch reshapes it. Feeds the `tensor.plan.pool.bytes` memory
+    /// gauge.
     pub fn logical_bytes(&self) -> u64 {
         let elems: usize = self
             .bufs
@@ -225,7 +423,8 @@ impl PlanBuffers {
             .map(Matrix::capacity)
             .sum::<usize>()
             .saturating_add(self.input_scratch.capacity());
-        (elems * 4) as u64
+        let groups: usize = self.groups.iter().map(RowGroups::capacity_bytes).sum();
+        (elems * 4 + groups) as u64
     }
 }
 
@@ -287,6 +486,44 @@ fn resolved(src: &[Option<Src>], v: Var) -> Src {
     src[v.index()].expect("plan compile: operand recorded after its use")
 }
 
+/// The step list under construction, with each buffer's window tag.
+#[derive(Default)]
+struct Emitter {
+    steps: Vec<Step>,
+    /// The window each buffer is a row-local function of, if any.
+    buf_window: Vec<Option<usize>>,
+    /// The `Gather` output of each tagged buffer, once one is emitted.
+    gathered: Vec<Option<usize>>,
+}
+
+impl Emitter {
+    /// Appends `op`, tagged with its window, and returns its buffer.
+    fn push(&mut self, op: StepOp) -> usize {
+        let out = self.steps.len();
+        self.buf_window.push(op.window(&self.buf_window));
+        self.gathered.push(None);
+        self.steps.push(Step { op, out });
+        out
+    }
+
+    /// Buffer `i` at one row per input row, emitting the `Gather` step a
+    /// tagged buffer needs on first use.
+    fn full_rows(&mut self, i: usize) -> FullRows {
+        let Some(window) = self.buf_window[i] else {
+            return FullRows { buf: i, src: i, window: None };
+        };
+        let buf = match self.gathered[i] {
+            Some(buf) => buf,
+            None => {
+                let buf = self.push(StepOp::Gather { src: i, window });
+                self.gathered[i] = Some(buf);
+                buf
+            }
+        };
+        FullRows { buf, src: i, window: Some(window) }
+    }
+}
+
 impl CompiledPlan {
     /// Compiles the subgraph of `g` that `outputs` depend on, treating
     /// `input` as the replay-time batch leaf. Nodes the outputs don't reach
@@ -315,8 +552,8 @@ impl CompiledPlan {
         let mut src: Vec<Option<Src>> = vec![None; tape.len()];
         let mut packed: Vec<ParamId> = Vec::new();
         let mut consts = Vec::new();
-        let mut steps = Vec::new();
-        let mut num_bufs = 0;
+        let mut windows: Vec<(usize, usize)> = Vec::new();
+        let mut emit = Emitter::default();
         for (i, node) in tape.iter().enumerate() {
             if !needed[i] {
                 continue;
@@ -325,7 +562,7 @@ impl CompiledPlan {
                 src[i] = Some(Src::Input);
                 continue;
             }
-            let op = match &node.op {
+            let mut op = match &node.op {
                 Op::Constant if node.value.rows() == probe_rows => {
                     // Batch-sized: replayable only as one row repeated,
                     // so every row must match the first bit for bit.
@@ -374,9 +611,17 @@ impl CompiledPlan {
                 Op::ConcatCols(parts) => {
                     StepOp::ConcatCols(parts.iter().map(|v| resolved(&src, *v)).collect())
                 }
-                Op::SliceCols { input: a, start, width } => {
-                    StepOp::SliceCols { input: resolved(&src, *a), start: *start, width: *width }
-                }
+                Op::SliceCols { input: a, start, width } => match resolved(&src, *a) {
+                    Src::Input => {
+                        let window = (*start, *width);
+                        let w = windows.iter().position(|&w| w == window).unwrap_or_else(|| {
+                            windows.push(window);
+                            windows.len() - 1
+                        });
+                        StepOp::WindowRows(w)
+                    }
+                    a_src => StepOp::SliceCols { input: a_src, start: *start, width: *width },
+                },
                 Op::MeanAll(_)
                 | Op::SumAll(_)
                 | Op::WeightedBceWithLogits { .. }
@@ -384,25 +629,32 @@ impl CompiledPlan {
                     return Err(PlanError::UnsupportedOp(node.op.name()));
                 }
             };
-            steps.push(Step { op, out: num_bufs });
-            src[i] = Some(Src::Buf(num_bufs));
-            num_bufs += 1;
+            if op.window(&emit.buf_window).is_none() {
+                for s in op.srcs_mut() {
+                    if let Src::Buf(b) = *s {
+                        if emit.buf_window[b].is_some() {
+                            *s = Src::Gathered(emit.full_rows(b));
+                        }
+                    }
+                }
+            }
+            src[i] = Some(Src::Buf(emit.push(op)));
         }
 
         let outputs = outputs
             .iter()
             .map(|v| match src[v.index()] {
-                Some(Src::Buf(b)) => Ok(b),
+                Some(Src::Buf(b)) => Ok(emit.full_rows(b)),
                 _ => Err(PlanError::UnsupportedOutput),
             })
             .collect::<Result<Vec<_>, _>>()?;
 
         Ok(CompiledPlan {
-            steps,
+            steps: emit.steps,
             consts,
             outputs,
-            num_bufs,
             input_cols,
+            windows,
             packed,
             packs: Mutex::new(None),
         })
@@ -450,9 +702,22 @@ impl CompiledPlan {
             input.cols(),
             self.input_cols
         );
-        if bufs.bufs.len() < self.num_bufs {
-            bufs.bufs.resize_with(self.num_bufs, Matrix::default);
+        if bufs.bufs.len() < self.steps.len() {
+            bufs.bufs.resize_with(self.steps.len(), Matrix::default);
         }
+        if bufs.groups.len() < self.windows.len() {
+            bufs.groups.resize_with(self.windows.len(), RowGroups::default);
+        }
+        let groups = &mut bufs.groups[..self.windows.len()];
+        for (g, &(start, width)) in groups.iter_mut().zip(&self.windows) {
+            g.group(input, start, width);
+        }
+        if adamel_obs::enabled() {
+            let distinct = groups.iter().map(|g| g.first_rows.len()).sum::<usize>();
+            adamel_obs::trace_count!("plan.window_rows", (groups.len() * input.rows()) as u64);
+            adamel_obs::trace_count!("plan.window_distinct_rows", distinct as u64);
+        }
+        let groups = &bufs.groups;
         let packs = self.packs_for(params);
         for step in &self.steps {
             // SSA: `out` strictly exceeds every operand buffer index, so
@@ -465,6 +730,7 @@ impl CompiledPlan {
                     Src::Const(i) => &self.consts[i],
                     Src::Param(id) => params.value(id),
                     Src::Buf(i) => &head[i],
+                    Src::Gathered(rows) => &head[rows.index(groups)],
                 }
             };
             match &step.op {
@@ -494,6 +760,17 @@ impl CompiledPlan {
                     for r in 0..input.rows() {
                         out.row_mut(r).copy_from_slice(row);
                     }
+                }
+                StepOp::WindowRows(w) => {
+                    let (start, width) = self.windows[*w];
+                    groups[*w].distinct_rows(input, start, width, out);
+                }
+                StepOp::Gather { src, window } => {
+                    if !groups[*window].all_distinct() {
+                        groups[*window].gather(&head[*src], out);
+                    }
+                    // The tagged source already passed the sanitizer.
+                    continue;
                 }
             }
             // Same runtime-sanitizer contract as the tape (self-gated; one
@@ -526,7 +803,7 @@ impl CompiledPlan {
     /// The value of requested output `i` after the latest
     /// [`execute`](Self::execute) into `bufs`.
     pub fn output<'a>(&self, i: usize, bufs: &'a PlanBuffers) -> &'a Matrix {
-        &bufs.bufs[self.outputs[i]]
+        &bufs.bufs[self.outputs[i].index(&bufs.groups)]
     }
 }
 
@@ -747,5 +1024,153 @@ mod tests {
         plan.execute(&params, &x, &mut bufs);
         assert_eq!(plan.output(0, &bufs).as_slice(), g2.value(out2).as_slice());
         pool.put_back(bufs);
+    }
+
+    /// A `rows x 4` batch of distinct rows.
+    fn wide(rows: usize, seed: f32) -> Matrix {
+        Matrix::from_vec(
+            rows,
+            4,
+            (0..rows * 4).map(|i| ((i as f32 * 0.53 + seed).sin()) * 2.0).collect(),
+        )
+    }
+
+    /// Records the two-window program the grouping tests share over `x`
+    /// (`n x 4`, windows `[0, 2)` and `[2, 4)`): per window
+    /// `t_k = tanh(relu(x_k · w + b))`, then the untagged `concat_cols` of
+    /// both and the tagged `t_0` as outputs, with `scale(x_0, -1)` last so a
+    /// merged `+0.0`/`-0.0` row would show in the output's signs.
+    fn record_windows(
+        params: &ParamSet,
+        w: ParamId,
+        b: ParamId,
+        x: Matrix,
+    ) -> (Graph, Var, [Var; 3]) {
+        let mut g = Graph::new();
+        let input = g.constant(x);
+        let wv = g.param(params, w);
+        let bv = g.param(params, b);
+        let mut ts = Vec::new();
+        for start in [0, 2] {
+            let x_k = g.slice_cols(input, start, 2);
+            let h = g.linear_relu(x_k, wv, bv);
+            ts.push(g.tanh(h));
+        }
+        let both = g.concat_cols(&ts);
+        let x_0 = g.slice_cols(input, 0, 2);
+        let negated = g.scale(x_0, -1.0);
+        (g, input, [both, ts[0], negated])
+    }
+
+    /// Replays the two-window program over `x` and requires every output to
+    /// equal a fresh tape bit for bit; returns the arena for inspection.
+    fn replay_windows(x: &Matrix) -> (CompiledPlan, PlanBuffers) {
+        let (params, w, b) = setup();
+        let (g, input, outs) = record_windows(&params, w, b, wide(2, 0.0));
+        let plan = CompiledPlan::compile(&g, input, &outs).expect("compiles");
+        let mut bufs = PlanBuffers::new();
+        plan.execute(&params, x, &mut bufs);
+        let (g2, _, outs2) = record_windows(&params, w, b, x.clone());
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (i, &v) in outs2.iter().enumerate() {
+            assert_eq!(plan.output(i, &bufs).shape(), g2.value(v).shape(), "output {i}");
+            assert_eq!(bits(plan.output(i, &bufs)), bits(g2.value(v)), "output {i}");
+        }
+        (plan, bufs)
+    }
+
+    fn distinct_per_window(bufs: &PlanBuffers) -> Vec<usize> {
+        bufs.groups.iter().map(|g| g.first_rows.len()).collect()
+    }
+
+    #[test]
+    fn window_of_equal_rows_runs_once_and_gathers() {
+        let x = Matrix::from_rows(&vec![vec![0.5, -1.25, 2.0, 0.75]; 9]);
+        let (plan, bufs) = replay_windows(&x);
+        assert_eq!(plan.windows, vec![(0, 2), (2, 2)]);
+        assert_eq!(distinct_per_window(&bufs), vec![1, 1]);
+        assert!(plan.steps.iter().any(|s| matches!(s.op, StepOp::Gather { .. })));
+    }
+
+    #[test]
+    fn window_of_distinct_rows_skips_the_gather() {
+        let x = wide(7, 0.3);
+        let (plan, bufs) = replay_windows(&x);
+        assert_eq!(distinct_per_window(&bufs), vec![7, 7]);
+        // Every gather was skipped: each output resolves to its tagged
+        // buffer, and the gather buffers were never written.
+        for (s, buf) in plan.steps.iter().zip(&bufs.bufs) {
+            if matches!(s.op, StepOp::Gather { .. }) {
+                assert_eq!(buf.capacity(), 0, "a skipped gather allocates nothing");
+            }
+        }
+    }
+
+    #[test]
+    fn signed_zero_rows_stay_distinct() {
+        // Rows 0/1 and 2/3 differ only in the sign of one zero.
+        let x = Matrix::from_rows(&[
+            vec![0.0, 1.5, 0.0, -0.5],
+            vec![-0.0, 1.5, 0.0, -0.5],
+            vec![0.0, 1.5, -0.0, -0.5],
+            vec![0.0, 1.5, 0.0, -0.5],
+        ]);
+        let (_, bufs) = replay_windows(&x);
+        assert_eq!(distinct_per_window(&bufs), vec![2, 2]);
+    }
+
+    #[test]
+    fn row_groups_key_on_bit_patterns() {
+        // Signed zeros and NaN payloads stay apart; ids follow first sight.
+        let nan = |payload: u32| f32::from_bits(0x7fc0_0000 | payload);
+        let col = [0.0, -0.0, nan(1), nan(2), nan(1), 0.0, -0.0, nan(2)];
+        let x = Matrix::from_vec(col.len(), 2, col.iter().flat_map(|&v| [1.5, v]).collect());
+        let mut groups = RowGroups::default();
+        groups.group(&x, 0, 2);
+        assert_eq!(groups.id_of_row, vec![0, 1, 2, 3, 2, 0, 1, 3]);
+        assert_eq!(groups.first_rows, vec![0, 1, 2, 3]);
+        // The window `[0, 1)` holds only the constant column.
+        groups.group(&x, 0, 1);
+        assert_eq!(groups.first_rows, vec![0]);
+        assert!(!groups.all_distinct());
+    }
+
+    #[test]
+    fn tagged_output_and_two_window_concat_match_the_tape() {
+        // Repeats within each window, in different patterns per window,
+        // at a row count unlike the 2-row probe.
+        let rows: Vec<Vec<f32>> = (0..13)
+            .map(|r| {
+                let (a, b) = ((r % 3) as f32, (r % 5) as f32);
+                vec![a * 0.7 - 1.0, a * 0.3, b * -0.4, 1.0 - b * 0.2]
+            })
+            .collect();
+        let (plan, bufs) = replay_windows(&Matrix::from_rows(&rows));
+        assert_eq!(distinct_per_window(&bufs), vec![3, 5]);
+        // `t_0` is an output straight from its window, so it is gathered.
+        assert!(matches!(plan.outputs[1].window, Some(0)));
+        assert_eq!(plan.output(1, &bufs).rows(), 13);
+    }
+
+    #[test]
+    fn logical_bytes_count_gather_buffers_and_row_indices() {
+        let x = Matrix::from_rows(&vec![vec![1.0, 2.0, 3.0, 4.0]; 16]);
+        let (plan, bufs) = replay_windows(&x);
+        let gathered: usize = plan
+            .steps
+            .iter()
+            .filter(|s| matches!(s.op, StepOp::Gather { .. }))
+            .map(|s| bufs.bufs[s.out].capacity())
+            .sum();
+        assert!(gathered >= 16 * 2, "the gathered `t_k` rows: {gathered}");
+        let index_words: usize = bufs
+            .groups
+            .iter()
+            .map(|g| g.id_of_row.capacity() + g.first_rows.capacity() + g.table.capacity())
+            .sum();
+        assert!(index_words >= 2 * (16 + 1 + 32), "row ids, first rows and tables: {index_words}");
+        let elems: usize = bufs.bufs.iter().map(Matrix::capacity).sum();
+        let expected = elems * 4 + index_words * std::mem::size_of::<usize>();
+        assert_eq!(bufs.logical_bytes(), expected as u64);
     }
 }
