@@ -89,10 +89,10 @@ const PLAN_PROBE_ROWS: usize = 2;
 ///
 /// A chunk's replay arena holds every intermediate of the forward. The plan
 /// computes each feature's Eq. 4–5 stages once per distinct feature block,
-/// so the arena depends on how often blocks repeat: at paper dimensions it
-/// is 28.1 MB for a chunk that repeats none, plus at most 3.4 MB of gather
-/// buffers, and 26.0 MB (`tensor.plan.pool.bytes`) after `perfjson`'s
-/// 200-pair `predict` row. Smaller chunks cost no repacking: the plan packs
+/// so the arena depends on how often blocks repeat. At paper dimensions
+/// `tensor.plan.pool.bytes` reads 31.6 MB after a 26-feature chunk that
+/// repeats no block (3.4 MB of it the gathered `t_j` rows) and 26.0 MB
+/// after `perfjson`'s 200-pair `predict` row. Smaller chunks cost no repacking: the plan packs
 /// its weights once per parameter generation, not once per replay.
 const PREDICT_CHUNK_ROWS: usize = 128;
 

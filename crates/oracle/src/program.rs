@@ -552,13 +552,14 @@ fn check_plan(p: &Program) -> Result<PlanCheck, Discrepancy> {
     // then depends on whether the element lands in a vectorized body or a
     // scalar tail (an `add` of `+NaN` and `-NaN` keeps the second operand's
     // in the 8-wide body and the first's in the tail), and grouping moves
-    // elements between the two. Such programs match NaN to any NaN.
+    // elements between the two. In such programs the grouped replay matches
+    // NaN to any NaN; the other comparisons replay the probe's own rows and
+    // stay bitwise.
     let nan_signs_meet =
         (0..p.insts.len()).any(|i| forward[i] && matches!(p.insts[i], Inst::Sigmoid { .. }));
-    let compare = |tape: &Graph, tape_vars: &[Var], bufs: &PlanBuffers, when: &str| {
-        let same = |a: &f32, b: &f32| {
-            a.to_bits() == b.to_bits() || (nan_signs_meet && a.is_nan() && b.is_nan())
-        };
+    let compare = |tape: &Graph, tape_vars: &[Var], bufs: &PlanBuffers, when: &str, nan_ok| {
+        let same =
+            |a: &f32, b: &f32| a.to_bits() == b.to_bits() || (nan_ok && a.is_nan() && b.is_nan());
         for (o, &i) in outputs.iter().enumerate() {
             let (got, want) = (plan.output(o, bufs), tape.value(tape_vars[i]));
             let differs = got.shape() != want.shape()
@@ -575,7 +576,7 @@ fn check_plan(p: &Program) -> Result<PlanCheck, Discrepancy> {
         Ok(())
     };
     plan.execute(&params, &probe, &mut bufs);
-    compare(&g, &vars, &bufs, "first replay")?;
+    compare(&g, &vars, &bufs, "first replay", false)?;
 
     if batch_leaf.is_some() {
         let batch = regrouped_batch(&probe);
@@ -583,7 +584,7 @@ fn check_plan(p: &Program) -> Result<PlanCheck, Discrepancy> {
         let mut tape = Graph::new();
         let (tape_vars, _) = record(p, &mut tape_params, &mut tape, Some((&batch, &forward)));
         plan.execute(&params, &batch, &mut bufs);
-        compare(&tape, &tape_vars, &bufs, "grouped replay")?;
+        compare(&tape, &tape_vars, &bufs, "grouped replay", nan_signs_meet)?;
     }
 
     let mut perturbed = p.clone();
@@ -597,7 +598,7 @@ fn check_plan(p: &Program) -> Result<PlanCheck, Discrepancy> {
     let (fresh_vars, _) = record(&perturbed, &mut fresh_params, &mut fresh, None);
     params.restore(&fresh_params.snapshot());
     plan.execute(&params, &probe, &mut bufs);
-    compare(&fresh, &fresh_vars, &bufs, "replay after restore")?;
+    compare(&fresh, &fresh_vars, &bufs, "replay after restore", false)?;
     Ok(PlanCheck::Matched(outputs.len()))
 }
 

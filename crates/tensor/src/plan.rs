@@ -62,12 +62,12 @@
 //! hash only steers probing, so no result depends on it) and runs the
 //! window's tagged steps over those distinct rows alone. A tagged buffer is
 //! gathered back to one row per input row only where an untagged step or a
-//! requested output reads it, and not at all when the window repeated no
-//! row. Every row is still computed by the same kernel from the same row,
-//! and the blocked and naive GEMM paths agree bit for bit on finite input,
-//! so a grouped replay equals the tape bit for bit. At `spans` and above
-//! the `plan.window_rows` and `plan.window_distinct_rows` counters sum each
-//! replay's rows and distinct rows over its windows.
+//! requested output reads it. Every row is still computed by the same
+//! kernel from the same row, and the blocked and naive GEMM paths agree bit
+//! for bit on finite input, so a grouped replay equals the tape bit for
+//! bit. At `spans` and above the `plan.window_rows` and
+//! `plan.window_distinct_rows` counters sum each replay's rows and distinct
+//! rows over its windows.
 
 use crate::gemm::{PackedB, NR};
 use crate::graph::{Graph, Op, Var};
@@ -122,29 +122,6 @@ enum Src {
     Param(ParamId),
     /// An earlier step's output buffer.
     Buf(usize),
-    /// A window-tagged buffer at one row per input row.
-    Gathered(FullRows),
-}
-
-/// A buffer as untagged steps and requested outputs read it: `buf`, unless
-/// `window` repeated no row in the replay, in which case the `Gather` step
-/// into `buf` was skipped and the tagged buffer `src` already holds one row
-/// per input row.
-#[derive(Debug, Clone, Copy)]
-struct FullRows {
-    buf: usize,
-    src: usize,
-    window: Option<usize>,
-}
-
-impl FullRows {
-    /// The buffer holding the rows after a replay that grouped `groups`.
-    fn index(self, groups: &[RowGroups]) -> usize {
-        match self.window {
-            Some(w) if groups[w].all_distinct() => self.src,
-            _ => self.buf,
-        }
-    }
 }
 
 /// One replayable op, mirroring the forward subset of the tape's op set.
@@ -178,7 +155,7 @@ enum StepOp {
     /// distinct row of the window.
     WindowRows(usize),
     /// Buffer `src`, tagged with `window`, expanded to one row per input
-    /// row; skipped when the window repeated no row.
+    /// row.
     Gather {
         src: usize,
         window: usize,
@@ -271,8 +248,8 @@ struct Step {
 pub struct CompiledPlan {
     steps: Vec<Step>,
     consts: Vec<Matrix>,
-    /// Where each requested output lives, in request order.
-    outputs: Vec<FullRows>,
+    /// Buffer index per requested output, in request order.
+    outputs: Vec<usize>,
     input_cols: usize,
     /// `(start, width)` of each input column window, in window order.
     windows: Vec<(usize, usize)>,
@@ -347,12 +324,6 @@ impl RowGroups {
         }
     }
 
-    /// True when no row repeated, so the distinct rows are the input rows
-    /// in order and a gather would be the identity.
-    fn all_distinct(&self) -> bool {
-        self.first_rows.len() == self.id_of_row.len()
-    }
-
     /// Writes the distinct rows of `input`'s window into `out`.
     fn distinct_rows(&self, input: &Matrix, start: usize, width: usize, out: &mut Matrix) {
         out.reset_shape(self.first_rows.len(), width);
@@ -375,12 +346,25 @@ impl RowGroups {
     }
 }
 
-/// FxHash-style mix of a row's bit patterns; it only picks the first probe
-/// slot, so its quality affects speed, never results.
+/// FxHash-style mix of a row's bit patterns, two values per word over four
+/// independent lanes so the multiply chains overlap; it only picks the
+/// first probe slot, so its quality affects speed, never results.
 fn row_hash(row: &[f32]) -> usize {
-    let h = row.iter().fold(0u64, |h, v| {
-        (h.rotate_left(5) ^ u64::from(v.to_bits())).wrapping_mul(0x517c_c1b7_2722_0a95)
-    });
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+    let mix = |h: u64, v: u64| (h.rotate_left(5) ^ v).wrapping_mul(K);
+    let bits = |a: f32, b: f32| u64::from(a.to_bits()) | u64::from(b.to_bits()) << 32;
+    let mut lanes = [0u64; 4];
+    let mut chunks = row.chunks_exact(8);
+    for c in &mut chunks {
+        lanes[0] = mix(lanes[0], bits(c[0], c[1]));
+        lanes[1] = mix(lanes[1], bits(c[2], c[3]));
+        lanes[2] = mix(lanes[2], bits(c[4], c[5]));
+        lanes[3] = mix(lanes[3], bits(c[6], c[7]));
+    }
+    let mut h = lanes.into_iter().fold(0, mix);
+    for v in chunks.remainder() {
+        h = mix(h, u64::from(v.to_bits()));
+    }
     (h ^ (h >> 29)) as usize
 }
 
@@ -506,21 +490,20 @@ impl Emitter {
         out
     }
 
-    /// Buffer `i` at one row per input row, emitting the `Gather` step a
-    /// tagged buffer needs on first use.
-    fn full_rows(&mut self, i: usize) -> FullRows {
+    /// The buffer holding buffer `i` at one row per input row, emitting
+    /// the `Gather` step a tagged buffer needs on first use.
+    fn full_rows(&mut self, i: usize) -> usize {
         let Some(window) = self.buf_window[i] else {
-            return FullRows { buf: i, src: i, window: None };
+            return i;
         };
-        let buf = match self.gathered[i] {
+        match self.gathered[i] {
             Some(buf) => buf,
             None => {
                 let buf = self.push(StepOp::Gather { src: i, window });
                 self.gathered[i] = Some(buf);
                 buf
             }
-        };
-        FullRows { buf, src: i, window: Some(window) }
+        }
     }
 }
 
@@ -633,7 +616,7 @@ impl CompiledPlan {
                 for s in op.srcs_mut() {
                     if let Src::Buf(b) = *s {
                         if emit.buf_window[b].is_some() {
-                            *s = Src::Gathered(emit.full_rows(b));
+                            *s = Src::Buf(emit.full_rows(b));
                         }
                     }
                 }
@@ -730,7 +713,6 @@ impl CompiledPlan {
                     Src::Const(i) => &self.consts[i],
                     Src::Param(id) => params.value(id),
                     Src::Buf(i) => &head[i],
-                    Src::Gathered(rows) => &head[rows.index(groups)],
                 }
             };
             match &step.op {
@@ -766,9 +748,7 @@ impl CompiledPlan {
                     groups[*w].distinct_rows(input, start, width, out);
                 }
                 StepOp::Gather { src, window } => {
-                    if !groups[*window].all_distinct() {
-                        groups[*window].gather(&head[*src], out);
-                    }
+                    groups[*window].gather(&head[*src], out);
                     // The tagged source already passed the sanitizer.
                     continue;
                 }
@@ -803,7 +783,7 @@ impl CompiledPlan {
     /// The value of requested output `i` after the latest
     /// [`execute`](Self::execute) into `bufs`.
     pub fn output<'a>(&self, i: usize, bufs: &'a PlanBuffers) -> &'a Matrix {
-        &bufs.bufs[self.outputs[i].index(&bufs.groups)]
+        &bufs.bufs[self.outputs[i]]
     }
 }
 
@@ -1093,17 +1073,9 @@ mod tests {
     }
 
     #[test]
-    fn window_of_distinct_rows_skips_the_gather() {
-        let x = wide(7, 0.3);
-        let (plan, bufs) = replay_windows(&x);
+    fn window_of_distinct_rows_matches_the_tape() {
+        let (_, bufs) = replay_windows(&wide(7, 0.3));
         assert_eq!(distinct_per_window(&bufs), vec![7, 7]);
-        // Every gather was skipped: each output resolves to its tagged
-        // buffer, and the gather buffers were never written.
-        for (s, buf) in plan.steps.iter().zip(&bufs.bufs) {
-            if matches!(s.op, StepOp::Gather { .. }) {
-                assert_eq!(buf.capacity(), 0, "a skipped gather allocates nothing");
-            }
-        }
     }
 
     #[test]
@@ -1132,7 +1104,6 @@ mod tests {
         // The window `[0, 1)` holds only the constant column.
         groups.group(&x, 0, 1);
         assert_eq!(groups.first_rows, vec![0]);
-        assert!(!groups.all_distinct());
     }
 
     #[test]
@@ -1148,7 +1119,8 @@ mod tests {
         let (plan, bufs) = replay_windows(&Matrix::from_rows(&rows));
         assert_eq!(distinct_per_window(&bufs), vec![3, 5]);
         // `t_0` is an output straight from its window, so it is gathered.
-        assert!(matches!(plan.outputs[1].window, Some(0)));
+        let t_0 = plan.steps.iter().find(|s| s.out == plan.outputs[1]).expect("output step");
+        assert!(matches!(t_0.op, StepOp::Gather { window: 0, .. }));
         assert_eq!(plan.output(1, &bufs).rows(), 13);
     }
 
