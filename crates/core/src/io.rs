@@ -4,14 +4,48 @@
 //! `f32` round-trip via bit patterns) so a model trained once can score new
 //! source batches later — the deployment pattern of the incremental
 //! scenario. No external serialization crates are needed.
+//!
+//! [`load_model`] also reads untrusted bytes (the daemon's `POST /model`), so
+//! it reserves nothing sized by a declared count and checks the tensor count
+//! and every tensor shape against the ones the file's own config and schema
+//! imply before it builds a model: a hostile header gets an error, never a
+//! panic or an allocation larger than the bytes it sent.
 
 use crate::config::AdamelConfig;
-use crate::model::AdamelModel;
+use crate::model::{param_shapes, AdamelModel};
 use adamel_schema::{FeatureMode, Schema};
 use adamel_tensor::Matrix;
 use std::io::{self, BufRead, Write};
 
-const MAGIC: &str = "adamel-model v1";
+/// Format line prefix; the version after it names the parameter layout.
+const MAGIC_PREFIX: &str = "adamel-model ";
+/// The version this build writes and reads. v2 stores Θ's first layer as
+/// its `F` row blocks `W1[j]` (`3F + 5` tensors); v1 stored one `W1`
+/// (`2F + 6`).
+const VERSION: &str = "v2";
+
+/// A model file whose format version this build does not read, for example
+/// a v1 file saved before Θ's first layer was split into per-feature
+/// blocks. It arrives as the inner error of an [`io::ErrorKind::InvalidData`]
+/// error from [`load_model`]; re-save the model with this build.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UnsupportedModelVersion {
+    /// The version the file declares.
+    pub found: String,
+}
+
+impl std::fmt::Display for UnsupportedModelVersion {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "model file format {MAGIC_PREFIX}{} is not supported; this build reads \
+             {MAGIC_PREFIX}{VERSION} (re-save the model)",
+            self.found
+        )
+    }
+}
+
+impl std::error::Error for UnsupportedModelVersion {}
 
 fn mode_tag(mode: FeatureMode) -> &'static str {
     match mode {
@@ -37,7 +71,7 @@ fn bad(msg: impl Into<String>) -> io::Error {
 /// Writes a trained model.
 pub fn save_model(model: &AdamelModel, w: &mut impl Write) -> io::Result<()> {
     let cfg = model.config();
-    writeln!(w, "{MAGIC}")?;
+    writeln!(w, "{MAGIC_PREFIX}{VERSION}")?;
     writeln!(
         w,
         "config {} {} {} {} {} {} {} {} {} {} {} {}",
@@ -68,13 +102,25 @@ pub fn save_model(model: &AdamelModel, w: &mut impl Write) -> io::Result<()> {
     Ok(())
 }
 
-/// Reads a model written by [`save_model`].
+/// Reads a model written by [`save_model`]. Fails with
+/// [`io::ErrorKind::InvalidData`] on a malformed file, on a tensor count or
+/// shape that disagrees with the file's config and schema, and (with an
+/// [`UnsupportedModelVersion`] inside) on another format version.
 pub fn load_model(r: &mut impl BufRead) -> io::Result<AdamelModel> {
     let mut lines = r.lines();
     let mut next = || lines.next().unwrap_or_else(|| Err(bad("unexpected end of model file")));
 
-    if next()? != MAGIC {
-        return Err(bad("not an adamel model file"));
+    let magic = next()?;
+    match magic.strip_prefix(MAGIC_PREFIX) {
+        Some(VERSION) => {}
+        Some(found) => {
+            let found = found.to_owned();
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                UnsupportedModelVersion { found },
+            ));
+        }
+        None => return Err(bad("not an adamel model file")),
     }
     let config_line = next()?;
     let parts: Vec<&str> = config_line.split_whitespace().collect();
@@ -100,6 +146,10 @@ pub fn load_model(r: &mut impl BufRead) -> io::Result<AdamelModel> {
         grad_clip: Some(5.0),
         uniform_attention: false,
     };
+    let dims = [cfg.embed_dim, cfg.feature_dim, cfg.attention_dim, cfg.hidden_dim];
+    if dims.contains(&0) {
+        return Err(bad("config dimensions must be positive"));
+    }
 
     let schema_line = next()?;
     let attrs: Vec<String> = schema_line
@@ -112,15 +162,25 @@ pub fn load_model(r: &mut impl BufRead) -> io::Result<AdamelModel> {
         return Err(bad("empty schema"));
     }
     let schema = Schema::new(attrs);
+    let shapes = param_shapes(&cfg, schema.len() * cfg.feature_mode.per_attribute());
 
     let params_line = next()?;
     let count: usize = params_line
         .strip_prefix("params ")
         .and_then(|v| v.parse().ok())
         .ok_or_else(|| bad("malformed params line"))?;
+    if count != shapes.len() {
+        return Err(bad(format!(
+            "the config and schema need {} tensors, the file declares {count}",
+            shapes.len()
+        )));
+    }
 
-    let mut tensors = Vec::with_capacity(count);
-    for _ in 0..count {
+    // Every dimension is at least 1 and each one appears in some tensor, so
+    // once every tensor below matched its shape with real values, building
+    // the model allocates no more than the file held.
+    let mut tensors = Vec::new();
+    for (i, &shape) in shapes.iter().enumerate() {
         let line = next()?;
         let mut it = line.split_whitespace();
         if it.next() != Some("tensor") {
@@ -128,13 +188,16 @@ pub fn load_model(r: &mut impl BufRead) -> io::Result<AdamelModel> {
         }
         let rows: usize = it.next().and_then(|v| v.parse().ok()).ok_or_else(|| bad("bad rows"))?;
         let cols: usize = it.next().and_then(|v| v.parse().ok()).ok_or_else(|| bad("bad cols"))?;
-        let mut data = Vec::with_capacity(rows * cols);
-        for tok in it {
-            let bits = u32::from_str_radix(tok, 16).map_err(|_| bad("bad value"))?;
-            data.push(f32::from_bits(bits));
+        if (rows, cols) != shape {
+            return Err(bad(format!("tensor {i} is {rows}x{cols}, the config needs {shape:?}")));
         }
-        if data.len() != rows * cols {
-            return Err(bad(format!("tensor expected {} values, got {}", rows * cols, data.len())));
+        let len = rows.checked_mul(cols).ok_or_else(|| bad("tensor size overflows"))?;
+        let data = it
+            .map(|tok| u32::from_str_radix(tok, 16).map(f32::from_bits))
+            .collect::<Result<Vec<f32>, _>>()
+            .map_err(|_| bad("bad value"))?;
+        if data.len() != len {
+            return Err(bad(format!("tensor expected {len} values, got {}", data.len())));
         }
         tensors.push(Matrix::from_vec(rows, cols, data));
     }
@@ -188,6 +251,95 @@ mod tests {
     fn rejects_garbage() {
         let data = b"not a model\n";
         assert!(load_model(&mut BufReader::new(&data[..])).is_err());
+    }
+
+    /// A saved untrained model's text, one line per entry.
+    fn saved_lines() -> Vec<String> {
+        let model = AdamelModel::new(AdamelConfig::tiny(), Schema::new(vec!["name".into()]));
+        let mut buf = Vec::new();
+        save_model(&model, &mut buf).expect("save to Vec cannot fail");
+        String::from_utf8(buf).expect("the format is text").lines().map(str::to_owned).collect()
+    }
+
+    /// Loads `lines` joined back into a file and returns the error text.
+    fn load_error(lines: &[String]) -> String {
+        let text = lines.join("\n") + "\n";
+        match load_model(&mut BufReader::new(text.as_bytes())) {
+            Ok(_) => panic!("the edited file must not load"),
+            Err(e) => {
+                assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
+                e.to_string()
+            }
+        }
+    }
+
+    #[test]
+    fn rejects_a_tensor_count_the_config_does_not_imply() {
+        let mut lines = saved_lines();
+        assert_eq!(lines[3], "params 11", "one attribute in both modes: F = 2, 3F + 5 tensors");
+        for count in ["18446744073709551615", "0", "8", "10", "12"] {
+            lines[3] = format!("params {count}");
+            assert!(load_error(&lines).contains("need 11 tensors"), "params {count}");
+        }
+    }
+
+    #[test]
+    fn rejects_tensor_shapes_that_overflow_or_disagree_with_the_config() {
+        let mut lines = saved_lines();
+        let values = lines[4].split_whitespace().skip(3).collect::<Vec<_>>().join(" ");
+        // `V[0]` is 24 x 12. Shapes whose `rows · cols` overflows or needs
+        // far more values than the line holds, then the transpose.
+        for header in [
+            "tensor 18446744073709551615 18446744073709551615",
+            "tensor 4294967296 4294967296",
+            "tensor 12 24",
+        ] {
+            let mut edited = lines.clone();
+            edited[4] = format!("{header} {values}");
+            assert!(load_error(&edited).contains("tensor 0 is"), "{header}");
+        }
+        // A config and tensor header that agree on a huge dimension: the
+        // values the line holds decide, and nothing is reserved up front.
+        let mut edited = lines.clone();
+        edited[1] = edited[1].replacen("config 24 ", "config 1099511627776 ", 1);
+        edited[4] = format!("tensor 1099511627776 12 {values}");
+        assert!(load_error(&edited).contains("expected 13194139533312 values, got 288"));
+        // The right shape with a value missing.
+        let last = lines[4].rfind(' ').expect("values");
+        lines[4].truncate(last);
+        assert!(load_error(&lines).contains("values, got 287"));
+    }
+
+    #[test]
+    fn rejects_config_dimensions_the_tensors_cannot_back() {
+        let lines = saved_lines();
+        let config: Vec<&str> = lines[1].split_whitespace().collect();
+        // A zero dimension, then a huge one: both fail before any tensor
+        // is sized by them or the model is built.
+        for (field, value, want) in [
+            (1, "0", "dimensions must be positive"),
+            (4, "0", "dimensions must be positive"),
+            (1, "18446744073709551615", "tensor 0 is"),
+            (4, "4611686018427387904", "the config needs"),
+        ] {
+            let mut edited = lines.clone();
+            let mut fields = config.clone();
+            fields[field] = value;
+            edited[1] = fields.join(" ");
+            assert!(load_error(&edited).contains(want), "config field {field} = {value}");
+        }
+    }
+
+    #[test]
+    fn rejects_a_v1_file_with_a_typed_error_naming_the_version() {
+        let mut lines = saved_lines();
+        assert_eq!(lines[0], "adamel-model v2");
+        lines[0] = "adamel-model v1".into();
+        let text = lines.join("\n");
+        let err = load_model(&mut BufReader::new(text.as_bytes())).err().expect("v1 is refused");
+        let inner = err.get_ref().and_then(|e| e.downcast_ref::<UnsupportedModelVersion>());
+        assert_eq!(inner, Some(&UnsupportedModelVersion { found: "v1".into() }));
+        assert!(err.to_string().contains("adamel-model v1"), "{err}");
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub use drift::{
     DriftBaseline, DriftMonitor, DriftSignal, DriftThresholds, DriftWarning, SourceDrift,
 };
 pub use eval::{evaluate_f1, evaluate_prauc};
-pub use io::{load_model, save_model};
+pub use io::{load_model, save_model, UnsupportedModelVersion};
 pub use model::{AdamelModel, ScoredPairs};
 pub use pipeline::{Linker, LinkerConfig, MatchResult};
 pub use train::{fit, support_weights, TrainReport};

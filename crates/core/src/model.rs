@@ -5,6 +5,21 @@
 //!   (Eq. 5–6);
 //! * classifier: `ŷ = Θ(relu(f(x) ⊙ x))`, a 2-layer MLP over the attention-
 //!   weighted features (Eq. 7).
+//!
+//! Θ's first layer is computed in factored form. Its input is the
+//! concatenation `z = [relu(g_1·t_1), …, relu(g_F·t_F)]`, and each attention
+//! weight `g_j` is a softmax output (or the uniform `1/F`), so `g_j ≥ 0`.
+//! For finite `g ≥ 0` and finite `t` (here `t = tanh(·)`),
+//! `relu(g·t) = g·relu(t)` holds exactly in `f32`: when `t > 0` both sides
+//! are the same rounded product `g·t`, and otherwise both are zero (up to
+//! the sign of a zero). Splitting `W1` into its `F` row blocks `W1_j` (`H' x
+//! H_hidden` each) then gives `z·W1 = Σ_j g_j·(relu(t_j)·W1_j)`. The
+//! product `relu(t_j)·W1_j` depends on feature `j`'s block alone, so the
+//! compiled plan runs it once per distinct block, like the Eq. 4–5 stages,
+//! and only the weighted sum over features runs once per pair. The
+//! factored sum adds its terms in another order than one `F·H'`-long dot
+//! product, so its logits differ from the literal Eq. 7 by rounding only;
+//! the `f64` oracle keeps the literal form as the reference.
 
 use crate::config::AdamelConfig;
 use adamel_schema::{EntityPair, FeatureExtractor, Schema};
@@ -25,8 +40,9 @@ pub(crate) struct ModelParams {
     pub w_att: ParamId,
     /// Shared attention vector `a` (`H' x 1`).
     pub a_att: ParamId,
-    /// Classifier layer 1 (`F*H x H_hidden`).
-    pub w1: ParamId,
+    /// Classifier layer 1 as its `F` row blocks `W1_j` (`H' x H_hidden`
+    /// each); stacked they are Eq. 7's `F*H' x H_hidden` matrix.
+    pub w1: Vec<ParamId>,
     /// Classifier bias 1.
     pub b1: ParamId,
     /// Classifier layer 2 (`H_hidden x 1`).
@@ -88,13 +104,31 @@ const PLAN_PROBE_ROWS: usize = 2;
 /// chunked output is bit-identical to one monolithic `forward_graph` tape.
 ///
 /// A chunk's replay arena holds every intermediate of the forward. The plan
-/// computes each feature's Eq. 4–5 stages once per distinct feature block,
-/// so the arena depends on how often blocks repeat. At paper dimensions
-/// `tensor.plan.pool.bytes` reads 31.6 MB after a 26-feature chunk that
-/// repeats no block (3.4 MB of it the gathered `t_j` rows) and 26.0 MB
-/// after `perfjson`'s 200-pair `predict` row. Smaller chunks cost no repacking: the plan packs
-/// its weights once per parameter generation, not once per replay.
+/// computes each feature's Eq. 4–5 stages and Θ first-layer product once
+/// per distinct feature block, so the arena depends on how often blocks
+/// repeat. At paper dimensions, measured at one thread,
+/// `tensor.plan.pool.bytes` reads 28.1 MB after a 26-feature chunk that
+/// repeats no block (3.4 MB of it the gathered `u_j` rows) and 19.8 MB
+/// after `perfjson`'s 200-pair `predict` row. Smaller chunks cost no
+/// repacking: the plan packs its weights once per parameter generation,
+/// not once per replay.
 const PREDICT_CHUNK_ROWS: usize = 128;
+
+/// The shape of every parameter [`AdamelModel::new`] registers for `f`
+/// features under `cfg`, in registration (snapshot) order: `V[j]`, `b[j]`
+/// per feature, `W_att`, `a_att`, the `F` blocks `Theta.W1[j]`, then
+/// `Theta.b1`, `Theta.W2`, `Theta.b2`.
+pub(crate) fn param_shapes(cfg: &AdamelConfig, f: usize) -> Vec<(usize, usize)> {
+    let (d, h, ha, hh) = (cfg.embed_dim, cfg.feature_dim, cfg.attention_dim, cfg.hidden_dim);
+    let mut shapes = Vec::with_capacity(3 * f + 5);
+    for _ in 0..f {
+        shapes.extend([(d, h), (1, h)]);
+    }
+    shapes.extend([(h, ha), (ha, 1)]);
+    shapes.extend(std::iter::repeat_n((ha, hh), f));
+    shapes.extend([(1, hh), (hh, 1), (1, 1)]);
+    shapes
+}
 
 /// The AdaMEL model: feature extraction plus network parameters.
 ///
@@ -136,7 +170,11 @@ impl AdamelModel {
         // Θ consumes the concatenated F·H'-dim attention-space features —
         // §4.5: "Θ takes the concatenated FH'-dim features as input", which
         // is also what reproduces the paper's ~2.22M parameter count.
-        let w1 = params.insert("Theta.W1", init::he_uniform(f * h_att, hidden, &mut rng));
+        // One draw for all of `W1`, sliced into its per-feature row blocks.
+        let w1_full = init::he_uniform(f * h_att, hidden, &mut rng);
+        let w1 = (0..f)
+            .map(|j| params.insert(format!("Theta.W1[{j}]"), w1_full.slice_rows(j * h_att, h_att)))
+            .collect();
         let b1 = params.insert("Theta.b1", Matrix::zeros(1, hidden));
         let w2 = params.insert("Theta.W2", init::xavier_uniform(hidden, 1, &mut rng));
         let b2 = params.insert("Theta.b2", Matrix::zeros(1, 1));
@@ -238,19 +276,19 @@ impl AdamelModel {
         drop(phase);
 
         let phase = adamel_obs::span("classifier");
-        // Attention-weighted features z_j = relu(g_j * t_j) (Eq. 7).
-        let mut zs = Vec::with_capacity(f);
-        for (j, &t_j) in ts.iter().enumerate() {
-            let g_j = g.slice_cols(attention, j, 1);
-            let weighted = g.mul_col_broadcast(t_j, g_j);
-            zs.push(g.relu(weighted));
+        // Classifier Θ over z_j = relu(g_j * t_j) (Eq. 7), its first layer
+        // factored as in the module docs: z·W1 = Σ_j g_j·u_j with
+        // u_j = relu(t_j)·W1_j, exact elementwise because g_j ≥ 0.
+        let mut us = Vec::with_capacity(f);
+        for (&t_j, &w1_j) in ts.iter().zip(&self.ids.w1) {
+            let r_j = g.relu(t_j);
+            let w1_j = g.param(&self.params, w1_j);
+            us.push(g.matmul(r_j, w1_j));
         }
-        let z = g.concat_cols(&zs);
-
-        // Classifier Θ.
-        let w1 = g.param(&self.params, self.ids.w1);
+        let z_w1 = g.weighted_sum(&us, attention);
         let b1 = g.param(&self.params, self.ids.b1);
-        let hidden = g.linear_relu(z, w1, b1);
+        let z_w1 = g.add_row_broadcast(z_w1, b1);
+        let hidden = g.relu(z_w1);
         let w2 = g.param(&self.params, self.ids.w2);
         let b2 = g.param(&self.params, self.ids.b2);
         let logits = g.linear(hidden, w2, b2);
@@ -497,6 +535,85 @@ mod tests {
         // F*(D*H + H) + H*H' + H' + F*H'*H_hidden + H_hidden + H_hidden*1 + 1
         let expected = f * (d * h + h) + h * ha + ha + f * ha * hh + hh + hh + 1;
         assert_eq!(model.num_parameters(), expected);
+    }
+
+    #[test]
+    fn param_shapes_follow_registration_order() {
+        for cfg in [AdamelConfig::tiny(), AdamelConfig::paper()] {
+            let model = AdamelModel::new(cfg.clone(), schema());
+            let f = model.extractor().num_features();
+            let shapes: Vec<_> = model.snapshot_params().iter().map(Matrix::shape).collect();
+            assert_eq!(shapes, param_shapes(&cfg, f));
+        }
+    }
+
+    #[test]
+    fn w1_blocks_are_row_slices_of_one_draw() {
+        // The split keeps the initial values of the single `F·H' x H_hidden`
+        // draw: stacking the blocks reproduces it bit for bit.
+        let cfg = AdamelConfig::tiny();
+        let model = AdamelModel::new(cfg.clone(), schema());
+        let f = model.extractor().num_features();
+        let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x000a_dae1_u64);
+        for _ in 0..f {
+            init::he_uniform(cfg.embed_dim, cfg.feature_dim, &mut rng);
+        }
+        init::xavier_uniform(cfg.feature_dim, cfg.attention_dim, &mut rng);
+        init::xavier_uniform(cfg.attention_dim, 1, &mut rng);
+        let w1 = init::he_uniform(f * cfg.attention_dim, cfg.hidden_dim, &mut rng);
+        let snap = model.snapshot_params();
+        let blocks: Vec<&Matrix> = snap[2 * f + 2..3 * f + 2].iter().collect();
+        assert_eq!(Matrix::concat_rows(&blocks).as_slice(), w1.as_slice());
+    }
+
+    #[test]
+    fn relu_commutes_with_a_non_negative_scale() {
+        // Eq. 7's factorization rests on relu(g·t) = g·relu(t) for g ≥ 0:
+        // equal as values everywhere, and bit for bit where non-zero.
+        let tiny = f32::from_bits(1);
+        let relu = |v: f32| v.max(0.0);
+        for g in [0.0, tiny, 1.0 / 26.0, 1.0] {
+            for t in [0.0, -0.0, tiny, -tiny, 0.5, -0.5, 1.0, -1.0] {
+                let (lhs, rhs) = (relu(g * t), g * relu(t));
+                assert_eq!(lhs, rhs, "g={g:e}, t={t:e}");
+                if lhs != 0.0 {
+                    assert_eq!(lhs.to_bits(), rhs.to_bits(), "g={g:e}, t={t:e}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn w1_products_run_once_per_distinct_feature_block() {
+        // Twelve pairs cycling through three contents, one of them missing
+        // the artist on both sides: every feature window repeats its rows.
+        let model = AdamelModel::new(AdamelConfig::tiny(), schema());
+        let pairs: Vec<EntityPair> = (0..12)
+            .map(|i| match i % 3 {
+                0 => pair(&[("title", "hey jude")], &[("title", "hey jude")]),
+                1 => pair(&[("artist", "x"), ("title", "a b")], &[("artist", "y z")]),
+                _ => pair(&[("artist", "q"), ("title", "a")], &[("artist", "q"), ("title", "c")]),
+            })
+            .collect();
+        let encoded = model.encode(&pairs);
+        let plan = &model.compiled().predict;
+        let mut bufs = PlanBuffers::new();
+        plan.execute(&model.params, &encoded, &mut bufs);
+        let d = model.cfg.embed_dim;
+        for (j, &w1_j) in model.ids.w1.iter().enumerate() {
+            let mut blocks: Vec<Vec<u32>> = (0..encoded.rows())
+                .map(|r| encoded.row(r)[j * d..(j + 1) * d].iter().map(|v| v.to_bits()).collect())
+                .collect();
+            blocks.sort();
+            blocks.dedup();
+            assert!(blocks.len() < encoded.rows(), "feature {j} repeats a block");
+            // One product, over the distinct blocks: no gather precedes it.
+            assert_eq!(plan.product_rows(w1_j, &bufs), vec![blocks.len()], "feature {j}");
+        }
+        let mut g = Graph::new();
+        let (_, logits) = model.forward_graph(&mut g, encoded);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(plan.output(0, &bufs)), bits(g.value(logits)));
     }
 
     #[test]

@@ -14,6 +14,7 @@
 use crate::refmat::RefMatrix;
 use adamel::{AdamelConfig, AdamelModel};
 use adamel_schema::{EntityPair, FeatureMode, Schema};
+use adamel_tensor::Matrix;
 use adamel_text::{shared_and_unique, tokenize_cropped, HashedFastText};
 
 /// Encodes pairs into the `n x (F*D)` block exactly as the production
@@ -103,13 +104,17 @@ pub struct ModelOracle {
 
 impl ModelOracle {
     /// Captures the model's current parameters (snapshot order:
-    /// `V[j], b[j]` per feature, then `W_att, a_att, W1, b1, W2, b2`).
+    /// `V[j], b[j]` per feature, then `W_att, a_att`, the `F` row blocks
+    /// `W1[j]`, then `b1, W2, b2`). The blocks are stacked back into one
+    /// `F*H' x H_hidden` `W1`, so [`forward`](Self::forward) evaluates Eq. 7
+    /// literally, independent of the factored form production computes.
     pub fn new(model: &AdamelModel) -> Self {
         let f = model.extractor().num_features();
         let d = model.config().embed_dim;
         let snap = model.snapshot_params();
-        assert_eq!(snap.len(), 2 * f + 6, "unexpected parameter count in snapshot");
+        assert_eq!(snap.len(), 3 * f + 5, "unexpected parameter count in snapshot");
         let m = |i: usize| RefMatrix::from_matrix(&snap[i]);
+        let w1_blocks: Vec<&Matrix> = snap[2 * f + 2..3 * f + 2].iter().collect();
         Self {
             f,
             d,
@@ -118,10 +123,10 @@ impl ModelOracle {
             b: (0..f).map(|j| m(2 * j + 1)).collect(),
             w_att: m(2 * f),
             a_att: m(2 * f + 1),
-            w1: m(2 * f + 2),
-            b1: m(2 * f + 3),
-            w2: m(2 * f + 4),
-            b2: m(2 * f + 5),
+            w1: RefMatrix::from_matrix(&Matrix::concat_rows(&w1_blocks)),
+            b1: m(3 * f + 2),
+            w2: m(3 * f + 3),
+            b2: m(3 * f + 4),
         }
     }
 

@@ -119,6 +119,15 @@ pub enum Inst {
         /// Parts, left to right.
         parts: Vec<usize>,
     },
+    /// `Σ_j weights[:, j] ⊙ parts[j]`: `F` equally shaped parts and an
+    /// `n x F` weight matrix. Its [`parents`](Inst::parents) list `weights`
+    /// first, then the parts.
+    WeightedSum {
+        /// The `F` parts (repeats allowed).
+        parts: Vec<usize>,
+        /// Per-row weight of each part.
+        weights: usize,
+    },
     /// Column window copy.
     SliceCols {
         /// Input.
@@ -177,6 +186,9 @@ impl Inst {
             | Inst::MeanAll { a }
             | Inst::SumAll { a } => vec![*a],
             Inst::ConcatCols { parts } => parts.clone(),
+            Inst::WeightedSum { parts, weights } => {
+                std::iter::once(weights).chain(parts).copied().collect()
+            }
             Inst::WeightedBce { logits, .. } => vec![*logits],
             Inst::KlConstRows { probs, .. } => vec![*probs],
         }
@@ -198,6 +210,7 @@ impl Inst {
             Inst::Sigmoid { .. } => "sigmoid",
             Inst::SoftmaxRows { .. } => "softmax_rows",
             Inst::ConcatCols { .. } => "concat_cols",
+            Inst::WeightedSum { .. } => "weighted_sum",
             Inst::SliceCols { .. } => "slice_cols",
             Inst::MeanAll { .. } => "mean_all",
             Inst::SumAll { .. } => "sum_all",
@@ -317,6 +330,10 @@ fn record(
                 let part_vars: Vec<Var> = parts.iter().map(|&q| vars[q]).collect();
                 g.concat_cols(&part_vars)
             }
+            Inst::WeightedSum { parts, weights } => {
+                let part_vars: Vec<Var> = parts.iter().map(|&q| vars[q]).collect();
+                g.weighted_sum(&part_vars, vars[*weights])
+            }
             Inst::SliceCols { a, start, width } => g.slice_cols(vars[*a], *start, *width),
             Inst::MeanAll { a } => g.mean_all(vars[*a]),
             Inst::SumAll { a } => g.sum_all(vars[*a]),
@@ -379,6 +396,7 @@ fn oracle_apply(inst: &Inst, parents: &[RefMatrix]) -> RefMatrix {
             let refs: Vec<&RefMatrix> = parents.iter().collect();
             RefMatrix::concat_cols(&refs)
         }
+        Inst::WeightedSum { .. } => RefMatrix::weighted_sum(&parents[1..], &parents[0]),
         Inst::SliceCols { start, width, .. } => parents[0].slice_cols(*start, *width),
         Inst::MeanAll { .. } => RefMatrix::scalar(parents[0].mean()),
         Inst::SumAll { .. } => RefMatrix::scalar(parents[0].sum()),
@@ -431,6 +449,13 @@ fn forward_budget(inst: &Inst, parents: &[RefMatrix], out: &RefMatrix) -> (u64, 
             let k = parents[0].cols();
             let scale = parents[0].map(f64::abs).matmul(&parents[1].map(f64::abs));
             (op_ulps("matmul", k), scale.scale((k as f64 + 4.0) * EPS32))
+        }
+        Inst::WeightedSum { .. } => {
+            // An F-term dot product per element, bounded like matmul's.
+            let abs: Vec<RefMatrix> = parents.iter().map(|m| m.map(f64::abs)).collect();
+            let f = abs.len() - 1;
+            let scale = RefMatrix::weighted_sum(&abs[1..], &abs[0]);
+            (op_ulps("weighted_sum", f), scale.scale((f as f64 + 4.0) * EPS32))
         }
         Inst::SoftmaxRows { .. } => {
             let m = parents[0].cols();
@@ -883,7 +908,7 @@ pub fn gen_program_with(seed: u64, opts: &GenOptions) -> Program {
         let n = insts.len();
         // Instruction 0, the batch, is read only through `SliceCols`.
         let pick = |rng: &mut StdRng| rng.gen_range(1..n);
-        let inst = match rng.gen_range(0..14u32) {
+        let inst = match rng.gen_range(0..15u32) {
             0 => {
                 // MatMul: find a pair with a.cols == b.rows, b not a batch.
                 let a = pick(&mut rng);
@@ -964,6 +989,29 @@ pub fn gen_program_with(seed: u64, opts: &GenOptions) -> Program {
                     (0..rows).map(|_| if rng.gen_bool(0.5) { 1.0 } else { 0.0 }).collect();
                 let weights: Vec<f32> = (0..rows).map(|_| rng.gen_range(0.1f32..2.0)).collect();
                 Inst::WeightedBce { logits, targets, weights }
+            }
+            13 => {
+                // Weights: a batch node at most 5 wide, one column per part.
+                // Parts: batch nodes of one shape, drawn with repeats; most
+                // are window-local, so the plan gathers them for this
+                // untagged step, as it gathers the model's `u_j`.
+                let batch: Vec<usize> = (1..n).filter(|&q| values[q].rows() == rows).collect();
+                let weights: Vec<usize> =
+                    batch.iter().copied().filter(|&q| values[q].cols() <= 5).collect();
+                if weights.is_empty() {
+                    continue;
+                }
+                let weights = weights[rng.gen_range(0..weights.len())];
+                let a = batch[rng.gen_range(0..batch.len())];
+                let same: Vec<usize> = batch
+                    .iter()
+                    .copied()
+                    .filter(|&q| values[q].shape() == values[a].shape())
+                    .collect();
+                let parts = (0..values[weights].cols())
+                    .map(|_| same[rng.gen_range(0..same.len())])
+                    .collect();
+                Inst::WeightedSum { parts, weights }
             }
             _ => {
                 // KL requires normalized rows: only softmax outputs qualify
@@ -1046,6 +1094,12 @@ fn remove_insts(p: &Program, dead: &[bool]) -> Option<Program> {
                 for q in parts.iter_mut() {
                     *q = remap[*q];
                 }
+            }
+            Inst::WeightedSum { parts, weights } => {
+                for q in parts.iter_mut() {
+                    *q = remap[*q];
+                }
+                *weights = remap[*weights];
             }
             Inst::WeightedBce { logits, .. } => *logits = remap[*logits],
             Inst::KlConstRows { probs, .. } => *probs = remap[*probs],
@@ -1172,6 +1226,9 @@ fn render_inst(inst: &Inst) -> String {
         Inst::Sigmoid { a } => format!("Inst::Sigmoid {{ a: {a} }}"),
         Inst::SoftmaxRows { a } => format!("Inst::SoftmaxRows {{ a: {a} }}"),
         Inst::ConcatCols { parts } => format!("Inst::ConcatCols {{ parts: vec!{parts:?} }}"),
+        Inst::WeightedSum { parts, weights } => {
+            format!("Inst::WeightedSum {{ parts: vec!{parts:?}, weights: {weights} }}")
+        }
         Inst::SliceCols { a, start, width } => {
             format!("Inst::SliceCols {{ a: {a}, start: {start}, width: {width} }}")
         }
@@ -1281,6 +1338,42 @@ mod tests {
         }
         assert!(hit, "no generated matmul dispatches to the blocked kernels");
         assert!(packed_hit, "no blocked matmul multiplies by a packable parameter");
+    }
+
+    #[test]
+    fn weighted_sum_is_generated_over_batch_parts() {
+        // The classifier's fused op must be generated over batch nodes, so
+        // that the plan check gathers its window-local parts and the
+        // gradient check differentiates through it.
+        let mut checked = 0;
+        for seed in 0..20 {
+            let p = gen_program(seed, 8);
+            let rows: Vec<usize> = {
+                let mut shapes: Vec<RefMatrix> = Vec::new();
+                for inst in &p.insts {
+                    let parents: Vec<RefMatrix> =
+                        inst.parents().iter().map(|&q| shapes[q].clone()).collect();
+                    shapes.push(oracle_apply(inst, &parents));
+                }
+                shapes.iter().map(RefMatrix::rows).collect()
+            };
+            let sums = p.insts.iter().filter_map(|inst| match inst {
+                Inst::WeightedSum { parts, weights } => Some((parts, weights)),
+                _ => None,
+            });
+            let mut found = false;
+            for (parts, &weights) in sums {
+                assert!(parts.iter().all(|&q| rows[q] == 6), "seed {seed}: batch parts");
+                assert_eq!(rows[weights], 6, "seed {seed}: batch weights");
+                found = true;
+            }
+            if found {
+                let plan = check_program(&p).unwrap_or_else(|d| panic!("seed {seed}: {d}"));
+                assert!(matches!(plan, PlanCheck::Matched(_)), "seed {seed}: {plan:?}");
+                checked += 1;
+            }
+        }
+        assert!(checked >= 3, "only {checked} of 20 programs hold a weighted_sum");
     }
 
     #[test]

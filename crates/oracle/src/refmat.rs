@@ -207,6 +207,24 @@ impl RefMatrix {
         out
     }
 
+    /// `Σ_j weights[:, j] ⊙ parts[j]` for `F` equally shaped parts and an
+    /// `n x F` weight matrix.
+    pub fn weighted_sum(parts: &[RefMatrix], weights: &RefMatrix) -> RefMatrix {
+        assert!(!parts.is_empty(), "RefMatrix::weighted_sum: empty input");
+        let (rows, cols) = parts[0].shape();
+        assert_eq!(weights.shape(), (rows, parts.len()), "RefMatrix::weighted_sum: weights shape");
+        let mut out = RefMatrix::zeros(rows, cols);
+        for (j, p) in parts.iter().enumerate() {
+            assert_eq!(p.shape(), (rows, cols), "RefMatrix::weighted_sum: part shape mismatch");
+            for i in 0..rows {
+                for c in 0..cols {
+                    out.data[i * cols + c] += weights.get(i, j) * p.get(i, c);
+                }
+            }
+        }
+        out
+    }
+
     /// Rectified linear unit.
     pub fn relu(&self) -> RefMatrix {
         self.map(|v| v.max(0.0))

@@ -72,8 +72,9 @@ impl Budget {
 }
 
 /// The per-op ULP budget table (`reduce_len` is the length of the op's inner
-/// reduction: `k` for matmul, the column count for softmax, the element count
-/// for global reductions; 0 for elementwise ops).
+/// reduction: `k` for matmul, the part count `F` for weighted_sum, the column
+/// count for softmax, the element count for global reductions; 0 for
+/// elementwise ops).
 ///
 /// | op | budget | why |
 /// |----|--------|-----|
@@ -81,6 +82,7 @@ impl Budget {
 /// | tanh, sigmoid | 8 ULP | libm `tanh`/`exp` are faithful, not correctly rounded |
 /// | softmax row of m | 8 + 2m ULP | exp per element + m-term sum + divide |
 /// | matmul k | 2k + 4 + 2·⌈k/KC⌉ ULP | k-term dot + one join per KC panel |
+/// | weighted_sum of F parts | 2F + 4 ULP | F-term dot per element |
 /// | sum/mean over n | 2n + 4 ULP | n-term `f32` accumulation |
 /// | bce / kl over n | 4n + 32 ULP | exp/ln per term plus the n-term sum |
 ///
@@ -104,7 +106,7 @@ pub fn op_ulps(op: &str, reduce_len: usize) -> u64 {
         "matmul" | "matmul_tn" | "matmul_nt" => {
             2 * n + 4 + 2 * (reduce_len.div_ceil(adamel_tensor::gemm::KC) as u64)
         }
-        "sum_all" | "mean_all" => 2 * n + 4,
+        "weighted_sum" | "sum_all" | "mean_all" => 2 * n + 4,
         "weighted_bce_with_logits" | "kl_const_rows" => 4 * n + 32,
         // Unknown op names get the strictest budget: a typo at a call site
         // then fails the diff loudly instead of silently loosening it.
@@ -171,5 +173,7 @@ mod tests {
         // Two panels once k crosses KC.
         let kc = adamel_tensor::gemm::KC;
         assert_eq!(op_ulps("matmul_tn", kc + 1), 2 * (kc as u64 + 1) + 4 + 4);
+        // An F-term dot per element, F = 26 in the model's classifier.
+        assert_eq!(op_ulps("weighted_sum", 26), 56);
     }
 }

@@ -5,7 +5,7 @@
 //! adamel-serve --selftest [--metrics-out <path>]       # self-contained smoke test
 //! ```
 //!
-//! Daemon mode loads an `adamel-model v1` snapshot (see `adamel::io`),
+//! Daemon mode loads an `adamel-model v2` snapshot (see `adamel::io`),
 //! binds `ADAMEL_SERVE_ADDR` (default `127.0.0.1:0`), and serves until
 //! killed. `--seen-sources` lists the training sources so the
 //! unseen-source-dominance hook can recommend AdaMEL-zero re-adaptation;

@@ -13,7 +13,7 @@
 //! | `/records` | POST | upsert JSONL records into the incremental [`LiveIndex`](adamel_schema::LiveIndex) |
 //! | `/records` | DELETE | delete records by `(source, entity_id)` |
 //! | `/link` | POST | block + score a JSONL batch of query records against the corpus |
-//! | `/model` | POST | load an `adamel-model v1` snapshot and atomically hot-swap it |
+//! | `/model` | POST | load an `adamel-model v2` snapshot and atomically hot-swap it |
 //! | `/healthz` | GET | liveness + model version + corpus size + re-adaptation flag |
 //! | `/metrics` | GET | the `adamel-obs` span report, run-ledger event counts, and serve counters |
 //!

@@ -44,6 +44,11 @@ pub(crate) enum Op {
     Sigmoid(Var),
     SoftmaxRows(Var),
     ConcatCols(Vec<Var>),
+    /// `Σ_j weights[:, j] ⊙ parts[j]` with `weights` of shape `n x F`.
+    WeightedSum {
+        parts: Vec<Var>,
+        weights: Var,
+    },
     /// Contiguous column window `[start, start+width)` of the input.
     SliceCols {
         input: Var,
@@ -85,6 +90,7 @@ impl Op {
             Op::Sigmoid(_) => "sigmoid",
             Op::SoftmaxRows(_) => "softmax_rows",
             Op::ConcatCols(_) => "concat_cols",
+            Op::WeightedSum { .. } => "weighted_sum",
             Op::SliceCols { .. } => "slice_cols",
             Op::MeanAll(_) => "mean_all",
             Op::SumAll(_) => "sum_all",
@@ -250,6 +256,16 @@ impl Graph {
         let values: Vec<&Matrix> = parts.iter().map(|v| &self.nodes[v.0].value).collect();
         let value = Matrix::concat_cols(&values);
         self.push(value, Op::ConcatCols(parts.to_vec()))
+    }
+
+    /// `Σ_j weights[:, j] ⊙ parts[j]`: every part is `n x m` and `weights`
+    /// is `n x F` for `F` parts; the terms are added in ascending `j`
+    /// ([`Matrix::weighted_sum`]).
+    pub fn weighted_sum(&mut self, parts: &[Var], weights: Var) -> Var {
+        adamel_obs::trace_op!("weighted_sum");
+        let values: Vec<&Matrix> = parts.iter().map(|v| &self.nodes[v.0].value).collect();
+        let value = Matrix::weighted_sum(&values, &self.nodes[weights.0].value);
+        self.push(value, Op::WeightedSum { parts: parts.to_vec(), weights })
     }
 
     /// Copies a contiguous column window `[start, start+width)`.
@@ -447,6 +463,17 @@ impl Graph {
                         offset += width;
                     }
                 }
+                Op::WeightedSum { parts, weights } => {
+                    // d/dparts[j] = weights[:, j] ⊙ G; d/dweights[i, j] = Σ_c G_ic parts[j]_ic
+                    let w = &self.nodes[weights.0].value;
+                    let mut gw_cols = Vec::with_capacity(parts.len());
+                    for (j, part) in parts.iter().enumerate() {
+                        gw_cols.push(grad.mul(&self.nodes[part.0].value).sum_cols());
+                        accumulate(&mut grads, *part, grad.mul_col_broadcast(&w.slice_cols(j, 1)));
+                    }
+                    let refs: Vec<&Matrix> = gw_cols.iter().collect();
+                    accumulate(&mut grads, *weights, Matrix::concat_cols(&refs));
+                }
                 Op::MeanAll(a) => {
                     let v = &self.nodes[a.0].value;
                     let g = grad.item() / v.len().max(1) as f32;
@@ -536,6 +563,25 @@ mod tests {
         for &v in params.grad(z_id).as_slice() {
             assert!(approx(v, 0.0, 1e-6), "grad {v} should vanish");
         }
+    }
+
+    #[test]
+    fn backward_through_weighted_sum() {
+        // L = sum(w0·a + w1·b + w2·a): dL/da = w0 + w2, dL/db = w1 and
+        // dL/dw = [Σa, Σb, Σa]; a part listed twice accumulates both terms.
+        let mut params = ParamSet::new();
+        let a_id = params.insert("a", Matrix::from_rows(&[vec![1.0, 2.0]]));
+        let b_id = params.insert("b", Matrix::from_rows(&[vec![3.0, 4.0]]));
+        let w_id = params.insert("w", Matrix::from_rows(&[vec![0.5, 2.0, -1.0]]));
+        let mut g = Graph::new();
+        let (a, b, w) = (g.param(&params, a_id), g.param(&params, b_id), g.param(&params, w_id));
+        let s = g.weighted_sum(&[a, b, a], w);
+        assert_eq!(g.value(s).as_slice(), &[5.5, 7.0]);
+        let loss = g.sum_all(s);
+        g.backward(loss, &mut params);
+        assert_eq!(params.grad(a_id).as_slice(), &[-0.5, -0.5]);
+        assert_eq!(params.grad(b_id).as_slice(), &[2.0, 2.0]);
+        assert_eq!(params.grad(w_id).as_slice(), &[3.0, 7.0, 3.0]);
     }
 
     #[test]

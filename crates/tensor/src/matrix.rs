@@ -469,6 +469,44 @@ impl Matrix {
         });
     }
 
+    /// `Σ_j weights[:, j] ⊙ parts[j]`: row `i` of the `n x m` result is the
+    /// sum of each part's row `i` scaled by `weights[i, j]`, where `weights`
+    /// is `n x F` for `F` equally shaped parts.
+    pub fn weighted_sum(parts: &[&Matrix], weights: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(0, 0);
+        Matrix::weighted_sum_into(parts, weights, &mut out);
+        out
+    }
+
+    /// [`weighted_sum`](Self::weighted_sum) into a caller-owned buffer
+    /// (reshaped to fit). Each element starts from the first part's rounded
+    /// product and adds the others' in ascending `j`, one rounded `mul` and
+    /// `add` per term, so the result does not depend on the thread count.
+    pub fn weighted_sum_into(parts: &[&Matrix], weights: &Matrix, out: &mut Matrix) {
+        assert!(!parts.is_empty(), "Matrix::weighted_sum: empty input");
+        let (rows, cols) = parts[0].shape();
+        for p in parts {
+            assert_eq!(p.shape(), (rows, cols), "Matrix::weighted_sum: part shape mismatch");
+        }
+        assert_eq!(
+            weights.shape(),
+            (rows, parts.len()),
+            "Matrix::weighted_sum: weights must be rows x parts"
+        );
+        out.reset_shape(rows, cols);
+        parallel::parallel_for_rows(&mut out.data, cols, 2 * parts.len() * cols, |i, r| {
+            let w = weights.row(i);
+            for (o, &v) in r.iter_mut().zip(parts[0].row(i)) {
+                *o = w[0] * v;
+            }
+            for (p, &w_j) in parts.iter().zip(w).skip(1) {
+                for (o, &v) in r.iter_mut().zip(p.row(i)) {
+                    *o += w_j * v;
+                }
+            }
+        });
+    }
+
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
         self.data.iter().sum()
@@ -742,6 +780,19 @@ mod tests {
         assert_eq!(cat.as_slice(), &[1.0, 2.0, 5.0, 3.0, 4.0, 6.0]);
         assert_eq!(cat.slice_cols(0, 1), a);
         assert_eq!(cat.slice_cols(1, 2), b);
+    }
+
+    #[test]
+    fn weighted_sum_scales_each_part_by_its_weight_column() {
+        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
+        let b = Matrix::from_rows(&[vec![10.0, 20.0], vec![30.0, 40.0]]);
+        let w = Matrix::from_rows(&[vec![0.5, 2.0], vec![0.0, -1.0]]);
+        let s = Matrix::weighted_sum(&[&a, &b], &w);
+        assert_eq!(s.as_slice(), &[20.5, 41.0, -30.0, -40.0]);
+        // One part: the first rounded product, no added zero.
+        let neg = Matrix::from_rows(&[vec![-0.0, 1.0]]);
+        let one = Matrix::weighted_sum(&[&neg], &Matrix::scalar(1.0));
+        assert_eq!(one.get(0, 0).to_bits(), (-0.0f32).to_bits());
     }
 
     #[test]

@@ -143,6 +143,10 @@ enum StepOp {
     Sigmoid(Src),
     SoftmaxRows(Src),
     ConcatCols(Vec<Src>),
+    WeightedSum {
+        parts: Vec<Src>,
+        weights: Src,
+    },
     SliceCols {
         input: Src,
         start: usize,
@@ -177,6 +181,7 @@ impl StepOp {
             StepOp::Sigmoid(_) => "sigmoid",
             StepOp::SoftmaxRows(_) => "softmax_rows",
             StepOp::ConcatCols(_) => "concat_cols",
+            StepOp::WeightedSum { .. } => "weighted_sum",
             StepOp::SliceCols { .. } | StepOp::WindowRows(_) => "slice_cols",
             StepOp::FillRows(_) => "fill_rows",
             StepOp::Gather { .. } => "gather",
@@ -199,6 +204,9 @@ impl StepOp {
             | StepOp::SoftmaxRows(a)
             | StepOp::SliceCols { input: a, .. } => vec![a],
             StepOp::ConcatCols(parts) => parts.iter_mut().collect(),
+            StepOp::WeightedSum { parts, weights } => {
+                parts.iter_mut().chain(std::iter::once(weights)).collect()
+            }
             StepOp::FillRows(_) | StepOp::WindowRows(_) | StepOp::Gather { .. } => Vec::new(),
         }
     }
@@ -231,6 +239,7 @@ impl StepOp {
             StepOp::ConcatCols(parts) => shared(parts),
             StepOp::MatMul(..)
             | StepOp::AddRowBroadcast(..)
+            | StepOp::WeightedSum { .. }
             | StepOp::FillRows(_)
             | StepOp::Gather { .. } => None,
         }
@@ -460,6 +469,9 @@ fn op_inputs(op: &Op) -> Vec<usize> {
         | Op::MeanAll(a)
         | Op::SumAll(a) => vec![a.index()],
         Op::ConcatCols(parts) => parts.iter().map(|v| v.index()).collect(),
+        Op::WeightedSum { parts, weights } => {
+            parts.iter().chain(std::iter::once(weights)).map(|v| v.index()).collect()
+        }
         Op::SliceCols { input, .. } => vec![input.index()],
         Op::WeightedBceWithLogits { logits, .. } => vec![logits.index()],
         Op::KlConstRows { probs, .. } => vec![probs.index()],
@@ -594,6 +606,10 @@ impl CompiledPlan {
                 Op::ConcatCols(parts) => {
                     StepOp::ConcatCols(parts.iter().map(|v| resolved(&src, *v)).collect())
                 }
+                Op::WeightedSum { parts, weights } => StepOp::WeightedSum {
+                    parts: parts.iter().map(|v| resolved(&src, *v)).collect(),
+                    weights: resolved(&src, *weights),
+                },
                 Op::SliceCols { input: a, start, width } => match resolved(&src, *a) {
                     Src::Input => {
                         let window = (*start, *width);
@@ -733,6 +749,10 @@ impl CompiledPlan {
                     let refs: Vec<&Matrix> = parts.iter().map(|s| val(*s)).collect();
                     Matrix::concat_cols_into(&refs, out);
                 }
+                StepOp::WeightedSum { parts, weights } => {
+                    let refs: Vec<&Matrix> = parts.iter().map(|s| val(*s)).collect();
+                    Matrix::weighted_sum_into(&refs, val(*weights), out);
+                }
                 StepOp::SliceCols { input: a, start, width } => {
                     val(*a).slice_cols_into(*start, *width, out)
                 }
@@ -778,6 +798,23 @@ impl CompiledPlan {
         scratch.assign_rows_from(full, start, rows);
         self.execute(params, &scratch, bufs);
         bufs.input_scratch = scratch;
+    }
+
+    /// The row count of every product by `param`, in step order, after the
+    /// latest [`execute`](Self::execute) into `bufs`. A product tagged with
+    /// an input window ran over that window's distinct rows only; an
+    /// untagged one over every input row.
+    pub fn product_rows(&self, param: ParamId, bufs: &PlanBuffers) -> Vec<usize> {
+        self.steps
+            .iter()
+            .filter(|s| match s.op {
+                StepOp::MatMulPacked { param: p, .. } | StepOp::MatMul(_, Src::Param(p)) => {
+                    p == param
+                }
+                _ => false,
+            })
+            .map(|s| bufs.bufs[s.out].rows())
+            .collect()
     }
 
     /// The value of requested output `i` after the latest
