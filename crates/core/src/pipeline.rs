@@ -99,15 +99,16 @@ impl Linker {
     /// the optional one-to-one reduction — exposed so callers that maintain
     /// their own incremental blocking index (`adamel-serve`'s `LiveIndex`)
     /// produce **bit-identical** results to the offline pipeline on the
-    /// same candidates.
+    /// same candidates. `right` need not be the whole corpus: it may hold
+    /// just the candidate records, each once, since only the pairs, their
+    /// order, and which `right` indices coincide reach the results.
     ///
     /// Beside the matches it returns every pair it built, in that order,
     /// with the scores and attention rows of the same forward pass — what
     /// [`DriftMonitor::assess`](crate::drift::DriftMonitor::assess) reads.
     ///
-    /// Out-of-range candidate indices are skipped (an incremental index can
-    /// momentarily disagree with the snapshot it was probed against);
-    /// `candidates` entries beyond `left.len()` are ignored.
+    /// Out-of-range candidate indices are skipped and `candidates` entries
+    /// beyond `left.len()` are ignored, so no input makes this panic.
     pub fn score_candidates(
         &self,
         left: &[Record],

@@ -126,10 +126,6 @@ pub fn enabled() -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    /// Forced state is process-global; tests that touch it serialize here.
-    static LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn levels_are_ordered() {
@@ -139,7 +135,7 @@ mod tests {
 
     #[test]
     fn forced_levels_round_trip() {
-        let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let _guard = crate::test_lock();
         for l in [TraceLevel::Off, TraceLevel::Spans, TraceLevel::Full] {
             set_forced(Some(l));
             assert_eq!(level(), l);

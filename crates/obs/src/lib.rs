@@ -78,6 +78,16 @@ pub use level::{enabled, level, set_forced, TraceLevel};
 pub use registry::{counter_add, counter_value, record_value, value_stat, ValueStat};
 pub use span::{op_span, span, spans_entered, SpanGuard};
 
+/// Serializes this crate's unit tests. The trace level, the registry and
+/// the run-ledger sink are process-global, so every test that forces or
+/// resets any of them holds this one lock; a lock per module would let
+/// tests in different modules race.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|p| p.into_inner())
+}
+
 /// Opens a coarse span (active at [`TraceLevel::Spans`] and above) that
 /// lasts until the end of the enclosing block.
 ///

@@ -275,10 +275,6 @@ impl Drop for MemScope {
 mod tests {
     use super::*;
     use crate::level::{set_forced, TraceLevel};
-    use std::sync::Mutex;
-
-    /// Registry and forced level are process-global; serialize tests.
-    static LOCK: Mutex<()> = Mutex::new(());
 
     fn reset_registry() {
         let mut reg = registry::lock();
@@ -290,7 +286,7 @@ mod tests {
 
     #[test]
     fn add_sub_track_current_and_peak() {
-        let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let _guard = crate::test_lock();
         set_forced(Some(TraceLevel::Spans));
         reset_registry();
         add("t.gauge", 100);
@@ -304,7 +300,7 @@ mod tests {
 
     #[test]
     fn sub_saturates_at_zero() {
-        let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let _guard = crate::test_lock();
         set_forced(Some(TraceLevel::Spans));
         reset_registry();
         sub("t.under", 10);
@@ -318,7 +314,7 @@ mod tests {
 
     #[test]
     fn observe_sets_current_and_raises_peak_only() {
-        let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let _guard = crate::test_lock();
         set_forced(Some(TraceLevel::Spans));
         reset_registry();
         observe("t.abs", 4096);
@@ -331,7 +327,7 @@ mod tests {
 
     #[test]
     fn disabled_tracing_records_nothing() {
-        let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let _guard = crate::test_lock();
         set_forced(Some(TraceLevel::Off));
         reset_registry();
         add("t.off", 1);
@@ -347,7 +343,7 @@ mod tests {
 
     #[test]
     fn scope_constructed_while_off_stays_inert_after_enable() {
-        let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let _guard = crate::test_lock();
         set_forced(Some(TraceLevel::Off));
         reset_registry();
         let scope = MemScope::new("t.flip", 777);
@@ -363,7 +359,7 @@ mod tests {
 
     #[test]
     fn peak_total_and_reset_peaks_window_the_high_water_mark() {
-        let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let _guard = crate::test_lock();
         set_forced(Some(TraceLevel::Spans));
         reset_registry();
         add("t.a", 100);

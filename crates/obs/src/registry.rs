@@ -202,10 +202,6 @@ pub fn value_stat(name: &str) -> Option<ValueStat> {
 mod tests {
     use super::*;
     use crate::level::{set_forced, TraceLevel};
-    use std::sync::Mutex as StdMutex;
-
-    /// Registry and forced level are process-global; serialize tests.
-    static LOCK: StdMutex<()> = StdMutex::new(());
 
     fn reset_registry() {
         let mut reg = lock();
@@ -217,7 +213,7 @@ mod tests {
 
     #[test]
     fn counters_accumulate_and_saturate() {
-        let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let _guard = crate::test_lock();
         set_forced(Some(TraceLevel::Spans));
         reset_registry();
         counter_add("t.count", 3);
@@ -231,7 +227,7 @@ mod tests {
 
     #[test]
     fn values_track_min_max_last_and_drop_nonfinite() {
-        let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let _guard = crate::test_lock();
         set_forced(Some(TraceLevel::Spans));
         reset_registry();
         record_value("t.val", 2.0);
@@ -251,7 +247,7 @@ mod tests {
 
     #[test]
     fn disabled_tracing_records_nothing() {
-        let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let _guard = crate::test_lock();
         set_forced(Some(TraceLevel::Off));
         reset_registry();
         counter_add("t.off", 1);

@@ -292,13 +292,10 @@ mod tests {
     use super::*;
     use crate::level::{set_forced, TraceLevel};
     use crate::{counter_add, record_value, span};
-    use std::sync::Mutex;
-
-    static LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn report_contains_schema_and_all_sections() {
-        let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let _guard = crate::test_lock();
         set_forced(Some(TraceLevel::Spans));
         reset();
         {
@@ -324,7 +321,7 @@ mod tests {
 
     #[test]
     fn empty_report_is_well_formed() {
-        let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let _guard = crate::test_lock();
         set_forced(Some(TraceLevel::Off));
         reset();
         let json = render_json();

@@ -440,9 +440,6 @@ mod tests {
     use super::*;
     use crate::json::Json;
 
-    /// Forced path + sink are process-global; serialize the tests.
-    static LOCK: Mutex<()> = Mutex::new(());
-
     fn tmp_path(name: &str) -> String {
         let mut p = std::env::temp_dir();
         p.push(format!("adamel_runlog_unit_{name}_{}.jsonl", std::process::id()));
@@ -451,7 +448,7 @@ mod tests {
 
     #[test]
     fn disabled_builder_is_inert() {
-        let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let _guard = crate::test_lock();
         set_forced_path(Some(""));
         assert!(!enabled());
         let seq_before = SEQ.load(Ordering::Relaxed);
@@ -462,7 +459,7 @@ mod tests {
 
     #[test]
     fn events_are_parseable_jsonl_with_increasing_seq() {
-        let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let _guard = crate::test_lock();
         let path = tmp_path("basic");
         set_forced_path(Some(&path));
         assert!(enabled());
@@ -504,7 +501,7 @@ mod tests {
 
     #[test]
     fn switching_paths_flushes_and_reopens() {
-        let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let _guard = crate::test_lock();
         let a = tmp_path("switch_a");
         let b = tmp_path("switch_b");
         set_forced_path(Some(&a));
@@ -525,7 +522,7 @@ mod tests {
 
     #[test]
     fn event_counts_track_emitted_kinds_only() {
-        let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let _guard = crate::test_lock();
         let path = tmp_path("counts");
         set_forced_path(Some(&path));
         let before = event_counts()
@@ -549,7 +546,7 @@ mod tests {
 
     #[test]
     fn trace_scope_tags_events_and_nests() {
-        let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let _guard = crate::test_lock();
         let path = tmp_path("trace");
         set_forced_path(Some(&path));
         event("link").int("scored", 1).emit(); // no scope: no trace_id
@@ -577,7 +574,7 @@ mod tests {
 
     #[test]
     fn unopenable_path_disables_without_panicking() {
-        let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let _guard = crate::test_lock();
         set_forced_path(Some("/nonexistent-dir-adamel/ledger.jsonl"));
         assert!(enabled(), "path configured, not yet probed");
         event("metric").str("name", "x").emit(); // open fails, disables

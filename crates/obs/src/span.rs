@@ -172,10 +172,6 @@ mod tests {
     use super::*;
     use crate::level::set_forced;
     use crate::registry;
-    use std::sync::Mutex;
-
-    /// Registry, path TLS, and forced level are shared; serialize tests.
-    static LOCK: Mutex<()> = Mutex::new(());
 
     fn reset_registry() {
         let mut reg = registry::lock();
@@ -191,7 +187,7 @@ mod tests {
 
     #[test]
     fn nested_spans_build_paths_and_unwind() {
-        let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let _guard = crate::test_lock();
         set_forced(Some(TraceLevel::Spans));
         reset_registry();
         {
@@ -218,7 +214,7 @@ mod tests {
 
     #[test]
     fn op_spans_gate_on_full() {
-        let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let _guard = crate::test_lock();
         set_forced(Some(TraceLevel::Spans));
         reset_registry();
         {
@@ -236,7 +232,7 @@ mod tests {
 
     #[test]
     fn off_spans_do_not_touch_path_or_odometer() {
-        let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let _guard = crate::test_lock();
         set_forced(Some(TraceLevel::Off));
         reset_registry();
         let before = spans_entered();
@@ -258,7 +254,7 @@ mod tests {
 
     #[test]
     fn repeated_spans_aggregate_into_one_histogram() {
-        let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let _guard = crate::test_lock();
         set_forced(Some(TraceLevel::Spans));
         reset_registry();
         for _ in 0..10 {

@@ -14,14 +14,26 @@
 //! at `limit`. Because [`snapshot`](LiveIndex::snapshot) yields records in
 //! key order, a `BlockingIndex` built over that snapshot ranks by position
 //! ascending on ties — which *is* key order — so
-//! [`candidates`](LiveIndex::candidates) agrees with
-//! `BlockingIndex::candidates_for` on every query (property-tested below).
-//! This is what lets `adamel-serve` score batches bit-identically to the
-//! offline `Linker::link` path.
+//! [`candidates`](LiveIndex::candidates) returns the keys of exactly the
+//! records `BlockingIndex::candidates_for` returns, in the same order, on
+//! every query (property-tested below). `adamel-serve` scores those
+//! records, fetched by key with [`get`](LiveIndex::get), and so produces
+//! the same pairs, in the same order, as the offline `Linker::link` over
+//! the snapshot: its scores are bit-identical.
+//!
+//! ## Memory gauge
+//!
+//! The index keeps a running total of its records' logical bytes
+//! (attribute names and values, plus one [`Record`] and one [`RecordKey`]
+//! per record) and publishes it as the `schema.live_index.bytes` gauge of
+//! the `adamel-obs` memory ledger after every mutation.
 
 use crate::record::{Record, SourceId};
 use adamel_text::tokenize;
 use std::collections::{BTreeMap, BTreeSet};
+
+/// The memory-ledger gauge holding [`LiveIndex`]'s running byte total.
+const BYTES_GAUGE: &str = "schema.live_index.bytes";
 
 /// The identity of a record inside a [`LiveIndex`]: source id + entity id.
 pub type RecordKey = (SourceId, u64);
@@ -32,14 +44,21 @@ pub struct LiveIndex {
     block_attrs: Vec<String>,
     records: BTreeMap<RecordKey, Record>,
     by_token: BTreeMap<String, BTreeSet<RecordKey>>,
-    /// Monotonic mutation counter; callers cache snapshots against it.
-    generation: u64,
+    /// Running sum of [`record_bytes`] over `records`.
+    bytes: u64,
+}
+
+/// The logical footprint of one indexed record: its attribute names and
+/// values, plus the `Record` and the `RecordKey` that hold it.
+fn record_bytes(r: &Record) -> u64 {
+    let attrs: usize = r.values.iter().map(|(k, v)| k.len() + v.len()).sum();
+    (attrs + std::mem::size_of::<Record>() + std::mem::size_of::<RecordKey>()) as u64
 }
 
 impl LiveIndex {
     /// An empty index blocking on the word tokens of `block_attrs`.
     pub fn new(block_attrs: Vec<String>) -> Self {
-        Self { block_attrs, records: BTreeMap::new(), by_token: BTreeMap::new(), generation: 0 }
+        Self { block_attrs, records: BTreeMap::new(), by_token: BTreeMap::new(), bytes: 0 }
     }
 
     /// The blocking attributes this index tokenizes.
@@ -62,13 +81,6 @@ impl LiveIndex {
         self.by_token.len()
     }
 
-    /// Monotonic mutation counter: bumped by every upsert/delete that
-    /// changes the index, so callers can cache derived state (snapshots,
-    /// position maps) and invalidate it cheaply.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
     /// Distinct blocking tokens of one record, in first-seen order
     /// (matching `BlockingIndex::new`'s per-record token walk).
     fn tokens_of(&self, r: &Record) -> Vec<String> {
@@ -87,6 +99,7 @@ impl LiveIndex {
     }
 
     fn unindex(&mut self, key: RecordKey, record: &Record) {
+        self.bytes -= record_bytes(record);
         for t in self.tokens_of(record) {
             if let Some(postings) = self.by_token.get_mut(&t) {
                 postings.remove(&key);
@@ -110,8 +123,9 @@ impl LiveIndex {
         for t in self.tokens_of(&record) {
             self.by_token.entry(t).or_default().insert(key);
         }
+        self.bytes += record_bytes(&record);
         self.records.insert(key, record);
-        self.generation += 1;
+        adamel_obs::mem::observe(BYTES_GAUGE, self.bytes);
         replaced
     }
 
@@ -122,7 +136,7 @@ impl LiveIndex {
         match self.records.remove(&key) {
             Some(old) => {
                 self.unindex(key, &old);
-                self.generation += 1;
+                adamel_obs::mem::observe(BYTES_GAUGE, self.bytes);
                 true
             }
             None => false,
@@ -134,17 +148,11 @@ impl LiveIndex {
         self.records.get(&(source, entity_id))
     }
 
-    /// Clones the corpus in key order — the deterministic record order every
-    /// position-based consumer (candidate positions, `Linker` match
-    /// indices) is defined against.
+    /// Clones the corpus in key order: the record slice whose offline
+    /// `Linker::link` the served results equal (see the module's
+    /// equivalence contract).
     pub fn snapshot(&self) -> Vec<Record> {
         self.records.values().cloned().collect()
-    }
-
-    /// Keys in key order, aligned with [`snapshot`](Self::snapshot):
-    /// `keys()[i]` identifies `snapshot()[i]`.
-    pub fn keys(&self) -> Vec<RecordKey> {
-        self.records.keys().copied().collect()
     }
 
     /// Keys of records sharing at least one blocking token with `query`,
@@ -205,29 +213,56 @@ mod tests {
         assert_eq!(li.num_blocks(), 2, "beta posting list must be dropped entirely");
     }
 
-    #[test]
-    fn generation_tracks_mutations() {
-        let mut li = LiveIndex::new(vec!["title".into()]);
-        let g0 = li.generation();
-        li.upsert(rec(0, 1, "a"));
-        assert!(li.generation() > g0);
-        let g1 = li.generation();
-        li.delete(SourceId(0), 1);
-        assert!(li.generation() > g1);
-        let g2 = li.generation();
-        li.delete(SourceId(0), 1); // miss: no change
-        assert_eq!(li.generation(), g2);
+    fn keys_of(records: &[Record]) -> Vec<RecordKey> {
+        records.iter().map(|r| (r.source, r.entity_id)).collect()
     }
 
     #[test]
-    fn snapshot_is_key_ordered_and_aligned_with_keys() {
+    fn snapshot_is_key_ordered() {
         let li = idx(&[rec(2, 5, "c"), rec(0, 9, "a"), rec(2, 1, "b")]);
-        let keys = li.keys();
-        assert_eq!(keys, vec![(SourceId(0), 9), (SourceId(2), 1), (SourceId(2), 5)]);
         let snap = li.snapshot();
-        for (k, r) in keys.iter().zip(snap.iter()) {
-            assert_eq!(*k, (r.source, r.entity_id));
+        assert_eq!(keys_of(&snap), vec![(SourceId(0), 9), (SourceId(2), 1), (SourceId(2), 5)]);
+        let titles: Vec<_> = snap.iter().filter_map(|r| r.get("title")).collect();
+        assert_eq!(titles, vec!["a", "b", "c"]);
+    }
+
+    /// The running byte total equals a recount over the records after any
+    /// mix of inserts, same-key replacements and deletes, and is 0 once
+    /// the index is empty again.
+    #[test]
+    fn byte_total_tracks_a_recount_under_churn() {
+        let recount = |li: &LiveIndex| -> u64 {
+            li.snapshot()
+                .iter()
+                .map(|r| {
+                    let attrs: usize = r.values.iter().map(|(k, v)| k.len() + v.len()).sum();
+                    (attrs + std::mem::size_of::<Record>() + std::mem::size_of::<RecordKey>())
+                        as u64
+                })
+                .sum()
+        };
+        let words = ["a", "bb", "ccc", "dddd eeeee"];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let mut li = LiveIndex::new(vec!["title".into()]);
+        for _ in 0..300 {
+            let (source, id) = (rng.gen_range(0u32..2), rng.gen_range(0u64..12));
+            if rng.gen_range(0u32..3) == 0 {
+                li.delete(SourceId(source), id);
+            } else {
+                let mut r = rec(source, id, words[rng.gen_range(0usize..words.len())]);
+                if rng.gen_range(0u32..2) == 0 {
+                    r.set("brand", words[rng.gen_range(0usize..words.len())]);
+                }
+                li.upsert(r);
+            }
+            assert_eq!(li.bytes, recount(&li));
         }
+        assert!(li.bytes > 0);
+        for (source, id) in keys_of(&li.snapshot()) {
+            assert!(li.delete(source, id));
+        }
+        assert!(li.is_empty());
+        assert_eq!(li.bytes, 0);
     }
 
     /// The contract the serving path relies on: LiveIndex candidates over a
@@ -255,7 +290,7 @@ mod tests {
                 continue;
             }
             let snap = li.snapshot();
-            let keys = li.keys();
+            let keys = keys_of(&snap);
             let bi = BlockingIndex::new(&snap, &["title"]);
             for _ in 0..5 {
                 let qt = title(&mut rng);

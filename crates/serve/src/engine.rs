@@ -4,15 +4,17 @@
 //! ## Bit-identity with the offline pipeline
 //!
 //! [`Engine::link`] probes the incremental
-//! [`adamel_schema::LiveIndex`] for candidates and routes them
-//! through [`Linker::score_candidates`](adamel::Linker::score_candidates) —
-//! the literal second half of `Linker::link`. `LiveIndex` ranks candidates
+//! [`adamel_schema::LiveIndex`] for candidate keys, fetches those records
+//! from it, and routes them through
+//! [`Linker::score_candidates`](adamel::Linker::score_candidates) — the
+//! literal second half of `Linker::link`. `LiveIndex` ranks candidates
 //! `(shared-token count desc, key asc)`, which over the key-ordered corpus
 //! snapshot coincides with the batch `BlockingIndex` ranking
-//! `(count desc, position asc)`; the candidate sets therefore agree, and
-//! downstream both paths run the same code. A served batch is bit-identical
-//! to `Linker::link(queries, &corpus_snapshot)` — asserted end to end in
-//! `tests/end_to_end.rs`.
+//! `(count desc, position asc)`; both paths therefore build the same pairs
+//! in the same order, and downstream run the same code. A served batch is
+//! bit-identical to `Linker::link(queries, &corpus_snapshot)` — asserted
+//! in `tests/churn_link.rs` under churn and in `tests/end_to_end.rs` over
+//! sockets.
 //!
 //! ## Hot-swap atomicity
 //!
@@ -38,7 +40,8 @@ use adamel::{AdamelModel, DriftBaseline, DriftMonitor, DriftThresholds, Linker, 
 use adamel_obs::json;
 use adamel_schema::{LiveIndex, Record, RecordKey, SourceId};
 use adamel_tensor::parallel;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
@@ -97,20 +100,8 @@ pub struct LinkOutcome {
     pub matches: Vec<LinkMatch>,
     /// Candidate pairs generated by blocking.
     pub candidates: usize,
-    /// Records currently in the corpus snapshot that was scored against.
+    /// Records in the corpus when the batch's candidates were probed.
     pub corpus_records: usize,
-}
-
-/// A key-ordered, immutable view of the corpus, shared by in-flight
-/// requests via `Arc` and invalidated on any index mutation.
-struct Snapshot {
-    records: Vec<Record>,
-    keys: Vec<RecordKey>,
-}
-
-struct Corpus {
-    index: LiveIndex,
-    snapshot: Option<Arc<Snapshot>>,
 }
 
 struct DriftState {
@@ -142,7 +133,7 @@ struct Counters {
 pub struct Engine {
     linker: RwLock<Arc<Linker>>,
     model_version: AtomicU64,
-    corpus: Mutex<Corpus>,
+    corpus: Mutex<LiveIndex>,
     drift: Option<Mutex<DriftState>>,
     readapt: AtomicBool,
     compute_threads: usize,
@@ -183,7 +174,7 @@ impl Engine {
         Self {
             linker: RwLock::new(Arc::new(linker)),
             model_version: AtomicU64::new(1),
-            corpus: Mutex::new(Corpus { index, snapshot: None }),
+            corpus: Mutex::new(index),
             drift,
             readapt: AtomicBool::new(false),
             compute_threads: cfg.compute_threads,
@@ -212,13 +203,12 @@ impl Engine {
         let mut corpus = lock(&self.corpus);
         let (mut inserted, mut replaced) = (0usize, 0usize);
         for rec in records {
-            if corpus.index.upsert(rec) {
+            if corpus.upsert(rec) {
                 replaced += 1;
             } else {
                 inserted += 1;
             }
         }
-        corpus.snapshot = None;
         drop(corpus);
         self.counters.upserts.fetch_add((inserted + replaced) as u64, Ordering::Relaxed);
         (inserted, replaced)
@@ -227,8 +217,7 @@ impl Engine {
     /// Deletes records by key; returns how many existed.
     pub fn delete(&self, keys: &[RecordKey]) -> usize {
         let mut corpus = lock(&self.corpus);
-        let removed = keys.iter().filter(|(s, id)| corpus.index.delete(*s, *id)).count();
-        corpus.snapshot = None;
+        let removed = keys.iter().filter(|(s, id)| corpus.delete(*s, *id)).count();
         drop(corpus);
         self.counters.deletes.fetch_add(removed as u64, Ordering::Relaxed);
         removed
@@ -236,71 +225,59 @@ impl Engine {
 
     /// Records currently in the corpus.
     pub fn corpus_len(&self) -> usize {
-        lock(&self.corpus).index.len()
+        lock(&self.corpus).len()
     }
 
-    /// Blocks and scores `queries` against the current corpus snapshot.
+    /// Blocks and scores `queries` against the current corpus.
     ///
-    /// Candidate generation happens under the corpus lock (cheap index
-    /// probes); scoring happens outside every lock, against `Arc` clones
-    /// of the snapshot and the linker, so upserts, deletes, and model
-    /// swaps proceed concurrently without affecting this batch.
+    /// Candidate generation happens under the corpus lock: index probes,
+    /// and one clone of each distinct candidate record. Scoring happens
+    /// outside every lock, on those clones and an `Arc` clone of the
+    /// linker, so upserts, deletes, and model swaps proceed concurrently
+    /// without affecting this batch.
     pub fn link(&self, queries: &[Record]) -> LinkOutcome {
-        let mut corpus = lock(&self.corpus);
-        let snapshot = match &corpus.snapshot {
-            Some(s) => Arc::clone(s),
-            None => {
-                let s = Arc::new(Snapshot {
-                    records: corpus.index.snapshot(),
-                    keys: corpus.index.keys(),
-                });
-                if adamel_obs::enabled() {
-                    let attrs: usize = s
-                        .records
-                        .iter()
-                        .flat_map(|r| r.values.iter())
-                        .map(|(k, v)| k.len() + v.len())
-                        .sum();
-                    let bytes = attrs
-                        + s.records.len() * std::mem::size_of::<Record>()
-                        + s.keys.len() * std::mem::size_of::<RecordKey>();
-                    adamel_obs::mem::observe("schema.live_index.snapshot.bytes", bytes as u64);
-                }
-                corpus.snapshot = Some(Arc::clone(&s));
-                s
-            }
-        };
         let linker = self.current_linker();
         let limit = linker.config().max_candidates_per_record;
-        // Key → snapshot position: `keys` is ascending (BTreeMap order), so
-        // candidates translate by binary search — no indexing, no panics.
-        let positions: Vec<Vec<usize>> = queries
+        // A record that is a candidate of several queries is cloned once
+        // and keeps one index into `right`, as it has one position in the
+        // offline pipeline's corpus (the one-to-one reduction relies on it).
+        let mut right: Vec<Record> = Vec::new();
+        let mut slots: BTreeMap<RecordKey, usize> = BTreeMap::new();
+        let corpus = lock(&self.corpus);
+        let per_query: Vec<Vec<usize>> = queries
             .iter()
             .map(|q| {
                 corpus
-                    .index
                     .candidates(q, limit)
                     .into_iter()
-                    .filter_map(|key| snapshot.keys.binary_search(&key).ok())
+                    .filter_map(|key| match slots.entry(key) {
+                        Entry::Occupied(slot) => Some(*slot.get()),
+                        Entry::Vacant(slot) => {
+                            right.push(corpus.get(key.0, key.1)?.clone());
+                            Some(*slot.insert(right.len() - 1))
+                        }
+                    })
                     .collect()
             })
             .collect();
+        let corpus_records = corpus.len();
         drop(corpus);
 
-        let candidates: usize = positions.iter().map(Vec::len).sum();
+        let candidates: usize = per_query.iter().map(Vec::len).sum();
         let (results, batch) = if self.compute_threads > 0 {
             parallel::with_threads(self.compute_threads, || {
-                linker.score_candidates(queries, &snapshot.records, &positions)
+                linker.score_candidates(queries, &right, &per_query)
             })
         } else {
-            linker.score_candidates(queries, &snapshot.records, &positions)
+            linker.score_candidates(queries, &right, &per_query)
         };
 
         let matches: Vec<LinkMatch> = results
             .into_iter()
             .filter_map(|m| {
-                let (SourceId(source), entity_id) = *snapshot.keys.get(m.right)?;
-                Some(LinkMatch { query: m.left, source, entity_id, score: m.score })
+                let r = right.get(m.right)?;
+                let SourceId(source) = r.source;
+                Some(LinkMatch { query: m.left, source, entity_id: r.entity_id, score: m.score })
             })
             .collect();
 
@@ -310,7 +287,18 @@ impl Engine {
 
         self.observe_drift(queries, &batch, &linker);
 
-        LinkOutcome { matches, candidates, corpus_records: snapshot.records.len() }
+        // The encoding cache keeps every record it has encoded, so under
+        // churn it fills with listings since revised or deleted. Once it
+        // holds more than twice the records a batch can draw on, start it
+        // cold: scores are unchanged (it only memoizes), and refilling costs
+        // at most one encode per record encoded since the last clear.
+        let model = linker.model();
+        let live = (corpus_records + queries.len()) as u64;
+        if model.encode_cache_stats().distinct_records > 2 * live {
+            model.clear_encode_cache();
+        }
+
+        LinkOutcome { matches, candidates, corpus_records }
     }
 
     /// Drift bookkeeping for one served batch: `batch` holds the pairs the
@@ -538,7 +526,7 @@ mod tests {
         let linker = trained_linker();
         let offline = trained_linker();
         let engine = Engine::new(linker, EngineConfig::default());
-        // Upsert in key order so the snapshot equals this vec verbatim.
+        // Upsert in key order so the key-ordered corpus is this vec verbatim.
         engine.upsert(corpus());
         let queries = vec![rec(9, 1, "alpha beta"), rec(9, 2, "gamma delta")];
 
@@ -554,6 +542,34 @@ mod tests {
             assert_eq!((SourceId(s.source), s.entity_id), (expect.source, expect.entity_id));
             assert_eq!(s.score.to_bits(), r.score.to_bits(), "bitwise score mismatch");
         }
+    }
+
+    #[test]
+    fn encoding_cache_stays_within_twice_the_live_records() {
+        let engine = Engine::new(trained_linker(), EngineConfig::default());
+        let offline = trained_linker();
+        engine.upsert(corpus());
+        let (mut previous, mut clears) = (0, 0);
+        for i in 0..30u64 {
+            // Every query is content the cache has not seen.
+            let queries = vec![rec(9, i, &format!("alpha beta q{i}"))];
+            let served = engine.link(&queries);
+            let cached = engine.current_linker().model().encode_cache_stats().distinct_records;
+            assert!(cached <= 2 * (corpus().len() + queries.len()) as u64, "link {i}: {cached}");
+            clears += usize::from(cached < previous);
+            previous = cached;
+
+            let reference = offline.link(&queries, &corpus());
+            let right = corpus();
+            let expect: Vec<_> = reference
+                .iter()
+                .map(|m| (m.left, right[m.right].entity_id, m.score.to_bits()))
+                .collect();
+            let got: Vec<_> =
+                served.matches.iter().map(|m| (m.query, m.entity_id, m.score.to_bits())).collect();
+            assert_eq!(got, expect, "link {i}");
+        }
+        assert!(clears >= 2, "the cache was cleared {clears} times");
     }
 
     #[test]

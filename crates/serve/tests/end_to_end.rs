@@ -13,7 +13,7 @@ use adamel::config::{AdamelConfig, Variant};
 use adamel::train::fit;
 use adamel::{AdamelModel, Linker, LinkerConfig};
 use adamel_obs::json::Json;
-use adamel_schema::{Domain, EntityPair, Record, Schema, SourceId};
+use adamel_schema::{Domain, EntityPair, Record, RecordKey, Schema, SourceId};
 use adamel_serve::{DriftConfig, Engine, EngineConfig, RecordLine, Server, ServerConfig};
 use adamel_tensor::parallel;
 use std::collections::BTreeMap;
@@ -56,7 +56,7 @@ fn trained_model() -> AdamelModel {
 }
 
 /// Corpus records in ascending `(source, entity_id)` key order, so the
-/// engine's snapshot equals this vec verbatim and offline `link` over it is
+/// engine's key-ordered corpus is this vec verbatim and offline `link` over it is
 /// the ground truth for the served results.
 fn corpus() -> Vec<Record> {
     vec![
@@ -268,9 +268,19 @@ fn trace_id_joins_link_response_runlog_and_metrics_at_full() {
         .and_then(|mem| mem.get("gauges"))
         .and_then(Json::as_object)
         .expect("mem gauges");
-    assert!(
-        gauges.contains_key("schema.live_index.snapshot.bytes"),
-        "snapshot gauge missing from {:?}",
+    // The index's byte gauge equals a recount over the corpus it holds.
+    let recount: usize = corpus()
+        .iter()
+        .map(|r| {
+            let attrs: usize = r.values.iter().map(|(k, v)| k.len() + v.len()).sum();
+            attrs + std::mem::size_of::<Record>() + std::mem::size_of::<RecordKey>()
+        })
+        .sum();
+    let index_bytes = gauges.get("schema.live_index.bytes").and_then(|g| g.get("current"));
+    assert_eq!(
+        index_bytes.and_then(Json::as_u64),
+        Some(recount as u64),
+        "index gauge missing or off among {:?}",
         gauges.keys().collect::<Vec<_>>()
     );
 
