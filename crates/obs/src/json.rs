@@ -7,9 +7,17 @@
 //! ledgers, and CI asserts every emitted line round-trips. This module is
 //! deliberately small: it parses standard JSON into a [`Json`] tree
 //! (objects keep [`BTreeMap`] order per the `hashmap-order` rule) and makes
-//! no attempt at zero-copy or streaming — ledger lines are short.
+//! no attempt at zero-copy or streaming — ledger lines are short. The
+//! daemon parses untrusted request lines with it too, so nesting is capped
+//! at [`MAX_DEPTH`].
 
 use std::collections::BTreeMap;
+
+/// The deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so without a cap one request of ~100 000 `[`
+/// overflows a 2 MiB worker stack and aborts the process; no document the
+/// workspace reads or writes nests deeper than about 10.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 ///
@@ -47,7 +55,7 @@ impl Json {
     /// assert_eq!(v.get("a").and_then(|a| a.as_array()).map(Vec::len), Some(3));
     /// ```
     pub fn parse(src: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: src.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: src.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -117,6 +125,8 @@ impl Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -145,11 +155,23 @@ impl Parser<'_> {
             Some(b't') => self.eat("true").map(|()| Json::Bool(true)),
             Some(b'f') => self.eat("false").map(|()| Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c.is_ascii_digit() || *c == b'-' => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -409,6 +431,20 @@ mod tests {
     fn rejects_malformed_documents() {
         for bad in ["", "{", "[1,", "{\"a\" 1}", "\"unterminated", "tru", "1.2.3", "{} extra"] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    #[test]
+    fn nesting_past_max_depth_is_an_error_not_a_stack_overflow() {
+        let arrays = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&arrays(MAX_DEPTH)).is_ok());
+        // Depth is nesting, not the count of containers: siblings reuse a level.
+        let wide = format!("[{}]", vec![arrays(MAX_DEPTH - 1); 3].join(","));
+        assert!(Json::parse(&wide).is_ok());
+        let chains = ["[".repeat(1_000_000), "{\"a\":".repeat(1_000_000)];
+        for deep in std::iter::once(arrays(MAX_DEPTH + 1)).chain(chains) {
+            let err = Json::parse(&deep).expect_err("too deep");
+            assert!(err.contains("nesting deeper than 128 levels"), "{err}");
         }
     }
 

@@ -12,14 +12,17 @@
 //! without it the hook stays quiet. See OPERATIONS.md for the full runbook.
 //!
 //! Selftest mode trains a tiny model in-process, boots on an ephemeral
-//! port, exercises every endpoint over real sockets, optionally writes the
-//! final `/metrics` document to `--metrics-out`, and exits non-zero on any
-//! failure — CI runs it and uploads the metrics artifact.
+//! port, exercises every endpoint over real sockets, checks that a `/link`
+//! line nested past the JSON depth cap and a request head past its size
+//! cap each get a `400` while the daemon keeps serving, optionally writes
+//! the final `/metrics` document to `--metrics-out`, and exits non-zero on
+//! any failure — CI runs it and uploads the metrics artifact.
 
 use adamel::config::{AdamelConfig, Variant};
 use adamel::train::fit;
 use adamel::{AdamelModel, Linker, LinkerConfig};
 use adamel_schema::{Domain, EntityPair, Record, Schema, SourceId};
+use adamel_serve::http::MAX_HEAD_BYTES;
 use adamel_serve::{DriftConfig, Engine, EngineConfig, Server, ServerConfig};
 use std::collections::BTreeSet;
 use std::io::{BufReader, Read, Write};
@@ -142,14 +145,15 @@ fn request(
     path: &str,
     body: &str,
 ) -> Result<(u16, String), String> {
+    let head = format!("{method} {path} HTTP/1.1\r\nHost: selftest\r\n");
+    raw_request(addr, &format!("{head}Content-Length: {}\r\n\r\n{body}", body.len()))
+}
+
+/// Sends `request` verbatim over a fresh connection; returns `(status, body)`.
+fn raw_request(addr: std::net::SocketAddr, request: &str) -> Result<(u16, String), String> {
     let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
     stream.set_read_timeout(Some(Duration::from_secs(30))).map_err(|e| format!("timeout: {e}"))?;
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: selftest\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    )
-    .map_err(|e| format!("send: {e}"))?;
+    stream.write_all(request.as_bytes()).map_err(|e| format!("send: {e}"))?;
     let mut raw = String::new();
     stream.read_to_string(&mut raw).map_err(|e| format!("recv: {e}"))?;
     let status: u16 = raw
@@ -162,8 +166,16 @@ fn request(
 }
 
 fn expect_200(step: &str, got: Result<(u16, String), String>) -> Result<String, String> {
+    expect_status(step, 200, got)
+}
+
+fn expect_status(
+    step: &str,
+    want: u16,
+    got: Result<(u16, String), String>,
+) -> Result<String, String> {
     match got {
-        Ok((200, body)) => Ok(body),
+        Ok((status, body)) if status == want => Ok(body),
         Ok((status, body)) => Err(format!("{step}: HTTP {status}: {}", body.trim())),
         Err(e) => Err(format!("{step}: {e}")),
     }
@@ -251,6 +263,17 @@ fn run_selftest(metrics_out: Option<&str>) -> Result<(), String> {
     if summary.get("summary").and_then(|s| s.get("trace_id")).and_then(|t| t.as_u64()).is_none() {
         return Err("link: summary carries no trace_id".to_string());
     }
+
+    // Hostile requests get a `400` from the live worker pool, which keeps
+    // serving: a `/link` line nested far past the JSON parser's depth cap,
+    // and a header line that runs to the head cap without ending. The head
+    // is exactly the cap long, so the daemon reads all of it before it
+    // answers and the close cannot reset the connection under the reply.
+    let deep = format!("{}\n", "[".repeat(100_000));
+    expect_status("deep /link", 400, request(addr, "POST", "/link", &deep))?;
+    let line = "GET /healthz HTTP/1.1\r\nX-Pad: ";
+    let head = format!("{line}{}", "a".repeat(MAX_HEAD_BYTES - line.len()));
+    expect_status("over-cap header", 400, raw_request(addr, &head))?;
 
     let health = expect_200("healthz", request(addr, "GET", "/healthz", ""))?;
     if !health.contains("\"status\": \"ok\"") {

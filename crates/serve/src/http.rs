@@ -7,7 +7,13 @@
 //! `400` by the caller; the parser itself never panics (every error is a
 //! [`HttpError`] value).
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Take, Write};
+
+/// The most bytes the request line and headers may take together. A
+/// longer head is answered `400` once this many bytes are read, so a
+/// client streaming a header without `\n` cannot grow the daemon's memory
+/// past it (the body has its own cap, `max_body`).
+pub const MAX_HEAD_BYTES: usize = 64 * 1024;
 
 /// Why a request could not be read.
 #[derive(Debug)]
@@ -48,10 +54,11 @@ pub struct Request {
     pub body: Vec<u8>,
 }
 
-/// Reads one request from `stream`, capping the body at `max_body` bytes.
+/// Reads one request from `stream`, capping the request line and headers
+/// at [`MAX_HEAD_BYTES`] and the body at `max_body` bytes.
 pub fn read_request(stream: &mut impl BufRead, max_body: usize) -> Result<Request, HttpError> {
-    let mut line = String::new();
-    stream.read_line(&mut line).map_err(HttpError::Io)?;
+    let mut head = stream.by_ref().take(MAX_HEAD_BYTES as u64);
+    let line = read_head_line(&mut head)?;
     let mut parts = line.split_whitespace();
     let (method, target) = match (parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(t), Some(v)) if v.starts_with("HTTP/1.") => (m.to_uppercase(), t),
@@ -61,8 +68,7 @@ pub fn read_request(stream: &mut impl BufRead, max_body: usize) -> Result<Reques
 
     let mut content_length: usize = 0;
     loop {
-        let mut header = String::new();
-        stream.read_line(&mut header).map_err(HttpError::Io)?;
+        let header = read_head_line(&mut head)?;
         let header = header.trim_end();
         if header.is_empty() {
             break;
@@ -82,6 +88,19 @@ pub fn read_request(stream: &mut impl BufRead, max_body: usize) -> Result<Reques
     let mut body = vec![0u8; content_length];
     stream.read_exact(&mut body).map_err(HttpError::Io)?;
     Ok(Request { method, path, body })
+}
+
+/// Reads one line of the request head; a line cut off by the head cap is a
+/// `BadRequest`, one cut off by the end of the stream is returned as is.
+fn read_head_line(head: &mut Take<impl BufRead>) -> Result<String, HttpError> {
+    let mut line = String::new();
+    head.read_line(&mut line).map_err(HttpError::Io)?;
+    if head.limit() == 0 && !line.ends_with('\n') {
+        return Err(HttpError::BadRequest(format!(
+            "request line and headers exceed {MAX_HEAD_BYTES} bytes"
+        )));
+    }
+    Ok(line)
 }
 
 /// Writes a response with the given status and JSON(L) body, then flushes.
@@ -143,6 +162,20 @@ mod tests {
             parse("POST /x HTTP/1.1\r\nContent-Length: nope\r\n\r\n"),
             Err(HttpError::BadRequest(_))
         ));
+    }
+
+    #[test]
+    fn head_past_the_cap_is_a_bad_request_read_no_further_than_the_cap() {
+        let raw = format!("GET /healthz HTTP/1.1\r\nX-Big: {}\r\n\r\n", "a".repeat(1 << 20));
+        let mut reader = raw.as_bytes();
+        let err = read_request(&mut reader, 1024).expect_err("head over the cap");
+        assert!(matches!(&err, HttpError::BadRequest(msg) if msg.contains("65536")), "{err}");
+        assert_eq!(raw.len() - reader.len(), MAX_HEAD_BYTES, "consumed past the cap");
+        // A head of exactly the cap is read; one byte more is refused.
+        let head = |pad: usize| format!("GET / HTTP/1.1\r\nX: {}\r\n\r\n", "a".repeat(pad));
+        let pad = MAX_HEAD_BYTES - head(0).len();
+        assert_eq!(parse(&head(pad)).expect("head of exactly the cap").path, "/");
+        assert!(matches!(parse(&head(pad + 1)), Err(HttpError::BadRequest(_))));
     }
 
     #[test]

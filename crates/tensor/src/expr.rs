@@ -1,0 +1,208 @@
+//! The computed ops of the forward program, defined once.
+//!
+//! An [`Expr`] is one computed op over operand handles `V`: [`Var`] tape
+//! positions when the autograd tape records it, and the plan's `Src`
+//! replay locations when a compiled plan replays it. The tape evaluates
+//! each op through [`Expr::forward_into`] as it records it, and the plan
+//! maps the recorded op onto its own operands ([`Expr::map`]) and calls
+//! the same function at replay. That function is the only place a
+//! computed op meets its kernel and the sanitizer's op checks, so the plan
+//! computes the tape's bits by construction.
+//!
+//! [`Var`]: crate::Var
+
+use crate::matrix::Matrix;
+use crate::sanitize;
+
+/// One computed op, generic over its operand handle.
+pub(crate) enum Expr<V> {
+    MatMul(V, V),
+    Add(V, V),
+    /// `(n,m) + (1,m)` bias addition.
+    AddRowBroadcast(V, V),
+    /// Elementwise product of equally shaped operands.
+    Mul(V, V),
+    /// `(n,m) * (n,1)`: row `i` scaled by `col[i]`.
+    MulColBroadcast(V, V),
+    Scale(V, f32),
+    Relu(V),
+    Tanh(V),
+    Sigmoid(V),
+    SoftmaxRows(V),
+    ConcatCols(Vec<V>),
+    /// `Σ_j weights[:, j] ⊙ parts[j]` with `weights` of shape `n x F`.
+    WeightedSum {
+        parts: Vec<V>,
+        weights: V,
+    },
+    /// Contiguous column window `[start, start+width)` of the input.
+    SliceCols {
+        input: V,
+        start: usize,
+        width: usize,
+    },
+    MeanAll(V),
+    SumAll(V),
+    /// Mean binary cross-entropy on logits vs. constant targets, with
+    /// per-sample constant weights. Fused for numerical stability.
+    WeightedBceWithLogits {
+        logits: V,
+        targets: Matrix,
+        weights: Matrix,
+    },
+    /// Mean over rows of `KL(q || p_i)` with a constant row distribution `q`
+    /// and `p` the (already normalized) rows of the input.
+    KlConstRows {
+        probs: V,
+        target: Matrix,
+        eps: f32,
+    },
+}
+
+impl<V: Copy> Expr<V> {
+    /// Stable op name for sanitizer provenance, op spans and diagnostics.
+    pub(crate) fn name(&self) -> &'static str {
+        match self {
+            Expr::MatMul(..) => "matmul",
+            Expr::Add(..) => "add",
+            Expr::AddRowBroadcast(..) => "add_row_broadcast",
+            Expr::Mul(..) => "mul",
+            Expr::MulColBroadcast(..) => "mul_col_broadcast",
+            Expr::Scale(..) => "scale",
+            Expr::Relu(_) => "relu",
+            Expr::Tanh(_) => "tanh",
+            Expr::Sigmoid(_) => "sigmoid",
+            Expr::SoftmaxRows(_) => "softmax_rows",
+            Expr::ConcatCols(_) => "concat_cols",
+            Expr::WeightedSum { .. } => "weighted_sum",
+            Expr::SliceCols { .. } => "slice_cols",
+            Expr::MeanAll(_) => "mean_all",
+            Expr::SumAll(_) => "sum_all",
+            Expr::WeightedBceWithLogits { .. } => "weighted_bce_with_logits",
+            Expr::KlConstRows { .. } => "kl_const_rows",
+        }
+    }
+
+    /// The operands this op reads, in operand order.
+    pub(crate) fn operands(&self) -> Vec<V> {
+        let mut out = Vec::new();
+        let _ = self.map(|v| out.push(v));
+        out
+    }
+
+    /// The same op over other operand handles: `f` is called once per
+    /// operand, in operand order (the order of [`operands`](Self::operands)).
+    pub(crate) fn map<W>(&self, mut f: impl FnMut(V) -> W) -> Expr<W> {
+        match self {
+            Expr::MatMul(a, b) => Expr::MatMul(f(*a), f(*b)),
+            Expr::Add(a, b) => Expr::Add(f(*a), f(*b)),
+            Expr::AddRowBroadcast(a, b) => Expr::AddRowBroadcast(f(*a), f(*b)),
+            Expr::Mul(a, b) => Expr::Mul(f(*a), f(*b)),
+            Expr::MulColBroadcast(a, b) => Expr::MulColBroadcast(f(*a), f(*b)),
+            Expr::Scale(a, s) => Expr::Scale(f(*a), *s),
+            Expr::Relu(a) => Expr::Relu(f(*a)),
+            Expr::Tanh(a) => Expr::Tanh(f(*a)),
+            Expr::Sigmoid(a) => Expr::Sigmoid(f(*a)),
+            Expr::SoftmaxRows(a) => Expr::SoftmaxRows(f(*a)),
+            Expr::ConcatCols(parts) => Expr::ConcatCols(parts.iter().map(|&v| f(v)).collect()),
+            Expr::WeightedSum { parts, weights } => Expr::WeightedSum {
+                parts: parts.iter().map(|&v| f(v)).collect(),
+                weights: f(*weights),
+            },
+            Expr::SliceCols { input, start, width } => {
+                Expr::SliceCols { input: f(*input), start: *start, width: *width }
+            }
+            Expr::MeanAll(a) => Expr::MeanAll(f(*a)),
+            Expr::SumAll(a) => Expr::SumAll(f(*a)),
+            Expr::WeightedBceWithLogits { logits, targets, weights } => {
+                Expr::WeightedBceWithLogits {
+                    logits: f(*logits),
+                    targets: targets.clone(),
+                    weights: weights.clone(),
+                }
+            }
+            Expr::KlConstRows { probs, target, eps } => {
+                Expr::KlConstRows { probs: f(*probs), target: target.clone(), eps: *eps }
+            }
+        }
+    }
+
+    /// Computes the op into `out` (reshaped to fit), reading each operand's
+    /// value through `val`, then runs the sanitizer's checks on the result:
+    /// every output finite, a softmax output a row distribution (Eq. 5–6),
+    /// and the KL term non-negative (Eq. 9–10).
+    pub(crate) fn forward_into<'a>(&self, val: impl Fn(V) -> &'a Matrix, out: &mut Matrix) {
+        match self {
+            Expr::MatMul(a, b) => val(*a).matmul_into(val(*b), out),
+            Expr::Add(a, b) => val(*a).add_into(val(*b), out),
+            Expr::AddRowBroadcast(a, b) => val(*a).add_row_broadcast_into(val(*b), out),
+            Expr::Mul(a, b) => val(*a).mul_into(val(*b), out),
+            Expr::MulColBroadcast(a, b) => val(*a).mul_col_broadcast_into(val(*b), out),
+            Expr::Scale(a, s) => val(*a).scale_into(*s, out),
+            Expr::Relu(a) => val(*a).map_into(|v| v.max(0.0), out),
+            Expr::Tanh(a) => val(*a).map_into(f32::tanh, out),
+            Expr::Sigmoid(a) => val(*a).map_into(|v| 1.0 / (1.0 + (-v).exp()), out),
+            Expr::SoftmaxRows(a) => val(*a).softmax_rows_into(out),
+            Expr::ConcatCols(parts) => {
+                let refs: Vec<&Matrix> = parts.iter().map(|&v| val(v)).collect();
+                Matrix::concat_cols_into(&refs, out);
+            }
+            Expr::WeightedSum { parts, weights } => {
+                let refs: Vec<&Matrix> = parts.iter().map(|&v| val(v)).collect();
+                Matrix::weighted_sum_into(&refs, val(*weights), out);
+            }
+            Expr::SliceCols { input, start, width } => {
+                val(*input).slice_cols_into(*start, *width, out)
+            }
+            Expr::MeanAll(a) => set_scalar(out, val(*a).mean()),
+            Expr::SumAll(a) => set_scalar(out, val(*a).sum()),
+            Expr::WeightedBceWithLogits { logits, targets, weights } => {
+                // `mean_i w_i * bce(sigmoid(z_i), y_i)` computed as
+                // `w * (max(z,0) - z*y + ln(1 + e^{-|z|}))`.
+                let z = val(*logits);
+                assert_eq!(z.cols(), 1, "bce_with_logits expects n x 1 logits");
+                assert_eq!(z.shape(), targets.shape(), "bce targets shape mismatch");
+                assert_eq!(z.shape(), weights.shape(), "bce weights shape mismatch");
+                let n = z.rows().max(1) as f32;
+                let mut total = 0.0;
+                for i in 0..z.rows() {
+                    let zi = z.get(i, 0);
+                    let yi = targets.get(i, 0);
+                    let wi = weights.get(i, 0);
+                    total += wi * (zi.max(0.0) - zi * yi + (-zi.abs()).exp().ln_1p());
+                }
+                set_scalar(out, total / n);
+            }
+            Expr::KlConstRows { probs, target, eps } => {
+                let p = val(*probs);
+                assert_eq!(target.rows(), 1, "kl_const_rows expects a 1 x m target");
+                assert_eq!(p.cols(), target.cols(), "kl_const_rows shape mismatch");
+                let n = p.rows().max(1) as f32;
+                let mut total = 0.0;
+                for i in 0..p.rows() {
+                    for j in 0..p.cols() {
+                        let q = target.get(0, j);
+                        if q > 0.0 {
+                            total += q * ((q / (p.get(i, j) + *eps)).ln());
+                        }
+                    }
+                }
+                // KL is analytically non-negative; the eps guard can dip the
+                // computed mean a hair below zero but never materially.
+                sanitize::check_loss_non_negative(self.name(), total / n, 1e-3);
+                set_scalar(out, total / n);
+            }
+        }
+        // Self-gated: one atomic load when the sanitizer is off.
+        sanitize::check_finite(self.name(), out);
+        if let Expr::SoftmaxRows(_) = self {
+            sanitize::check_rows_normalized(self.name(), out);
+        }
+    }
+}
+
+/// Reshapes `out` to `1 x 1` holding `value`.
+fn set_scalar(out: &mut Matrix, value: f32) {
+    out.reset_shape(1, 1);
+    out.as_mut_slice().fill(value);
+}

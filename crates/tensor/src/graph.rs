@@ -7,7 +7,14 @@
 //! [`ParamSet`](crate::params::ParamSet) and are re-inserted as leaves each
 //! step, which keeps the tape simple and makes gradient accumulation
 //! explicit.
+//!
+//! A node is a constant, a parameter, or a computed op: an `Expr` (see the
+//! `expr` module) over earlier nodes. Each op method records its `Expr`,
+//! which evaluates it through the one forward definition the compiled
+//! plan ([`crate::plan`]) replays as well; this module adds only the
+//! leaves and each op's backward rule.
 
+use crate::expr::Expr;
 use crate::matrix::Matrix;
 use crate::params::{ParamId, ParamSet};
 use crate::sanitize;
@@ -30,74 +37,8 @@ pub(crate) enum Op {
     /// Leaf bound to a trainable parameter; backward accumulates into the
     /// parameter's gradient buffer.
     Param(ParamId),
-    MatMul(Var, Var),
-    Add(Var, Var),
-    /// `(n,m) + (1,m)` bias addition.
-    AddRowBroadcast(Var, Var),
-    /// Elementwise product of equally shaped nodes.
-    Mul(Var, Var),
-    /// `(n,m) * (n,1)`: row `i` scaled by `col[i]`.
-    MulColBroadcast(Var, Var),
-    Scale(Var, f32),
-    Relu(Var),
-    Tanh(Var),
-    Sigmoid(Var),
-    SoftmaxRows(Var),
-    ConcatCols(Vec<Var>),
-    /// `Σ_j weights[:, j] ⊙ parts[j]` with `weights` of shape `n x F`.
-    WeightedSum {
-        parts: Vec<Var>,
-        weights: Var,
-    },
-    /// Contiguous column window `[start, start+width)` of the input.
-    SliceCols {
-        input: Var,
-        start: usize,
-        width: usize,
-    },
-    MeanAll(Var),
-    SumAll(Var),
-    /// Mean binary cross-entropy on logits vs. constant targets, with
-    /// per-sample constant weights. Fused for numerical stability.
-    WeightedBceWithLogits {
-        logits: Var,
-        targets: Matrix,
-        weights: Matrix,
-    },
-    /// Mean over rows of `KL(q || p_i)` with a constant row distribution `q`
-    /// and `p` the (already normalized) rows of the input.
-    KlConstRows {
-        probs: Var,
-        target: Matrix,
-        eps: f32,
-    },
-}
-
-impl Op {
-    /// Stable op name for sanitizer provenance and diagnostics.
-    pub(crate) fn name(&self) -> &'static str {
-        match self {
-            Op::Constant => "constant",
-            Op::Param(_) => "param",
-            Op::MatMul(..) => "matmul",
-            Op::Add(..) => "add",
-            Op::AddRowBroadcast(..) => "add_row_broadcast",
-            Op::Mul(..) => "mul",
-            Op::MulColBroadcast(..) => "mul_col_broadcast",
-            Op::Scale(..) => "scale",
-            Op::Relu(_) => "relu",
-            Op::Tanh(_) => "tanh",
-            Op::Sigmoid(_) => "sigmoid",
-            Op::SoftmaxRows(_) => "softmax_rows",
-            Op::ConcatCols(_) => "concat_cols",
-            Op::WeightedSum { .. } => "weighted_sum",
-            Op::SliceCols { .. } => "slice_cols",
-            Op::MeanAll(_) => "mean_all",
-            Op::SumAll(_) => "sum_all",
-            Op::WeightedBceWithLogits { .. } => "weighted_bce_with_logits",
-            Op::KlConstRows { .. } => "kl_const_rows",
-        }
-    }
+    /// A computed op over earlier nodes.
+    Expr(Expr<Var>),
 }
 
 pub(crate) struct Node {
@@ -139,15 +80,17 @@ impl Graph {
     }
 
     fn push(&mut self, value: Matrix, op: Op) -> Var {
-        // Sanitizer (on by default in debug builds, `ADAMEL_SANITIZE=1`
-        // elsewhere): every tape op's output must be finite, and a softmax
-        // output must additionally be a valid row distribution (Eq. 5–6).
-        sanitize::check_finite(op.name(), &value);
-        if matches!(op, Op::SoftmaxRows(_)) {
-            sanitize::check_rows_normalized(op.name(), &value);
-        }
         self.nodes.push(Node { value, op });
         Var(self.nodes.len() - 1)
+    }
+
+    /// Evaluates `expr` over the values recorded so far and appends it.
+    /// [`Expr::forward_into`] runs the kernel and the sanitizer's op checks.
+    fn record(&mut self, expr: Expr<Var>) -> Var {
+        adamel_obs::trace_op!(expr.name());
+        let mut value = Matrix::default();
+        expr.forward_into(|v| &self.nodes[v.0].value, &mut value);
+        self.push(value, Op::Expr(expr))
     }
 
     /// The recorded tape, in push order; the plan compiler walks this.
@@ -172,121 +115,93 @@ impl Graph {
 
     /// Inserts a constant (no gradient) input.
     pub fn constant(&mut self, value: Matrix) -> Var {
+        // Leaves pass the same finiteness check as computed nodes.
+        sanitize::check_finite("constant", &value);
         self.push(value, Op::Constant)
     }
 
     /// Inserts a leaf bound to parameter `id`, copying its current value.
     pub fn param(&mut self, params: &ParamSet, id: ParamId) -> Var {
-        self.push(params.value(id).clone(), Op::Param(id))
+        let value = params.value(id).clone();
+        sanitize::check_finite("param", &value);
+        self.push(value, Op::Param(id))
     }
 
     /// Matrix product.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        adamel_obs::trace_op!("matmul");
-        let value = self.nodes[a.0].value.matmul(&self.nodes[b.0].value);
-        self.push(value, Op::MatMul(a, b))
+        self.record(Expr::MatMul(a, b))
     }
 
     /// Elementwise sum.
     pub fn add(&mut self, a: Var, b: Var) -> Var {
-        adamel_obs::trace_op!("add");
-        let value = self.nodes[a.0].value.add(&self.nodes[b.0].value);
-        self.push(value, Op::Add(a, b))
+        self.record(Expr::Add(a, b))
     }
 
     /// Adds a `1 x m` bias row to every row of an `n x m` node.
     pub fn add_row_broadcast(&mut self, a: Var, bias: Var) -> Var {
-        adamel_obs::trace_op!("add_row_broadcast");
-        let value = self.nodes[a.0].value.add_row_broadcast(&self.nodes[bias.0].value);
-        self.push(value, Op::AddRowBroadcast(a, bias))
+        self.record(Expr::AddRowBroadcast(a, bias))
     }
 
     /// Elementwise product.
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
-        adamel_obs::trace_op!("mul");
-        let value = self.nodes[a.0].value.mul(&self.nodes[b.0].value);
-        self.push(value, Op::Mul(a, b))
+        self.record(Expr::Mul(a, b))
     }
 
     /// Scales row `i` of `a` by element `i` of the `n x 1` node `col`.
     pub fn mul_col_broadcast(&mut self, a: Var, col: Var) -> Var {
-        adamel_obs::trace_op!("mul_col_broadcast");
-        let value = self.nodes[a.0].value.mul_col_broadcast(&self.nodes[col.0].value);
-        self.push(value, Op::MulColBroadcast(a, col))
+        self.record(Expr::MulColBroadcast(a, col))
     }
 
     /// Multiplies by a compile-time constant scalar.
     pub fn scale(&mut self, a: Var, s: f32) -> Var {
-        adamel_obs::trace_op!("scale");
-        let value = self.nodes[a.0].value.scale(s);
-        self.push(value, Op::Scale(a, s))
+        self.record(Expr::Scale(a, s))
     }
 
     /// Rectified linear unit.
     pub fn relu(&mut self, a: Var) -> Var {
-        adamel_obs::trace_op!("relu");
-        let value = self.nodes[a.0].value.map(|v| v.max(0.0));
-        self.push(value, Op::Relu(a))
+        self.record(Expr::Relu(a))
     }
 
     /// Hyperbolic tangent.
     pub fn tanh(&mut self, a: Var) -> Var {
-        adamel_obs::trace_op!("tanh");
-        let value = self.nodes[a.0].value.map(f32::tanh);
-        self.push(value, Op::Tanh(a))
+        self.record(Expr::Tanh(a))
     }
 
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        adamel_obs::trace_op!("sigmoid");
-        let value = self.nodes[a.0].value.map(|v| 1.0 / (1.0 + (-v).exp()));
-        self.push(value, Op::Sigmoid(a))
+        self.record(Expr::Sigmoid(a))
     }
 
     /// Row-wise softmax.
     pub fn softmax_rows(&mut self, a: Var) -> Var {
-        adamel_obs::trace_op!("softmax_rows");
-        let value = self.nodes[a.0].value.softmax_rows();
-        self.push(value, Op::SoftmaxRows(a))
+        self.record(Expr::SoftmaxRows(a))
     }
 
     /// Horizontal concatenation.
     pub fn concat_cols(&mut self, parts: &[Var]) -> Var {
-        adamel_obs::trace_op!("concat_cols");
-        let values: Vec<&Matrix> = parts.iter().map(|v| &self.nodes[v.0].value).collect();
-        let value = Matrix::concat_cols(&values);
-        self.push(value, Op::ConcatCols(parts.to_vec()))
+        self.record(Expr::ConcatCols(parts.to_vec()))
     }
 
     /// `Σ_j weights[:, j] ⊙ parts[j]`: every part is `n x m` and `weights`
     /// is `n x F` for `F` parts; the terms are added in ascending `j`
-    /// ([`Matrix::weighted_sum`]).
+    /// ([`Matrix::weighted_sum_into`]).
     pub fn weighted_sum(&mut self, parts: &[Var], weights: Var) -> Var {
-        adamel_obs::trace_op!("weighted_sum");
-        let values: Vec<&Matrix> = parts.iter().map(|v| &self.nodes[v.0].value).collect();
-        let value = Matrix::weighted_sum(&values, &self.nodes[weights.0].value);
-        self.push(value, Op::WeightedSum { parts: parts.to_vec(), weights })
+        self.record(Expr::WeightedSum { parts: parts.to_vec(), weights })
     }
 
     /// Copies a contiguous column window `[start, start+width)`.
     pub fn slice_cols(&mut self, a: Var, start: usize, width: usize) -> Var {
-        adamel_obs::trace_op!("slice_cols");
-        let value = self.nodes[a.0].value.slice_cols(start, width);
-        self.push(value, Op::SliceCols { input: a, start, width })
+        self.record(Expr::SliceCols { input: a, start, width })
     }
 
     /// Mean over all elements, producing a 1x1 node.
     pub fn mean_all(&mut self, a: Var) -> Var {
-        adamel_obs::trace_op!("mean_all");
-        let value = Matrix::scalar(self.nodes[a.0].value.mean());
-        self.push(value, Op::MeanAll(a))
+        self.record(Expr::MeanAll(a))
     }
 
     /// Sum over all elements, producing a 1x1 node.
     pub fn sum_all(&mut self, a: Var) -> Var {
-        adamel_obs::trace_op!("sum_all");
-        let value = Matrix::scalar(self.nodes[a.0].value.sum());
-        self.push(value, Op::SumAll(a))
+        self.record(Expr::SumAll(a))
     }
 
     /// Mean binary cross-entropy with logits (numerically stable fused op).
@@ -301,20 +216,7 @@ impl Graph {
         targets: Matrix,
         weights: Matrix,
     ) -> Var {
-        adamel_obs::trace_op!("weighted_bce_with_logits");
-        let z = &self.nodes[logits.0].value;
-        assert_eq!(z.cols(), 1, "bce_with_logits expects n x 1 logits");
-        assert_eq!(z.shape(), targets.shape(), "bce targets shape mismatch");
-        assert_eq!(z.shape(), weights.shape(), "bce weights shape mismatch");
-        let n = z.rows().max(1) as f32;
-        let mut total = 0.0;
-        for i in 0..z.rows() {
-            let zi = z.get(i, 0);
-            let yi = targets.get(i, 0);
-            let wi = weights.get(i, 0);
-            total += wi * (zi.max(0.0) - zi * yi + (-zi.abs()).exp().ln_1p());
-        }
-        self.push(Matrix::scalar(total / n), Op::WeightedBceWithLogits { logits, targets, weights })
+        self.record(Expr::WeightedBceWithLogits { logits, targets, weights })
     }
 
     /// Mean binary cross-entropy with logits and unit weights.
@@ -327,24 +229,7 @@ impl Graph {
     /// a constant `1 x m` distribution and the input rows `p_i` are already
     /// normalized (e.g. softmax outputs). `eps` guards the logarithm.
     pub fn kl_const_rows(&mut self, probs: Var, target: Matrix, eps: f32) -> Var {
-        adamel_obs::trace_op!("kl_const_rows");
-        let p = &self.nodes[probs.0].value;
-        assert_eq!(target.rows(), 1, "kl_const_rows expects a 1 x m target");
-        assert_eq!(p.cols(), target.cols(), "kl_const_rows shape mismatch");
-        let n = p.rows().max(1) as f32;
-        let mut total = 0.0;
-        for i in 0..p.rows() {
-            for j in 0..p.cols() {
-                let q = target.get(0, j);
-                if q > 0.0 {
-                    total += q * ((q / (p.get(i, j) + eps)).ln());
-                }
-            }
-        }
-        // KL is analytically non-negative; the eps guard can dip the
-        // computed mean a hair below zero but never materially (Eq. 9–10).
-        sanitize::check_loss_non_negative("kl_const_rows", total / n, 1e-3);
-        self.push(Matrix::scalar(total / n), Op::KlConstRows { probs, target, eps })
+        self.record(Expr::KlConstRows { probs, target, eps })
     }
 
     /// Convenience: `relu(x @ w + b)` with a `1 x out` bias row.
@@ -380,18 +265,18 @@ impl Graph {
             match &self.nodes[idx].op {
                 Op::Constant => {}
                 Op::Param(id) => params.grad_mut(*id).add_assign(&grad),
-                Op::MatMul(a, b) => {
+                Op::Expr(Expr::MatMul(a, b)) => {
                     // dL/dA = G Bᵀ ; dL/dB = Aᵀ G
                     let ga = grad.matmul_nt(&self.nodes[b.0].value);
                     let gb = self.nodes[a.0].value.matmul_tn(&grad);
                     accumulate(&mut grads, *a, ga);
                     accumulate(&mut grads, *b, gb);
                 }
-                Op::Add(a, b) => {
+                Op::Expr(Expr::Add(a, b)) => {
                     accumulate(&mut grads, *a, grad.clone());
                     accumulate(&mut grads, *b, grad);
                 }
-                Op::AddRowBroadcast(a, bias) => {
+                Op::Expr(Expr::AddRowBroadcast(a, bias)) => {
                     // Bias gradient is the column sum of the upstream grad.
                     let mut gb = Matrix::zeros(1, grad.cols());
                     for i in 0..grad.rows() {
@@ -402,13 +287,13 @@ impl Graph {
                     accumulate(&mut grads, *a, grad);
                     accumulate(&mut grads, *bias, gb);
                 }
-                Op::Mul(a, b) => {
+                Op::Expr(Expr::Mul(a, b)) => {
                     let ga = grad.mul(&self.nodes[b.0].value);
                     let gb = grad.mul(&self.nodes[a.0].value);
                     accumulate(&mut grads, *a, ga);
                     accumulate(&mut grads, *b, gb);
                 }
-                Op::MulColBroadcast(a, col) => {
+                Op::Expr(Expr::MulColBroadcast(a, col)) => {
                     let aval = &self.nodes[a.0].value;
                     let cval = &self.nodes[col.0].value;
                     let ga = grad.mul_col_broadcast(cval);
@@ -417,22 +302,22 @@ impl Graph {
                     accumulate(&mut grads, *a, ga);
                     accumulate(&mut grads, *col, gc);
                 }
-                Op::Scale(a, s) => accumulate(&mut grads, *a, grad.scale(*s)),
-                Op::Relu(a) => {
+                Op::Expr(Expr::Scale(a, s)) => accumulate(&mut grads, *a, grad.scale(*s)),
+                Op::Expr(Expr::Relu(a)) => {
                     let mask = self.nodes[a.0].value.map(|v| if v > 0.0 { 1.0 } else { 0.0 });
                     accumulate(&mut grads, *a, grad.mul(&mask));
                 }
-                Op::Tanh(a) => {
+                Op::Expr(Expr::Tanh(a)) => {
                     let y = &self.nodes[idx].value;
                     let deriv = y.map(|t| 1.0 - t * t);
                     accumulate(&mut grads, *a, grad.mul(&deriv));
                 }
-                Op::Sigmoid(a) => {
+                Op::Expr(Expr::Sigmoid(a)) => {
                     let y = &self.nodes[idx].value;
                     let deriv = y.map(|s| s * (1.0 - s));
                     accumulate(&mut grads, *a, grad.mul(&deriv));
                 }
-                Op::SoftmaxRows(a) => {
+                Op::Expr(Expr::SoftmaxRows(a)) => {
                     // dL/dz_ij = p_ij * (g_ij - Σ_k g_ik p_ik)
                     let p = &self.nodes[idx].value;
                     let mut gz = Matrix::zeros(p.rows(), p.cols());
@@ -444,7 +329,7 @@ impl Graph {
                     }
                     accumulate(&mut grads, *a, gz);
                 }
-                Op::SliceCols { input, start, width } => {
+                Op::Expr(Expr::SliceCols { input, start, width }) => {
                     let v = &self.nodes[input.0].value;
                     let mut gi = Matrix::zeros(v.rows(), v.cols());
                     for i in 0..grad.rows() {
@@ -454,7 +339,7 @@ impl Graph {
                     }
                     accumulate(&mut grads, *input, gi);
                 }
-                Op::ConcatCols(parts) => {
+                Op::Expr(Expr::ConcatCols(parts)) => {
                     let mut offset = 0;
                     for part in parts {
                         let width = self.nodes[part.0].value.cols();
@@ -463,7 +348,7 @@ impl Graph {
                         offset += width;
                     }
                 }
-                Op::WeightedSum { parts, weights } => {
+                Op::Expr(Expr::WeightedSum { parts, weights }) => {
                     // d/dparts[j] = weights[:, j] ⊙ G; d/dweights[i, j] = Σ_c G_ic parts[j]_ic
                     let w = &self.nodes[weights.0].value;
                     let mut gw_cols = Vec::with_capacity(parts.len());
@@ -474,16 +359,16 @@ impl Graph {
                     let refs: Vec<&Matrix> = gw_cols.iter().collect();
                     accumulate(&mut grads, *weights, Matrix::concat_cols(&refs));
                 }
-                Op::MeanAll(a) => {
+                Op::Expr(Expr::MeanAll(a)) => {
                     let v = &self.nodes[a.0].value;
                     let g = grad.item() / v.len().max(1) as f32;
                     accumulate(&mut grads, *a, Matrix::full(v.rows(), v.cols(), g));
                 }
-                Op::SumAll(a) => {
+                Op::Expr(Expr::SumAll(a)) => {
                     let v = &self.nodes[a.0].value;
                     accumulate(&mut grads, *a, Matrix::full(v.rows(), v.cols(), grad.item()));
                 }
-                Op::WeightedBceWithLogits { logits, targets, weights } => {
+                Op::Expr(Expr::WeightedBceWithLogits { logits, targets, weights }) => {
                     // d/dz of mean_i w_i * bce = w_i (sigmoid(z_i) - y_i) / n
                     let z = &self.nodes[logits.0].value;
                     let n = z.rows().max(1) as f32;
@@ -495,7 +380,7 @@ impl Graph {
                     }
                     accumulate(&mut grads, *logits, gz);
                 }
-                Op::KlConstRows { probs, target, eps } => {
+                Op::Expr(Expr::KlConstRows { probs, target, eps }) => {
                     // d/dp_ij of mean_i Σ_j q_j ln(q_j/(p_ij+eps)) = -q_j/(p_ij+eps)/n
                     let p = &self.nodes[probs.0].value;
                     let n = p.rows().max(1) as f32;

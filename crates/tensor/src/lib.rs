@@ -47,6 +47,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+mod expr;
 mod graph;
 mod matrix;
 mod optim;

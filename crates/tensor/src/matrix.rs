@@ -15,11 +15,12 @@
 //! inputs keep the serial fast path. Each thread runs the same per-row loop
 //! in the same order, so results are bit-identical at any thread count.
 //!
-//! Hot ops come in pairs: the allocating form (`matmul`, `add`, …) and an
-//! `*_into` form writing into a caller-owned buffer. The allocating forms
-//! delegate to the `*_into` forms, so there is exactly one implementation of
-//! each kernel and the compiled inference plan ([`crate::plan`]) replaying
-//! into reused buffers computes bit-identical values to the autograd tape.
+//! Forward kernels take an `*_into` form writing into a caller-owned
+//! buffer; the one forward definition of each op (the `expr` module) calls
+//! it for the autograd tape and the compiled plan alike. Where backward
+//! passes, analysis code or tests need a fresh matrix, an allocating form
+//! (`matmul`, `add`, …) delegates to the `*_into` form, so there is
+//! exactly one implementation of each kernel.
 
 use crate::{gemm, parallel};
 use std::fmt;
@@ -469,19 +470,13 @@ impl Matrix {
         });
     }
 
-    /// `Σ_j weights[:, j] ⊙ parts[j]`: row `i` of the `n x m` result is the
-    /// sum of each part's row `i` scaled by `weights[i, j]`, where `weights`
-    /// is `n x F` for `F` equally shaped parts.
-    pub fn weighted_sum(parts: &[&Matrix], weights: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        Matrix::weighted_sum_into(parts, weights, &mut out);
-        out
-    }
-
-    /// [`weighted_sum`](Self::weighted_sum) into a caller-owned buffer
-    /// (reshaped to fit). Each element starts from the first part's rounded
-    /// product and adds the others' in ascending `j`, one rounded `mul` and
-    /// `add` per term, so the result does not depend on the thread count.
+    /// `Σ_j weights[:, j] ⊙ parts[j]` into a caller-owned buffer (reshaped
+    /// to fit): row `i` of the `n x m` result is the sum of each part's row
+    /// `i` scaled by `weights[i, j]`, where `weights` is `n x F` for `F`
+    /// equally shaped parts. Each element starts from the first part's
+    /// rounded product and adds the others' in ascending `j`, one rounded
+    /// `mul` and `add` per term, so the result does not depend on the
+    /// thread count.
     pub fn weighted_sum_into(parts: &[&Matrix], weights: &Matrix, out: &mut Matrix) {
         assert!(!parts.is_empty(), "Matrix::weighted_sum: empty input");
         let (rows, cols) = parts[0].shape();
@@ -787,12 +782,13 @@ mod tests {
         let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
         let b = Matrix::from_rows(&[vec![10.0, 20.0], vec![30.0, 40.0]]);
         let w = Matrix::from_rows(&[vec![0.5, 2.0], vec![0.0, -1.0]]);
-        let s = Matrix::weighted_sum(&[&a, &b], &w);
+        let mut s = Matrix::default();
+        Matrix::weighted_sum_into(&[&a, &b], &w, &mut s);
         assert_eq!(s.as_slice(), &[20.5, 41.0, -30.0, -40.0]);
         // One part: the first rounded product, no added zero.
         let neg = Matrix::from_rows(&[vec![-0.0, 1.0]]);
-        let one = Matrix::weighted_sum(&[&neg], &Matrix::scalar(1.0));
-        assert_eq!(one.get(0, 0).to_bits(), (-0.0f32).to_bits());
+        Matrix::weighted_sum_into(&[&neg], &Matrix::scalar(1.0), &mut s);
+        assert_eq!(s.get(0, 0).to_bits(), (-0.0f32).to_bits());
     }
 
     #[test]

@@ -28,13 +28,17 @@
 //! bit-identical to a fresh tape; the `tensor.plan.packed.bytes` gauge
 //! counts the packs alive.
 //!
-//! Replay calls the exact same `*_into` kernels the tape ops delegate to
-//! ([`Matrix::matmul_into`] and friends), so plan output is **bit-identical**
-//! to recording the same ops on a tape; the equivalence suite in `adamel`
-//! compares the plan against one `forward_graph` tape bit-for-bit across
-//! chunk boundaries and feature modes. The runtime
-//! sanitizer hooks ([`crate::sanitize`]) run per replayed step with the same
-//! op provenance as the tape.
+//! A step is the tape's own op: the recorded `Expr` (see the `expr`
+//! module) with its operands mapped from tape positions to replay
+//! locations, evaluated by the same `Expr::forward_into` that evaluated it
+//! on the tape. That function is the only code that runs a computed op's
+//! kernel and its runtime sanitizer checks ([`crate::sanitize`]), so plan
+//! output is **bit-identical** to recording the same ops on a tape by
+//! construction, with the same op provenance. The plan adds four steps of
+//! its own: packed products, row fills, input windows and gathers (below).
+//! The equivalence suite in `adamel` still compares the plan against one
+//! `forward_graph` tape bit-for-bit across chunk boundaries and feature
+//! modes.
 //!
 //! ## Shape specialization
 //!
@@ -69,6 +73,7 @@
 //! `plan.window_distinct_rows` counters sum each replay's rows and distinct
 //! rows over its windows.
 
+use crate::expr::Expr;
 use crate::gemm::{PackedB, NR};
 use crate::graph::{Graph, Op, Var};
 use crate::matrix::Matrix;
@@ -124,34 +129,13 @@ enum Src {
     Buf(usize),
 }
 
-/// One replayable op, mirroring the forward subset of the tape's op set.
+/// One replay step: a tape op over replay operands, or one of the plan's
+/// own steps.
 enum StepOp {
-    MatMul(Src, Src),
+    /// A recorded op, evaluated exactly as the tape evaluated it.
+    Expr(Expr<Src>),
     /// `a · param` replayed over the plan's pack of `param`, in `slot`.
-    MatMulPacked {
-        a: Src,
-        param: ParamId,
-        slot: usize,
-    },
-    Add(Src, Src),
-    AddRowBroadcast(Src, Src),
-    Mul(Src, Src),
-    MulColBroadcast(Src, Src),
-    Scale(Src, f32),
-    Relu(Src),
-    Tanh(Src),
-    Sigmoid(Src),
-    SoftmaxRows(Src),
-    ConcatCols(Vec<Src>),
-    WeightedSum {
-        parts: Vec<Src>,
-        weights: Src,
-    },
-    SliceCols {
-        input: Src,
-        start: usize,
-        width: usize,
-    },
+    MatMulPacked { a: Src, param: ParamId, slot: usize },
     /// A batch-sized constant with identical rows: the frozen `1 x k` row
     /// (a `Src::Const`) repeated once per replay row.
     FillRows(usize),
@@ -160,57 +144,10 @@ enum StepOp {
     WindowRows(usize),
     /// Buffer `src`, tagged with `window`, expanded to one row per input
     /// row.
-    Gather {
-        src: usize,
-        window: usize,
-    },
+    Gather { src: usize, window: usize },
 }
 
 impl StepOp {
-    /// Stable name matching the tape op, for sanitizer provenance.
-    fn name(&self) -> &'static str {
-        match self {
-            StepOp::MatMul(..) | StepOp::MatMulPacked { .. } => "matmul",
-            StepOp::Add(..) => "add",
-            StepOp::AddRowBroadcast(..) => "add_row_broadcast",
-            StepOp::Mul(..) => "mul",
-            StepOp::MulColBroadcast(..) => "mul_col_broadcast",
-            StepOp::Scale(..) => "scale",
-            StepOp::Relu(_) => "relu",
-            StepOp::Tanh(_) => "tanh",
-            StepOp::Sigmoid(_) => "sigmoid",
-            StepOp::SoftmaxRows(_) => "softmax_rows",
-            StepOp::ConcatCols(_) => "concat_cols",
-            StepOp::WeightedSum { .. } => "weighted_sum",
-            StepOp::SliceCols { .. } | StepOp::WindowRows(_) => "slice_cols",
-            StepOp::FillRows(_) => "fill_rows",
-            StepOp::Gather { .. } => "gather",
-        }
-    }
-
-    /// The operands this step reads.
-    fn srcs_mut(&mut self) -> Vec<&mut Src> {
-        match self {
-            StepOp::MatMul(a, b)
-            | StepOp::Add(a, b)
-            | StepOp::AddRowBroadcast(a, b)
-            | StepOp::Mul(a, b)
-            | StepOp::MulColBroadcast(a, b) => vec![a, b],
-            StepOp::MatMulPacked { a, .. }
-            | StepOp::Scale(a, _)
-            | StepOp::Relu(a)
-            | StepOp::Tanh(a)
-            | StepOp::Sigmoid(a)
-            | StepOp::SoftmaxRows(a)
-            | StepOp::SliceCols { input: a, .. } => vec![a],
-            StepOp::ConcatCols(parts) => parts.iter_mut().collect(),
-            StepOp::WeightedSum { parts, weights } => {
-                parts.iter_mut().chain(std::iter::once(weights)).collect()
-            }
-            StepOp::FillRows(_) | StepOp::WindowRows(_) | StepOp::Gather { .. } => Vec::new(),
-        }
-    }
-
     /// The input window this step is a row-local function of, given the
     /// window of every earlier buffer (see the module docs), or `None`.
     fn window(&self, buf_window: &[Option<usize>]) -> Option<usize> {
@@ -219,27 +156,36 @@ impl StepOp {
             _ => None,
         };
         let leaf = |s: &Src| matches!(s, Src::Param(_) | Src::Const(_));
-        let shared = |srcs: &[Src]| {
-            let w = win(srcs.first()?)?;
-            srcs.iter().all(|s| win(s) == Some(w)).then_some(w)
-        };
         match self {
             StepOp::WindowRows(w) => Some(*w),
-            StepOp::MatMul(a, b) | StepOp::AddRowBroadcast(a, b) if leaf(b) => win(a),
-            StepOp::MatMulPacked { a, .. }
-            | StepOp::Scale(a, _)
-            | StepOp::Relu(a)
-            | StepOp::Tanh(a)
-            | StepOp::Sigmoid(a)
-            | StepOp::SoftmaxRows(a)
-            | StepOp::SliceCols { input: a, .. } => win(a),
-            StepOp::Add(a, b) | StepOp::Mul(a, b) | StepOp::MulColBroadcast(a, b) => {
-                shared(&[*a, *b])
+            StepOp::MatMulPacked { a, .. } => win(a),
+            StepOp::Expr(Expr::MatMul(a, b) | Expr::AddRowBroadcast(a, b)) => {
+                win(a).filter(|_| leaf(b))
             }
-            StepOp::ConcatCols(parts) => shared(parts),
-            StepOp::MatMul(..)
-            | StepOp::AddRowBroadcast(..)
-            | StepOp::WeightedSum { .. }
+            StepOp::Expr(
+                expr @ (Expr::Add(..)
+                | Expr::Mul(..)
+                | Expr::MulColBroadcast(..)
+                | Expr::ConcatCols(_)
+                | Expr::Scale(..)
+                | Expr::Relu(_)
+                | Expr::Tanh(_)
+                | Expr::Sigmoid(_)
+                | Expr::SoftmaxRows(_)
+                | Expr::SliceCols { .. }),
+            ) => {
+                // Row-local: tagged when every operand shares one window.
+                let srcs = expr.operands();
+                let w = win(srcs.first()?)?;
+                srcs.iter().all(|s| win(s) == Some(w)).then_some(w)
+            }
+            StepOp::Expr(
+                Expr::WeightedSum { .. }
+                | Expr::MeanAll(_)
+                | Expr::SumAll(_)
+                | Expr::WeightedBceWithLogits { .. }
+                | Expr::KlConstRows { .. },
+            )
             | StepOp::FillRows(_)
             | StepOp::Gather { .. } => None,
         }
@@ -452,30 +398,12 @@ impl BufferPool {
     }
 }
 
-/// Tape positions an op reads, for the reachability walk.
-fn op_inputs(op: &Op) -> Vec<usize> {
-    match op {
-        Op::Constant | Op::Param(_) => Vec::new(),
-        Op::MatMul(a, b)
-        | Op::Add(a, b)
-        | Op::AddRowBroadcast(a, b)
-        | Op::Mul(a, b)
-        | Op::MulColBroadcast(a, b) => vec![a.index(), b.index()],
-        Op::Scale(a, _)
-        | Op::Relu(a)
-        | Op::Tanh(a)
-        | Op::Sigmoid(a)
-        | Op::SoftmaxRows(a)
-        | Op::MeanAll(a)
-        | Op::SumAll(a) => vec![a.index()],
-        Op::ConcatCols(parts) => parts.iter().map(|v| v.index()).collect(),
-        Op::WeightedSum { parts, weights } => {
-            parts.iter().chain(std::iter::once(weights)).map(|v| v.index()).collect()
-        }
-        Op::SliceCols { input, .. } => vec![input.index()],
-        Op::WeightedBceWithLogits { logits, .. } => vec![logits.index()],
-        Op::KlConstRows { probs, .. } => vec![probs.index()],
-    }
+/// The index of `item` in `items`, appended first if absent.
+fn intern<T: PartialEq>(items: &mut Vec<T>, item: T) -> usize {
+    items.iter().position(|x| *x == item).unwrap_or_else(|| {
+        items.push(item);
+        items.len() - 1
+    })
 }
 
 fn resolved(src: &[Option<Src>], v: Var) -> Src {
@@ -493,10 +421,19 @@ struct Emitter {
 }
 
 impl Emitter {
-    /// Appends `op`, tagged with its window, and returns its buffer.
+    /// Appends `op`, tagged with its window, and returns its buffer. An
+    /// untagged op reads each tagged operand through its `Gather`.
     fn push(&mut self, op: StepOp) -> usize {
+        let window = op.window(&self.buf_window);
+        let op = match op {
+            StepOp::Expr(expr) if window.is_none() => StepOp::Expr(expr.map(|s| match s {
+                Src::Buf(b) => Src::Buf(self.full_rows(b)),
+                s => s,
+            })),
+            op => op,
+        };
         let out = self.steps.len();
-        self.buf_window.push(op.window(&self.buf_window));
+        self.buf_window.push(window);
         self.gathered.push(None);
         self.steps.push(Step { op, out });
         out
@@ -541,7 +478,9 @@ impl CompiledPlan {
             if i == input.index() {
                 continue;
             }
-            stack.extend(op_inputs(&tape[i].op));
+            if let Op::Expr(expr) = &tape[i].op {
+                stack.extend(expr.operands().into_iter().map(Var::index));
+            }
         }
 
         let mut src: Vec<Option<Src>> = vec![None; tape.len()];
@@ -557,7 +496,7 @@ impl CompiledPlan {
                 src[i] = Some(Src::Input);
                 continue;
             }
-            let mut op = match &node.op {
+            let op = match &node.op {
                 Op::Constant if node.value.rows() == probe_rows => {
                     // Batch-sized: replayable only as one row repeated,
                     // so every row must match the first bit for bit.
@@ -580,63 +519,23 @@ impl CompiledPlan {
                     src[i] = Some(Src::Param(*id));
                     continue;
                 }
-                Op::MatMul(a, b) => match resolved(&src, *b) {
-                    Src::Param(param) if tape[b.index()].value.cols() >= NR => {
-                        let slot = packed.iter().position(|&p| p == param).unwrap_or_else(|| {
-                            packed.push(param);
-                            packed.len() - 1
-                        });
-                        StepOp::MatMulPacked { a: resolved(&src, *a), param, slot }
+                Op::Expr(
+                    expr @ (Expr::MeanAll(_)
+                    | Expr::SumAll(_)
+                    | Expr::WeightedBceWithLogits { .. }
+                    | Expr::KlConstRows { .. }),
+                ) => return Err(PlanError::UnsupportedOp(expr.name())),
+                Op::Expr(expr) => match expr.map(|v| resolved(&src, v)) {
+                    // The product's width is its right operand's.
+                    Expr::MatMul(a, Src::Param(param)) if node.value.cols() >= NR => {
+                        StepOp::MatMulPacked { a, param, slot: intern(&mut packed, param) }
                     }
-                    b_src => StepOp::MatMul(resolved(&src, *a), b_src),
-                },
-                Op::Add(a, b) => StepOp::Add(resolved(&src, *a), resolved(&src, *b)),
-                Op::AddRowBroadcast(a, b) => {
-                    StepOp::AddRowBroadcast(resolved(&src, *a), resolved(&src, *b))
-                }
-                Op::Mul(a, b) => StepOp::Mul(resolved(&src, *a), resolved(&src, *b)),
-                Op::MulColBroadcast(a, b) => {
-                    StepOp::MulColBroadcast(resolved(&src, *a), resolved(&src, *b))
-                }
-                Op::Scale(a, s) => StepOp::Scale(resolved(&src, *a), *s),
-                Op::Relu(a) => StepOp::Relu(resolved(&src, *a)),
-                Op::Tanh(a) => StepOp::Tanh(resolved(&src, *a)),
-                Op::Sigmoid(a) => StepOp::Sigmoid(resolved(&src, *a)),
-                Op::SoftmaxRows(a) => StepOp::SoftmaxRows(resolved(&src, *a)),
-                Op::ConcatCols(parts) => {
-                    StepOp::ConcatCols(parts.iter().map(|v| resolved(&src, *v)).collect())
-                }
-                Op::WeightedSum { parts, weights } => StepOp::WeightedSum {
-                    parts: parts.iter().map(|v| resolved(&src, *v)).collect(),
-                    weights: resolved(&src, *weights),
-                },
-                Op::SliceCols { input: a, start, width } => match resolved(&src, *a) {
-                    Src::Input => {
-                        let window = (*start, *width);
-                        let w = windows.iter().position(|&w| w == window).unwrap_or_else(|| {
-                            windows.push(window);
-                            windows.len() - 1
-                        });
-                        StepOp::WindowRows(w)
+                    Expr::SliceCols { input: Src::Input, start, width } => {
+                        StepOp::WindowRows(intern(&mut windows, (start, width)))
                     }
-                    a_src => StepOp::SliceCols { input: a_src, start: *start, width: *width },
+                    expr => StepOp::Expr(expr),
                 },
-                Op::MeanAll(_)
-                | Op::SumAll(_)
-                | Op::WeightedBceWithLogits { .. }
-                | Op::KlConstRows { .. } => {
-                    return Err(PlanError::UnsupportedOp(node.op.name()));
-                }
             };
-            if op.window(&emit.buf_window).is_none() {
-                for s in op.srcs_mut() {
-                    if let Src::Buf(b) = *s {
-                        if emit.buf_window[b].is_some() {
-                            *s = Src::Buf(emit.full_rows(b));
-                        }
-                    }
-                }
-            }
             src[i] = Some(Src::Buf(emit.push(op)));
         }
 
@@ -732,31 +631,13 @@ impl CompiledPlan {
                 }
             };
             match &step.op {
-                StepOp::MatMul(a, b) => val(*a).matmul_into(val(*b), out),
+                StepOp::Expr(expr) => expr.forward_into(val, out),
                 StepOp::MatMulPacked { a, param, slot } => {
-                    val(*a).matmul_packed_into(params.value(*param), &packs.packs[*slot], out)
-                }
-                StepOp::Add(a, b) => val(*a).add_into(val(*b), out),
-                StepOp::AddRowBroadcast(a, b) => val(*a).add_row_broadcast_into(val(*b), out),
-                StepOp::Mul(a, b) => val(*a).mul_into(val(*b), out),
-                StepOp::MulColBroadcast(a, b) => val(*a).mul_col_broadcast_into(val(*b), out),
-                StepOp::Scale(a, s) => val(*a).scale_into(*s, out),
-                StepOp::Relu(a) => val(*a).map_into(|v| v.max(0.0), out),
-                StepOp::Tanh(a) => val(*a).map_into(f32::tanh, out),
-                StepOp::Sigmoid(a) => val(*a).map_into(|v| 1.0 / (1.0 + (-v).exp()), out),
-                StepOp::SoftmaxRows(a) => val(*a).softmax_rows_into(out),
-                StepOp::ConcatCols(parts) => {
-                    let refs: Vec<&Matrix> = parts.iter().map(|s| val(*s)).collect();
-                    Matrix::concat_cols_into(&refs, out);
-                }
-                StepOp::WeightedSum { parts, weights } => {
-                    let refs: Vec<&Matrix> = parts.iter().map(|s| val(*s)).collect();
-                    Matrix::weighted_sum_into(&refs, val(*weights), out);
-                }
-                StepOp::SliceCols { input: a, start, width } => {
-                    val(*a).slice_cols_into(*start, *width, out)
+                    val(*a).matmul_packed_into(params.value(*param), &packs.packs[*slot], out);
+                    sanitize::check_finite("matmul", out);
                 }
                 StepOp::FillRows(c) => {
+                    // Copies of a constant the tape sanitized at record.
                     let row = self.consts[*c].as_slice();
                     out.reset_shape(input.rows(), row.len());
                     for r in 0..input.rows() {
@@ -766,18 +647,10 @@ impl CompiledPlan {
                 StepOp::WindowRows(w) => {
                     let (start, width) = self.windows[*w];
                     groups[*w].distinct_rows(input, start, width, out);
+                    sanitize::check_finite("slice_cols", out);
                 }
-                StepOp::Gather { src, window } => {
-                    groups[*window].gather(&head[*src], out);
-                    // The tagged source already passed the sanitizer.
-                    continue;
-                }
-            }
-            // Same runtime-sanitizer contract as the tape (self-gated; one
-            // atomic load when off), with matching op provenance.
-            sanitize::check_finite(step.op.name(), out);
-            if matches!(step.op, StepOp::SoftmaxRows(_)) {
-                sanitize::check_rows_normalized(step.op.name(), out);
+                // The tagged source already passed the sanitizer.
+                StepOp::Gather { src, window } => groups[*window].gather(&head[*src], out),
             }
         }
     }
@@ -808,9 +681,8 @@ impl CompiledPlan {
         self.steps
             .iter()
             .filter(|s| match s.op {
-                StepOp::MatMulPacked { param: p, .. } | StepOp::MatMul(_, Src::Param(p)) => {
-                    p == param
-                }
+                StepOp::MatMulPacked { param: p, .. }
+                | StepOp::Expr(Expr::MatMul(_, Src::Param(p))) => p == param,
                 _ => false,
             })
             .map(|s| bufs.bufs[s.out].rows())
@@ -1004,14 +876,25 @@ mod tests {
     fn training_only_ops_are_rejected_when_reachable_and_pruned_otherwise() {
         let (params, w, b) = setup();
         let (mut g, input, out) = record(&params, w, b, batch(2, 0.0));
-        let loss = g.mean_all(out);
-        // Loss reachable from the requested output set -> unsupported.
-        assert!(matches!(
-            CompiledPlan::compile(&g, input, &[loss]),
-            Err(PlanError::UnsupportedOp("mean_all"))
-        ));
-        // Same tape, inference output only -> the loss node is pruned away.
-        let plan = CompiledPlan::compile(&g, input, &[out]).expect("prunes the loss");
+        let logits = g.slice_cols(out, 0, 1);
+        let losses = [
+            ("mean_all", g.mean_all(out)),
+            ("sum_all", g.sum_all(out)),
+            (
+                "weighted_bce_with_logits",
+                g.weighted_bce_with_logits(logits, Matrix::zeros(2, 1), Matrix::full(2, 1, 0.5)),
+            ),
+            ("kl_const_rows", g.kl_const_rows(out, Matrix::full(1, 3, 1.0 / 3.0), 1e-7)),
+        ];
+        for (name, loss) in losses {
+            // Loss reachable from the requested output set -> unsupported.
+            assert_eq!(
+                CompiledPlan::compile(&g, input, &[out, loss]).err(),
+                Some(PlanError::UnsupportedOp(name))
+            );
+        }
+        // Same tape, inference output only -> every loss node is pruned away.
+        let plan = CompiledPlan::compile(&g, input, &[out]).expect("prunes the losses");
         assert_eq!(plan.num_outputs(), 1);
     }
 
