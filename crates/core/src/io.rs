@@ -9,7 +9,9 @@
 //! it reserves nothing sized by a declared count and checks the tensor count
 //! and every tensor shape against the ones the file's own config and schema
 //! imply before it builds a model: a hostile header gets an error, never a
-//! panic or an allocation larger than the bytes it sent.
+//! panic or an allocation larger than the bytes it sent. It also refuses a
+//! NaN or infinite weight or hyperparameter, which would make every score
+//! NaN (and trip the numerics sanitizer on the first forward).
 
 use crate::config::AdamelConfig;
 use crate::model::{param_shapes, AdamelModel};
@@ -104,7 +106,8 @@ pub fn save_model(model: &AdamelModel, w: &mut impl Write) -> io::Result<()> {
 
 /// Reads a model written by [`save_model`]. Fails with
 /// [`io::ErrorKind::InvalidData`] on a malformed file, on a tensor count or
-/// shape that disagrees with the file's config and schema, and (with an
+/// shape that disagrees with the file's config and schema, on a NaN or
+/// infinite tensor value, learning rate, `lambda` or `phi`, and (with an
 /// [`UnsupportedModelVersion`] inside) on another format version.
 pub fn load_model(r: &mut impl BufRead) -> io::Result<AdamelModel> {
     let mut lines = r.lines();
@@ -129,18 +132,21 @@ pub fn load_model(r: &mut impl BufRead) -> io::Result<AdamelModel> {
     }
     let field = |i: usize| parts.get(i).copied().ok_or_else(|| bad("malformed config line"));
     let p = |i: usize| -> io::Result<usize> { field(i)?.parse().map_err(|_| bad("bad integer")) };
-    let pf = |i: usize| -> io::Result<f32> { field(i)?.parse().map_err(|_| bad("bad float")) };
+    let pf = |i: usize, name: &str| -> io::Result<f32> {
+        let v: f32 = field(i)?.parse().map_err(|_| bad("bad float"))?;
+        v.is_finite().then_some(v).ok_or_else(|| bad(format!("config {name} is not finite")))
+    };
     let cfg = AdamelConfig {
         embed_dim: p(1)?,
         feature_dim: p(2)?,
         attention_dim: p(3)?,
         hidden_dim: p(4)?,
         crop: p(5)?,
-        learning_rate: pf(6)?,
+        learning_rate: pf(6, "learning_rate")?,
         epochs: p(7)?,
         batch_size: p(8)?,
-        lambda: pf(9)?,
-        phi: pf(10)?,
+        lambda: pf(9, "lambda")?,
+        phi: pf(10, "phi")?,
         feature_mode: mode_from_tag(field(11)?)?,
         seed: field(12)?.parse().map_err(|_| bad("bad seed"))?,
         grad_clip: Some(5.0),
@@ -198,6 +204,9 @@ pub fn load_model(r: &mut impl BufRead) -> io::Result<AdamelModel> {
             .map_err(|_| bad("bad value"))?;
         if data.len() != len {
             return Err(bad(format!("tensor expected {len} values, got {}", data.len())));
+        }
+        if let Some(k) = data.iter().position(|v| !v.is_finite()) {
+            return Err(bad(format!("tensor {i} value {k} is not finite")));
         }
         tensors.push(Matrix::from_vec(rows, cols, data));
     }
@@ -327,6 +336,35 @@ mod tests {
             fields[field] = value;
             edited[1] = fields.join(" ");
             assert!(load_error(&edited).contains(want), "config field {field} = {value}");
+        }
+    }
+
+    #[test]
+    fn rejects_non_finite_weights_naming_the_tensor() {
+        let lines = saved_lines();
+        for (bits, what) in [("7fc00000", "NaN"), ("7f800000", "+inf")] {
+            let mut edited = lines.clone();
+            // Tensor 1 (line 5) is `b[0]`; replace its third value.
+            let mut tokens: Vec<&str> = edited[5].split_whitespace().collect();
+            tokens[5] = bits;
+            edited[5] = tokens.join(" ");
+            assert!(load_error(&edited).contains("tensor 1 value 2 is not finite"), "{what}");
+        }
+    }
+
+    #[test]
+    fn rejects_non_finite_hyperparameters() {
+        let lines = saved_lines();
+        let config: Vec<&str> = lines[1].split_whitespace().collect();
+        for (field, name, value) in
+            [(9, "lambda", "NaN"), (6, "learning_rate", "inf"), (10, "phi", "-inf")]
+        {
+            let mut edited = lines.clone();
+            let mut fields = config.clone();
+            fields[field] = value;
+            edited[1] = fields.join(" ");
+            let want = format!("config {name} is not finite");
+            assert!(load_error(&edited).contains(&want), "{name} = {value}");
         }
     }
 

@@ -81,10 +81,12 @@ impl Json {
         }
     }
 
-    /// The value as an exact non-negative integer, if it is one.
+    /// The value as an exact non-negative integer, if it is one below
+    /// 2^53. From 2^53 on, an `f64` no longer tells a literal from its
+    /// neighbour (2^53 + 1 parses to 2^53), so such values are refused.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(v) if *v >= 0.0 && v.fract() <= 0.0 && *v <= 2f64.powi(53) => Some(*v as u64),
+            Json::Num(v) if *v >= 0.0 && v.fract() <= 0.0 && *v < 2f64.powi(53) => Some(*v as u64),
             _ => None,
         }
     }
@@ -453,6 +455,7 @@ mod tests {
         assert_eq!(Json::Num(3.0).as_u64(), Some(3));
         assert_eq!(Json::Num(3.5).as_u64(), None);
         assert_eq!(Json::Num(-1.0).as_u64(), None);
+        assert_eq!(Json::Num(2f64.powi(53)).as_u64(), None);
     }
 
     #[test]

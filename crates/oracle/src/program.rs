@@ -1,8 +1,17 @@
 //! Random tape programs and the per-op differential check.
 //!
-//! A [`Program`] is a flat list of [`Inst`]s referencing earlier instructions
-//! by index, with every leaf a `Param`. [`check_program`] runs the program
-//! through the *production* stack ([`adamel_tensor::Graph`]) and compares
+//! A [`Program`] is a flat list of [`Inst`]s: `Param` and `Input` leaves and
+//! the production tape's own ops, [`Expr`]`<usize>` over the indices of
+//! earlier instructions. A program records onto a [`Graph`] with
+//! [`Graph::record`], shrinks by remapping operands with [`Expr::map`], and
+//! its plan check leaves out the ops [`Expr::is_training_only`] names, which
+//! [`CompiledPlan::compile`] refuses. The per-op code here is the oracle's
+//! own: the `f64` reference `oracle_apply` (no catch-all arm, so a new
+//! `Expr` variant does not compile without one), `forward_budget`, the
+//! generator's op draw and `render_inst`.
+//!
+//! [`check_program`] runs the program through the *production* stack and
+//! compares
 //!
 //! * every node's forward value against the oracle op applied to the
 //!   **production** parent values promoted to `f64` (per-op isolation — no
@@ -13,8 +22,7 @@
 //! * the program's forward part compiled into a [`CompiledPlan`] and
 //!   replayed, which must equal the tape **bit for bit**, before and after
 //!   perturbed parameter values are restored into the plan's `ParamSet`
-//!   (`check_plan`).
-//!   Every leaf is a `Param`, so products with a wide enough right operand
+//!   (`check_plan`). Products with a wide enough `Param` as right operand
 //!   replay over the plan's packed weights, and the restore makes it repack.
 //!
 //! [`gen_program`] builds random well-shaped programs from a seed, and
@@ -24,11 +32,12 @@
 use crate::refmat::RefMatrix;
 use crate::ulp::{op_ulps, ulp_distance, Budget, EPS32};
 use adamel_tensor::plan::{CompiledPlan, PlanBuffers, PlanError};
-use adamel_tensor::{Graph, Matrix, ParamId, ParamSet, Var};
+use adamel_tensor::{Expr, Graph, Matrix, ParamId, ParamSet, Var};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// One tape instruction. Operand fields are indices of earlier instructions.
+/// One tape instruction: a leaf, or a computed op over earlier
+/// instructions.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Inst {
     /// A trainable leaf with explicit shape and row-major data.
@@ -52,145 +61,17 @@ pub enum Inst {
         /// Row-major values.
         data: Vec<f32>,
     },
-    /// `(n,k) x (k,m)` product.
-    MatMul {
-        /// Left operand.
-        a: usize,
-        /// Right operand.
-        b: usize,
-    },
-    /// Elementwise sum.
-    Add {
-        /// Left operand.
-        a: usize,
-        /// Right operand.
-        b: usize,
-    },
-    /// Adds a `1 x cols` bias row to every row of `a`.
-    AddRowBroadcast {
-        /// Input matrix.
-        a: usize,
-        /// Bias row.
-        bias: usize,
-    },
-    /// Elementwise product.
-    Mul {
-        /// Left operand.
-        a: usize,
-        /// Right operand.
-        b: usize,
-    },
-    /// Scales row `i` of `a` by element `i` of an `n x 1` column.
-    MulColBroadcast {
-        /// Input matrix.
-        a: usize,
-        /// Column of per-row factors.
-        col: usize,
-    },
-    /// Scalar multiple.
-    Scale {
-        /// Input.
-        a: usize,
-        /// Constant factor.
-        factor: f32,
-    },
-    /// Rectified linear unit.
-    Relu {
-        /// Input.
-        a: usize,
-    },
-    /// Hyperbolic tangent.
-    Tanh {
-        /// Input.
-        a: usize,
-    },
-    /// Logistic sigmoid.
-    Sigmoid {
-        /// Input.
-        a: usize,
-    },
-    /// Row-wise softmax.
-    SoftmaxRows {
-        /// Input.
-        a: usize,
-    },
-    /// Horizontal concatenation.
-    ConcatCols {
-        /// Parts, left to right.
-        parts: Vec<usize>,
-    },
-    /// `Σ_j weights[:, j] ⊙ parts[j]`: `F` equally shaped parts and an
-    /// `n x F` weight matrix. Its [`parents`](Inst::parents) list `weights`
-    /// first, then the parts.
-    WeightedSum {
-        /// The `F` parts (repeats allowed).
-        parts: Vec<usize>,
-        /// Per-row weight of each part.
-        weights: usize,
-    },
-    /// Column window copy.
-    SliceCols {
-        /// Input.
-        a: usize,
-        /// First column.
-        start: usize,
-        /// Window width.
-        width: usize,
-    },
-    /// Mean over all elements (1x1 output).
-    MeanAll {
-        /// Input.
-        a: usize,
-    },
-    /// Sum over all elements (1x1 output).
-    SumAll {
-        /// Input.
-        a: usize,
-    },
-    /// Weighted binary cross-entropy with logits (1x1 output); `logits` must
-    /// be `n x 1` and `targets`/`weights` are length-`n` constants.
-    WeightedBce {
-        /// Logit column.
-        logits: usize,
-        /// 0/1 labels.
-        targets: Vec<f32>,
-        /// Per-sample weights.
-        weights: Vec<f32>,
-    },
-    /// Mean row-wise KL against a constant `1 x m` target (1x1 output);
-    /// `probs` rows must already be normalized (softmax outputs).
-    KlConstRows {
-        /// Probability rows.
-        probs: usize,
-        /// Target distribution, length `m`.
-        target: Vec<f32>,
-        /// Logarithm guard.
-        eps: f32,
-    },
+    /// A computed op, the production tape's own; each operand is the index
+    /// of an earlier instruction.
+    Op(Expr<usize>),
 }
 
 impl Inst {
-    /// Indices of the instructions this one reads.
+    /// Indices of the instructions this one reads, in operand order.
     pub fn parents(&self) -> Vec<usize> {
         match self {
             Inst::Param { .. } | Inst::Input { .. } => Vec::new(),
-            Inst::MatMul { a, b } | Inst::Add { a, b } | Inst::Mul { a, b } => vec![*a, *b],
-            Inst::AddRowBroadcast { a, bias } => vec![*a, *bias],
-            Inst::MulColBroadcast { a, col } => vec![*a, *col],
-            Inst::Scale { a, .. }
-            | Inst::Relu { a }
-            | Inst::Tanh { a }
-            | Inst::Sigmoid { a }
-            | Inst::SoftmaxRows { a }
-            | Inst::SliceCols { a, .. }
-            | Inst::MeanAll { a }
-            | Inst::SumAll { a } => vec![*a],
-            Inst::ConcatCols { parts } => parts.clone(),
-            Inst::WeightedSum { parts, weights } => {
-                std::iter::once(weights).chain(parts).copied().collect()
-            }
-            Inst::WeightedBce { logits, .. } => vec![*logits],
-            Inst::KlConstRows { probs, .. } => vec![*probs],
+            Inst::Op(e) => e.operands(),
         }
     }
 
@@ -199,23 +80,7 @@ impl Inst {
         match self {
             Inst::Param { .. } => "param",
             Inst::Input { .. } => "constant",
-            Inst::MatMul { .. } => "matmul",
-            Inst::Add { .. } => "add",
-            Inst::AddRowBroadcast { .. } => "add_row_broadcast",
-            Inst::Mul { .. } => "mul",
-            Inst::MulColBroadcast { .. } => "mul_col_broadcast",
-            Inst::Scale { .. } => "scale",
-            Inst::Relu { .. } => "relu",
-            Inst::Tanh { .. } => "tanh",
-            Inst::Sigmoid { .. } => "sigmoid",
-            Inst::SoftmaxRows { .. } => "softmax_rows",
-            Inst::ConcatCols { .. } => "concat_cols",
-            Inst::WeightedSum { .. } => "weighted_sum",
-            Inst::SliceCols { .. } => "slice_cols",
-            Inst::MeanAll { .. } => "mean_all",
-            Inst::SumAll { .. } => "sum_all",
-            Inst::WeightedBce { .. } => "weighted_bce_with_logits",
-            Inst::KlConstRows { .. } => "kl_const_rows",
+            Inst::Op(e) => e.name(),
         }
     }
 }
@@ -316,40 +181,7 @@ fn record(
             Inst::Input { rows, cols, data } => {
                 g.constant(Matrix::from_vec(*rows, *cols, data.clone()))
             }
-            Inst::MatMul { a, b } => g.matmul(vars[*a], vars[*b]),
-            Inst::Add { a, b } => g.add(vars[*a], vars[*b]),
-            Inst::AddRowBroadcast { a, bias } => g.add_row_broadcast(vars[*a], vars[*bias]),
-            Inst::Mul { a, b } => g.mul(vars[*a], vars[*b]),
-            Inst::MulColBroadcast { a, col } => g.mul_col_broadcast(vars[*a], vars[*col]),
-            Inst::Scale { a, factor } => g.scale(vars[*a], *factor),
-            Inst::Relu { a } => g.relu(vars[*a]),
-            Inst::Tanh { a } => g.tanh(vars[*a]),
-            Inst::Sigmoid { a } => g.sigmoid(vars[*a]),
-            Inst::SoftmaxRows { a } => g.softmax_rows(vars[*a]),
-            Inst::ConcatCols { parts } => {
-                let part_vars: Vec<Var> = parts.iter().map(|&q| vars[q]).collect();
-                g.concat_cols(&part_vars)
-            }
-            Inst::WeightedSum { parts, weights } => {
-                let part_vars: Vec<Var> = parts.iter().map(|&q| vars[q]).collect();
-                g.weighted_sum(&part_vars, vars[*weights])
-            }
-            Inst::SliceCols { a, start, width } => g.slice_cols(vars[*a], *start, *width),
-            Inst::MeanAll { a } => g.mean_all(vars[*a]),
-            Inst::SumAll { a } => g.sum_all(vars[*a]),
-            Inst::WeightedBce { logits, targets, weights } => {
-                let n = targets.len();
-                g.weighted_bce_with_logits(
-                    vars[*logits],
-                    Matrix::from_vec(n, 1, targets.clone()),
-                    Matrix::from_vec(n, 1, weights.clone()),
-                )
-            }
-            Inst::KlConstRows { probs, target, eps } => g.kl_const_rows(
-                vars[*probs],
-                Matrix::from_vec(1, target.len(), target.clone()),
-                *eps,
-            ),
+            Inst::Op(e) => g.record(e.map(|q| vars[q])),
         };
         ids.push(id);
         vars.push(v);
@@ -376,46 +208,53 @@ fn run_production(p: &Program) -> ProdRun {
     ProdRun { values, grads }
 }
 
-/// Applies the oracle version of one instruction to already-promoted parents.
+/// Applies the oracle version of one instruction to already-promoted
+/// parents, given in operand order. The match has no catch-all arm, so an
+/// `Expr` variant without an `f64` reference here does not compile.
 fn oracle_apply(inst: &Inst, parents: &[RefMatrix]) -> RefMatrix {
-    match inst {
+    let e = match inst {
         Inst::Param { rows, cols, data } | Inst::Input { rows, cols, data } => {
-            RefMatrix::from_f32(*rows, *cols, data)
+            return RefMatrix::from_f32(*rows, *cols, data);
         }
-        Inst::MatMul { .. } => parents[0].matmul(&parents[1]),
-        Inst::Add { .. } => parents[0].add(&parents[1]),
-        Inst::AddRowBroadcast { .. } => parents[0].add_row_broadcast(&parents[1]),
-        Inst::Mul { .. } => parents[0].mul(&parents[1]),
-        Inst::MulColBroadcast { .. } => parents[0].mul_col_broadcast(&parents[1]),
-        Inst::Scale { factor, .. } => parents[0].scale(f64::from(*factor)),
-        Inst::Relu { .. } => parents[0].relu(),
-        Inst::Tanh { .. } => parents[0].map(f64::tanh),
-        Inst::Sigmoid { .. } => parents[0].map(|v| 1.0 / (1.0 + (-v).exp())),
-        Inst::SoftmaxRows { .. } => parents[0].softmax_rows(),
-        Inst::ConcatCols { .. } => {
+        Inst::Op(e) => e,
+    };
+    match e {
+        Expr::MatMul(..) => parents[0].matmul(&parents[1]),
+        Expr::Add(..) => parents[0].add(&parents[1]),
+        Expr::AddRowBroadcast(..) => parents[0].add_row_broadcast(&parents[1]),
+        Expr::Mul(..) => parents[0].mul(&parents[1]),
+        Expr::MulColBroadcast(..) => parents[0].mul_col_broadcast(&parents[1]),
+        Expr::Scale(_, factor) => parents[0].scale(f64::from(*factor)),
+        Expr::Relu(_) => parents[0].relu(),
+        Expr::Tanh(_) => parents[0].map(f64::tanh),
+        Expr::Sigmoid(_) => parents[0].map(|v| 1.0 / (1.0 + (-v).exp())),
+        Expr::SoftmaxRows(_) => parents[0].softmax_rows(),
+        Expr::ConcatCols(_) => {
             let refs: Vec<&RefMatrix> = parents.iter().collect();
             RefMatrix::concat_cols(&refs)
         }
-        Inst::WeightedSum { .. } => RefMatrix::weighted_sum(&parents[1..], &parents[0]),
-        Inst::SliceCols { start, width, .. } => parents[0].slice_cols(*start, *width),
-        Inst::MeanAll { .. } => RefMatrix::scalar(parents[0].mean()),
-        Inst::SumAll { .. } => RefMatrix::scalar(parents[0].sum()),
-        Inst::WeightedBce { targets, weights, .. } => {
+        Expr::WeightedSum { parts, .. } => {
+            RefMatrix::weighted_sum(&parents[..parts.len()], &parents[parts.len()])
+        }
+        Expr::SliceCols { start, width, .. } => parents[0].slice_cols(*start, *width),
+        Expr::MeanAll(_) => RefMatrix::scalar(parents[0].mean()),
+        Expr::SumAll(_) => RefMatrix::scalar(parents[0].sum()),
+        Expr::WeightedBceWithLogits { targets, weights, .. } => {
             RefMatrix::scalar(bce_terms(&parents[0], targets, weights).0)
         }
-        Inst::KlConstRows { target, eps, .. } => {
+        Expr::KlConstRows { target, eps, .. } => {
             RefMatrix::scalar(kl_terms(&parents[0], target, *eps).0)
         }
     }
 }
 
 /// `(mean, mean of |term|)` of the stable weighted BCE over `n x 1` logits.
-fn bce_terms(z: &RefMatrix, targets: &[f32], weights: &[f32]) -> (f64, f64) {
+fn bce_terms(z: &RefMatrix, targets: &Matrix, weights: &Matrix) -> (f64, f64) {
     let n = z.rows().max(1) as f64;
     let (mut total, mut abs_total) = (0.0, 0.0);
     for i in 0..z.rows() {
         let zi = z.get(i, 0);
-        let (yi, wi) = (f64::from(targets[i]), f64::from(weights[i]));
+        let (yi, wi) = (f64::from(targets.get(i, 0)), f64::from(weights.get(i, 0)));
         let term = wi * (zi.max(0.0) - zi * yi + (-zi.abs()).exp().ln_1p());
         total += term;
         abs_total += term.abs();
@@ -424,11 +263,11 @@ fn bce_terms(z: &RefMatrix, targets: &[f32], weights: &[f32]) -> (f64, f64) {
 }
 
 /// `(mean, mean of |term|)` of the row-wise KL against a constant target.
-fn kl_terms(p: &RefMatrix, target: &[f32], eps: f32) -> (f64, f64) {
+fn kl_terms(p: &RefMatrix, target: &Matrix, eps: f32) -> (f64, f64) {
     let n = p.rows().max(1) as f64;
     let (mut total, mut abs_total) = (0.0, 0.0);
     for i in 0..p.rows() {
-        for (j, &q32) in target.iter().enumerate() {
+        for (j, &q32) in target.as_slice().iter().enumerate() {
             let q = f64::from(q32);
             if q > 0.0 {
                 let term = q * (q / (p.get(i, j) + f64::from(eps))).ln();
@@ -444,47 +283,48 @@ fn kl_terms(p: &RefMatrix, target: &[f32], eps: f32) -> (f64, f64) {
 /// promoted production parents and the oracle output shape.
 fn forward_budget(inst: &Inst, parents: &[RefMatrix], out: &RefMatrix) -> (u64, RefMatrix) {
     let zeros = || RefMatrix::zeros(out.rows(), out.cols());
-    match inst {
-        Inst::MatMul { .. } => {
+    let Inst::Op(e) = inst else { return (op_ulps(inst.op_name(), 0), zeros()) };
+    match e {
+        Expr::MatMul(..) => {
             let k = parents[0].cols();
             let scale = parents[0].map(f64::abs).matmul(&parents[1].map(f64::abs));
             (op_ulps("matmul", k), scale.scale((k as f64 + 4.0) * EPS32))
         }
-        Inst::WeightedSum { .. } => {
+        Expr::WeightedSum { parts, .. } => {
             // An F-term dot product per element, bounded like matmul's.
             let abs: Vec<RefMatrix> = parents.iter().map(|m| m.map(f64::abs)).collect();
-            let f = abs.len() - 1;
-            let scale = RefMatrix::weighted_sum(&abs[1..], &abs[0]);
+            let f = parts.len();
+            let scale = RefMatrix::weighted_sum(&abs[..f], &abs[f]);
             (op_ulps("weighted_sum", f), scale.scale((f as f64 + 4.0) * EPS32))
         }
-        Inst::SoftmaxRows { .. } => {
+        Expr::SoftmaxRows(_) => {
             let m = parents[0].cols();
             let abs = (m as f64 + 4.0) * EPS32;
             (op_ulps("softmax_rows", m), zeros().map(|_| abs))
         }
-        Inst::SumAll { .. } => {
+        Expr::SumAll(_) => {
             let n = parents[0].len();
             let abs = (n as f64 + 4.0) * EPS32 * parents[0].abs_sum();
             (op_ulps("sum_all", n), RefMatrix::scalar(abs))
         }
-        Inst::MeanAll { .. } => {
+        Expr::MeanAll(_) => {
             let n = parents[0].len();
             let abs = (n as f64 + 4.0) * EPS32 * parents[0].abs_sum() / n.max(1) as f64;
             (op_ulps("mean_all", n), RefMatrix::scalar(abs))
         }
-        Inst::WeightedBce { targets, weights, .. } => {
+        Expr::WeightedBceWithLogits { targets, weights, .. } => {
             let n = parents[0].rows();
             let (_, mean_abs) = bce_terms(&parents[0], targets, weights);
             let abs = (n as f64 + 4.0) * EPS32 * mean_abs.max(1.0);
             (op_ulps("weighted_bce_with_logits", n), RefMatrix::scalar(abs))
         }
-        Inst::KlConstRows { target, eps, .. } => {
+        Expr::KlConstRows { target, eps, .. } => {
             let n = parents[0].len();
             let (_, mean_abs) = kl_terms(&parents[0], target, *eps);
             let abs = (n as f64 + 4.0) * EPS32 * mean_abs.max(1.0);
             (op_ulps("kl_const_rows", n), RefMatrix::scalar(abs))
         }
-        _ => (op_ulps(inst.op_name(), 0), zeros()),
+        _ => (op_ulps(e.name(), 0), zeros()),
     }
 }
 
@@ -516,17 +356,6 @@ pub fn check_program(p: &Program) -> Result<PlanCheck, Discrepancy> {
     check_with_fault(p, None)
 }
 
-/// True for the ops a [`CompiledPlan`] refuses (losses and full reductions).
-fn training_only(inst: &Inst) -> bool {
-    matches!(
-        inst,
-        Inst::MeanAll { .. }
-            | Inst::SumAll { .. }
-            | Inst::WeightedBce { .. }
-            | Inst::KlConstRows { .. }
-    )
-}
-
 /// Compiles the program's forward ancestors of the root — every computed
 /// node the root depends on that no training-only op feeds — into a
 /// [`CompiledPlan`] whose input is the program's `Input` leaf (or, in a
@@ -538,18 +367,11 @@ fn training_only(inst: &Inst) -> bool {
 /// generation, so the plan must repack its weights) and compares a replay
 /// against a fresh tape of the perturbed program.
 fn check_plan(p: &Program) -> Result<PlanCheck, Discrepancy> {
-    let mut ancestor = vec![false; p.insts.len()];
-    ancestor[p.root] = true;
-    for i in (0..p.insts.len()).rev() {
-        if ancestor[i] {
-            for q in p.insts[i].parents() {
-                ancestor[q] = true;
-            }
-        }
-    }
+    let ancestor = ancestors_of(p, p.root);
     let mut forward = vec![true; p.insts.len()];
     for (i, inst) in p.insts.iter().enumerate() {
-        forward[i] = !training_only(inst) && inst.parents().iter().all(|&q| forward[q]);
+        let training_only = matches!(inst, Inst::Op(e) if e.is_training_only());
+        forward[i] = !training_only && inst.parents().iter().all(|&q| forward[q]);
     }
     let outputs: Vec<usize> = (0..p.insts.len())
         .filter(|&i| {
@@ -581,7 +403,7 @@ fn check_plan(p: &Program) -> Result<PlanCheck, Discrepancy> {
     // NaN to any NaN; the other comparisons replay the probe's own rows and
     // stay bitwise.
     let nan_signs_meet =
-        (0..p.insts.len()).any(|i| forward[i] && matches!(p.insts[i], Inst::Sigmoid { .. }));
+        (0..p.insts.len()).any(|i| forward[i] && matches!(p.insts[i], Inst::Op(Expr::Sigmoid(_))));
     let compare = |tape: &Graph, tape_vars: &[Var], bufs: &PlanBuffers, when: &str, nan_ok| {
         let same =
             |a: &f32, b: &f32| a.to_bits() == b.to_bits() || (nan_ok && a.is_nan() && b.is_nan());
@@ -683,17 +505,11 @@ pub fn check_with_fault(p: &Program, fault: Option<Fault>) -> Result<PlanCheck, 
             inst.parents().iter().map(|&q| RefMatrix::from_matrix(&values[q])).collect();
         let oracle = oracle_apply(inst, &parents);
         let prod = &values[i];
+        let fail =
+            |detail| Err(Discrepancy { inst: i, op: inst.op_name(), kind: "forward", detail });
         if prod.shape() != oracle.shape() {
-            return Err(Discrepancy {
-                inst: i,
-                op: inst.op_name(),
-                kind: "forward",
-                detail: format!(
-                    "shape mismatch: production {:?} vs oracle {:?}",
-                    prod.shape(),
-                    oracle.shape()
-                ),
-            });
+            let (ps, os) = (prod.shape(), oracle.shape());
+            return fail(format!("shape mismatch: production {ps:?} vs oracle {os:?}"));
         }
         let (ulps, abs) = forward_budget(inst, &parents, &oracle);
         for r in 0..oracle.rows() {
@@ -702,18 +518,13 @@ pub fn check_with_fault(p: &Program, fault: Option<Fault>) -> Result<PlanCheck, 
                 let ov = oracle.get(r, c);
                 let budget = Budget { ulps, abs: abs.get(r, c) };
                 if !budget.accepts(pv, ov) {
-                    return Err(Discrepancy {
-                        inst: i,
-                        op: inst.op_name(),
-                        kind: "forward",
-                        detail: format!(
-                            "element ({r},{c}): production {pv:e} vs oracle {ov:e} \
-                             ({} ulps, budget {} ulps / {:e} abs)",
-                            ulp_distance(pv, ov as f32),
-                            ulps,
-                            budget.abs
-                        ),
-                    });
+                    return fail(format!(
+                        "element ({r},{c}): production {pv:e} vs oracle {ov:e} \
+                         ({} ulps, budget {} ulps / {:e} abs)",
+                        ulp_distance(pv, ov as f32),
+                        ulps,
+                        budget.abs
+                    ));
                 }
             }
         }
@@ -734,13 +545,8 @@ pub fn check_with_fault(p: &Program, fault: Option<Fault>) -> Result<PlanCheck, 
         .filter(|(_, inst)| matches!(inst, Inst::Param { .. }))
         .map(|(i, _)| i)
         .collect();
-    let base: Vec<RefMatrix> = param_order
-        .iter()
-        .map(|&i| match &p.insts[i] {
-            Inst::Param { rows, cols, data } => RefMatrix::from_f32(*rows, *cols, data),
-            _ => RefMatrix::zeros(0, 0),
-        })
-        .collect();
+    let base: Vec<RefMatrix> =
+        param_order.iter().map(|&i| oracle_apply(&p.insts[i], &[])).collect();
     for (k, &pi) in param_order.iter().enumerate() {
         let Some(grad) = &run.grads[pi] else { continue };
         let total = grad.rows() * grad.cols();
@@ -886,12 +692,12 @@ pub fn gen_program_with(seed: u64, opts: &GenOptions) -> Program {
     // Each window's slice times a weight of its own: the model's Eq. 4
     // shape, so every program's plan runs a product over grouped rows.
     for &(start, width) in &windows {
-        push(&mut insts, &mut values, Inst::SliceCols { a: 0, start, width });
+        push(&mut insts, &mut values, Inst::Op(Expr::SliceCols { input: 0, start, width }));
         let cols = dim(&mut rng);
         let data: Vec<f32> = (0..width * cols).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
         push(&mut insts, &mut values, Inst::Param { rows: width, cols, data });
         let n = insts.len();
-        push(&mut insts, &mut values, Inst::MatMul { a: n - 2, b: n - 1 });
+        push(&mut insts, &mut values, Inst::Op(Expr::MatMul(n - 2, n - 1)));
     }
     let batch_insts = insts.len();
     let n_params = 1 + rng.gen_range(0..3usize) + usize::from(opts.blocked);
@@ -908,7 +714,7 @@ pub fn gen_program_with(seed: u64, opts: &GenOptions) -> Program {
         let n = insts.len();
         // Instruction 0, the batch, is read only through `SliceCols`.
         let pick = |rng: &mut StdRng| rng.gen_range(1..n);
-        let inst = match rng.gen_range(0..15u32) {
+        let expr = match rng.gen_range(0..15u32) {
             0 => {
                 // MatMul: find a pair with a.cols == b.rows, b not a batch.
                 let a = pick(&mut rng);
@@ -919,7 +725,7 @@ pub fn gen_program_with(seed: u64, opts: &GenOptions) -> Program {
                     continue;
                 }
                 let b = candidates[rng.gen_range(0..candidates.len())];
-                Inst::MatMul { a, b }
+                Expr::MatMul(a, b)
             }
             1 | 2 => {
                 let a = pick(&mut rng);
@@ -927,9 +733,9 @@ pub fn gen_program_with(seed: u64, opts: &GenOptions) -> Program {
                     (1..n).filter(|&b| values[b].shape() == values[a].shape()).collect();
                 let b = candidates[rng.gen_range(0..candidates.len())];
                 if rng.gen_bool(0.5) {
-                    Inst::Add { a, b }
+                    Expr::Add(a, b)
                 } else {
-                    Inst::Mul { a, b }
+                    Expr::Mul(a, b)
                 }
             }
             3 => {
@@ -941,7 +747,7 @@ pub fn gen_program_with(seed: u64, opts: &GenOptions) -> Program {
                     continue;
                 }
                 let bias = candidates[rng.gen_range(0..candidates.len())];
-                Inst::AddRowBroadcast { a, bias }
+                Expr::AddRowBroadcast(a, bias)
             }
             4 => {
                 let a = pick(&mut rng);
@@ -952,30 +758,30 @@ pub fn gen_program_with(seed: u64, opts: &GenOptions) -> Program {
                     continue;
                 }
                 let col = candidates[rng.gen_range(0..candidates.len())];
-                Inst::MulColBroadcast { a, col }
+                Expr::MulColBroadcast(a, col)
             }
-            5 => Inst::Scale { a: pick(&mut rng), factor: rng.gen_range(-1.5f32..1.5) },
-            6 => Inst::Relu { a: pick(&mut rng) },
-            7 => Inst::Tanh { a: pick(&mut rng) },
-            8 => Inst::Sigmoid { a: pick(&mut rng) },
-            9 => Inst::SoftmaxRows { a: pick(&mut rng) },
+            5 => Expr::Scale(pick(&mut rng), rng.gen_range(-1.5f32..1.5)),
+            6 => Expr::Relu(pick(&mut rng)),
+            7 => Expr::Tanh(pick(&mut rng)),
+            8 => Expr::Sigmoid(pick(&mut rng)),
+            9 => Expr::SoftmaxRows(pick(&mut rng)),
             10 => {
                 let a = pick(&mut rng);
                 let candidates: Vec<usize> =
                     (1..n).filter(|&b| values[b].rows() == values[a].rows()).collect();
                 let b = candidates[rng.gen_range(0..candidates.len())];
-                Inst::ConcatCols { parts: vec![a, b] }
+                Expr::ConcatCols(vec![a, b])
             }
             11 if rng.gen_bool(0.3) => {
                 let (start, width) = windows[rng.gen_range(0..windows.len())];
-                Inst::SliceCols { a: 0, start, width }
+                Expr::SliceCols { input: 0, start, width }
             }
             11 => {
                 let a = pick(&mut rng);
                 let cols = values[a].cols();
                 let start = rng.gen_range(0..cols);
                 let width = rng.gen_range(1..=cols - start);
-                Inst::SliceCols { a, start, width }
+                Expr::SliceCols { input: a, start, width }
             }
             12 => {
                 // BCE needs an n x 1 logit column; slice one if necessary.
@@ -988,7 +794,11 @@ pub fn gen_program_with(seed: u64, opts: &GenOptions) -> Program {
                 let targets: Vec<f32> =
                     (0..rows).map(|_| if rng.gen_bool(0.5) { 1.0 } else { 0.0 }).collect();
                 let weights: Vec<f32> = (0..rows).map(|_| rng.gen_range(0.1f32..2.0)).collect();
-                Inst::WeightedBce { logits, targets, weights }
+                Expr::WeightedBceWithLogits {
+                    logits,
+                    targets: Matrix::from_vec(rows, 1, targets),
+                    weights: Matrix::from_vec(rows, 1, weights),
+                }
             }
             13 => {
                 // Weights: a batch node at most 5 wide, one column per part.
@@ -1011,7 +821,7 @@ pub fn gen_program_with(seed: u64, opts: &GenOptions) -> Program {
                 let parts = (0..values[weights].cols())
                     .map(|_| same[rng.gen_range(0..same.len())])
                     .collect();
-                Inst::WeightedSum { parts, weights }
+                Expr::WeightedSum { parts, weights }
             }
             _ => {
                 // KL requires normalized rows: only softmax outputs qualify
@@ -1024,11 +834,11 @@ pub fn gen_program_with(seed: u64, opts: &GenOptions) -> Program {
                 let raw: Vec<f64> = (0..m).map(|_| rng.gen_range(0.05f64..1.0)).collect();
                 let total: f64 = raw.iter().sum();
                 let target: Vec<f32> = raw.iter().map(|&v| (v / total) as f32).collect();
-                Inst::KlConstRows { probs, target, eps: 1e-7 }
+                Expr::KlConstRows { probs, target: Matrix::from_vec(1, m, target), eps: 1e-7 }
             }
         };
-        let is_softmax = matches!(inst, Inst::SoftmaxRows { .. });
-        if push(&mut insts, &mut values, inst) && is_softmax {
+        let is_softmax = matches!(expr, Expr::SoftmaxRows(_));
+        if push(&mut insts, &mut values, Inst::Op(expr)) && is_softmax {
             softmax_nodes.push(insts.len() - 1);
         }
     }
@@ -1046,13 +856,13 @@ pub fn gen_program_with(seed: u64, opts: &GenOptions) -> Program {
         if values[s].shape() == (1, 1) {
             scalars.push(s);
         } else {
-            push(&mut insts, &mut values, Inst::MeanAll { a: s });
+            push(&mut insts, &mut values, Inst::Op(Expr::MeanAll(s)));
             scalars.push(insts.len() - 1);
         }
     }
     let mut root = scalars[0];
     for &s in &scalars[1..] {
-        push(&mut insts, &mut values, Inst::Add { a: root, b: s });
+        push(&mut insts, &mut values, Inst::Op(Expr::Add(root, s)));
         root = insts.len() - 1;
     }
     Program { insts, root }
@@ -1067,43 +877,10 @@ fn remove_insts(p: &Program, dead: &[bool]) -> Option<Program> {
         if dead[i] {
             continue;
         }
-        let mut inst = inst.clone();
-        match &mut inst {
-            Inst::Param { .. } | Inst::Input { .. } => {}
-            Inst::MatMul { a, b } | Inst::Add { a, b } | Inst::Mul { a, b } => {
-                *a = remap[*a];
-                *b = remap[*b];
-            }
-            Inst::AddRowBroadcast { a, bias } => {
-                *a = remap[*a];
-                *bias = remap[*bias];
-            }
-            Inst::MulColBroadcast { a, col } => {
-                *a = remap[*a];
-                *col = remap[*col];
-            }
-            Inst::Scale { a, .. }
-            | Inst::Relu { a }
-            | Inst::Tanh { a }
-            | Inst::Sigmoid { a }
-            | Inst::SoftmaxRows { a }
-            | Inst::SliceCols { a, .. }
-            | Inst::MeanAll { a }
-            | Inst::SumAll { a } => *a = remap[*a],
-            Inst::ConcatCols { parts } => {
-                for q in parts.iter_mut() {
-                    *q = remap[*q];
-                }
-            }
-            Inst::WeightedSum { parts, weights } => {
-                for q in parts.iter_mut() {
-                    *q = remap[*q];
-                }
-                *weights = remap[*weights];
-            }
-            Inst::WeightedBce { logits, .. } => *logits = remap[*logits],
-            Inst::KlConstRows { probs, .. } => *probs = remap[*probs],
-        }
+        let inst = match inst {
+            Inst::Op(e) => Inst::Op(e.map(|q| remap[q])),
+            leaf => leaf.clone(),
+        };
         remap[i] = insts.len();
         insts.push(inst);
     }
@@ -1112,6 +889,20 @@ fn remove_insts(p: &Program, dead: &[bool]) -> Option<Program> {
     }
     let root = if dead[p.root] { insts.len() - 1 } else { remap[p.root] };
     Some(Program { insts, root })
+}
+
+/// Marks `end` and everything it transitively reads.
+fn ancestors_of(p: &Program, end: usize) -> Vec<bool> {
+    let mut keep = vec![false; p.insts.len()];
+    keep[end] = true;
+    for i in (0..=end).rev() {
+        if keep[i] {
+            for q in p.insts[i].parents() {
+                keep[q] = true;
+            }
+        }
+    }
+    keep
 }
 
 /// Marks `start` and everything that transitively reads it.
@@ -1135,16 +926,7 @@ pub fn shrink(p: &Program) -> Program {
     let mut current = p.clone();
     // Ancestor slice: keep only what the failing node computes from.
     if let Err(d) = check_program(&current) {
-        let mut keep = vec![false; current.insts.len()];
-        keep[d.inst] = true;
-        for i in (0..=d.inst).rev() {
-            if keep[i] {
-                for q in current.insts[i].parents() {
-                    keep[q] = true;
-                }
-            }
-        }
-        let dead: Vec<bool> = keep.iter().map(|&k| !k).collect();
+        let dead: Vec<bool> = ancestors_of(&current, d.inst).iter().map(|&k| !k).collect();
         if let Some(mut sliced) = remove_insts(&current, &dead) {
             sliced.root = sliced.insts.len() - 1;
             if check_program(&sliced).is_err() {
@@ -1176,12 +958,14 @@ pub fn shrink(p: &Program) -> Program {
     }
 }
 
-/// Renders a failing program as a paste-able `#[test]` reproducer. Parameter
-/// data is emitted through `f32::from_bits` so the repro is bit-exact.
+/// Renders a failing program as a paste-able `#[test]` reproducer. Every
+/// `f32` (leaf data, constant factors, loss payloads) is emitted through
+/// `f32::from_bits`, so the repro is bit-exact.
 pub fn render_reproducer(p: &Program) -> String {
     let mut out = String::new();
     out.push_str("#[test]\nfn fuzz_reproducer() {\n");
     out.push_str("    use adamel_oracle::{check_program, Inst, Program};\n");
+    out.push_str("    use adamel_tensor::Expr;\n");
     out.push_str("    let p = Program {\n        insts: vec![\n");
     for inst in &p.insts {
         out.push_str("            ");
@@ -1195,55 +979,54 @@ pub fn render_reproducer(p: &Program) -> String {
     out
 }
 
+fn render_f32(v: f32) -> String {
+    format!("f32::from_bits(0x{:08x})", v.to_bits())
+}
+
 fn render_f32s(data: &[f32]) -> String {
-    let parts: Vec<String> =
-        data.iter().map(|v| format!("f32::from_bits(0x{:08x})", v.to_bits())).collect();
+    let parts: Vec<String> = data.iter().map(|&v| render_f32(v)).collect();
     format!("vec![{}]", parts.join(", "))
 }
 
+fn render_matrix(m: &Matrix) -> String {
+    format!(
+        "adamel_tensor::Matrix::from_vec({}, {}, {})",
+        m.rows(),
+        m.cols(),
+        render_f32s(m.as_slice())
+    )
+}
+
+/// One instruction as a Rust expression.
 fn render_inst(inst: &Inst) -> String {
-    match inst {
-        Inst::Param { rows, cols, data } => {
-            format!("Inst::Param {{ rows: {rows}, cols: {cols}, data: {} }}", render_f32s(data))
+    let (leaf, rows, cols, data) = match inst {
+        Inst::Param { rows, cols, data } => ("Param", rows, cols, data),
+        Inst::Input { rows, cols, data } => ("Input", rows, cols, data),
+        Inst::Op(e) => return format!("Inst::Op(Expr::{})", render_op(e)),
+    };
+    format!("Inst::{leaf} {{ rows: {rows}, cols: {cols}, data: {} }}", render_f32s(data))
+}
+
+/// One op without its `Expr::` prefix. Ops whose only payloads are operand
+/// indices print as their `Debug` form, which is valid Rust.
+fn render_op(e: &Expr<usize>) -> String {
+    match e {
+        Expr::Scale(a, factor) => format!("Scale({a}, {})", render_f32(*factor)),
+        Expr::ConcatCols(parts) => format!("ConcatCols(vec!{parts:?})"),
+        Expr::WeightedSum { parts, weights } => {
+            format!("WeightedSum {{ parts: vec!{parts:?}, weights: {weights} }}")
         }
-        Inst::Input { rows, cols, data } => {
-            format!("Inst::Input {{ rows: {rows}, cols: {cols}, data: {} }}", render_f32s(data))
-        }
-        Inst::MatMul { a, b } => format!("Inst::MatMul {{ a: {a}, b: {b} }}"),
-        Inst::Add { a, b } => format!("Inst::Add {{ a: {a}, b: {b} }}"),
-        Inst::AddRowBroadcast { a, bias } => {
-            format!("Inst::AddRowBroadcast {{ a: {a}, bias: {bias} }}")
-        }
-        Inst::Mul { a, b } => format!("Inst::Mul {{ a: {a}, b: {b} }}"),
-        Inst::MulColBroadcast { a, col } => {
-            format!("Inst::MulColBroadcast {{ a: {a}, col: {col} }}")
-        }
-        Inst::Scale { a, factor } => {
-            format!("Inst::Scale {{ a: {a}, factor: f32::from_bits(0x{:08x}) }}", factor.to_bits())
-        }
-        Inst::Relu { a } => format!("Inst::Relu {{ a: {a} }}"),
-        Inst::Tanh { a } => format!("Inst::Tanh {{ a: {a} }}"),
-        Inst::Sigmoid { a } => format!("Inst::Sigmoid {{ a: {a} }}"),
-        Inst::SoftmaxRows { a } => format!("Inst::SoftmaxRows {{ a: {a} }}"),
-        Inst::ConcatCols { parts } => format!("Inst::ConcatCols {{ parts: vec!{parts:?} }}"),
-        Inst::WeightedSum { parts, weights } => {
-            format!("Inst::WeightedSum {{ parts: vec!{parts:?}, weights: {weights} }}")
-        }
-        Inst::SliceCols { a, start, width } => {
-            format!("Inst::SliceCols {{ a: {a}, start: {start}, width: {width} }}")
-        }
-        Inst::MeanAll { a } => format!("Inst::MeanAll {{ a: {a} }}"),
-        Inst::SumAll { a } => format!("Inst::SumAll {{ a: {a} }}"),
-        Inst::WeightedBce { logits, targets, weights } => format!(
-            "Inst::WeightedBce {{ logits: {logits}, targets: {}, weights: {} }}",
-            render_f32s(targets),
-            render_f32s(weights)
+        Expr::WeightedBceWithLogits { logits, targets, weights } => format!(
+            "WeightedBceWithLogits {{ logits: {logits}, targets: {}, weights: {} }}",
+            render_matrix(targets),
+            render_matrix(weights)
         ),
-        Inst::KlConstRows { probs, target, eps } => format!(
-            "Inst::KlConstRows {{ probs: {probs}, target: {}, eps: f32::from_bits(0x{:08x}) }}",
-            render_f32s(target),
-            eps.to_bits()
+        Expr::KlConstRows { probs, target, eps } => format!(
+            "KlConstRows {{ probs: {probs}, target: {}, eps: {} }}",
+            render_matrix(target),
+            render_f32(*eps)
         ),
+        _ => format!("{e:?}"),
     }
 }
 
@@ -1256,11 +1039,43 @@ mod tests {
             insts: vec![
                 Inst::Param { rows: 2, cols: 3, data: vec![0.5, -1.0, 2.0, 0.25, 1.5, -0.75] },
                 Inst::Param { rows: 3, cols: 2, data: vec![1.0, 0.5, -0.5, 2.0, 0.125, -1.0] },
-                Inst::MatMul { a: 0, b: 1 },
-                Inst::Tanh { a: 2 },
-                Inst::MeanAll { a: 3 },
+                Inst::Op(Expr::MatMul(0, 1)),
+                Inst::Op(Expr::Tanh(2)),
+                Inst::Op(Expr::MeanAll(3)),
             ],
             root: 4,
+        }
+    }
+
+    /// Both leaves and every op whose rendering is not its `Debug` form,
+    /// in a program that passes; `tests/differential.rs` holds its
+    /// rendered reproducer.
+    fn rendering_program() -> Program {
+        let column = |v: [f32; 2]| Matrix::from_vec(2, 1, v.to_vec());
+        Program {
+            insts: vec![
+                Inst::Input { rows: 2, cols: 3, data: vec![0.5, -1.0, 0.0, 1.5, 0.25, -0.5] },
+                Inst::Op(Expr::SliceCols { input: 0, start: 0, width: 2 }),
+                Inst::Param { rows: 2, cols: 2, data: vec![1.0, -0.5, 0.25, 2.0] },
+                Inst::Op(Expr::MatMul(1, 2)),
+                Inst::Op(Expr::Scale(3, -0.75)),
+                Inst::Op(Expr::SoftmaxRows(4)),
+                Inst::Op(Expr::WeightedSum { parts: vec![3, 4], weights: 5 }),
+                Inst::Op(Expr::ConcatCols(vec![6, 1])),
+                Inst::Op(Expr::SliceCols { input: 7, start: 0, width: 1 }),
+                Inst::Op(Expr::WeightedBceWithLogits {
+                    logits: 8,
+                    targets: column([1.0, 0.0]),
+                    weights: column([0.5, 2.0]),
+                }),
+                Inst::Op(Expr::KlConstRows {
+                    probs: 5,
+                    target: Matrix::from_vec(1, 2, vec![0.25, 0.75]),
+                    eps: 1e-7,
+                }),
+                Inst::Op(Expr::Add(9, 10)),
+            ],
+            root: 11,
         }
     }
 
@@ -1296,7 +1111,7 @@ mod tests {
                 }
                 if inst.parents().contains(&0) {
                     assert!(
-                        matches!(inst, Inst::SliceCols { .. }),
+                        matches!(inst, Inst::Op(Expr::SliceCols { .. })),
                         "seed {seed}: the batch is read only through slice_cols"
                     );
                 }
@@ -1324,7 +1139,7 @@ mod tests {
                     .map(|(r, c)| RefMatrix::zeros(r, c))
                     .collect();
                 let v = oracle_apply(inst, &parents);
-                if let Inst::MatMul { a, b } = inst {
+                if let Inst::Op(Expr::MatMul(a, b)) = inst {
                     let (n, k) = shapes[*a];
                     let m = shapes[*b].1;
                     debug_assert_eq!(k, shapes[*b].0);
@@ -1358,7 +1173,7 @@ mod tests {
                 shapes.iter().map(RefMatrix::rows).collect()
             };
             let sums = p.insts.iter().filter_map(|inst| match inst {
-                Inst::WeightedSum { parts, weights } => Some((parts, weights)),
+                Inst::Op(Expr::WeightedSum { parts, weights }) => Some((parts, weights)),
                 _ => None,
             });
             let mut found = false;
@@ -1398,10 +1213,35 @@ mod tests {
     }
 
     #[test]
+    fn removing_an_instruction_remaps_later_operands() {
+        let mut p = tiny_program();
+        p.insts.insert(0, Inst::Param { rows: 1, cols: 1, data: vec![3.0] });
+        for inst in &mut p.insts {
+            if let Inst::Op(e) = inst {
+                *e = e.map(|q| q + 1);
+            }
+        }
+        p.root += 1;
+        let dead = dependents_of(&p, 0);
+        assert_eq!(remove_insts(&p, &dead), Some(tiny_program()));
+    }
+
+    #[test]
     fn reproducer_renders_program_literal() {
         let text = render_reproducer(&tiny_program());
-        assert!(text.contains("Inst::MatMul { a: 0, b: 1 }"));
+        assert!(text.contains("Inst::Op(Expr::MatMul(0, 1))"));
         assert!(text.contains("f32::from_bits"));
         assert!(text.contains("root: 4"));
+    }
+
+    #[test]
+    fn committed_reproducer_is_what_the_renderer_prints() {
+        let program = rendering_program();
+        assert!(matches!(check_program(&program), Ok(PlanCheck::Matched(_))));
+        let text = render_reproducer(&program);
+        assert!(
+            include_str!("../tests/differential.rs").contains(&text),
+            "tests/differential.rs must hold this reproducer verbatim:\n{text}"
+        );
     }
 }

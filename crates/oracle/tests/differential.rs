@@ -285,3 +285,34 @@ fn support_weights_match_oracle() {
         }
     }
 }
+
+// A reproducer exactly as the fuzzer renders it, kept so that the rendered
+// form is compiled and run: it holds both leaves and every op whose
+// rendering is its own. The renderer's unit test requires this text
+// verbatim, so a change to the rendering must re-render it here.
+#[rustfmt::skip]
+#[test]
+fn fuzz_reproducer() {
+    use adamel_oracle::{check_program, Inst, Program};
+    use adamel_tensor::Expr;
+    let p = Program {
+        insts: vec![
+            Inst::Input { rows: 2, cols: 3, data: vec![f32::from_bits(0x3f000000), f32::from_bits(0xbf800000), f32::from_bits(0x00000000), f32::from_bits(0x3fc00000), f32::from_bits(0x3e800000), f32::from_bits(0xbf000000)] },
+            Inst::Op(Expr::SliceCols { input: 0, start: 0, width: 2 }),
+            Inst::Param { rows: 2, cols: 2, data: vec![f32::from_bits(0x3f800000), f32::from_bits(0xbf000000), f32::from_bits(0x3e800000), f32::from_bits(0x40000000)] },
+            Inst::Op(Expr::MatMul(1, 2)),
+            Inst::Op(Expr::Scale(3, f32::from_bits(0xbf400000))),
+            Inst::Op(Expr::SoftmaxRows(4)),
+            Inst::Op(Expr::WeightedSum { parts: vec![3, 4], weights: 5 }),
+            Inst::Op(Expr::ConcatCols(vec![6, 1])),
+            Inst::Op(Expr::SliceCols { input: 7, start: 0, width: 1 }),
+            Inst::Op(Expr::WeightedBceWithLogits { logits: 8, targets: adamel_tensor::Matrix::from_vec(2, 1, vec![f32::from_bits(0x3f800000), f32::from_bits(0x00000000)]), weights: adamel_tensor::Matrix::from_vec(2, 1, vec![f32::from_bits(0x3f000000), f32::from_bits(0x40000000)]) }),
+            Inst::Op(Expr::KlConstRows { probs: 5, target: adamel_tensor::Matrix::from_vec(1, 2, vec![f32::from_bits(0x3e800000), f32::from_bits(0x3f400000)]), eps: f32::from_bits(0x33d6bf95) }),
+            Inst::Op(Expr::Add(9, 10)),
+        ],
+        root: 11,
+    };
+    if let Err(d) = check_program(&p) {
+        panic!("production diverges from oracle: {d}");
+    }
+}

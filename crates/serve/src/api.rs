@@ -46,7 +46,7 @@ impl RecordLine {
     /// Parses one JSONL line.
     pub fn from_json(line: &str) -> Result<Self, String> {
         let v = Json::parse(line)?;
-        let source = field_u64(&v, "source")? as u32;
+        let source = field_source(&v)?;
         let entity_id = field_u64(&v, "entity_id")?;
         let mut values = BTreeMap::new();
         if let Some(obj) = v.get("values") {
@@ -111,7 +111,7 @@ impl DeleteLine {
     /// Parses one JSONL line.
     pub fn from_json(line: &str) -> Result<Self, String> {
         let v = Json::parse(line)?;
-        Ok(Self { source: field_u64(&v, "source")? as u32, entity_id: field_u64(&v, "entity_id")? })
+        Ok(Self { source: field_source(&v)?, entity_id: field_u64(&v, "entity_id")? })
     }
 }
 
@@ -217,6 +217,13 @@ fn field_u64(v: &Json, key: &str) -> Result<u64, String> {
     v.get(key).and_then(Json::as_u64).ok_or_else(|| format!("missing or non-integer `{key}`"))
 }
 
+/// The `source` field, refused (not wrapped onto another source) above
+/// `u32::MAX`.
+fn field_source(v: &Json) -> Result<u32, String> {
+    let source = field_u64(v, "source")?;
+    u32::try_from(source).map_err(|_| format!("`source` {source} exceeds {}", u32::MAX))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,6 +249,22 @@ mod tests {
         assert!(RecordLine::from_json("{\"source\": 1, \"entity_id\": 1, \"values\": {\"k\": 5}}")
             .is_err());
         assert!(RecordLine::from_json("not json").is_err());
+    }
+
+    #[test]
+    fn out_of_range_keys_are_refused_not_wrapped() {
+        // 2^32 would wrap onto source 0; 2^53 + 1 parses to the f64 2^53,
+        // which is not the integer the client sent.
+        let source = "{\"source\": 4294967296, \"entity_id\": 5}";
+        let entity = "{\"source\": 1, \"entity_id\": 9007199254740993}";
+        for line in [source, entity] {
+            assert!(RecordLine::from_json(line).is_err(), "{line}");
+            assert!(DeleteLine::from_json(line).is_err(), "{line}");
+        }
+        let max = "{\"source\": 4294967295, \"entity_id\": 9007199254740991}";
+        let line = DeleteLine::from_json(max).expect("the largest keys parse");
+        assert_eq!((line.source, line.entity_id), (u32::MAX, (1 << 53) - 1));
+        assert!(RecordLine::from_json(max).is_ok());
     }
 
     #[test]

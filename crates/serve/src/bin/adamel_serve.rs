@@ -14,16 +14,20 @@
 //! Selftest mode trains a tiny model in-process, boots on an ephemeral
 //! port, exercises every endpoint over real sockets, checks that a `/link`
 //! line nested past the JSON depth cap and a request head past its size
-//! cap each get a `400` while the daemon keeps serving, optionally writes
-//! the final `/metrics` document to `--metrics-out`, and exits non-zero on
-//! any failure — CI runs it and uploads the metrics artifact.
+//! cap each get a `400` while the daemon keeps serving, checks that a
+//! snapshot holding a NaN weight and a record whose `source` overflows
+//! `u32` get a `400` and a `/link` one query over [`MAX_LINK_QUERIES`] a
+//! `413`, none of them changing the model, the corpus or later matches,
+//! optionally writes the final `/metrics` document to `--metrics-out`, and
+//! exits non-zero on any failure — CI runs it and uploads the metrics
+//! artifact.
 
 use adamel::config::{AdamelConfig, Variant};
 use adamel::train::fit;
 use adamel::{AdamelModel, Linker, LinkerConfig};
 use adamel_schema::{Domain, EntityPair, Record, Schema, SourceId};
 use adamel_serve::http::MAX_HEAD_BYTES;
-use adamel_serve::{DriftConfig, Engine, EngineConfig, Server, ServerConfig};
+use adamel_serve::{DriftConfig, Engine, EngineConfig, Server, ServerConfig, MAX_LINK_QUERIES};
 use std::collections::BTreeSet;
 use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
@@ -181,6 +185,21 @@ fn expect_status(
     }
 }
 
+/// `(model_version, records)` from `GET /healthz`.
+fn health_counts(addr: std::net::SocketAddr) -> Result<(u64, u64), String> {
+    let body = expect_200("healthz", request(addr, "GET", "/healthz", ""))?;
+    let v = adamel_obs::json::Json::parse(&body).map_err(|e| format!("healthz: {e}"))?;
+    let count = |key: &str| {
+        v.get(key).and_then(|n| n.as_u64()).ok_or_else(|| format!("healthz: no {key} in {body:?}"))
+    };
+    Ok((count("model_version")?, count("records")?))
+}
+
+/// The match lines of a `/link` response, without its summary line.
+fn match_lines(body: &str) -> Vec<&str> {
+    body.lines().filter(|l| l.contains("\"score_bits\"")).collect()
+}
+
 /// Schema/shape check on the final `/metrics` document. A malformed or
 /// structurally empty document fails the selftest (and with it serve CI)
 /// even though the HTTP exchange itself succeeded.
@@ -250,14 +269,14 @@ fn run_selftest(metrics_out: Option<&str>) -> Result<(), String> {
     }
 
     let queries = "{\"source\": 9, \"entity_id\": 1, \"values\": {\"name\": \"alpha beta\"}}\n";
-    let body = expect_200("link", request(addr, "POST", "/link", queries))?;
-    if !body.lines().any(|l| l.contains("\"score_bits\"")) {
-        return Err(format!("link: no matches in {body:?}"));
+    let linked = expect_200("link", request(addr, "POST", "/link", queries))?;
+    if match_lines(&linked).is_empty() {
+        return Err(format!("link: no matches in {linked:?}"));
     }
-    let summary = body
+    let summary = linked
         .lines()
         .find(|l| l.contains("\"summary\""))
-        .ok_or_else(|| format!("link: no summary line in {body:?}"))?;
+        .ok_or_else(|| format!("link: no summary line in {linked:?}"))?;
     let summary = adamel_obs::json::Json::parse(summary)
         .map_err(|e| format!("link: summary is not valid JSON: {e}"))?;
     if summary.get("summary").and_then(|s| s.get("trace_id")).and_then(|t| t.as_u64()).is_none() {
@@ -275,14 +294,43 @@ fn run_selftest(metrics_out: Option<&str>) -> Result<(), String> {
     let head = format!("{line}{}", "a".repeat(MAX_HEAD_BYTES - line.len()));
     expect_status("over-cap header", 400, raw_request(addr, &head))?;
 
+    let mut snapshot = Vec::new();
+    adamel::save_model(&trained_model(), &mut snapshot).map_err(|e| format!("snapshot: {e}"))?;
+    let snapshot = String::from_utf8(snapshot).map_err(|e| format!("snapshot utf8: {e}"))?;
+
+    // Requests refused whole, changing nothing: a snapshot whose first
+    // weight is a NaN, a record whose `source` would wrap onto source 0,
+    // and a `/link` batch one query over the cap.
+    let before = health_counts(addr)?;
+    let mut lines: Vec<String> = snapshot.lines().map(str::to_owned).collect();
+    let tensor =
+        lines.iter_mut().find(|l| l.starts_with("tensor ")).ok_or("snapshot: no tensor")?;
+    let mut tokens: Vec<&str> = tensor.split(' ').collect();
+    // `tensor <rows> <cols> <value>...`: the first value becomes a NaN.
+    *tokens.get_mut(3).ok_or("snapshot: empty tensor")? = "7fc00000";
+    *tensor = tokens.join(" ");
+    let nan_snapshot = lines.join("\n") + "\n";
+    expect_status("NaN snapshot", 400, request(addr, "POST", "/model", &nan_snapshot))?;
+    let wrapped = "{\"source\": 4294967296, \"entity_id\": 10, \"values\": {\"name\": \"x\"}}\n";
+    expect_status("source 2^32", 400, request(addr, "POST", "/records", wrapped))?;
+    let over_cap = queries.repeat(MAX_LINK_QUERIES + 1);
+    expect_status("over-cap /link", 413, request(addr, "POST", "/link", &over_cap))?;
+    let after = health_counts(addr)?;
+    if after != before {
+        return Err(format!(
+            "refused requests changed (model_version, records) {before:?} to {after:?}"
+        ));
+    }
+    let relinked = expect_200("link after refusals", request(addr, "POST", "/link", queries))?;
+    if match_lines(&relinked) != match_lines(&linked) {
+        return Err(format!("link after refusals: {relinked:?} differs from {linked:?}"));
+    }
+
     let health = expect_200("healthz", request(addr, "GET", "/healthz", ""))?;
     if !health.contains("\"status\": \"ok\"") {
         return Err(format!("healthz: unexpected body {health:?}"));
     }
 
-    let mut snapshot = Vec::new();
-    adamel::save_model(&trained_model(), &mut snapshot).map_err(|e| format!("snapshot: {e}"))?;
-    let snapshot = String::from_utf8(snapshot).map_err(|e| format!("snapshot utf8: {e}"))?;
     let body = expect_200("hot-swap", request(addr, "POST", "/model", &snapshot))?;
     if !body.contains("\"model_version\": 2") {
         return Err(format!("hot-swap: unexpected body {body:?}"));

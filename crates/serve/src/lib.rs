@@ -61,4 +61,4 @@ pub mod server;
 pub use api::{DeleteLine, HealthResponse, LinkMatch, RecordLine};
 pub use engine::{DriftConfig, Engine, EngineConfig, LinkOutcome};
 pub use queue::{BoundedQueue, PushError};
-pub use server::{Server, ServerConfig};
+pub use server::{Server, ServerConfig, MAX_LINK_QUERIES};

@@ -19,6 +19,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Most query records one `POST /link` may carry; a larger batch is
+/// answered `413` before any of it is probed. The body cap alone does not
+/// bound a request's memory: each query is encoded against up to the
+/// linker's candidate cap of corpus records, at `F·D` floats per pair, so
+/// a body of short query lines could demand far more memory than its
+/// bytes. 256 queries at the default cap of 20 is 5,120 pairs.
+pub const MAX_LINK_QUERIES: usize = 256;
+
 /// Server construction options (see OPERATIONS.md for the env-var table).
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -252,6 +260,14 @@ fn route(
             Err(msg) => (400, "Bad Request", http::error_body(&msg)),
         },
         ("POST", "/link") => match api::parse_body(&req.body, RecordLine::from_json) {
+            Ok(lines) if lines.len() > MAX_LINK_QUERIES => (
+                413,
+                "Payload Too Large",
+                http::error_body(&format!(
+                    "{} queries exceed the {MAX_LINK_QUERIES}-query limit per /link",
+                    lines.len()
+                )),
+            ),
             Ok(lines) => {
                 let queries: Vec<_> = lines.into_iter().map(RecordLine::into_record).collect();
                 let outcome = engine.link(&queries);

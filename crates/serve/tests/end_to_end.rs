@@ -14,7 +14,9 @@ use adamel::train::fit;
 use adamel::{AdamelModel, Linker, LinkerConfig};
 use adamel_obs::json::Json;
 use adamel_schema::{Domain, EntityPair, Record, RecordKey, Schema, SourceId};
-use adamel_serve::{DriftConfig, Engine, EngineConfig, RecordLine, Server, ServerConfig};
+use adamel_serve::{
+    DriftConfig, Engine, EngineConfig, RecordLine, Server, ServerConfig, MAX_LINK_QUERIES,
+};
 use adamel_tensor::parallel;
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
@@ -370,6 +372,38 @@ fn hot_swap_is_atomic_under_concurrent_traffic() {
     assert_eq!(status, 409);
     let (_, health) = request(addr, "GET", "/healthz", "");
     assert!(health.contains("\"model_version\": 2"), "{health}");
+
+    server.shutdown().expect("clean shutdown");
+    adamel_obs::runlog::set_forced_path(None);
+}
+
+#[test]
+fn link_over_the_query_cap_gets_413_before_any_probe() {
+    let _guard = serialized();
+    adamel_obs::runlog::set_forced_path(Some("")); // forced off
+
+    let engine = Arc::new(Engine::new(
+        Linker::new(trained_model(), LinkerConfig::default()),
+        EngineConfig::default(),
+    ));
+    let server = Server::start(engine, ServerConfig::default()).expect("bind ephemeral port");
+    let addr = server.addr();
+    let (status, body) = request(addr, "POST", "/records", &jsonl(&corpus()));
+    assert_eq!(status, 200, "{body}");
+
+    let queries: Vec<Record> =
+        (0..=MAX_LINK_QUERIES as u64).map(|i| rec(9, i, "alpha beta")).collect();
+    let (status, body) = request(addr, "POST", "/link", &jsonl(&queries));
+    assert_eq!(status, 413, "{body}");
+    assert!(body.contains("-query limit"), "{body}");
+    let (_, metrics) = request(addr, "GET", "/metrics", "");
+    let v = Json::parse(&metrics).expect("metrics JSON");
+    let batches = v.get("counters").and_then(|c| c.get("link_batches")).and_then(Json::as_u64);
+    assert_eq!(batches, Some(0), "the refused batch must not be probed");
+
+    let (status, body) = request(addr, "POST", "/link", &jsonl(&queries[..MAX_LINK_QUERIES]));
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains(&format!("\"queries\": {MAX_LINK_QUERIES},")), "{body}");
 
     server.shutdown().expect("clean shutdown");
     adamel_obs::runlog::set_forced_path(None);

@@ -1,67 +1,106 @@
-//! The computed ops of the forward program, defined once.
+//! The computed ops of the forward program and its losses, defined once.
 //!
-//! An [`Expr`] is one computed op over operand handles `V`: [`Var`] tape
-//! positions when the autograd tape records it, and the plan's `Src`
-//! replay locations when a compiled plan replays it. The tape evaluates
-//! each op through [`Expr::forward_into`] as it records it, and the plan
-//! maps the recorded op onto its own operands ([`Expr::map`]) and calls
-//! the same function at replay. That function is the only place a
-//! computed op meets its kernel and the sanitizer's op checks, so the plan
-//! computes the tape's bits by construction.
+//! An [`Expr`] is one computed op over operand handles `V`. Three users
+//! share it, each with its own handle:
 //!
-//! [`Var`]: crate::Var
+//! * the autograd tape records an `Expr<Var>` over tape positions
+//!   ([`Graph::record`]) and evaluates it with [`Expr::forward_into`];
+//! * a compiled plan ([`crate::plan`]) maps each recorded op onto its replay
+//!   locations ([`Expr::map`]) and calls the same `forward_into`, so it
+//!   computes the tape's bits by construction; it refuses the ops
+//!   [`Expr::is_training_only`] names;
+//! * the differential fuzzer (`adamel-oracle`) writes its programs as
+//!   `Expr<usize>` over instruction indices and holds an `f64` reference
+//!   for every variant.
+//!
+//! `forward_into` is the only place a computed op meets its kernel and the
+//! sanitizer's op checks. A new op needs its variant here, its kernel in
+//! `forward_into`, its backward arm in [`Graph::backward`], and, in the
+//! oracle, an `f64` reference, a forward budget and a generator arm.
+//!
+//! [`Graph::record`]: crate::Graph::record
+//! [`Graph::backward`]: crate::Graph::backward
 
 use crate::matrix::Matrix;
 use crate::sanitize;
 
-/// One computed op, generic over its operand handle.
-pub(crate) enum Expr<V> {
+/// One computed op, generic over its operand handle `V`.
+///
+/// Operands are visited in the order of [`operands`](Self::operands): the
+/// fields in declaration order, a `Vec` of operands element by element.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Expr<V> {
+    /// `(n,k) x (k,m)` matrix product of the two operands.
     MatMul(V, V),
+    /// Elementwise sum of equally shaped operands.
     Add(V, V),
-    /// `(n,m) + (1,m)` bias addition.
+    /// `(n,m) + (1,m)`: the second operand, a bias row, added to every row
+    /// of the first.
     AddRowBroadcast(V, V),
     /// Elementwise product of equally shaped operands.
     Mul(V, V),
-    /// `(n,m) * (n,1)`: row `i` scaled by `col[i]`.
+    /// `(n,m) * (n,1)`: row `i` of the first operand scaled by element `i`
+    /// of the second, a column.
     MulColBroadcast(V, V),
+    /// The operand times a constant factor.
     Scale(V, f32),
+    /// Rectified linear unit, elementwise.
     Relu(V),
+    /// Hyperbolic tangent, elementwise.
     Tanh(V),
+    /// Logistic sigmoid, elementwise.
     Sigmoid(V),
+    /// Softmax of each row.
     SoftmaxRows(V),
+    /// Horizontal concatenation of operands with equal row counts, left to
+    /// right.
     ConcatCols(Vec<V>),
-    /// `Σ_j weights[:, j] ⊙ parts[j]` with `weights` of shape `n x F`.
+    /// `Σ_j weights[:, j] ⊙ parts[j]`, the terms added in ascending `j`.
     WeightedSum {
+        /// The `F` equally shaped parts (repeats allowed).
         parts: Vec<V>,
+        /// The `n x F` weights, one column per part.
         weights: V,
     },
     /// Contiguous column window `[start, start+width)` of the input.
     SliceCols {
+        /// The matrix the window is cut from.
         input: V,
+        /// First column of the window.
         start: usize,
+        /// Number of columns in the window.
         width: usize,
     },
+    /// Mean over all elements, as a `1 x 1` matrix.
     MeanAll(V),
+    /// Sum over all elements, as a `1 x 1` matrix.
     SumAll(V),
     /// Mean binary cross-entropy on logits vs. constant targets, with
-    /// per-sample constant weights. Fused for numerical stability.
+    /// per-sample constant weights (`1 x 1`). Fused for numerical
+    /// stability.
     WeightedBceWithLogits {
+        /// The `n x 1` logit column.
         logits: V,
+        /// The `n x 1` 0/1 labels.
         targets: Matrix,
+        /// The `n x 1` per-sample weights.
         weights: Matrix,
     },
-    /// Mean over rows of `KL(q || p_i)` with a constant row distribution `q`
-    /// and `p` the (already normalized) rows of the input.
+    /// Mean over rows of `KL(q || p_i)` (`1 x 1`) with a constant row
+    /// distribution `q` and `p` the (already normalized) rows of the input.
     KlConstRows {
+        /// The `n x m` rows `p_i`, each a distribution (softmax outputs).
         probs: V,
+        /// The `1 x m` distribution `q`.
         target: Matrix,
+        /// Guard added to each `p_ij` inside the logarithm.
         eps: f32,
     },
 }
 
 impl<V: Copy> Expr<V> {
     /// Stable op name for sanitizer provenance, op spans and diagnostics.
-    pub(crate) fn name(&self) -> &'static str {
+    pub fn name(&self) -> &'static str {
         match self {
             Expr::MatMul(..) => "matmul",
             Expr::Add(..) => "add",
@@ -83,8 +122,20 @@ impl<V: Copy> Expr<V> {
         }
     }
 
+    /// True for the ops that exist only for training: the losses and the
+    /// full reductions. A compiled plan refuses them.
+    pub fn is_training_only(&self) -> bool {
+        matches!(
+            self,
+            Expr::MeanAll(_)
+                | Expr::SumAll(_)
+                | Expr::WeightedBceWithLogits { .. }
+                | Expr::KlConstRows { .. }
+        )
+    }
+
     /// The operands this op reads, in operand order.
-    pub(crate) fn operands(&self) -> Vec<V> {
+    pub fn operands(&self) -> Vec<V> {
         let mut out = Vec::new();
         let _ = self.map(|v| out.push(v));
         out
@@ -92,7 +143,7 @@ impl<V: Copy> Expr<V> {
 
     /// The same op over other operand handles: `f` is called once per
     /// operand, in operand order (the order of [`operands`](Self::operands)).
-    pub(crate) fn map<W>(&self, mut f: impl FnMut(V) -> W) -> Expr<W> {
+    pub fn map<W>(&self, mut f: impl FnMut(V) -> W) -> Expr<W> {
         match self {
             Expr::MatMul(a, b) => Expr::MatMul(f(*a), f(*b)),
             Expr::Add(a, b) => Expr::Add(f(*a), f(*b)),

@@ -8,8 +8,8 @@
 //! step, which keeps the tape simple and makes gradient accumulation
 //! explicit.
 //!
-//! A node is a constant, a parameter, or a computed op: an `Expr` (see the
-//! `expr` module) over earlier nodes. Each op method records its `Expr`,
+//! A node is a constant, a parameter, or a computed op: an [`Expr`] over
+//! earlier nodes. Each op method records its `Expr` ([`Graph::record`]),
 //! which evaluates it through the one forward definition the compiled
 //! plan ([`crate::plan`]) replays as well; this module adds only the
 //! leaves and each op's backward rule.
@@ -84,9 +84,15 @@ impl Graph {
         Var(self.nodes.len() - 1)
     }
 
-    /// Evaluates `expr` over the values recorded so far and appends it.
-    /// [`Expr::forward_into`] runs the kernel and the sanitizer's op checks.
-    fn record(&mut self, expr: Expr<Var>) -> Var {
+    /// Evaluates `expr` over the values recorded so far and appends it; each
+    /// named op method below is this call with its own [`Expr`]. The kernel
+    /// and the sanitizer's op checks run as the op is recorded.
+    ///
+    /// # Panics
+    ///
+    /// When an operand is not a node of this tape, or the operands' shapes
+    /// do not fit the op.
+    pub fn record(&mut self, expr: Expr<Var>) -> Var {
         adamel_obs::trace_op!(expr.name());
         let mut value = Matrix::default();
         expr.forward_into(|v| &self.nodes[v.0].value, &mut value);

@@ -59,6 +59,7 @@ pub mod parallel;
 pub mod plan;
 pub mod sanitize;
 
+pub use expr::Expr;
 pub use graph::{Graph, Var};
 pub use matrix::Matrix;
 pub use optim::{Adam, Optimizer, Sgd};

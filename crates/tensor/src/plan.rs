@@ -28,14 +28,14 @@
 //! bit-identical to a fresh tape; the `tensor.plan.packed.bytes` gauge
 //! counts the packs alive.
 //!
-//! A step is the tape's own op: the recorded `Expr` (see the `expr`
-//! module) with its operands mapped from tape positions to replay
-//! locations, evaluated by the same `Expr::forward_into` that evaluated it
-//! on the tape. That function is the only code that runs a computed op's
-//! kernel and its runtime sanitizer checks ([`crate::sanitize`]), so plan
-//! output is **bit-identical** to recording the same ops on a tape by
-//! construction, with the same op provenance. The plan adds four steps of
-//! its own: packed products, row fills, input windows and gathers (below).
+//! A step is the tape's own op: the recorded [`Expr`] with its operands
+//! mapped from tape positions to replay locations, evaluated by the same
+//! `Expr::forward_into` that evaluated it on the tape. That function is the
+//! only code that runs a computed op's kernel and its runtime sanitizer
+//! checks ([`crate::sanitize`]), so plan output is **bit-identical** to
+//! recording the same ops on a tape by construction, with the same op
+//! provenance. The plan adds four steps of its own: packed products, row
+//! fills, input windows and gathers (below).
 //! The equivalence suite in `adamel` still compares the plan against one
 //! `forward_graph` tape bit-for-bit across chunk boundaries and feature
 //! modes.
@@ -519,12 +519,9 @@ impl CompiledPlan {
                     src[i] = Some(Src::Param(*id));
                     continue;
                 }
-                Op::Expr(
-                    expr @ (Expr::MeanAll(_)
-                    | Expr::SumAll(_)
-                    | Expr::WeightedBceWithLogits { .. }
-                    | Expr::KlConstRows { .. }),
-                ) => return Err(PlanError::UnsupportedOp(expr.name())),
+                Op::Expr(expr) if expr.is_training_only() => {
+                    return Err(PlanError::UnsupportedOp(expr.name()))
+                }
                 Op::Expr(expr) => match expr.map(|v| resolved(&src, v)) {
                     // The product's width is its right operand's.
                     Expr::MatMul(a, Src::Param(param)) if node.value.cols() >= NR => {
