@@ -15,11 +15,10 @@
 //! section), and prediction through the compiled plan (`predict`) and
 //! through one `forward_graph` tape per 128-row chunk (`predict_tape`).
 //! `flops` counts the analytic per-pair work (`per_row_flops`), not the
-//! arithmetic the plan's row grouping skips. A `"mem"`
-//! section (`adamel-mem/v1`) holds the largest row peak and the final
-//! per-gauge ledger. Rows run on one thread because above one the number
-//! of plan arenas parked at the peak depends on scheduling, and the file
-//! must be the same bytes on every run.
+//! arithmetic the plan skips by running each distinct feature block once.
+//! A `"mem"` section (`adamel-mem/v1`) holds the largest row peak and the
+//! final per-gauge ledger. Rows run on one thread, so no number in the
+//! file depends on the host's core count.
 //!
 //! One timing gate rides along: after the file is written, `predict` and
 //! `predict_tape` are each timed best of 5 at one thread with tracing
@@ -282,12 +281,13 @@ fn main() {
     // `predict` routes through the compiled plan; `predict_tape` is the
     // tape reference it replaced.
     let encoded = extractor.encode_pairs(&pairs);
+    let dense = encoded.to_dense();
     let predict_flops = NUM_PAIRS as u64 * model.per_row_flops() as u64;
     rows.push(row("predict", NUM_PAIRS, predict_flops, || {
         std::hint::black_box(model.predict_encoded(&encoded));
     }));
     rows.push(row("predict_tape", NUM_PAIRS, predict_flops, || {
-        std::hint::black_box(predict_tape(&model, &encoded));
+        std::hint::black_box(predict_tape(&model, &dense));
     }));
 
     // --- emit JSON (hand-written: no serialization dependency) ---
@@ -356,7 +356,7 @@ fn main() {
         std::hint::black_box(model.predict_encoded(&encoded));
     });
     let tape_ms = time_ms(5, || {
-        std::hint::black_box(predict_tape(&model, &encoded));
+        std::hint::black_box(predict_tape(&model, &dense));
     });
     eprintln!(
         "perfjson: predict {plan_ms:.3} ms, predict_tape {tape_ms:.3} ms (plan/tape {:.3}, limit {PLAN_OVER_TAPE_MAX:.2})",

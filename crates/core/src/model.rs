@@ -20,11 +20,17 @@
 //! factored sum adds its terms in another order than one `F·H'`-long dot
 //! product, so its logits differ from the literal Eq. 7 by rounding only;
 //! the `f64` oracle keeps the literal form as the reference.
+//!
+//! Inference reads a batch as [`EncodedBlocks`]: per feature, its distinct
+//! blocks `h_j`, and per pair, which one it has. The compiled plan runs
+//! each feature's Eq. 4–5 stages and `relu(t_j)·W1_j` once per distinct
+//! block of the whole call, then the weighted sum and the rest of Θ per
+//! pair. Training records the same forward on the tape over dense rows.
 
 use crate::config::AdamelConfig;
 use adamel_schema::{EntityPair, FeatureExtractor, Schema};
 use adamel_tensor::plan::{BufferPool, CompiledPlan, PlanBuffers};
-use adamel_tensor::{init, parallel, Graph, Matrix, ParamId, ParamSet, Var};
+use adamel_tensor::{init, parallel, EncodedBlocks, Graph, Matrix, ParamId, ParamSet, Var};
 use adamel_text::HashedFastText;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -97,21 +103,20 @@ pub struct ScoredPairs {
 /// uniform-attention constant's rows are identical.
 const PLAN_PROBE_ROWS: usize = 2;
 
-/// Batch-inference chunk size: `predict`/`attention` replay the plan once
-/// per block of this many rows and score blocks on scoped worker threads.
-/// Every forward op is row-independent, so block boundaries (a function of
-/// this constant alone, never the thread count) do not change the numbers:
+/// Pair-phase chunk size: `predict`/`attention` run the plan's window phase
+/// once per call, over each feature's distinct blocks, and then its pair
+/// phase (the attention-weighted sum over features and the steps after it)
+/// once per chunk of this many pairs, on scoped worker threads. Every
+/// forward op is row-independent, so chunk boundaries (a function of this
+/// constant alone, never the thread count) do not change the numbers:
 /// chunked output is bit-identical to one monolithic `forward_graph` tape.
 ///
-/// A chunk's replay arena holds every intermediate of the forward. The plan
-/// computes each feature's Eq. 4–5 stages and Θ first-layer product once
-/// per distinct feature block, so the arena depends on how often blocks
-/// repeat. At paper dimensions, measured at one thread,
-/// `tensor.plan.pool.bytes` reads 28.1 MB after a 26-feature chunk that
-/// repeats no block (3.4 MB of it the gathered `u_j` rows) and 19.8 MB
-/// after `perfjson`'s 200-pair `predict` row. Smaller chunks cost no
-/// repacking: the plan packs its weights once per parameter generation,
-/// not once per replay.
+/// Between the phases a call keeps, per distinct block of each feature,
+/// the attention energy and `u_j = relu(t_j)·W1_j`: about 1 KB per distinct
+/// block at paper dimensions, so at most the dense `n x F·D` encoding's
+/// size when no block repeats. A pair chunk's arena holds the gathered
+/// `u_j` rows of its pairs. The plan packs its weights once per parameter
+/// generation, not once per replay.
 const PREDICT_CHUNK_ROWS: usize = 128;
 
 /// The shape of every parameter [`AdamelModel::new`] registers for `f`
@@ -200,8 +205,9 @@ impl AdamelModel {
         self.params.num_scalars()
     }
 
-    /// Encodes pairs into the `n x (F*D)` token-embedding block.
-    pub fn encode(&self, pairs: &[EntityPair]) -> Matrix {
+    /// Encodes pairs into per-feature tables of distinct token-embedding
+    /// blocks (Eq. 3).
+    pub fn encode(&self, pairs: &[EntityPair]) -> EncodedBlocks {
         self.extractor.encode_pairs(pairs)
     }
 
@@ -319,42 +325,47 @@ impl AdamelModel {
         })
     }
 
-    /// Builds the full forward graph over an encoded batch and returns the
-    /// `(attention, logits)` node handles. This is the single-graph hook the
+    /// Builds the full forward graph over an encoded batch (dense rows, or
+    /// an [`EncodedBlocks`] laid out densely) and returns the `(attention,
+    /// logits)` node handles. This is the single-graph hook the
     /// differential oracle, the plan tests and the `predict_tape` bench row
     /// use to compare the compiled plan against one recorded tape.
-    pub fn forward_graph(&self, g: &mut Graph, encoded: Matrix) -> (Var, Var) {
-        let nodes = self.forward(g, encoded);
+    pub fn forward_graph(&self, g: &mut Graph, encoded: impl Into<Matrix>) -> (Var, Var) {
+        let nodes = self.forward(g, encoded.into());
         (nodes.attention, nodes.logits)
     }
 
-    /// Replays `plan` over `encoded` in [`PREDICT_CHUNK_ROWS`]-row chunks,
-    /// each into warm buffers from `pool`, and returns a row-major block of
-    /// `width` values per row that `emit` fills from each chunk's outputs.
-    /// Each chunk's rows are staged by the same row copy `slice_rows`
-    /// performs, and replay runs the kernels the tape ops delegate to, so
-    /// the values are bit-identical to one `forward_graph` tape.
+    /// Replays `plan` over `encoded`: its window phase once, then its pair
+    /// phase in [`PREDICT_CHUNK_ROWS`]-row chunks, each into warm buffers
+    /// from `pool`. Returns a row-major block of `width` values per row
+    /// that `emit` fills from each chunk's outputs. Replay runs the kernels
+    /// the tape ops delegate to, so the values are bit-identical to one
+    /// `forward_graph` tape.
     fn replay(
         &self,
         plan: &CompiledPlan,
         pool: &BufferPool,
-        encoded: &Matrix,
+        encoded: &EncodedBlocks,
         width: usize,
         emit: impl Fn(&PlanBuffers, &mut [f32]) + Sync,
     ) -> Vec<f32> {
         let mut out = vec![0.0f32; encoded.rows() * width];
+        let flops = self.per_row_flops();
+        let mut call = pool.checkout();
+        plan.execute_windows(&self.params, encoded, pool, flops, &mut call);
         parallel::parallel_for_row_blocks(
             &mut out,
             width,
             PREDICT_CHUNK_ROWS,
-            self.per_row_flops(),
+            flops,
             |start, block| {
                 let mut bufs = pool.checkout();
-                plan.execute_rows(&self.params, encoded, start, block.len() / width, &mut bufs);
+                plan.execute_rows(&self.params, &call, start, block.len() / width, &mut bufs);
                 emit(&bufs, block);
                 pool.put_back(bufs);
             },
         );
+        pool.put_back(call);
         out
     }
 
@@ -367,14 +378,14 @@ impl AdamelModel {
     }
 
     /// Match scores for pre-encoded pairs.
-    pub fn predict_encoded(&self, encoded: &Matrix) -> Vec<f32> {
+    pub fn predict_encoded(&self, encoded: &EncodedBlocks) -> Vec<f32> {
         self.predict_with_attention(encoded).0
     }
 
     /// Match scores and attention rows for pre-encoded pairs, from one
     /// replay of the predict plan: `f(x)` is an intermediate of scoring, so
     /// it costs no second forward.
-    pub fn predict_with_attention(&self, encoded: &Matrix) -> (Vec<f32>, Matrix) {
+    pub fn predict_with_attention(&self, encoded: &EncodedBlocks) -> (Vec<f32>, Matrix) {
         adamel_obs::trace_span!("predict");
         adamel_obs::trace_count!("predict.rows", encoded.rows() as u64);
         adamel_obs::trace_count!(
@@ -413,7 +424,7 @@ impl AdamelModel {
 
     /// Attention distributions for pre-encoded pairs, from the attention
     /// plan (classifier skipped).
-    pub fn attention_encoded(&self, encoded: &Matrix) -> Matrix {
+    pub fn attention_encoded(&self, encoded: &EncodedBlocks) -> Matrix {
         adamel_obs::trace_span!("attention");
         adamel_obs::trace_count!("attention.rows", encoded.rows() as u64);
         let cf = self.compiled();
@@ -614,6 +625,53 @@ mod tests {
         let (_, logits) = model.forward_graph(&mut g, encoded);
         let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(plan.output(0, &bufs)), bits(g.value(logits)));
+    }
+
+    #[test]
+    fn w1_products_run_once_per_call_not_once_per_chunk() {
+        // 640 pairs (five predict chunks) cycling through seven contents:
+        // every block of a feature repeats in every chunk.
+        let model = AdamelModel::new(AdamelConfig::tiny(), schema());
+        let titles = ["hey jude", "let it be", "a b", "yesterday", "", "help", "a"];
+        let pairs: Vec<EntityPair> = (0..640)
+            .map(|i| {
+                let (l, r) = (titles[i % 7], titles[(i / 7) % 2 * 3 % 7]);
+                pair(&[("title", l), ("artist", "x")], &[("title", r), ("artist", "x y")])
+            })
+            .collect();
+        let encoded = model.encode(&pairs);
+        let plan = &model.compiled().predict;
+        let mut bufs = PlanBuffers::new();
+        plan.execute(&model.params, &encoded, &mut bufs);
+        let d = model.cfg.embed_dim;
+        for (j, &w1_j) in model.ids.w1.iter().enumerate() {
+            let keys = encoded.table(j).rows();
+            let per_chunk: usize = (0..640)
+                .step_by(PREDICT_CHUNK_ROWS)
+                .map(|start| {
+                    let mut ids: Vec<usize> =
+                        (start..start + PREDICT_CHUNK_ROWS).map(|r| encoded.id(r, j)).collect();
+                    ids.sort_unstable();
+                    ids.dedup();
+                    ids.len()
+                })
+                .sum();
+            assert!(keys < per_chunk, "feature {j}: its blocks repeat across chunks");
+            // One product over the call's distinct keys, not one per chunk.
+            assert_eq!(plan.product_rows(w1_j, &bufs), vec![keys], "feature {j}");
+            assert_eq!(encoded.table(j).cols(), d);
+        }
+        let scores = model.predict_encoded(&encoded);
+        let mut g = Graph::new();
+        let (_, logits) = model.forward_graph(&mut g, encoded);
+        let tape: Vec<u32> = g
+            .value(logits)
+            .as_slice()
+            .iter()
+            .map(|&z| (1.0 / (1.0 + (-z).exp())).to_bits())
+            .collect();
+        assert_eq!(scores.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), tape);
+        assert_eq!(plan.output(0, &bufs).rows(), 640);
     }
 
     #[test]

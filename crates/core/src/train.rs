@@ -19,7 +19,7 @@ use crate::drift::mean_row_entropy;
 use crate::model::AdamelModel;
 use adamel_obs::runlog;
 use adamel_schema::Domain;
-use adamel_tensor::{parallel, Adam, Graph, Matrix, Optimizer};
+use adamel_tensor::{parallel, Adam, EncodedBlocks, Graph, Matrix, Optimizer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -72,9 +72,12 @@ pub fn fit(
 
     let cfg = model.config().clone();
     let train_enc = model.encode(&train.pairs);
+    // The tape reads dense rows; the plans read the blocks.
+    let train_rows = train_enc.to_dense();
     let train_labels = train.labels();
     let target_enc = target.map(|t| model.encode(&t.pairs));
     let support_enc = support.map(|s| model.encode(&s.pairs));
+    let support_rows = support_enc.as_ref().map(EncodedBlocks::to_dense);
     let support_labels = support.map(Domain::labels);
 
     let mut opt = Adam::with_lr(cfg.learning_rate);
@@ -120,8 +123,8 @@ pub fn fit(
         // (Algorithms 2–3 line 10).
         let telemetry = adamel_obs::enabled() || runlog::enabled();
         let mut support_stats: Option<(f64, f64, f64)> = None;
-        let support_batch = match (&support_enc, &support_labels) {
-            (Some(enc), Some(labels)) => {
+        let support_batch = match (&support_enc, &support_rows, &support_labels) {
+            (Some(enc), Some(rows), Some(labels)) => {
                 let weights = support_weights(model, &train_enc, &train_labels, enc, labels);
                 if telemetry && !weights.is_empty() {
                     let sum: f64 = weights.iter().map(|&w| f64::from(w)).sum();
@@ -135,7 +138,7 @@ pub fn fit(
                 }
                 let y = Matrix::from_vec(labels.len(), 1, labels.clone());
                 let w = Matrix::from_vec(labels.len(), 1, weights);
-                Some((enc, y, w))
+                Some((rows, y, w))
             }
             _ => None,
         };
@@ -148,7 +151,7 @@ pub fn fit(
         let (mut epoch_base, mut epoch_kl, mut epoch_support) = (0.0f64, 0.0f64, 0.0f64);
         let (mut entropy_sum, mut entropy_rows) = (0.0f64, 0usize);
         for chunk in order.chunks(cfg.batch_size.max(1)) {
-            let batch_enc = train_enc.select_rows(chunk);
+            let batch_enc = train_rows.select_rows(chunk);
             let batch_y =
                 Matrix::from_vec(chunk.len(), 1, chunk.iter().map(|&i| train_labels[i]).collect());
 
@@ -178,10 +181,10 @@ pub fn fit(
             // than taking a standalone optimizer step — Adam's normalized
             // step sizes would otherwise overweight S_U regardless of φ.
             if batches == 0 {
-                if let Some((enc, y, w)) = &support_batch {
+                if let Some((rows, y, w)) = &support_batch {
                     // The support encoding is reused every epoch, so the graph
                     // gets its own copy.
-                    let support_nodes = model.forward(&mut g, (**enc).clone());
+                    let support_nodes = model.forward(&mut g, (**rows).clone());
                     let s = g.weighted_bce_with_logits(support_nodes.logits, y.clone(), w.clone());
                     epoch_support += f64::from(g.value(s).item());
                     let s = g.scale(s, cfg.phi);
@@ -249,9 +252,9 @@ pub fn fit(
 /// computation against its `f64` re-derivation of Eq. 11–12.
 pub fn support_weights(
     model: &AdamelModel,
-    train_enc: &Matrix,
+    train_enc: &EncodedBlocks,
     train_labels: &[f32],
-    support_enc: &Matrix,
+    support_enc: &EncodedBlocks,
     support_labels: &[f32],
 ) -> Vec<f32> {
     let att_s = model.attention_encoded(train_enc);

@@ -29,8 +29,8 @@ pub mod ulp;
 
 pub use golden::{Fixture, FixtureError};
 pub use modelref::{
-    bce_ref, encode_pairs_ref, kl_ref, support_weights_ref, weighted_bce_ref, zero_loss_ref,
-    ModelOracle, RefForward,
+    bce_ref, encode_pair_uncached, encode_pairs_ref, kl_ref, support_weights_ref, weighted_bce_ref,
+    zero_loss_ref, ModelOracle, RefForward,
 };
 pub use prauc::{pr_auc_ref, pr_curve_ref, RefPrPoint};
 pub use program::{

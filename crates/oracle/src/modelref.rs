@@ -10,12 +10,40 @@
 //! ([`HashedFastText::embed_token`]): its per-token `f32` vectors are the
 //! boundary constants of Eq. 3, and the oracle performs every summation on
 //! top of them in `f64`.
+//!
+//! [`encode_pair_uncached`] is the exception: an `f32` re-derivation of
+//! Eq. 2–3, the reference the production encoder's blocks must match bit
+//! for bit.
 
 use crate::refmat::RefMatrix;
 use adamel::{AdamelConfig, AdamelModel};
-use adamel_schema::{EntityPair, FeatureMode, Schema};
+use adamel_schema::{EntityPair, FeatureExtractor, FeatureMode, Record, Schema};
 use adamel_tensor::Matrix;
 use adamel_text::{shared_and_unique, tokenize_cropped, HashedFastText};
+
+/// The uncached `f32` reference of Eq. 2–3 for `ex`: tokenizes, hashes, and
+/// embeds everything from scratch, touching no shared state, and writes one
+/// pair's `F` blocks side by side into `out` (`F·D` long). The production
+/// encoder's blocks, laid out densely, are bit-identical to this.
+pub fn encode_pair_uncached(ex: &FeatureExtractor, pair: &EntityPair, out: &mut [f32]) {
+    let d = ex.dim();
+    assert_eq!(out.len(), ex.num_features() * d, "encode_pair_uncached: buffer width mismatch");
+    let mut blocks = out.chunks_exact_mut(d);
+    for attr in ex.schema().attributes() {
+        let tokens =
+            |r: &Record| r.get(attr).map(|v| tokenize_cropped(v, ex.crop())).unwrap_or_default();
+        let (shared, unique) = shared_and_unique(&tokens(&pair.left), &tokens(&pair.right));
+        let features: &[&[String]] = match ex.mode() {
+            FeatureMode::SharedOnly => &[&shared],
+            FeatureMode::UniqueOnly => &[&unique],
+            FeatureMode::Both => &[&shared, &unique],
+        };
+        // An empty token set embeds as the fixed non-zero missing vector.
+        for (tokens, block) in features.iter().zip(&mut blocks) {
+            ex.embedder().embed_tokens_into(tokens, block);
+        }
+    }
+}
 
 /// Encodes pairs into the `n x (F*D)` block exactly as the production
 /// [`adamel_schema::FeatureExtractor`] does, but summing token embeddings in

@@ -31,7 +31,7 @@
 
 use crate::refmat::RefMatrix;
 use crate::ulp::{op_ulps, ulp_distance, Budget, EPS32};
-use adamel_tensor::plan::{CompiledPlan, PlanBuffers, PlanError};
+use adamel_tensor::plan::{CompiledPlan, EncodedBlocks, PlanBuffers, PlanError};
 use adamel_tensor::{Expr, Graph, Matrix, ParamId, ParamSet, Var};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -51,8 +51,8 @@ pub enum Inst {
     },
     /// The batch leaf: a constant that [`check_program`]'s plan check
     /// compiles as the plan's replay input. Generated programs read it only
-    /// through `SliceCols`, so its column windows reach the plan's row
-    /// grouping.
+    /// through `SliceCols`, so its column windows reach the plan's window
+    /// phase.
     Input {
         /// Row count (the probe batch size).
         rows: usize,
@@ -360,9 +360,11 @@ pub fn check_program(p: &Program) -> Result<PlanCheck, Discrepancy> {
 /// node the root depends on that no training-only op feeds — into a
 /// [`CompiledPlan`] whose input is the program's `Input` leaf (or, in a
 /// program without one, a dummy it never reads), and checks that a replay
-/// equals the tape bit for bit. A program with an `Input` is then replayed
-/// over [`regrouped_batch`] of its rows, at another row count, against a
-/// tape of its forward part recorded over that batch. Last, it restores
+/// equals the tape bit for bit. Replay inputs are the batch grouped into
+/// [`EncodedBlocks`] by [`block_dim`]. A program with an `Input` is then
+/// replayed over [`regrouped_batch`] of its rows, at another row count,
+/// against a tape of its forward part recorded over that batch. Last, it
+/// restores
 /// negated, halved parameter values into the same `ParamSet` (a new
 /// generation, so the plan must repack its weights) and compares a replay
 /// against a fresh tape of the perturbed program.
@@ -387,6 +389,8 @@ fn check_plan(p: &Program) -> Result<PlanCheck, Discrepancy> {
     let batch_leaf = p.insts.iter().position(|inst| matches!(inst, Inst::Input { .. }));
     let input = batch_leaf.map_or(dummy, |k| vars[k]);
     let probe = g.value(input).clone();
+    let dim = batch_leaf.map_or(1, |k| block_dim(p, k));
+    let blocks = |m: &Matrix| EncodedBlocks::from_dense(m, dim);
     let out_vars: Vec<Var> = outputs.iter().map(|&i| vars[i]).collect();
     let plan = match CompiledPlan::compile(&g, input, &out_vars) {
         Ok(plan) => plan,
@@ -422,7 +426,7 @@ fn check_plan(p: &Program) -> Result<PlanCheck, Discrepancy> {
         }
         Ok(())
     };
-    plan.execute(&params, &probe, &mut bufs);
+    plan.execute(&params, &blocks(&probe), &mut bufs);
     compare(&g, &vars, &bufs, "first replay", false)?;
 
     if batch_leaf.is_some() {
@@ -430,7 +434,7 @@ fn check_plan(p: &Program) -> Result<PlanCheck, Discrepancy> {
         let mut tape_params = ParamSet::new();
         let mut tape = Graph::new();
         let (tape_vars, _) = record(p, &mut tape_params, &mut tape, Some((&batch, &forward)));
-        plan.execute(&params, &batch, &mut bufs);
+        plan.execute(&params, &blocks(&batch), &mut bufs);
         compare(&tape, &tape_vars, &bufs, "grouped replay", nan_signs_meet)?;
     }
 
@@ -444,9 +448,34 @@ fn check_plan(p: &Program) -> Result<PlanCheck, Discrepancy> {
     let mut fresh = Graph::new();
     let (fresh_vars, _) = record(&perturbed, &mut fresh_params, &mut fresh, None);
     params.restore(&fresh_params.snapshot());
-    plan.execute(&params, &probe, &mut bufs);
+    plan.execute(&params, &blocks(&probe), &mut bufs);
     compare(&fresh, &fresh_vars, &bufs, "replay after restore", false)?;
     Ok(PlanCheck::Matched(outputs.len()))
+}
+
+/// The block width [`check_plan`] groups the batch `p.insts[batch]` into:
+/// the greatest common divisor of its width and of the start and width of
+/// every slice of it. Every slice then starts and ends on a block
+/// boundary, so a one-block slice reads a block table directly and a wider
+/// one spans several blocks.
+fn block_dim(p: &Program, batch: usize) -> usize {
+    let gcd = |mut a: usize, mut b: usize| {
+        while b != 0 {
+            (a, b) = (b, a % b);
+        }
+        a
+    };
+    let cols = match &p.insts[batch] {
+        Inst::Input { cols, .. } => *cols,
+        _ => 1,
+    };
+    let bounds = p.insts.iter().flat_map(|inst| match inst {
+        Inst::Op(Expr::SliceCols { input, start, width }) if *input == batch => {
+            vec![*start, *width]
+        }
+        _ => Vec::new(),
+    });
+    bounds.fold(cols, gcd).max(1)
 }
 
 /// Quiet NaNs that differ only in payload (the last also in sign).
@@ -458,7 +487,7 @@ const NAN_PAYLOADS: [u32; 3] = [0x7fc0_0001, 0x7fc0_0002, 0xffc0_0003];
 /// numerics sanitizer is on (non-finite values abort it by contract),
 /// probe row 0 with column 0 set to each of [`NAN_PAYLOADS`], twice each.
 /// Rows repeat, and some differ from another only in the sign of a zero or
-/// in a NaN payload, which the plan's row grouping must keep apart.
+/// in a NaN payload, which the plan's replay input must keep apart.
 fn regrouped_batch(probe: &Matrix) -> Matrix {
     let n = probe.rows();
     if n == 0 || probe.cols() == 0 {

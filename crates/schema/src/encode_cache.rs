@@ -2,31 +2,37 @@
 //!
 //! In candidate generation each *record* appears in many pairs, yet the
 //! uncached feature path re-tokenizes, re-hashes, and re-embeds every
-//! attribute per pair (Eq. 2–3). This module memoizes all per-record work
-//! once — the cropped token-id list per attribute (via
-//! [`adamel_text::TokenVocab`] interning) and the per-attribute summed
-//! token-embedding precursor — so pair encoding reduces to a multiset
-//! partition over two short `u32` lists plus adds/copies of cached embedding
-//! rows. No `String` is allocated and no n-gram is hashed on the pair path.
+//! attribute per pair (Eq. 2–3). This module memoizes the per-record work
+//! once — the cropped token-id list per attribute, via
+//! [`adamel_text::TokenVocab`] interning, which also embeds each distinct
+//! token once — so pair encoding reduces to a multiset partition over two
+//! short `u32` lists plus sums of cached embedding rows. No `String` is
+//! allocated and no n-gram is hashed on the pair path.
+//!
+//! ## Block keys
+//!
+//! A feature block is the sum of its tokens' rows from `0.0`, in the order
+//! the partition yields them, or the missing vector when there is no
+//! token. Its **key** is that token-id sequence; the empty sequence stands
+//! for the missing vector. A batch keeps, per feature, one table row per
+//! distinct key in first-seen order, summed once, and each pair points at
+//! its row. Keys live for one call: there is no cross-call block cache.
 //!
 //! ## Bit-exactness contract
 //!
-//! The cached path must produce the *identical bits* of
-//! `shared_and_unique` + `embed_tokens_into` (the uncached reference kept as
-//! [`crate::FeatureExtractor::encode_pair_uncached`]). f32 addition is not
-//! associative, so this holds only because every accumulation replays the
-//! reference's exact operation order:
+//! The blocks must have the *identical bits* of `shared_and_unique` +
+//! `embed_tokens_into` (the uncached reference, the oracle's
+//! `encode_pair_uncached`). f32 addition is not associative, so this holds
+//! only because every sum replays the reference's exact operation order,
+//! which also makes equal keys give equal bits:
 //!
 //! * cached token rows are bit-identical `embed_token` outputs (interning is
 //!   pure memoization);
 //! * the partition replays `shared_and_unique`'s count semantics: left
 //!   tokens in order (matched → shared, else unique), then leftover right
-//!   tokens in order — so tokens are *added in the same sequence*;
-//! * the per-attribute sum precursor is the fold of that attribute's token
-//!   rows in list order, which equals the reference sum whenever a feature's
-//!   token multiset is exactly one side's full list (identical values,
-//!   one-side-missing) — the only cases where the precursor is used;
-//! * an empty feature copies the embedder's fixed missing vector, exactly as
+//!   tokens in order — so tokens are *added in the same sequence*, into a
+//!   zeroed row;
+//! * an empty key copies the embedder's fixed missing vector, exactly as
 //!   `embed_tokens_into(&[])` does.
 //!
 //! ## Keying and invalidation
@@ -42,15 +48,12 @@
 //! ## Memory bounds
 //!
 //! Per distinct record: `|A|` ranges + the token-id arena (≤ `|A| * crop`
-//! u32s) + `|A| * D` f32 sum precursors; plus `D` f32 per distinct token in
-//! the vocabulary. For paper dims (13 attributes, D=300, crop=20) that is
-//! ~16 KiB per distinct record — the same order as one encoded pair row.
+//! u32s); plus `D` f32 per distinct token in the vocabulary.
 
 use crate::features::FeatureMode;
 use crate::record::{Record, Schema};
-use adamel_tensor::parallel;
+use adamel_tensor::{parallel, EncodedBlocks, Matrix};
 use adamel_text::{tokenize_cropped, HashedFastText, TokenId, TokenVocab};
-use std::cell::RefCell;
 use std::collections::HashMap;
 
 /// Aggregate cache statistics, reported by
@@ -80,14 +83,6 @@ impl EncodeCacheStats {
     }
 }
 
-thread_local! {
-    /// Per-thread multiset-partition scratch: `(token id, remaining count)`
-    /// pairs for the right-hand token list. Lists are `crop`-bounded, so a
-    /// linear-scan association list beats hashing and allocates only once
-    /// per worker thread.
-    static PARTITION_SCRATCH: RefCell<Vec<(u32, u32)>> = const { RefCell::new(Vec::new()) };
-}
-
 /// FNV-1a 64-bit over a byte stream, seeded; used for record content keys.
 fn fnv1a(seed: u64, chunks: impl IntoIterator<Item = u8>) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64 ^ seed;
@@ -110,9 +105,6 @@ pub(crate) struct EncodeCache {
     ranges: Vec<(u32, u32)>,
     /// Token-id arena: cropped per-attribute token lists, in order.
     ids: Vec<u32>,
-    /// Per `(slot, attr)` sum precursor (`dim` f32 each): fold of the token
-    /// rows in list order, or the missing vector for an empty list.
-    sums: Vec<f32>,
     hits: u64,
     misses: u64,
 }
@@ -126,7 +118,6 @@ impl EncodeCache {
             slots: HashMap::new(),
             ranges: Vec::new(),
             ids: Vec::new(),
-            sums: Vec::new(),
             hits: 0,
             misses: 0,
         }
@@ -159,7 +150,6 @@ impl EncodeCache {
         }
         let bytes = self.ids.capacity() * 4
             + self.ranges.capacity() * std::mem::size_of::<(u32, u32)>()
-            + self.sums.capacity() * 4
             + self.slots.capacity() * std::mem::size_of::<(u128, u32)>();
         adamel_obs::mem::observe("schema.encode_cache.bytes", bytes as u64);
         adamel_obs::mem::observe("text.vocab.bytes", self.vocab.approx_bytes());
@@ -192,9 +182,7 @@ impl EncodeCache {
     /// 1. tokenize new records in parallel (pure per-record work);
     /// 2. intern tokens and lay out id ranges serially, in record order, so
     ///    vocabulary ids never depend on the thread count;
-    /// 3. embed new tokens in parallel (one independent row each);
-    /// 4. fold the per-attribute sum precursors in parallel (one independent
-    ///    `(slot, attr)` row each).
+    /// 3. embed new tokens in parallel (one independent row each).
     ///
     /// Output bits never depend on id *values*, so even insertion-order
     /// differences between runs cannot change encodings.
@@ -261,25 +249,6 @@ impl EncodeCache {
         // Phase 3: embed newly interned tokens, one parallel row each.
         self.vocab.compute_pending();
 
-        // Phase 4: fold the per-attribute sum precursors for the new slots.
-        let dim = self.vocab.dim();
-        let sums_start = self.sums.len();
-        self.sums.resize(sums_start + new_records.len() * self.attrs * dim, 0.0);
-        let first_range = first_new_slot as usize * self.attrs;
-        let (vocab, ids, ranges) = (&self.vocab, &self.ids, &self.ranges);
-        parallel::parallel_for_rows(&mut self.sums[sums_start..], dim, dim * 32, |i, row| {
-            let (offset, len) = ranges[first_range + i];
-            if len == 0 {
-                row.copy_from_slice(vocab.missing());
-            } else {
-                row.fill(0.0);
-                for &id in &ids[offset as usize..offset as usize + len as usize] {
-                    for (acc, &v) in row.iter_mut().zip(vocab.embedding(TokenId(id))) {
-                        *acc += v;
-                    }
-                }
-            }
-        });
         self.observe_mem();
         out
     }
@@ -289,139 +258,113 @@ impl EncodeCache {
         &self.ids[offset as usize..offset as usize + len as usize]
     }
 
-    fn attr_sum(&self, slot: u32, attr: usize) -> &[f32] {
-        let dim = self.vocab.dim();
-        let row = slot as usize * self.attrs + attr;
-        &self.sums[row * dim..(row + 1) * dim]
-    }
-
-    /// Encodes the pair `(left_slot, right_slot)` into `out` (one `dim`-wide
-    /// block per feature in schema order) — the allocation-free hot path.
-    pub(crate) fn encode_into(&self, left: u32, right: u32, mode: FeatureMode, out: &mut [f32]) {
-        let dim = self.vocab.dim();
+    /// Encodes the pairs `(slots[2i], slots[2i + 1])` as per-feature tables
+    /// of distinct blocks: each block is keyed by its token-id sequence (see
+    /// the module docs), and each distinct key of a feature is summed once.
+    pub(crate) fn encode_blocks(&self, slots: &[u32], mode: FeatureMode) -> EncodedBlocks {
         let per = mode.per_attribute();
-        debug_assert_eq!(out.len(), self.attrs * per * dim, "encode_into: buffer width mismatch");
-        for attr in 0..self.attrs {
-            let base = attr * per * dim;
-            let (la, lb) = (self.attr_ids(left, attr), self.attr_ids(right, attr));
-            let (sum_l, sum_r) = (self.attr_sum(left, attr), self.attr_sum(right, attr));
-            match mode {
-                FeatureMode::Both => {
-                    let (sim, uni) = out[base..base + 2 * dim].split_at_mut(dim);
-                    self.encode_attr(la, lb, sum_l, sum_r, Some(sim), Some(uni));
-                }
-                FeatureMode::SharedOnly => {
-                    let sim = &mut out[base..base + dim];
-                    self.encode_attr(la, lb, sum_l, sum_r, Some(sim), None);
-                }
-                FeatureMode::UniqueOnly => {
-                    let uni = &mut out[base..base + dim];
-                    self.encode_attr(la, lb, sum_l, sum_r, None, Some(uni));
+        let mut features: Vec<FeatureKeys> =
+            (0..self.attrs * per).map(|_| FeatureKeys::default()).collect();
+        let mut index = Vec::with_capacity(slots.len() / 2 * features.len());
+        let mut split = Partition::default();
+        for pair in slots.chunks_exact(2) {
+            for attr in 0..self.attrs {
+                split.split(self.attr_ids(pair[0], attr), self.attr_ids(pair[1], attr));
+                let keys: &[&[u32]] = match mode {
+                    FeatureMode::Both => &[&split.sim, &split.uni],
+                    FeatureMode::SharedOnly => &[&split.sim],
+                    FeatureMode::UniqueOnly => &[&split.uni],
+                };
+                for (k, key) in keys.iter().enumerate() {
+                    index.push(features[attr * per + k].id(key));
                 }
             }
         }
+        let dim = self.vocab.dim();
+        let tables = features.iter().map(|keys| keys.table(&self.vocab)).collect();
+        EncodedBlocks::new(slots.len() / 2, dim, tables, index)
+    }
+}
+
+/// One feature's distinct keys in a call, numbered in first-seen order.
+#[derive(Default)]
+struct FeatureKeys {
+    /// Key → block id. Lookup only, never iterated.
+    ids: HashMap<Box<[u32]>, u32>,
+    /// `(offset, len)` of each block id's key in `arena`.
+    keys: Vec<(usize, usize)>,
+    arena: Vec<u32>,
+}
+
+impl FeatureKeys {
+    /// The block id of `key`, numbering it first if it is new.
+    fn id(&mut self, key: &[u32]) -> u32 {
+        if let Some(&id) = self.ids.get(key) {
+            return id;
+        }
+        let id = self.keys.len() as u32;
+        self.ids.insert(key.into(), id);
+        self.keys.push((self.arena.len(), key.len()));
+        self.arena.extend_from_slice(key);
+        id
     }
 
-    /// One attribute's `sim(A)` / `uni(A)` blocks from two cached token-id
-    /// lists. An empty feature — a missing attribute on both sides (C1/C2)
-    /// or a present-but-contrastively-empty token set — is written as the
-    /// embedder's fixed non-zero missing vector, right here where the block
-    /// is emitted, so every feature stays dense and its parameters receive
-    /// gradient.
-    fn encode_attr(
-        &self,
-        la: &[u32],
-        lb: &[u32],
-        sum_l: &[f32],
-        sum_r: &[f32],
-        mut sim: Option<&mut [f32]>,
-        mut uni: Option<&mut [f32]>,
-    ) {
-        // Fast path: identical cropped token lists (covers both-missing).
-        // shared == the full left list in order, unique is empty.
-        if la == lb {
-            if let Some(sim) = sim.as_deref_mut() {
-                sim.copy_from_slice(sum_l);
+    /// One row per block id: the sum of its key's token rows from zero, or
+    /// the missing vector for the empty key.
+    fn table(&self, vocab: &TokenVocab) -> Matrix {
+        let dim = vocab.dim();
+        let mut table = Matrix::zeros(self.keys.len(), dim);
+        for (row, &(offset, len)) in table.as_mut_slice().chunks_exact_mut(dim).zip(&self.keys) {
+            if len == 0 {
+                row.copy_from_slice(vocab.missing());
             }
-            if let Some(uni) = uni.as_deref_mut() {
-                uni.copy_from_slice(self.vocab.missing());
-            }
-            return;
-        }
-        // Fast path: one side empty — nothing shared, unique == the other
-        // side's full list in order, i.e. its cached sum precursor.
-        if la.is_empty() || lb.is_empty() {
-            if let Some(sim) = sim.as_deref_mut() {
-                sim.copy_from_slice(self.vocab.missing());
-            }
-            if let Some(uni) = uni.as_deref_mut() {
-                uni.copy_from_slice(if la.is_empty() { sum_r } else { sum_l });
-            }
-            return;
-        }
-        // General path: replay shared_and_unique's multiset partition on
-        // ids, accumulating cached rows directly into the output blocks in
-        // the reference's token order (left in order: matched → sim, else
-        // uni; then unmatched right in order → uni).
-        if let Some(sim) = sim.as_deref_mut() {
-            sim.fill(0.0);
-        }
-        if let Some(uni) = uni.as_deref_mut() {
-            uni.fill(0.0);
-        }
-        let (mut n_sim, mut n_uni) = (0usize, 0usize);
-        PARTITION_SCRATCH.with(|scratch| {
-            let mut counts = scratch.borrow_mut();
-            counts.clear();
-            for &t in lb {
-                match counts.iter_mut().find(|e| e.0 == t) {
-                    Some(e) => e.1 += 1,
-                    None => counts.push((t, 1)),
+            for &id in &self.arena[offset..offset + len] {
+                for (acc, &v) in row.iter_mut().zip(vocab.embedding(TokenId(id))) {
+                    *acc += v;
                 }
             }
-            for &t in la {
-                let row = self.vocab.embedding(TokenId(t));
-                match counts.iter_mut().find(|e| e.0 == t && e.1 > 0) {
-                    Some(e) => {
-                        e.1 -= 1;
-                        if let Some(sim) = sim.as_deref_mut() {
-                            for (acc, &v) in sim.iter_mut().zip(row) {
-                                *acc += v;
-                            }
-                        }
-                        n_sim += 1;
-                    }
-                    None => {
-                        if let Some(uni) = uni.as_deref_mut() {
-                            for (acc, &v) in uni.iter_mut().zip(row) {
-                                *acc += v;
-                            }
-                        }
-                        n_uni += 1;
-                    }
-                }
+        }
+        table
+    }
+}
+
+/// Scratch for `shared_and_unique`'s multiset partition over token ids.
+#[derive(Default)]
+struct Partition {
+    /// `(token id, remaining count)` of the right-hand list. Lists are
+    /// `crop`-bounded, so a linear-scan association list beats hashing.
+    counts: Vec<(u32, u32)>,
+    sim: Vec<u32>,
+    uni: Vec<u32>,
+}
+
+impl Partition {
+    /// Replays `shared_and_unique` on ids: left tokens in order (matched →
+    /// `sim`, else `uni`), then the unmatched right tokens in order → `uni`.
+    fn split(&mut self, la: &[u32], lb: &[u32]) {
+        let Partition { counts, sim, uni } = self;
+        counts.clear();
+        sim.clear();
+        uni.clear();
+        for &t in lb {
+            match counts.iter_mut().find(|e| e.0 == t) {
+                Some(e) => e.1 += 1,
+                None => counts.push((t, 1)),
             }
-            for &t in lb {
-                if let Some(e) = counts.iter_mut().find(|e| e.0 == t && e.1 > 0) {
+        }
+        for &t in la {
+            match counts.iter_mut().find(|e| e.0 == t && e.1 > 0) {
+                Some(e) => {
                     e.1 -= 1;
-                    if let Some(uni) = uni.as_deref_mut() {
-                        let row = self.vocab.embedding(TokenId(t));
-                        for (acc, &v) in uni.iter_mut().zip(row) {
-                            *acc += v;
-                        }
-                    }
-                    n_uni += 1;
+                    sim.push(t);
                 }
-            }
-        });
-        if n_sim == 0 {
-            if let Some(sim) = sim {
-                sim.copy_from_slice(self.vocab.missing());
+                None => uni.push(t),
             }
         }
-        if n_uni == 0 {
-            if let Some(uni) = uni {
-                uni.copy_from_slice(self.vocab.missing());
+        for &t in lb {
+            if let Some(e) = counts.iter_mut().find(|e| e.0 == t && e.1 > 0) {
+                e.1 -= 1;
+                uni.push(t);
             }
         }
     }

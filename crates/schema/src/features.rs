@@ -4,20 +4,24 @@
 //! `sim(A)` — the word tokens shared by both records — and `uni(A)` — the
 //! tokens appearing in exactly one. Token embeddings are summed per feature
 //! and the missing-value case is embedded as the embedder's fixed normalized
-//! non-zero vector, so every pair becomes a dense `F x D` block with
+//! non-zero vector, so every pair becomes `F` dense `D`-wide blocks with
 //! `F = 2|A|`.
 //!
-//! Encoding is served from a record-level cache ([`crate::encode_cache`]):
-//! per-record tokenization, hashing, and embedding happen once per distinct
-//! record, and the pair path combines cached data bit-identically to the
-//! uncached reference (kept as
-//! [`encode_pair_uncached`](FeatureExtractor::encode_pair_uncached)).
+//! A batch encodes to an [`EncodedBlocks`]: per feature, a table of its
+//! distinct blocks, and per pair, the table row of each feature. Blocks
+//! repeat a lot (every empty token set is the same missing vector), so
+//! each feature's block is keyed by the token ids its sum adds and each
+//! distinct key is computed once per call ([`crate::encode_cache`]).
+//! Per-record tokenization, hashing, and embedding happen once per distinct
+//! record, from a record-level cache. Laid out densely, the blocks are
+//! bit-identical to the uncached per-pair reference, the oracle's
+//! `encode_pair_uncached`.
 
 use crate::encode_cache::{EncodeCache, EncodeCacheStats};
 use crate::pair::EntityPair;
 use crate::record::{Record, Schema};
-use adamel_tensor::{parallel, Matrix};
-use adamel_text::{shared_and_unique, tokenize_cropped, HashedFastText};
+use adamel_tensor::{EncodedBlocks, Matrix};
+use adamel_text::HashedFastText;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Which contrastive features to extract — the Table 6 ablation axis.
@@ -137,87 +141,41 @@ impl FeatureExtractor {
         self.lock_cache().stats()
     }
 
+    /// The token embedder.
+    pub fn embedder(&self) -> &HashedFastText {
+        &self.embedder
+    }
+
+    /// Tokens kept per attribute value (the paper's cropping size).
+    pub fn crop(&self) -> usize {
+        self.crop
+    }
+
     /// Encodes one pair as a `1 x (F*D)` row: the concatenation of the `F`
     /// per-feature summed token embeddings `h_j` (Eq. 3).
     pub fn encode_pair(&self, pair: &EntityPair) -> Matrix {
-        let mut row = Matrix::zeros(1, self.num_features() * self.dim());
-        self.encode_pair_into(pair, row.as_mut_slice());
-        row
+        self.encode_pairs(std::slice::from_ref(pair)).into()
     }
 
-    /// Encodes one pair directly into a caller-provided `F*D`-length buffer,
-    /// one `D`-wide block per feature in schema order. Served from the
-    /// record-level cache; bit-identical to
-    /// [`encode_pair_uncached`](Self::encode_pair_uncached).
+    /// Encodes one pair into a caller-provided `F*D`-length buffer, one
+    /// `D`-wide block per feature in schema order.
     pub fn encode_pair_into(&self, pair: &EntityPair, out: &mut [f32]) {
-        let d = self.dim();
-        assert_eq!(out.len(), self.num_features() * d, "encode_pair_into: buffer width mismatch");
-        let mut cache = self.lock_cache();
-        let slots = cache.ensure_slots(&self.schema, &[&pair.left, &pair.right]);
-        cache.encode_into(slots[0], slots[1], self.mode, out);
+        out.copy_from_slice(self.encode_pair(pair).as_slice());
     }
 
-    /// The uncached reference implementation of Eq. 2–3: tokenizes, hashes,
-    /// and embeds everything from scratch, touching no shared state. The
-    /// cached path is property-tested bit-identical against this.
-    pub fn encode_pair_uncached(&self, pair: &EntityPair, out: &mut [f32]) {
-        let d = self.dim();
-        assert_eq!(
-            out.len(),
-            self.num_features() * d,
-            "encode_pair_uncached: buffer width mismatch"
-        );
-        let per = self.mode.per_attribute();
-        for (a, attr) in self.schema.attributes().iter().enumerate() {
-            let left =
-                pair.left.get(attr).map(|v| tokenize_cropped(v, self.crop)).unwrap_or_default();
-            let right =
-                pair.right.get(attr).map(|v| tokenize_cropped(v, self.crop)).unwrap_or_default();
-            let (shared, unique) = shared_and_unique(&left, &right);
-            let base = a * per * d;
-            let mut emit = |slot: usize, tokens: &[String]| {
-                // C1/C2 contract, applied where the block is written: an
-                // empty token set — a fully missing attribute on both sides,
-                // or an empty contrast set on present values (both records
-                // exist but share nothing / differ in nothing) — embeds as
-                // the fixed non-zero missing vector, so every feature block
-                // stays dense and its parameters receive gradient.
-                let block = &mut out[base + slot * d..base + (slot + 1) * d];
-                self.embedder.embed_tokens_into(tokens, block);
-            };
-            match self.mode {
-                FeatureMode::SharedOnly => emit(0, &shared),
-                FeatureMode::UniqueOnly => emit(0, &unique),
-                FeatureMode::Both => {
-                    emit(0, &shared);
-                    emit(1, &unique);
-                }
-            }
-        }
-    }
-
-    /// Encodes a batch of pairs as an `n x (F*D)` matrix. Distinct records
-    /// are memoized first (one pass, parallel where it pays), then rows are
-    /// combined from cached data in parallel — the exact same bytes as a
-    /// sequential `encode_pair_uncached` loop.
-    pub fn encode_pairs(&self, pairs: &[EntityPair]) -> Matrix {
+    /// Encodes a batch of pairs as per-feature tables of distinct blocks.
+    /// Distinct records are memoized first (one pass, parallel where it
+    /// pays); then each pair's blocks are keyed by the token ids their sums
+    /// add, and each distinct key of a feature is computed once. Laid out
+    /// densely, the blocks are the exact bytes of the per-pair reference
+    /// (the oracle's `encode_pair_uncached`).
+    pub fn encode_pairs(&self, pairs: &[EntityPair]) -> EncodedBlocks {
         adamel_obs::trace_span!("encode_pairs");
         adamel_obs::trace_count!("encode.pairs", pairs.len() as u64);
-        let width = self.num_features() * self.dim();
-        let mut data = vec![0.0f32; pairs.len() * width];
-        let mut guard = self.lock_cache();
+        let mut cache = self.lock_cache();
         let records: Vec<&Record> = pairs.iter().flat_map(|p| [&p.left, &p.right]).collect();
-        let slots = guard.ensure_slots(&self.schema, &records);
-        let cache: &EncodeCache = &guard;
-        let mode = self.mode;
-        // Warm rows are short id-list partitions plus adds/copies of cached
-        // rows — O(width) with a small constant, nothing like the uncached
-        // hash-everything cost the old weight (width * 200) modeled.
-        parallel::parallel_for_rows(&mut data, width, width * 4, |i, row| {
-            cache.encode_into(slots[2 * i], slots[2 * i + 1], mode, row);
-        });
-        drop(guard);
-        Matrix::from_vec(pairs.len(), width, data)
+        let slots = cache.ensure_slots(&self.schema, &records);
+        cache.encode_blocks(&slots, self.mode)
     }
 }
 
@@ -225,6 +183,7 @@ impl FeatureExtractor {
 mod tests {
     use super::*;
     use crate::record::{Record, SourceId};
+    use adamel_text::{shared_and_unique, tokenize_cropped};
 
     fn rec(kv: &[(&str, &str)]) -> Record {
         let mut r = Record::new(SourceId(0), 0);
@@ -302,6 +261,29 @@ mod tests {
         assert_eq!(ex.feature_names(), vec!["title_shared", "title_unique"]);
     }
 
+    /// The uncached Eq. 2–3 reference, written out here because unit tests
+    /// cannot reach the oracle's `encode_pair_uncached`.
+    fn uncached(ex: &FeatureExtractor, pair: &EntityPair) -> Vec<f32> {
+        let mut out = Vec::new();
+        for attr in ex.schema().attributes() {
+            let tokens = |r: &Record| r.get(attr).map(|v| tokenize_cropped(v, ex.crop()));
+            let (left, right) = (tokens(&pair.left), tokens(&pair.right));
+            let (shared, unique) =
+                shared_and_unique(&left.unwrap_or_default(), &right.unwrap_or_default());
+            let sets = match ex.mode() {
+                FeatureMode::SharedOnly => vec![shared],
+                FeatureMode::UniqueOnly => vec![unique],
+                FeatureMode::Both => vec![shared, unique],
+            };
+            for set in sets {
+                let mut block = vec![0.0; ex.dim()];
+                ex.embedder().embed_tokens_into(&set, &mut block);
+                out.extend(block);
+            }
+        }
+        out
+    }
+
     #[test]
     fn cached_matches_uncached_and_warm_repeat_is_stable() {
         let pairs = vec![
@@ -316,17 +298,14 @@ mod tests {
                 rec(&[("title", "a b b a"), ("artist", "x")]),
             ),
         ];
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for mode in [FeatureMode::Both, FeatureMode::SharedOnly, FeatureMode::UniqueOnly] {
             let ex = extractor(mode);
-            let width = ex.num_features() * ex.dim();
-            let cold = ex.encode_pairs(&pairs);
-            let warm = ex.encode_pairs(&pairs);
-            assert_eq!(cold.as_slice(), warm.as_slice(), "warm repeat drifted ({mode:?})");
-            let mut reference = vec![0.0f32; width];
+            let cold = ex.encode_pairs(&pairs).to_dense();
+            let warm = ex.encode_pairs(&pairs).to_dense();
+            assert_eq!(bits(cold.as_slice()), bits(warm.as_slice()), "warm drifted ({mode:?})");
             for (i, pair) in pairs.iter().enumerate() {
-                ex.encode_pair_uncached(pair, &mut reference);
-                let row = &cold.as_slice()[i * width..(i + 1) * width];
-                let same = row.iter().zip(&reference).all(|(a, b)| a.to_bits() == b.to_bits());
+                let same = bits(cold.row(i)) == bits(&uncached(&ex, pair));
                 assert!(same, "cached row {i} != uncached reference ({mode:?})");
             }
         }

@@ -1,7 +1,9 @@
-//! Parallel batch encoding must be byte-identical to the sequential
-//! per-pair path, for any batch size, thread count, and attribute content
+//! Batch encoding must be byte-identical to the sequential per-pair path
+//! and to the oracle's uncached reference once its blocks are laid out
+//! densely, for any batch size, thread count, and attribute content
 //! (including empty and missing values).
 
+use adamel_oracle::encode_pair_uncached;
 use adamel_schema::{EntityPair, FeatureExtractor, FeatureMode, Record, Schema, SourceId};
 use adamel_tensor::parallel;
 use adamel_text::HashedFastText;
@@ -46,7 +48,7 @@ proptest! {
         let pairs: Vec<EntityPair> =
             raw.iter().map(|(la, lt, ra, rt)| pair(la, lt, ra, rt)).collect();
 
-        let batch = parallel::with_threads(threads, || ex.encode_pairs(&pairs));
+        let batch = parallel::with_threads(threads, || ex.encode_pairs(&pairs)).to_dense();
         prop_assert_eq!(batch.shape(), (pairs.len(), ex.num_features() * ex.dim()));
         for (i, p) in pairs.iter().enumerate() {
             let row = ex.encode_pair(p);
@@ -108,7 +110,7 @@ proptest! {
                 .iter()
                 .map(|p| {
                     let mut buf = vec![f32::NAN; width];
-                    ex.encode_pair_uncached(p, &mut buf);
+                    encode_pair_uncached(&ex, p, &mut buf);
                     buf
                 })
                 .collect();
@@ -119,8 +121,8 @@ proptest! {
 
             for threads in [1usize, 2, 4, 8] {
                 let ex = extractor(mode); // fresh extractor => cold cache
-                let cold = parallel::with_threads(threads, || ex.encode_pairs(&pairs));
-                let warm = parallel::with_threads(threads, || ex.encode_pairs(&pairs));
+                let cold = parallel::with_threads(threads, || ex.encode_pairs(&pairs)).to_dense();
+                let warm = parallel::with_threads(threads, || ex.encode_pairs(&pairs)).to_dense();
                 for (i, want) in reference.iter().enumerate() {
                     prop_assert!(
                         bits_equal(cold.row(i), want),
@@ -139,7 +141,7 @@ proptest! {
             let order = permuted_indices(pairs.len(), perm_seed);
             let shuffled: Vec<EntityPair> = order.iter().map(|&i| pairs[i].clone()).collect();
             let ex = extractor(mode);
-            let out = ex.encode_pairs(&shuffled);
+            let out = ex.encode_pairs(&shuffled).to_dense();
             for (row, &orig) in order.iter().enumerate() {
                 prop_assert!(
                     bits_equal(out.row(row), &reference[orig]),
@@ -154,5 +156,40 @@ proptest! {
 fn encode_pairs_empty_batch() {
     let ex = extractor(FeatureMode::Both);
     let batch = ex.encode_pairs(&[]);
-    assert_eq!(batch.shape(), (0, ex.num_features() * ex.dim()));
+    assert_eq!((batch.rows(), batch.cols()), (0, ex.num_features() * ex.dim()));
+    assert_eq!(batch.to_dense().shape(), (0, ex.num_features() * ex.dim()));
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+#[test]
+fn equal_keys_share_one_block_per_call() {
+    // `a`: the title on both sides, the artist on neither; `b`: artists
+    // sharing nothing, the title on the left only. Repeated three times,
+    // each feature holds one block per distinct token-id sequence.
+    let (a, b) = (pair("", "hey jude", "", "hey jude"), pair("x", "let it be", "y z", ""));
+    let pairs = vec![a.clone(), b.clone(), a.clone(), b.clone(), a, b];
+    for threads in [1, 2] {
+        let ex = extractor(FeatureMode::Both);
+        let blocks = parallel::with_threads(threads, || ex.encode_pairs(&pairs));
+        // artist_shared: empty. artist_unique: empty, [x, y, z].
+        // title_shared: [hey, jude], empty. title_unique: empty, [let, it, be].
+        let rows: Vec<usize> = (0..blocks.features()).map(|j| blocks.table(j).rows()).collect();
+        assert_eq!(rows, vec![1, 2, 2, 2], "{threads} threads");
+        for r in 0..pairs.len() {
+            for j in 0..blocks.features() {
+                assert_eq!(blocks.id(r, j), blocks.id(r % 2, j), "pair {r}, feature {j}");
+            }
+        }
+        let missing = ex.embedder().missing_vector();
+        assert_eq!(bits(blocks.table(0).row(0)), bits(missing.as_slice()));
+        let dense = blocks.to_dense();
+        let mut reference = vec![0.0f32; dense.cols()];
+        for (i, p) in pairs.iter().enumerate() {
+            encode_pair_uncached(&ex, p, &mut reference);
+            assert_eq!(bits(dense.row(i)), bits(&reference), "row {i}, {threads} threads");
+        }
+    }
 }

@@ -1,6 +1,8 @@
 //! Property-based tests of schema alignment and feature extraction.
 
+use adamel_oracle::encode_pair_uncached;
 use adamel_schema::{EntityPair, FeatureExtractor, FeatureMode, Record, Schema, SourceId};
+use adamel_tensor::parallel;
 use adamel_text::HashedFastText;
 use proptest::prelude::*;
 
@@ -55,6 +57,38 @@ proptest! {
             prop_assert_eq!(row.shape(), (1, ex.num_features() * 8));
             prop_assert!(row.is_finite());
             prop_assert_eq!(ex.feature_names().len(), ex.num_features());
+        }
+    }
+
+    #[test]
+    fn blocks_lay_out_to_the_uncached_reference(
+        a in arb_record(),
+        b in arb_record(),
+        c in arb_record(),
+    ) {
+        // Three pairs over three records, so records and blocks repeat.
+        let pairs = vec![
+            EntityPair::unlabeled(a.clone(), b.clone()),
+            EntityPair::unlabeled(b, c.clone()),
+            EntityPair::unlabeled(c, a),
+        ];
+        let schema = Schema::new(vec!["a".into(), "b".into(), "c".into()]);
+        for mode in [FeatureMode::Both, FeatureMode::SharedOnly, FeatureMode::UniqueOnly] {
+            for threads in [1, 2] {
+                let ex =
+                    FeatureExtractor::new(schema.clone(), HashedFastText::new(8, 1), 20, mode);
+                let blocks = parallel::with_threads(threads, || ex.encode_pairs(&pairs));
+                for j in 0..blocks.features() {
+                    prop_assert!(blocks.table(j).rows() <= pairs.len());
+                }
+                let dense = blocks.to_dense();
+                let mut reference = vec![f32::NAN; dense.cols()];
+                for (i, p) in pairs.iter().enumerate() {
+                    encode_pair_uncached(&ex, p, &mut reference);
+                    let same = dense.row(i).iter().zip(&reference).all(|(x, y)| x.to_bits() == y.to_bits());
+                    prop_assert!(same, "row {i} != uncached ({mode:?}, {threads} threads)");
+                }
+            }
         }
     }
 

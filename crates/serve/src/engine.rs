@@ -127,6 +127,7 @@ struct Counters {
     model_swaps: AtomicU64,
     drift_events: AtomicU64,
     drift_warnings: AtomicU64,
+    panics: AtomicU64,
 }
 
 /// The serving engine shared by every worker thread.
@@ -404,6 +405,13 @@ impl Engine {
         self.counters.rejected_busy.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Notes one request whose handler panicked, with the panic message
+    /// as a runlog `error` event (server bookkeeping).
+    pub fn note_panic(&self, message: &str) {
+        self.counters.panics.fetch_add(1, Ordering::Relaxed);
+        adamel_obs::runlog::event("error").str("panic", message).emit();
+    }
+
     /// The `GET /healthz` view.
     pub fn health(&self) -> HealthResponse {
         HealthResponse {
@@ -425,7 +433,7 @@ impl Engine {
             ", \"queue\": {{\"len\": {queue_len}, \"capacity\": {queue_capacity}}}"
         ));
         out.push_str(", \"counters\": {");
-        let counters: [(&str, u64); 10] = [
+        let counters: [(&str, u64); 11] = [
             ("requests_total", c.requests_total.load(Ordering::Relaxed)),
             ("rejected_busy", c.rejected_busy.load(Ordering::Relaxed)),
             ("upserts", c.upserts.load(Ordering::Relaxed)),
@@ -436,6 +444,7 @@ impl Engine {
             ("model_swaps", c.model_swaps.load(Ordering::Relaxed)),
             ("drift_events", c.drift_events.load(Ordering::Relaxed)),
             ("drift_warnings", c.drift_warnings.load(Ordering::Relaxed)),
+            ("panics", c.panics.load(Ordering::Relaxed)),
         ];
         for (i, (name, v)) in counters.iter().enumerate() {
             if i > 0 {

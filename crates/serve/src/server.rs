@@ -4,7 +4,8 @@
 //! threads pop and handle one request per connection. A full queue is
 //! answered `429 Too Many Requests` on the accept thread immediately —
 //! load the daemon cannot absorb is visible to the caller, never silently
-//! buffered. All threads come from
+//! buffered. A request whose handler panics is answered `500` with its
+//! trace id, and the worker goes on serving. All threads come from
 //! [`adamel_tensor::parallel::spawn_service`].
 
 use crate::api::{self, DeleteLine, RecordLine};
@@ -15,6 +16,7 @@ use adamel_schema::SourceId;
 use adamel_tensor::parallel::{self, ServiceHandle};
 use std::io::{BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -201,7 +203,16 @@ fn handle_connection(
             let _endpoint = adamel_obs::span(endpoint_label(&req.method, &req.path));
             let _request = adamel_obs::op_span(&format!("req.{trace_id}"));
             let _trace = adamel_obs::runlog::trace_scope(trace_id);
-            route(engine, queue, &req, trace_id)
+            // A panicking handler must not take its worker down with it.
+            // The engine's locks recover from poisoning, and a lazily
+            // built plan that panicked is simply built again next time.
+            panic::catch_unwind(AssertUnwindSafe(|| route(engine, queue, &req, trace_id)))
+                .unwrap_or_else(|payload| {
+                    engine.note_panic(panic_message(payload.as_ref()));
+                    let body =
+                        format!("{{\"error\": \"internal error\", \"trace_id\": {trace_id}}}\n");
+                    (500, "Internal Server Error", body)
+                })
         }
         Err(HttpError::TooLarge { declared, limit }) => (
             413,
@@ -212,6 +223,14 @@ fn handle_connection(
         Err(HttpError::Io(_)) => return, // client went away; nothing to answer
     };
     let _ = http::write_response(&mut stream, status, reason, &body);
+}
+
+/// The message a panic was raised with, when it is a string.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    match payload.downcast_ref::<&str>() {
+        Some(msg) => msg,
+        None => payload.downcast_ref::<String>().map_or("non-string panic payload", String::as_str),
+    }
 }
 
 fn read_limited(stream: impl Read, max_body: usize) -> Result<Request, HttpError> {

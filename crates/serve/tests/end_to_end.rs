@@ -471,3 +471,98 @@ fn full_queue_rejects_with_429_and_never_deadlocks() {
     server.shutdown().expect("clean shutdown");
     adamel_obs::runlog::set_forced_path(None);
 }
+
+#[test]
+fn a_panicking_handler_answers_500_and_its_worker_keeps_serving() {
+    let _guard = serialized();
+    let ledger =
+        std::env::temp_dir().join(format!("adamel-serve-panic-{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&ledger);
+    adamel_obs::runlog::set_forced_path(ledger.to_str());
+
+    let engine = Arc::new(Engine::new(
+        Linker::new(trained_model(), LinkerConfig::default()),
+        EngineConfig::default(),
+    ));
+    let cfg = ServerConfig { workers: 2, ..ServerConfig::default() };
+    let server = Server::start(engine, cfg).expect("bind ephemeral port");
+    let addr = server.addr();
+    let (status, body) = request(addr, "POST", "/records", &jsonl(&corpus()));
+    assert_eq!(status, 200, "{body}");
+
+    // Every weight at a large finite value: the snapshot loads, and with
+    // the sanitizer on (forced, so release builds check too) the plan's
+    // probe forward panics on an overflowing product in every `/link`.
+    let snapshot = |m: &AdamelModel| {
+        let mut bytes = Vec::new();
+        adamel::save_model(m, &mut bytes).expect("serialize model");
+        String::from_utf8(bytes).expect("text format")
+    };
+    let mut huge = trained_model();
+    let big: Vec<adamel_tensor::Matrix> = huge
+        .snapshot_params()
+        .iter()
+        .map(|m| adamel_tensor::Matrix::full(m.rows(), m.cols(), 3.0e38))
+        .collect();
+    huge.restore_params(&big).expect("same shapes");
+    let (status, body) = request(addr, "POST", "/model", &snapshot(&huge));
+    assert_eq!(status, 200, "{body}");
+
+    adamel_tensor::sanitize::set_forced(Some(true));
+    let queries = vec![rec(9, 1, "alpha beta"), rec(9, 2, "gamma delta")];
+    // Trace ids count requests: `/records` was 1 and `/model` 2.
+    for trace_id in 3..6u64 {
+        let (status, body) = request(addr, "POST", "/link", &jsonl(&queries));
+        assert_eq!(status, 500, "{body}");
+        let named = Json::parse(&body).ok().and_then(|v| v.get("trace_id").and_then(Json::as_u64));
+        assert_eq!(named, Some(trace_id), "{body}");
+    }
+    adamel_tensor::sanitize::set_forced(None);
+
+    // Three panics on two workers, and the daemon still answers.
+    let (status, body) = request(addr, "GET", "/healthz", "");
+    assert_eq!(status, 200, "{body}");
+    let (_, metrics) = request(addr, "GET", "/metrics", "");
+    let v = Json::parse(&metrics).expect("metrics JSON");
+    let panics = v.get("counters").and_then(|c| c.get("panics")).and_then(Json::as_u64);
+    assert_eq!(panics, Some(3), "{metrics}");
+
+    // With a good model back, `/link` serves the offline matches.
+    let good = trained_model();
+    let (status, body) = request(addr, "POST", "/model", &snapshot(&good));
+    assert_eq!(status, 200, "{body}");
+    let (status, body) = request(addr, "POST", "/link", &jsonl(&queries));
+    assert_eq!(status, 200, "{body}");
+    let served = parse_matches(&body);
+    assert!(!served.is_empty(), "no matches in {body}");
+    let right = corpus();
+    let reference = Linker::new(good, LinkerConfig::default()).link(&queries, &right);
+    assert_eq!(served.len(), reference.len());
+    for ((query, source, entity_id, bits), m) in served.iter().zip(reference.iter()) {
+        let expect = &right[m.right];
+        assert_eq!(*query, m.left);
+        assert_eq!((SourceId(*source), *entity_id), (expect.source, expect.entity_id));
+        assert_eq!(*bits, m.score.to_bits(), "served score differs bitwise from offline");
+    }
+
+    server.shutdown().expect("clean shutdown");
+    adamel_obs::runlog::flush();
+
+    // Each panic left a runlog `error` event under its request's trace id.
+    let text = std::fs::read_to_string(&ledger).expect("ledger written");
+    let errors: Vec<(Option<u64>, String)> = text
+        .lines()
+        .filter_map(|line| Json::parse(line).ok())
+        .filter(|v| v.get("event").and_then(Json::as_str) == Some("error"))
+        .map(|v| {
+            let panic = v.get("panic").and_then(Json::as_str).unwrap_or_default().to_string();
+            (v.get("trace_id").and_then(Json::as_u64), panic)
+        })
+        .collect();
+    let ids: Vec<Option<u64>> = errors.iter().map(|e| e.0).collect();
+    assert_eq!(ids, vec![Some(3), Some(4), Some(5)], "{text}");
+    assert!(errors.iter().all(|e| e.1.contains("adamel-sanitize")), "{text}");
+
+    adamel_obs::runlog::set_forced_path(None);
+    let _ = std::fs::remove_file(&ledger);
+}

@@ -64,3 +64,4 @@ pub use graph::{Graph, Var};
 pub use matrix::Matrix;
 pub use optim::{Adam, Optimizer, Sgd};
 pub use params::{ParamId, ParamSet};
+pub use plan::EncodedBlocks;

@@ -192,12 +192,6 @@ impl Matrix {
         }
     }
 
-    /// Elements the backing allocation can hold without growing, which
-    /// [`reset_shape`](Self::reset_shape) keeps when a buffer shrinks.
-    pub(crate) fn capacity(&self) -> usize {
-        self.data.capacity()
-    }
-
     /// Matrix product `self * other`; shapes `(n,k) x (k,m) -> (n,m)`.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(0, 0);

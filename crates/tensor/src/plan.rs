@@ -8,8 +8,8 @@
 //! read by reference from the live [`crate::params::ParamSet`] at replay
 //! time (so a plan stays valid across training and
 //! [`ParamSet::restore`](crate::params::ParamSet)), and every intermediate
-//! lands in a reusable [`PlanBuffers`] arena — steady-state replay performs
-//! no graph construction, no parameter clones, and no allocation.
+//! lands in reusable [`PlanBuffers`] arenas — replay performs no graph
+//! construction and no parameter clones.
 //!
 //! ## Packed weights
 //!
@@ -52,36 +52,60 @@
 //! Loss/reduction ops are recording-only and likewise rejected when
 //! reachable from the requested outputs.
 //!
-//! ## Row grouping
+//! ## Encoded blocks and the two replay phases
 //!
-//! Batches repeat row blocks: the model embeds every empty token set as one
-//! fixed missing-value vector, so many of a chunk's per-feature column
-//! windows are bit-identical. Compile tags each step with the input window
-//! `slice_cols(Input, start, width)` it is a row-local function of: the
-//! slice itself; a plain or packed product by, or a row-broadcast add of, a
-//! `Param`/`Const`; `relu`, `tanh`, `sigmoid`, `scale` and `softmax_rows`;
-//! and `add`, `mul`, `mul_col_broadcast`, `concat_cols` and `slice_cols`
-//! whose row operands all share the window. Replay keys each window's rows
-//! by their bit pattern, numbers the distinct ones in first-seen order (the
-//! hash only steers probing, so no result depends on it) and runs the
-//! window's tagged steps over those distinct rows alone. A tagged buffer is
-//! gathered back to one row per input row only where an untagged step or a
-//! requested output reads it. Every row is still computed by the same
-//! kernel from the same row, and the blocked and naive GEMM paths agree bit
-//! for bit on finite input, so a grouped replay equals the tape bit for
-//! bit. At `spans` and above the `plan.window_rows` and
-//! `plan.window_distinct_rows` counters sum each replay's rows and distinct
-//! rows over its windows.
+//! The replay input is an [`EncodedBlocks`]: per feature, a table of its
+//! distinct `D`-wide blocks, and per pair, the table row of each feature.
+//! Compile turns each `slice_cols(Input, start, width)` into an input
+//! window and tags each step with the window it is a row-local function
+//! of: the slice itself; a plain or packed product by, or a row-broadcast
+//! add of, a `Param`/`Const`; `relu`, `tanh`, `sigmoid`, `scale` and
+//! `softmax_rows`; and `add`, `mul`, `mul_col_broadcast`, `concat_cols` and
+//! `slice_cols` whose row operands all share the window. Any other read of
+//! the input is lowered to a window over all its columns.
+//!
+//! A window on one feature's block boundary reads that feature's table as
+//! its distinct rows and the feature's index column as its row map. Any
+//! other window groups its columns of the dense rows by bit pattern; only
+//! the oracle fuzzer's programs have such windows.
+//!
+//! Replay then runs in two phases over the whole call:
+//!
+//! 1. **Window phase** ([`CompiledPlan::execute_windows`]): each window's
+//!    tagged steps run over its distinct rows, [`BLOCK_CHUNK_ROWS`] at a
+//!    time, the chunks spread over worker threads. Only the tagged buffers
+//!    an untagged step or a requested output reads are kept.
+//! 2. **Pair phase** ([`CompiledPlan::execute_rows`]): the untagged steps
+//!    run over a range of pairs; a `Gather` step copies a kept buffer's row
+//!    for each pair of the range.
+//!
+//! Every row is still computed by the same kernel from the same row, and
+//! the blocked and naive GEMM paths agree bit for bit on finite input, so
+//! a replay equals the tape bit for bit. At `spans` and above the
+//! `plan.window_rows` and `plan.window_distinct_rows` counters sum each
+//! call's pair rows and distinct rows over its windows.
 
 use crate::expr::Expr;
 use crate::gemm::{PackedB, NR};
 use crate::graph::{Graph, Op, Var};
 use crate::matrix::Matrix;
 use crate::params::{ParamId, ParamSet};
-use crate::sanitize;
+use crate::{parallel, sanitize};
 use adamel_obs::mem::MemScope;
+use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::ops::Deref;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
+
+/// Distinct rows one window-phase task replays: the window phase splits
+/// each window's distinct rows into chunks of this many. Chunk boundaries
+/// never change a value, since every tagged step is row-local.
+pub const BLOCK_CHUNK_ROWS: usize = 128;
+
+/// The memory gauge [`BufferPool`] reports into.
+const POOL_GAUGE: &str = "tensor.plan.pool.bytes";
 
 /// Why a recorded graph could not be compiled into a replayable plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -116,11 +140,166 @@ impl fmt::Display for PlanError {
 
 impl std::error::Error for PlanError {}
 
+/// A batch of encoded pairs as per-feature tables of distinct blocks.
+///
+/// Pair `r`'s feature `j` is row [`id(r, j)`](Self::id) of
+/// [`table(j)`](Self::table), a `dim`-wide block. Laid side by side, the
+/// `F` blocks of a pair are its dense `1 x F·dim` row. This is the
+/// compiled plan's replay input: its windows read the tables, never the
+/// dense rows.
+///
+/// Dereferences to the dense `rows x F·dim` matrix, built on first use and
+/// then kept. The autograd tape and the tests read it; replay does not.
+#[derive(Debug, Clone)]
+pub struct EncodedBlocks {
+    rows: usize,
+    dim: usize,
+    tables: Vec<Matrix>,
+    /// `rows x F`, row-major: the table row of each pair's feature.
+    index: Vec<u32>,
+    dense: OnceLock<Matrix>,
+}
+
+impl EncodedBlocks {
+    /// Wraps per-feature tables (`dim` columns each) and a row-major
+    /// `rows x tables.len()` index into them.
+    ///
+    /// # Panics
+    ///
+    /// If a table is not `dim` wide, the index is not `rows x F`, or an
+    /// index entry is past its table.
+    pub fn new(rows: usize, dim: usize, tables: Vec<Matrix>, index: Vec<u32>) -> Self {
+        let f = tables.len();
+        assert!(tables.iter().all(|t| t.cols() == dim), "EncodedBlocks: a table is not {dim} wide");
+        assert_eq!(index.len(), rows * f, "EncodedBlocks: the index is not rows x features");
+        let in_range = index
+            .chunks(f.max(1))
+            .all(|ids| ids.iter().zip(&tables).all(|(&id, t)| (id as usize) < t.rows()));
+        assert!(in_range, "EncodedBlocks: an index entry is past its table");
+        Self { rows, dim, tables, index, dense: OnceLock::new() }
+    }
+
+    /// Groups each `dim`-wide column block of `dense` by bit pattern: `+0.0`
+    /// and `-0.0` stay apart, and so do NaN payloads; ids count up in
+    /// first-seen row order. This is how a caller holding only a dense
+    /// matrix (the oracle fuzzer, the tests) builds a replay input.
+    ///
+    /// # Panics
+    ///
+    /// If `dim` is 0 or does not divide `dense`'s width.
+    pub fn from_dense(dense: &Matrix, dim: usize) -> Self {
+        assert!(
+            dim > 0 && dense.cols() % dim == 0,
+            "EncodedBlocks::from_dense: width {} is not a multiple of {dim}",
+            dense.cols()
+        );
+        let f = dense.cols() / dim;
+        let mut index = vec![0u32; dense.rows() * f];
+        let mut ids = Vec::new();
+        let tables = (0..f)
+            .map(|j| {
+                let table = group_bits(dense, j * dim, dim, &mut ids);
+                for (r, &id) in ids.iter().enumerate() {
+                    index[r * f + j] = id;
+                }
+                table
+            })
+            .collect();
+        Self::new(dense.rows(), dim, tables, index)
+    }
+
+    /// Number of pairs.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Number of features `F`.
+    pub fn features(&self) -> usize {
+        self.tables.len()
+    }
+
+    /// Width of one block.
+    pub fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// Width of a dense row, `F·dim`.
+    pub fn cols(&self) -> usize {
+        self.features() * self.dim
+    }
+
+    /// Feature `j`'s distinct blocks, one per row.
+    pub fn table(&self, j: usize) -> &Matrix {
+        &self.tables[j]
+    }
+
+    /// The row of [`table(j)`](Self::table) holding pair `r`'s feature `j`.
+    pub fn id(&self, r: usize, j: usize) -> usize {
+        self.index[r * self.features() + j] as usize
+    }
+
+    /// The dense `rows x F·dim` matrix: each pair's blocks side by side.
+    pub fn to_dense(&self) -> Matrix {
+        let mut out = Matrix::zeros(self.rows, self.cols());
+        for r in 0..self.rows {
+            let row = out.row_mut(r);
+            for (j, dst) in row.chunks_exact_mut(self.dim.max(1)).enumerate() {
+                dst.copy_from_slice(self.tables[j].row(self.id(r, j)));
+            }
+        }
+        out
+    }
+
+    /// The distinct rows of columns `[start, start + width)` and, in `ids`,
+    /// each pair's row among them (see the module docs).
+    fn window(&self, start: usize, width: usize, ids: &mut Vec<u32>) -> Cow<'_, Matrix> {
+        if width > 0 && width == self.dim && start % self.dim == 0 {
+            let j = start / self.dim;
+            ids.clear();
+            ids.extend(self.index.iter().skip(j).step_by(self.features()));
+            return Cow::Borrowed(&self.tables[j]);
+        }
+        // Off the block boundaries: group the dense rows' columns.
+        Cow::Owned(group_bits(self, start, width, ids))
+    }
+}
+
+/// Groups the rows of `dense`'s columns `[start, start + width)` by bit
+/// pattern, so `+0.0` and `-0.0` stay apart and so do NaN payloads: returns
+/// the distinct rows in first-seen order and, in `ids`, each row's id.
+fn group_bits(dense: &Matrix, start: usize, width: usize, ids: &mut Vec<u32>) -> Matrix {
+    let mut seen: BTreeMap<Vec<u32>, u32> = BTreeMap::new();
+    let mut rows = Vec::new();
+    ids.clear();
+    for r in 0..dense.rows() {
+        let cols = &dense.row(r)[start..start + width];
+        let next = seen.len() as u32;
+        let bits = cols.iter().map(|v| v.to_bits()).collect();
+        ids.push(*seen.entry(bits).or_insert_with(|| {
+            rows.extend_from_slice(cols);
+            next
+        }));
+    }
+    Matrix::from_vec(seen.len(), width, rows)
+}
+
+impl Deref for EncodedBlocks {
+    type Target = Matrix;
+
+    fn deref(&self) -> &Matrix {
+        self.dense.get_or_init(|| self.to_dense())
+    }
+}
+
+impl From<EncodedBlocks> for Matrix {
+    fn from(mut blocks: EncodedBlocks) -> Matrix {
+        blocks.dense.take().unwrap_or_else(|| blocks.to_dense())
+    }
+}
+
 /// Where a step operand's value lives at replay time.
 #[derive(Debug, Clone, Copy)]
 enum Src {
-    /// The replay batch handed to [`CompiledPlan::execute`].
-    Input,
     /// A frozen constant captured at compile time.
     Const(usize),
     /// A parameter, read from the live `ParamSet` by id at replay time.
@@ -129,9 +308,8 @@ enum Src {
     Buf(usize),
 }
 
-/// One replay step: a tape op over replay operands, or one of the plan's
-/// own steps.
-enum StepOp {
+/// A step both phases run the same way.
+enum Kernel {
     /// A recorded op, evaluated exactly as the tape evaluated it.
     Expr(Expr<Src>),
     /// `a · param` replayed over the plan's pack of `param`, in `slot`.
@@ -139,12 +317,21 @@ enum StepOp {
     /// A batch-sized constant with identical rows: the frozen `1 x k` row
     /// (a `Src::Const`) repeated once per replay row.
     FillRows(usize),
-    /// `slice_cols(Input, start, width)` of window `.0`, one row per
-    /// distinct row of the window.
+}
+
+/// One replay step: a kernel, or one of the steps that move rows between
+/// the phases.
+enum StepOp {
+    Kernel(Kernel),
+    /// Window `.0`'s distinct rows (window phase only).
     WindowRows(usize),
-    /// Buffer `src`, tagged with `window`, expanded to one row per input
-    /// row.
-    Gather { src: usize, window: usize },
+    /// Kept buffer `src` (`cols` wide), tagged with `window`, at one row
+    /// per pair (pair phase only).
+    Gather {
+        src: usize,
+        window: usize,
+        cols: usize,
+    },
 }
 
 impl StepOp {
@@ -158,11 +345,11 @@ impl StepOp {
         let leaf = |s: &Src| matches!(s, Src::Param(_) | Src::Const(_));
         match self {
             StepOp::WindowRows(w) => Some(*w),
-            StepOp::MatMulPacked { a, .. } => win(a),
-            StepOp::Expr(Expr::MatMul(a, b) | Expr::AddRowBroadcast(a, b)) => {
+            StepOp::Kernel(Kernel::MatMulPacked { a, .. }) => win(a),
+            StepOp::Kernel(Kernel::Expr(Expr::MatMul(a, b) | Expr::AddRowBroadcast(a, b))) => {
                 win(a).filter(|_| leaf(b))
             }
-            StepOp::Expr(
+            StepOp::Kernel(Kernel::Expr(
                 expr @ (Expr::Add(..)
                 | Expr::Mul(..)
                 | Expr::MulColBroadcast(..)
@@ -173,45 +360,56 @@ impl StepOp {
                 | Expr::Sigmoid(_)
                 | Expr::SoftmaxRows(_)
                 | Expr::SliceCols { .. }),
-            ) => {
+            )) => {
                 // Row-local: tagged when every operand shares one window.
                 let srcs = expr.operands();
                 let w = win(srcs.first()?)?;
                 srcs.iter().all(|s| win(s) == Some(w)).then_some(w)
             }
-            StepOp::Expr(
-                Expr::WeightedSum { .. }
-                | Expr::MeanAll(_)
-                | Expr::SumAll(_)
-                | Expr::WeightedBceWithLogits { .. }
-                | Expr::KlConstRows { .. },
+            StepOp::Kernel(
+                Kernel::Expr(
+                    Expr::WeightedSum { .. }
+                    | Expr::MeanAll(_)
+                    | Expr::SumAll(_)
+                    | Expr::WeightedBceWithLogits { .. }
+                    | Expr::KlConstRows { .. },
+                )
+                | Kernel::FillRows(_),
             )
-            | StepOp::FillRows(_)
             | StepOp::Gather { .. } => None,
         }
     }
 }
 
-struct Step {
-    op: StepOp,
-    /// Output buffer index; strictly increasing in step order, so every
-    /// operand buffer of a step lies before `out` (SSA discipline).
-    out: usize,
-}
-
 /// A frozen, shape-specialized forward program: compile once, replay many.
 pub struct CompiledPlan {
-    steps: Vec<Step>,
+    /// Step `i` writes buffer `i`; every operand buffer of a step lies
+    /// before it (SSA discipline).
+    steps: Vec<StepOp>,
     consts: Vec<Matrix>,
     /// Buffer index per requested output, in request order.
     outputs: Vec<usize>,
     input_cols: usize,
     /// `(start, width)` of each input column window, in window order.
     windows: Vec<(usize, usize)>,
+    /// The window each step is tagged with, if any.
+    step_window: Vec<Option<usize>>,
+    /// Each window's tagged steps, in step order.
+    window_steps: Vec<Vec<usize>>,
+    /// The tagged buffers of each window that the pair phase reads.
+    window_kept: Vec<Vec<usize>>,
+    /// The untagged steps, in step order.
+    pair_steps: Vec<usize>,
     /// The parameters `MatMulPacked` steps multiply by, in slot order.
     packed: Vec<ParamId>,
     /// Their packs for the latest generation replayed (see the module docs).
     packs: Mutex<Option<Arc<PackedParams>>>,
+}
+
+/// The parameters a replay reads, with the packs of their generation.
+struct Weights<'a> {
+    params: &'a ParamSet,
+    packs: Arc<PackedParams>,
 }
 
 /// The packs of a plan's `packed` parameters at one generation.
@@ -233,147 +431,63 @@ impl PackedParams {
     }
 }
 
-/// Marks an empty slot of [`RowGroups::table`].
-const EMPTY_SLOT: usize = usize::MAX;
-
-/// One window's rows grouped by bit pattern, for the latest replay.
+/// Reusable replay scratch. One arena serves either a call's window phase
+/// (it then holds each window's row map and the kept buffers the pair
+/// phase reads) or one task: a chunk of one window's distinct rows, or a
+/// range of pairs. Buffers grow to the largest task run through them and
+/// are then reused; contents are meaningless between replays.
 #[derive(Default)]
-struct RowGroups {
-    /// Distinct-row id of each input row.
-    id_of_row: Vec<usize>,
-    /// First input row of each distinct id; ids count up in first-seen
-    /// order.
-    first_rows: Vec<usize>,
-    /// Open-addressing table of distinct ids keyed by row hash
-    /// ([`EMPTY_SLOT`] when free).
-    table: Vec<usize>,
-}
-
-impl RowGroups {
-    /// Groups the rows of `input`'s columns `[start, start + width)`.
-    fn group(&mut self, input: &Matrix, start: usize, width: usize) {
-        let rows = input.rows();
-        let key = |r: usize| &input.row(r)[start..start + width];
-        let mask = (2 * rows).next_power_of_two() - 1;
-        self.table.clear();
-        self.table.resize(mask + 1, EMPTY_SLOT);
-        self.id_of_row.clear();
-        self.first_rows.clear();
-        for r in 0..rows {
-            let row = key(r);
-            let mut slot = row_hash(row) & mask;
-            let id = loop {
-                let id = self.table[slot];
-                if id == EMPTY_SLOT {
-                    let id = self.first_rows.len();
-                    self.table[slot] = id;
-                    self.first_rows.push(r);
-                    break id;
-                }
-                if same_bits(key(self.first_rows[id]), row) {
-                    break id;
-                }
-                slot = (slot + 1) & mask;
-            };
-            self.id_of_row.push(id);
-        }
-    }
-
-    /// Writes the distinct rows of `input`'s window into `out`.
-    fn distinct_rows(&self, input: &Matrix, start: usize, width: usize, out: &mut Matrix) {
-        out.reset_shape(self.first_rows.len(), width);
-        for (id, &r) in self.first_rows.iter().enumerate() {
-            out.row_mut(id).copy_from_slice(&input.row(r)[start..start + width]);
-        }
-    }
-
-    /// Writes one row of `distinct` per input row into `out`.
-    fn gather(&self, distinct: &Matrix, out: &mut Matrix) {
-        out.reset_shape(self.id_of_row.len(), distinct.cols());
-        for (r, &id) in self.id_of_row.iter().enumerate() {
-            out.row_mut(r).copy_from_slice(distinct.row(id));
-        }
-    }
-
-    fn capacity_bytes(&self) -> usize {
-        let words = self.id_of_row.capacity() + self.first_rows.capacity() + self.table.capacity();
-        words * std::mem::size_of::<usize>()
-    }
-}
-
-/// FxHash-style mix of a row's bit patterns, two values per word over four
-/// independent lanes so the multiply chains overlap; it only picks the
-/// first probe slot, so its quality affects speed, never results.
-fn row_hash(row: &[f32]) -> usize {
-    const K: u64 = 0x517c_c1b7_2722_0a95;
-    let mix = |h: u64, v: u64| (h.rotate_left(5) ^ v).wrapping_mul(K);
-    let bits = |a: f32, b: f32| u64::from(a.to_bits()) | u64::from(b.to_bits()) << 32;
-    let mut lanes = [0u64; 4];
-    let mut chunks = row.chunks_exact(8);
-    for c in &mut chunks {
-        lanes[0] = mix(lanes[0], bits(c[0], c[1]));
-        lanes[1] = mix(lanes[1], bits(c[2], c[3]));
-        lanes[2] = mix(lanes[2], bits(c[4], c[5]));
-        lanes[3] = mix(lanes[3], bits(c[6], c[7]));
-    }
-    let mut h = lanes.into_iter().fold(0, mix);
-    for v in chunks.remainder() {
-        h = mix(h, u64::from(v.to_bits()));
-    }
-    (h ^ (h >> 29)) as usize
-}
-
-/// Bitwise row equality: `+0.0` and `-0.0` differ, and so do NaN payloads.
-fn same_bits(a: &[f32], b: &[f32]) -> bool {
-    a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-}
-
-/// Reusable per-replay scratch: one buffer per computed step, an input
-/// staging matrix, and each window's row groups. Buffers grow to the
-/// largest batch replayed through them and are then reused allocation-free;
-/// contents are meaningless between replays.
 pub struct PlanBuffers {
+    /// One buffer per step.
     bufs: Vec<Matrix>,
-    input_scratch: Matrix,
-    groups: Vec<RowGroups>,
-}
-
-impl Default for PlanBuffers {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// Per window: the distinct-row id of each pair of the call.
+    row_ids: Vec<Vec<u32>>,
+    /// Per buffer: a kept buffer's rows for every distinct row of its
+    /// window, in [`BLOCK_CHUNK_ROWS`]-row chunks; empty otherwise.
+    kept: Vec<Vec<Matrix>>,
+    /// Per window: the distinct rows its steps ran over in the call.
+    replayed: Vec<usize>,
+    /// Pairs in the call.
+    rows: usize,
+    /// Bytes the latest use wrote, by length (see
+    /// [`logical_bytes`](Self::logical_bytes)).
+    need: usize,
 }
 
 impl PlanBuffers {
-    /// An empty arena; [`CompiledPlan::execute`] sizes it on first use.
+    /// An empty arena; the plan sizes it on first use.
     pub fn new() -> Self {
-        Self { bufs: Vec::new(), input_scratch: Matrix::default(), groups: Vec::new() }
+        Self::default()
     }
 
-    /// Footprint of the arena in bytes: the capacity of every intermediate
-    /// and gather buffer, the input staging matrix, and the row-group index
-    /// vectors. Capacity, not length: a buffer keeps its allocation when a
-    /// smaller batch reshapes it. Feeds the `tensor.plan.pool.bytes` memory
-    /// gauge.
+    /// What the latest use of the arena needed, in bytes, by length rather
+    /// than capacity: for a call's window phase, its kept buffers and row
+    /// maps; for one task, the buffers its steps wrote. Feeds the
+    /// `tensor.plan.pool.bytes` memory gauge.
     pub fn logical_bytes(&self) -> u64 {
-        let elems: usize = self
-            .bufs
-            .iter()
-            .map(Matrix::capacity)
-            .sum::<usize>()
-            .saturating_add(self.input_scratch.capacity());
-        let groups: usize = self.groups.iter().map(RowGroups::capacity_bytes).sum();
-        (elems * 4 + groups) as u64
+        self.need as u64
+    }
+
+    fn size_for(&mut self, steps: usize) {
+        if self.bufs.len() < steps {
+            self.bufs.resize_with(steps, Matrix::default);
+        }
     }
 }
 
-/// A mutex-guarded stash of [`PlanBuffers`] so concurrent chunk workers
-/// reuse warm arenas instead of reallocating. Locks are held only for the
-/// `pop`/`push` themselves — never across kernel dispatch — and a poisoned
-/// mutex is recovered (the stash holds scratch, never results).
+/// A mutex-guarded stash of [`PlanBuffers`] so a plan's tasks reuse warm
+/// arenas instead of reallocating. Locks are held only for the `pop`/`push`
+/// themselves — never across kernel dispatch — and a poisoned mutex is
+/// recovered (the stash holds scratch, never results).
+///
+/// The pool keeps the largest [`PlanBuffers::logical_bytes`] of any arena
+/// returned to it and adds it to the `tensor.plan.pool.bytes` gauge (and
+/// takes it back when the pool is dropped). That depends on the replayed
+/// inputs alone, never on which arena served which task.
 #[derive(Default)]
 pub struct BufferPool {
     slots: Mutex<Vec<PlanBuffers>>,
+    largest: AtomicU64,
 }
 
 impl BufferPool {
@@ -384,17 +498,25 @@ impl BufferPool {
 
     /// Takes a warm arena if one is stashed, else a fresh empty one.
     pub fn checkout(&self) -> PlanBuffers {
-        let bufs = self.slots.lock().unwrap_or_else(|e| e.into_inner()).pop().unwrap_or_default();
-        // The gauge tracks bytes *parked* in the pool: checked-out arenas
-        // leave it, returned arenas re-enter at their (possibly grown) size.
-        adamel_obs::mem::sub("tensor.plan.pool.bytes", bufs.logical_bytes());
-        bufs
+        self.slots.lock().unwrap_or_else(|e| e.into_inner()).pop().unwrap_or_default()
     }
 
-    /// Returns an arena to the pool for the next checkout.
-    pub fn put_back(&self, bufs: PlanBuffers) {
-        adamel_obs::mem::add("tensor.plan.pool.bytes", bufs.logical_bytes());
+    /// Returns an arena to the pool for the next checkout, dropping the
+    /// kept buffers of a finished call.
+    pub fn put_back(&self, mut bufs: PlanBuffers) {
+        let need = bufs.logical_bytes();
+        let before = self.largest.fetch_max(need, Ordering::Relaxed);
+        if need > before {
+            adamel_obs::mem::add(POOL_GAUGE, need - before);
+        }
+        bufs.kept.iter_mut().for_each(Vec::clear);
         self.slots.lock().unwrap_or_else(|e| e.into_inner()).push(bufs);
+    }
+}
+
+impl Drop for BufferPool {
+    fn drop(&mut self) {
+        adamel_obs::mem::sub(POOL_GAUGE, *self.largest.get_mut());
     }
 }
 
@@ -413,9 +535,11 @@ fn resolved(src: &[Option<Src>], v: Var) -> Src {
 /// The step list under construction, with each buffer's window tag.
 #[derive(Default)]
 struct Emitter {
-    steps: Vec<Step>,
+    steps: Vec<StepOp>,
     /// The window each buffer is a row-local function of, if any.
     buf_window: Vec<Option<usize>>,
+    /// Each buffer's column width, from the probe.
+    buf_cols: Vec<usize>,
     /// The `Gather` output of each tagged buffer, once one is emitted.
     gathered: Vec<Option<usize>>,
 }
@@ -423,24 +547,27 @@ struct Emitter {
 impl Emitter {
     /// Appends `op`, tagged with its window, and returns its buffer. An
     /// untagged op reads each tagged operand through its `Gather`.
-    fn push(&mut self, op: StepOp) -> usize {
+    fn push(&mut self, op: StepOp, cols: usize) -> usize {
         let window = op.window(&self.buf_window);
         let op = match op {
-            StepOp::Expr(expr) if window.is_none() => StepOp::Expr(expr.map(|s| match s {
-                Src::Buf(b) => Src::Buf(self.full_rows(b)),
-                s => s,
-            })),
+            StepOp::Kernel(Kernel::Expr(expr)) if window.is_none() => {
+                StepOp::Kernel(Kernel::Expr(expr.map(|s| match s {
+                    Src::Buf(b) => Src::Buf(self.full_rows(b)),
+                    s => s,
+                })))
+            }
             op => op,
         };
         let out = self.steps.len();
         self.buf_window.push(window);
+        self.buf_cols.push(cols);
         self.gathered.push(None);
-        self.steps.push(Step { op, out });
+        self.steps.push(op);
         out
     }
 
-    /// The buffer holding buffer `i` at one row per input row, emitting
-    /// the `Gather` step a tagged buffer needs on first use.
+    /// The buffer holding buffer `i` at one row per pair, emitting the
+    /// `Gather` step a tagged buffer needs on first use.
     fn full_rows(&mut self, i: usize) -> usize {
         let Some(window) = self.buf_window[i] else {
             return i;
@@ -448,7 +575,8 @@ impl Emitter {
         match self.gathered[i] {
             Some(buf) => buf,
             None => {
-                let buf = self.push(StepOp::Gather { src: i, window });
+                let cols = self.buf_cols[i];
+                let buf = self.push(StepOp::Gather { src: i, window, cols }, cols);
                 self.gathered[i] = Some(buf);
                 buf
             }
@@ -489,13 +617,10 @@ impl CompiledPlan {
         let mut windows: Vec<(usize, usize)> = Vec::new();
         let mut emit = Emitter::default();
         for (i, node) in tape.iter().enumerate() {
-            if !needed[i] {
+            if !needed[i] || i == input.index() {
                 continue;
             }
-            if i == input.index() {
-                src[i] = Some(Src::Input);
-                continue;
-            }
+            let cols = node.value.cols();
             let op = match &node.op {
                 Op::Constant if node.value.rows() == probe_rows => {
                     // Batch-sized: replayable only as one row repeated,
@@ -508,7 +633,7 @@ impl CompiledPlan {
                         return Err(PlanError::ScalingConstant);
                     }
                     consts.push(v.slice_rows(0, 1));
-                    StepOp::FillRows(consts.len() - 1)
+                    StepOp::Kernel(Kernel::FillRows(consts.len() - 1))
                 }
                 Op::Constant => {
                     consts.push(node.value.clone());
@@ -522,27 +647,49 @@ impl CompiledPlan {
                 Op::Expr(expr) if expr.is_training_only() => {
                     return Err(PlanError::UnsupportedOp(expr.name()))
                 }
-                Op::Expr(expr) => match expr.map(|v| resolved(&src, v)) {
-                    // The product's width is its right operand's.
-                    Expr::MatMul(a, Src::Param(param)) if node.value.cols() >= NR => {
-                        StepOp::MatMulPacked { a, param, slot: intern(&mut packed, param) }
+                Op::Expr(Expr::SliceCols { input: v, start, width }) if *v == input => {
+                    StepOp::WindowRows(intern(&mut windows, (*start, *width)))
+                }
+                Op::Expr(expr) => {
+                    if src[input.index()].is_none() && expr.operands().contains(&input) {
+                        // Any other read of the batch: a window over all of it.
+                        let w = intern(&mut windows, (0, input_cols));
+                        src[input.index()] =
+                            Some(Src::Buf(emit.push(StepOp::WindowRows(w), input_cols)));
                     }
-                    Expr::SliceCols { input: Src::Input, start, width } => {
-                        StepOp::WindowRows(intern(&mut windows, (start, width)))
-                    }
-                    expr => StepOp::Expr(expr),
-                },
+                    StepOp::Kernel(match expr.map(|v| resolved(&src, v)) {
+                        // The product's width is its right operand's.
+                        Expr::MatMul(a, Src::Param(param)) if cols >= NR => {
+                            Kernel::MatMulPacked { a, param, slot: intern(&mut packed, param) }
+                        }
+                        expr => Kernel::Expr(expr),
+                    })
+                }
             };
-            src[i] = Some(Src::Buf(emit.push(op)));
+            src[i] = Some(Src::Buf(emit.push(op, cols)));
         }
 
         let outputs = outputs
             .iter()
             .map(|v| match src[v.index()] {
-                Some(Src::Buf(b)) => Ok(emit.full_rows(b)),
+                Some(Src::Buf(b)) if v.index() != input.index() => Ok(emit.full_rows(b)),
                 _ => Err(PlanError::UnsupportedOutput),
             })
             .collect::<Result<Vec<_>, _>>()?;
+
+        let mut window_steps = vec![Vec::new(); windows.len()];
+        let mut window_kept = vec![Vec::new(); windows.len()];
+        let mut pair_steps = Vec::new();
+        for (s, window) in emit.buf_window.iter().enumerate() {
+            match *window {
+                Some(w) if emit.gathered[s].is_some() => {
+                    window_steps[w].push(s);
+                    window_kept[w].push(s);
+                }
+                Some(w) => window_steps[w].push(s),
+                None => pair_steps.push(s),
+            }
+        }
 
         Ok(CompiledPlan {
             steps: emit.steps,
@@ -550,26 +697,26 @@ impl CompiledPlan {
             outputs,
             input_cols,
             windows,
+            step_window: emit.buf_window,
+            window_steps,
+            window_kept,
+            pair_steps,
             packed,
             packs: Mutex::new(None),
         })
     }
 
-    /// The packs for `params`' current generation: the cached ones if they
-    /// match, else fresh ones, packed outside the lock and then cached.
-    fn packs_for(&self, params: &ParamSet) -> Arc<PackedParams> {
+    /// `params` with the packs for their current generation: the cached
+    /// ones if they match, else fresh ones, packed outside the lock and
+    /// then cached.
+    fn weights<'a>(&self, params: &'a ParamSet) -> Weights<'a> {
         let cached = self.packs.lock().unwrap_or_else(|e| e.into_inner()).clone();
         if let Some(packs) = cached.filter(|p| p.generation == params.generation()) {
-            return packs;
+            return Weights { params, packs };
         }
-        let fresh = Arc::new(PackedParams::pack(params, &self.packed));
-        *self.packs.lock().unwrap_or_else(|e| e.into_inner()) = Some(Arc::clone(&fresh));
-        fresh
-    }
-
-    /// Number of replayable steps after pruning.
-    pub fn steps(&self) -> usize {
-        self.steps.len()
+        let packs = Arc::new(PackedParams::pack(params, &self.packed));
+        *self.packs.lock().unwrap_or_else(|e| e.into_inner()) = Some(Arc::clone(&packs));
+        Weights { params, packs }
     }
 
     /// Number of requested outputs.
@@ -577,117 +724,229 @@ impl CompiledPlan {
         self.outputs.len()
     }
 
-    /// Column width every replay input must have.
-    pub fn input_cols(&self) -> usize {
-        self.input_cols
+    /// Replays both phases over all of `input` into `bufs`, reading
+    /// parameters from `params`. Values are bit-identical to recording the
+    /// same ops on a fresh tape.
+    pub fn execute(&self, params: &ParamSet, input: &EncodedBlocks, bufs: &mut PlanBuffers) {
+        self.execute_windows(params, input, &BufferPool::new(), 0, bufs);
+        let weights = self.weights(params);
+        bufs.size_for(self.steps.len());
+        let PlanBuffers { bufs: arena, row_ids, kept, need, .. } = bufs;
+        *need += self.pair_phase(&weights, row_ids, kept, 0, input.rows(), arena);
     }
 
-    /// Replays the plan over `input` (any row count, compile-time column
-    /// width), reading parameters from `params` (packing its weights first
-    /// if their generation moved) and writing every intermediate into
-    /// `bufs`. Values are bit-identical to recording the same ops on a
-    /// fresh tape.
-    pub fn execute(&self, params: &ParamSet, input: &Matrix, bufs: &mut PlanBuffers) {
+    /// The window phase of a call over `input` (see the module docs): each
+    /// window's tagged steps over its distinct rows, in chunks with arenas
+    /// from `pool`, packing the weights first if their generation moved.
+    /// The chunks go to worker threads when the work clears the dispatch
+    /// policy at `flops_per_row` estimated FLOPs per distinct row of every
+    /// window together (a pair's whole forward). `call` receives each
+    /// window's row map and the kept buffers
+    /// [`execute_rows`](Self::execute_rows) reads.
+    pub fn execute_windows(
+        &self,
+        params: &ParamSet,
+        input: &EncodedBlocks,
+        pool: &BufferPool,
+        flops_per_row: usize,
+        call: &mut PlanBuffers,
+    ) {
         adamel_obs::trace_span!("plan_replay");
         adamel_obs::trace_count!("plan.replays", 1);
         assert_eq!(
             input.cols(),
             self.input_cols,
-            "CompiledPlan::execute: input width {} != compiled width {}",
+            "CompiledPlan::execute_windows: input width {} != compiled width {}",
             input.cols(),
             self.input_cols
         );
-        if bufs.bufs.len() < self.steps.len() {
-            bufs.bufs.resize_with(self.steps.len(), Matrix::default);
-        }
-        if bufs.groups.len() < self.windows.len() {
-            bufs.groups.resize_with(self.windows.len(), RowGroups::default);
-        }
-        let groups = &mut bufs.groups[..self.windows.len()];
-        for (g, &(start, width)) in groups.iter_mut().zip(&self.windows) {
-            g.group(input, start, width);
-        }
+        let n = self.windows.len();
+        call.rows = input.rows();
+        call.row_ids.resize_with(n, Vec::new);
+        call.kept.resize_with(self.steps.len(), Vec::new);
+        call.kept.iter_mut().for_each(Vec::clear);
+        call.replayed.clear();
+        call.replayed.resize(n, 0);
+        let tables: Vec<Cow<'_, Matrix>> = self
+            .windows
+            .iter()
+            .zip(&mut call.row_ids)
+            .map(|(&(start, width), ids)| input.window(start, width, ids))
+            .collect();
         if adamel_obs::enabled() {
-            let distinct = groups.iter().map(|g| g.first_rows.len()).sum::<usize>();
-            adamel_obs::trace_count!("plan.window_rows", (groups.len() * input.rows()) as u64);
+            let distinct = tables.iter().map(|t| t.rows()).sum::<usize>();
+            adamel_obs::trace_count!("plan.window_rows", (n * input.rows()) as u64);
             adamel_obs::trace_count!("plan.window_distinct_rows", distinct as u64);
         }
-        let groups = &bufs.groups;
-        let packs = self.packs_for(params);
-        for step in &self.steps {
-            // SSA: `out` strictly exceeds every operand buffer index, so
-            // splitting at it hands out disjoint borrows.
-            let (head, tail) = bufs.bufs.split_at_mut(step.out);
-            let out = &mut tail[0];
-            let val = |s: Src| -> &Matrix {
-                match s {
-                    Src::Input => input,
-                    Src::Const(i) => &self.consts[i],
-                    Src::Param(id) => params.value(id),
-                    Src::Buf(i) => &head[i],
-                }
-            };
-            match &step.op {
-                StepOp::Expr(expr) => expr.forward_into(val, out),
-                StepOp::MatMulPacked { a, param, slot } => {
-                    val(*a).matmul_packed_into(params.value(*param), &packs.packs[*slot], out);
-                    sanitize::check_finite("matmul", out);
-                }
-                StepOp::FillRows(c) => {
-                    // Copies of a constant the tape sanitized at record.
-                    let row = self.consts[*c].as_slice();
-                    out.reset_shape(input.rows(), row.len());
-                    for r in 0..input.rows() {
-                        out.row_mut(r).copy_from_slice(row);
-                    }
-                }
-                StepOp::WindowRows(w) => {
-                    let (start, width) = self.windows[*w];
-                    groups[*w].distinct_rows(input, start, width, out);
-                    sanitize::check_finite("slice_cols", out);
-                }
-                // The tagged source already passed the sanitizer.
-                StepOp::Gather { src, window } => groups[*window].gather(&head[*src], out),
+
+        let weights = self.weights(params);
+        let tasks: Vec<(usize, usize)> = tables
+            .iter()
+            .enumerate()
+            .flat_map(|(w, t)| (0..t.rows()).step_by(BLOCK_CHUNK_ROWS).map(move |first| (w, first)))
+            .collect();
+        let chunk_flops = BLOCK_CHUNK_ROWS * flops_per_row / n.max(1);
+        let kept = parallel::parallel_map_collect(tasks.len(), chunk_flops, |t| {
+            let (w, first) = tasks[t];
+            let rows = (tables[w].rows() - first).min(BLOCK_CHUNK_ROWS);
+            let mut arena = pool.checkout();
+            let kept = self.window_chunk(&weights, w, &tables[w], first, rows, &mut arena);
+            pool.put_back(arena);
+            kept
+        });
+        for (&(w, first), kept) in tasks.iter().zip(kept) {
+            call.replayed[w] += (tables[w].rows() - first).min(BLOCK_CHUNK_ROWS);
+            for (b, rows) in kept {
+                call.kept[b].push(rows);
             }
         }
+        let kept_len: usize = call.kept.iter().flatten().map(Matrix::len).sum();
+        let ids_len: usize = call.row_ids.iter().map(Vec::len).sum();
+        call.need = 4 * (kept_len + ids_len);
     }
 
-    /// Replays over rows `[start, start + rows)` of `full` without slicing
-    /// an owned copy per call: the rows are staged into the arena's input
-    /// scratch (a `memcpy` into a reused allocation) and replayed from
-    /// there. This is the chunked-inference entry point.
+    /// Runs window `w`'s tagged steps over its distinct rows
+    /// `[first, first + rows)` in `arena`, and hands back the kept buffers.
+    fn window_chunk(
+        &self,
+        weights: &Weights<'_>,
+        w: usize,
+        table: &Matrix,
+        first: usize,
+        rows: usize,
+        arena: &mut PlanBuffers,
+    ) -> Vec<(usize, Matrix)> {
+        arena.size_for(self.steps.len());
+        for &s in &self.window_steps[w] {
+            let (head, tail) = arena.bufs.split_at_mut(s);
+            let out = &mut tail[0];
+            match &self.steps[s] {
+                StepOp::WindowRows(_) => {
+                    out.assign_rows_from(table, first, rows);
+                    sanitize::check_finite("slice_cols", out);
+                }
+                StepOp::Kernel(k) => self.kernel(k, weights, head, rows, out),
+                // Never tagged: gathers run in the pair phase.
+                StepOp::Gather { .. } => {}
+            }
+        }
+        arena.need = 4 * self.window_steps[w].iter().map(|&s| arena.bufs[s].len()).sum::<usize>();
+        self.window_kept[w].iter().map(|&b| (b, std::mem::take(&mut arena.bufs[b]))).collect()
+    }
+
+    /// The pair phase over pairs `[start, start + rows)` of the call whose
+    /// window phase [`execute_windows`](Self::execute_windows) wrote into
+    /// `call`, into `bufs`; afterwards [`output`](Self::output) holds one
+    /// row per pair of the range. This is the chunked-inference entry
+    /// point: ranges of one call may run on several threads at once.
     pub fn execute_rows(
         &self,
         params: &ParamSet,
-        full: &Matrix,
+        call: &PlanBuffers,
         start: usize,
         rows: usize,
         bufs: &mut PlanBuffers,
     ) {
-        let mut scratch = std::mem::take(&mut bufs.input_scratch);
-        scratch.assign_rows_from(full, start, rows);
-        self.execute(params, &scratch, bufs);
-        bufs.input_scratch = scratch;
+        adamel_obs::trace_span!("plan_replay");
+        assert!(start + rows <= call.rows, "CompiledPlan::execute_rows: rows past the call");
+        let weights = self.weights(params);
+        bufs.size_for(self.steps.len());
+        bufs.need =
+            self.pair_phase(&weights, &call.row_ids, &call.kept, start, rows, &mut bufs.bufs);
     }
 
-    /// The row count of every product by `param`, in step order, after the
-    /// latest [`execute`](Self::execute) into `bufs`. A product tagged with
-    /// an input window ran over that window's distinct rows only; an
-    /// untagged one over every input row.
+    /// Runs the untagged steps over pairs `[start, start + rows)` into
+    /// `bufs`; returns the bytes they wrote.
+    fn pair_phase(
+        &self,
+        weights: &Weights<'_>,
+        row_ids: &[Vec<u32>],
+        kept: &[Vec<Matrix>],
+        start: usize,
+        rows: usize,
+        bufs: &mut [Matrix],
+    ) -> usize {
+        for &s in &self.pair_steps {
+            let (head, tail) = bufs.split_at_mut(s);
+            let out = &mut tail[0];
+            match &self.steps[s] {
+                StepOp::Kernel(k) => self.kernel(k, weights, head, rows, out),
+                StepOp::Gather { src, window, cols } => {
+                    // The kept rows already passed the sanitizer.
+                    let chunks = &kept[*src];
+                    out.reset_shape(rows, *cols);
+                    for (r, &id) in row_ids[*window][start..start + rows].iter().enumerate() {
+                        let id = id as usize;
+                        let chunk = &chunks[id / BLOCK_CHUNK_ROWS];
+                        out.row_mut(r).copy_from_slice(chunk.row(id % BLOCK_CHUNK_ROWS));
+                    }
+                }
+                // Always tagged: window rows run in the window phase.
+                StepOp::WindowRows(_) => {}
+            }
+        }
+        4 * self.pair_steps.iter().map(|&s| bufs[s].len()).sum::<usize>()
+    }
+
+    /// Evaluates `k` into `out`, reading earlier buffers from `head`; a row
+    /// fill takes `rows` rows.
+    fn kernel(
+        &self,
+        k: &Kernel,
+        weights: &Weights<'_>,
+        head: &[Matrix],
+        rows: usize,
+        out: &mut Matrix,
+    ) {
+        let Weights { params, packs } = weights;
+        let val = |s: Src| -> &Matrix {
+            match s {
+                Src::Const(i) => &self.consts[i],
+                Src::Param(id) => params.value(id),
+                Src::Buf(i) => &head[i],
+            }
+        };
+        match k {
+            Kernel::Expr(expr) => expr.forward_into(val, out),
+            Kernel::MatMulPacked { a, param, slot } => {
+                val(*a).matmul_packed_into(params.value(*param), &packs.packs[*slot], out);
+                sanitize::check_finite("matmul", out);
+            }
+            Kernel::FillRows(c) => {
+                // Copies of a constant the tape sanitized at record.
+                let row = self.consts[*c].as_slice();
+                out.reset_shape(rows, row.len());
+                for r in 0..rows {
+                    out.row_mut(r).copy_from_slice(row);
+                }
+            }
+        }
+    }
+
+    /// The row count of every product by `param`, in step order, in the
+    /// latest call replayed into `bufs`: for a product tagged with an input
+    /// window, the distinct rows the window phase ran it over; for an
+    /// untagged one, the pairs of the latest pair-phase range.
     pub fn product_rows(&self, param: ParamId, bufs: &PlanBuffers) -> Vec<usize> {
         self.steps
             .iter()
-            .filter(|s| match s.op {
-                StepOp::MatMulPacked { param: p, .. }
-                | StepOp::Expr(Expr::MatMul(_, Src::Param(p))) => p == param,
+            .enumerate()
+            .filter(|(_, op)| match op {
+                StepOp::Kernel(
+                    Kernel::MatMulPacked { param: p, .. }
+                    | Kernel::Expr(Expr::MatMul(_, Src::Param(p))),
+                ) => *p == param,
                 _ => false,
             })
-            .map(|s| bufs.bufs[s.out].rows())
+            .map(|(s, _)| match self.step_window[s] {
+                Some(w) => bufs.replayed[w],
+                None => bufs.bufs[s].rows(),
+            })
             .collect()
     }
 
-    /// The value of requested output `i` after the latest
-    /// [`execute`](Self::execute) into `bufs`.
+    /// The value of requested output `i` after the latest pair phase into
+    /// `bufs`.
     pub fn output<'a>(&self, i: usize, bufs: &'a PlanBuffers) -> &'a Matrix {
         &bufs.bufs[self.outputs[i]]
     }
@@ -726,6 +985,12 @@ mod tests {
         )
     }
 
+    /// `x` as one-column blocks: the direct reads of the input in
+    /// [`record`] then replay through a lowered window over two features.
+    fn columns(x: &Matrix) -> EncodedBlocks {
+        EncodedBlocks::from_dense(x, 1)
+    }
+
     #[test]
     fn replay_matches_tape_at_other_batch_sizes() {
         let (params, w, b) = setup();
@@ -735,7 +1000,7 @@ mod tests {
         for rows in [1, 2, 5, 17] {
             let x = batch(rows, 1.5);
             let (g2, _, out2) = record(&params, w, b, x.clone());
-            plan.execute(&params, &x, &mut bufs);
+            plan.execute(&params, &columns(&x), &mut bufs);
             assert_eq!(plan.output(0, &bufs).as_slice(), g2.value(out2).as_slice(), "rows={rows}");
         }
     }
@@ -751,7 +1016,7 @@ mod tests {
         let x = batch(3, 2.0);
         let (g2, _, out2) = record(&params, w, b, x.clone());
         let mut bufs = PlanBuffers::new();
-        plan.execute(&params, &x, &mut bufs);
+        plan.execute(&params, &columns(&x), &mut bufs);
         assert_eq!(plan.output(0, &bufs).as_slice(), g2.value(out2).as_slice());
     }
 
@@ -780,7 +1045,7 @@ mod tests {
             for rows in [17, 33] {
                 let x = grid(rows, k, rows as f32);
                 let (g2, _, out2) = record(params, x.clone());
-                plan.execute(params, &x, &mut bufs);
+                plan.execute(params, &EncodedBlocks::from_dense(&x, k), &mut bufs);
                 assert_eq!(
                     plan.output(0, &bufs).as_slice(),
                     g2.value(out2).as_slice(),
@@ -810,12 +1075,14 @@ mod tests {
         let (params, w, b) = setup();
         let (g, input, out) = record(&params, w, b, batch(2, 0.0));
         let plan = CompiledPlan::compile(&g, input, &[out]).expect("compiles");
-        let full = batch(9, 0.25);
+        let full = columns(&batch(9, 0.25));
+        let mut call = PlanBuffers::new();
+        plan.execute_windows(&params, &full, &BufferPool::new(), 0, &mut call);
         let mut bufs = PlanBuffers::new();
-        plan.execute_rows(&params, &full, 3, 4, &mut bufs);
-        let window = plan.output(0, &bufs).clone();
-        plan.execute(&params, &full.slice_rows(3, 4), &mut bufs);
-        assert_eq!(window.as_slice(), plan.output(0, &bufs).as_slice());
+        plan.execute_rows(&params, &call, 3, 4, &mut bufs);
+        let range = plan.output(0, &bufs).clone();
+        plan.execute(&params, &full, &mut bufs);
+        assert_eq!(range.as_slice(), plan.output(0, &bufs).slice_rows(3, 4).as_slice());
     }
 
     /// Records `relu(x @ w + b) * c`, with `c` a batch-sized constant whose
@@ -852,7 +1119,7 @@ mod tests {
         for rows in [1, 2, 5, 17] {
             let x = batch(rows, 0.75);
             let (g2, _, out2) = record_with_constant(&params, w, b, x.clone(), uniform);
-            plan.execute(&params, &x, &mut bufs);
+            plan.execute(&params, &columns(&x), &mut bufs);
             assert_eq!(plan.output(0, &bufs).as_slice(), g2.value(out2).as_slice(), "rows={rows}");
         }
     }
@@ -898,11 +1165,13 @@ mod tests {
     #[test]
     fn leaf_outputs_are_rejected() {
         let (params, w, b) = setup();
-        let (g, input, _) = record(&params, w, b, batch(2, 0.0));
-        assert!(matches!(
-            CompiledPlan::compile(&g, input, &[input]),
-            Err(PlanError::UnsupportedOutput)
-        ));
+        let (g, input, out) = record(&params, w, b, batch(2, 0.0));
+        for outputs in [vec![input], vec![out, input]] {
+            assert!(matches!(
+                CompiledPlan::compile(&g, input, &outputs),
+                Err(PlanError::UnsupportedOutput)
+            ));
+        }
     }
 
     #[test]
@@ -911,16 +1180,22 @@ mod tests {
         let (params, w, b) = setup();
         let (g, input, out) = record(&params, w, b, batch(2, 0.0));
         let plan = CompiledPlan::compile(&g, input, &[out]).expect("compiles");
-        let mut bufs = pool.checkout();
-        plan.execute(&params, &batch(6, 0.0), &mut bufs);
-        pool.put_back(bufs);
-        // The recycled arena must replay correctly at a different size.
-        let mut bufs = pool.checkout();
+        let replay = |x: &Matrix| {
+            let input = columns(x);
+            let mut call = pool.checkout();
+            plan.execute_windows(&params, &input, &pool, 0, &mut call);
+            let mut bufs = pool.checkout();
+            plan.execute_rows(&params, &call, 0, x.rows(), &mut bufs);
+            let out = plan.output(0, &bufs).clone();
+            pool.put_back(bufs);
+            pool.put_back(call);
+            out
+        };
+        replay(&batch(6, 0.0));
+        // The recycled arenas must replay correctly at a different size.
         let x = batch(3, 4.0);
         let (g2, _, out2) = record(&params, w, b, x.clone());
-        plan.execute(&params, &x, &mut bufs);
-        assert_eq!(plan.output(0, &bufs).as_slice(), g2.value(out2).as_slice());
-        pool.put_back(bufs);
+        assert_eq!(replay(&x).as_slice(), g2.value(out2).as_slice());
     }
 
     /// A `rows x 4` batch of distinct rows.
@@ -959,14 +1234,15 @@ mod tests {
         (g, input, [both, ts[0], negated])
     }
 
-    /// Replays the two-window program over `x` and requires every output to
-    /// equal a fresh tape bit for bit; returns the arena for inspection.
-    fn replay_windows(x: &Matrix) -> (CompiledPlan, PlanBuffers) {
+    /// Replays the two-window program over `x` in `dim`-wide blocks and
+    /// requires every output to equal a fresh tape bit for bit; returns the
+    /// arena for inspection.
+    fn replay_blocks(x: &Matrix, dim: usize) -> (CompiledPlan, PlanBuffers) {
         let (params, w, b) = setup();
         let (g, input, outs) = record_windows(&params, w, b, wide(2, 0.0));
         let plan = CompiledPlan::compile(&g, input, &outs).expect("compiles");
         let mut bufs = PlanBuffers::new();
-        plan.execute(&params, x, &mut bufs);
+        plan.execute(&params, &EncodedBlocks::from_dense(x, dim), &mut bufs);
         let (g2, _, outs2) = record_windows(&params, w, b, x.clone());
         let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for (i, &v) in outs2.iter().enumerate() {
@@ -976,8 +1252,13 @@ mod tests {
         (plan, bufs)
     }
 
+    /// [`replay_blocks`] with one feature per window.
+    fn replay_windows(x: &Matrix) -> (CompiledPlan, PlanBuffers) {
+        replay_blocks(x, 2)
+    }
+
     fn distinct_per_window(bufs: &PlanBuffers) -> Vec<usize> {
-        bufs.groups.iter().map(|g| g.first_rows.len()).collect()
+        bufs.replayed.clone()
     }
 
     #[test]
@@ -986,7 +1267,7 @@ mod tests {
         let (plan, bufs) = replay_windows(&x);
         assert_eq!(plan.windows, vec![(0, 2), (2, 2)]);
         assert_eq!(distinct_per_window(&bufs), vec![1, 1]);
-        assert!(plan.steps.iter().any(|s| matches!(s.op, StepOp::Gather { .. })));
+        assert!(plan.steps.iter().any(|s| matches!(s, StepOp::Gather { .. })));
     }
 
     #[test]
@@ -1014,13 +1295,19 @@ mod tests {
         let nan = |payload: u32| f32::from_bits(0x7fc0_0000 | payload);
         let col = [0.0, -0.0, nan(1), nan(2), nan(1), 0.0, -0.0, nan(2)];
         let x = Matrix::from_vec(col.len(), 2, col.iter().flat_map(|&v| [1.5, v]).collect());
-        let mut groups = RowGroups::default();
-        groups.group(&x, 0, 2);
-        assert_eq!(groups.id_of_row, vec![0, 1, 2, 3, 2, 0, 1, 3]);
-        assert_eq!(groups.first_rows, vec![0, 1, 2, 3]);
-        // The window `[0, 1)` holds only the constant column.
-        groups.group(&x, 0, 1);
-        assert_eq!(groups.first_rows, vec![0]);
+        let ids = |blocks: &EncodedBlocks, j: usize| -> Vec<usize> {
+            (0..col.len()).map(|r| blocks.id(r, j)).collect()
+        };
+        let pairs = EncodedBlocks::from_dense(&x, 2);
+        assert_eq!(ids(&pairs, 0), vec![0, 1, 2, 3, 2, 0, 1, 3]);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let firsts: Vec<f32> = [0, 1, 2, 3].iter().flat_map(|&r| x.row(r).to_vec()).collect();
+        assert_eq!(bits(pairs.table(0)), bits(&Matrix::from_vec(4, 2, firsts)));
+        // One-column blocks: the constant column is one block.
+        let columns = EncodedBlocks::from_dense(&x, 1);
+        assert_eq!(columns.table(0).rows(), 1);
+        assert_eq!(ids(&columns, 1), vec![0, 1, 2, 3, 2, 0, 1, 3]);
+        assert_eq!(bits(&columns.to_dense()), bits(&x));
     }
 
     #[test]
@@ -1036,9 +1323,42 @@ mod tests {
         let (plan, bufs) = replay_windows(&Matrix::from_rows(&rows));
         assert_eq!(distinct_per_window(&bufs), vec![3, 5]);
         // `t_0` is an output straight from its window, so it is gathered.
-        let t_0 = plan.steps.iter().find(|s| s.out == plan.outputs[1]).expect("output step");
-        assert!(matches!(t_0.op, StepOp::Gather { window: 0, .. }));
+        assert!(matches!(plan.steps[plan.outputs[1]], StepOp::Gather { window: 0, .. }));
         assert_eq!(plan.output(1, &bufs).rows(), 13);
+    }
+
+    #[test]
+    fn windows_off_the_block_boundaries_match_the_tape() {
+        // Blocks one column wide put each window across two features, and
+        // blocks four wide put both windows inside one feature: either way
+        // the windows group their own columns by bit pattern.
+        let rows: Vec<Vec<f32>> = (0..11)
+            .map(|r| {
+                let (a, b) = ((r % 2) as f32, (r % 3) as f32);
+                vec![a - 0.5, 0.25, b * 0.6, -0.0]
+            })
+            .collect();
+        let x = Matrix::from_rows(&rows);
+        let (_, bufs) = replay_blocks(&x, 1);
+        assert_eq!(distinct_per_window(&bufs), vec![2, 3]);
+        let (_, bufs) = replay_blocks(&x, 4);
+        assert_eq!(distinct_per_window(&bufs), vec![2, 3]);
+        replay_blocks(&wide(5, 0.7), 1);
+        replay_blocks(&wide(5, 0.7), 4);
+    }
+
+    #[test]
+    fn window_chunks_cover_every_distinct_row_once() {
+        // More distinct rows than one window-phase chunk holds.
+        let n = 2 * BLOCK_CHUNK_ROWS + 3;
+        let (plan, bufs) = replay_windows(&wide(n, 0.1));
+        assert_eq!(distinct_per_window(&bufs), vec![n, n]);
+        let t_0 = match plan.steps[plan.outputs[1]] {
+            StepOp::Gather { src, .. } => src,
+            _ => usize::MAX,
+        };
+        let chunks: Vec<usize> = bufs.kept[t_0].iter().map(Matrix::rows).collect();
+        assert_eq!(chunks, vec![BLOCK_CHUNK_ROWS, BLOCK_CHUNK_ROWS, 3]);
     }
 
     #[test]
@@ -1048,18 +1368,16 @@ mod tests {
         let gathered: usize = plan
             .steps
             .iter()
-            .filter(|s| matches!(s.op, StepOp::Gather { .. }))
-            .map(|s| bufs.bufs[s.out].capacity())
+            .enumerate()
+            .filter(|(_, s)| matches!(s, StepOp::Gather { .. }))
+            .map(|(s, _)| bufs.bufs[s].len())
             .sum();
         assert!(gathered >= 16 * 2, "the gathered `t_k` rows: {gathered}");
-        let index_words: usize = bufs
-            .groups
-            .iter()
-            .map(|g| g.id_of_row.capacity() + g.first_rows.capacity() + g.table.capacity())
-            .sum();
-        assert!(index_words >= 2 * (16 + 1 + 32), "row ids, first rows and tables: {index_words}");
-        let elems: usize = bufs.bufs.iter().map(Matrix::capacity).sum();
-        let expected = elems * 4 + index_words * std::mem::size_of::<usize>();
-        assert_eq!(bufs.logical_bytes(), expected as u64);
+        let row_ids: usize = bufs.row_ids.iter().map(Vec::len).sum();
+        assert_eq!(row_ids, 2 * 16, "one row id per pair and window");
+        let kept: usize = bufs.kept.iter().flatten().map(Matrix::len).sum();
+        assert!(kept > 0, "the kept `t_k` blocks");
+        let pair: usize = plan.pair_steps.iter().map(|&s| bufs.bufs[s].len()).sum();
+        assert_eq!(bufs.logical_bytes(), (4 * (kept + row_ids + pair)) as u64);
     }
 }
