@@ -39,7 +39,7 @@ use adamel::pipeline::{Linker, LinkerConfig};
 use adamel::train::fit;
 use adamel_obs::TraceLevel;
 use adamel_schema::{Domain, EntityPair, Record, Schema, SourceId};
-use adamel_tensor::{parallel, Graph, Matrix};
+use adamel_tensor::{parallel, EncodedBlocks, Graph, Matrix};
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
@@ -96,9 +96,10 @@ const TAPE_CHUNK_ROWS: usize = 128;
 
 /// The tape reference the `predict_tape` row measures: one `forward_graph`
 /// tape recorded per [`TAPE_CHUNK_ROWS`]-row chunk, chunks spread over the
-/// parallel runtime exactly as the compiled plan's are.
-fn predict_tape(model: &AdamelModel, encoded: &Matrix) -> Vec<f32> {
-    let mut scores = vec![0.0f32; encoded.rows()];
+/// parallel runtime exactly as the compiled plan's are. `chunks` holds
+/// each chunk's pairs encoded on their own.
+fn predict_tape(model: &AdamelModel, chunks: &[EncodedBlocks]) -> Vec<f32> {
+    let mut scores = vec![0.0f32; chunks.iter().map(EncodedBlocks::rows).sum()];
     parallel::parallel_for_row_blocks(
         &mut scores,
         1,
@@ -106,7 +107,7 @@ fn predict_tape(model: &AdamelModel, encoded: &Matrix) -> Vec<f32> {
         model.per_row_flops(),
         |start, block| {
             let mut g = Graph::new();
-            let (_, logits) = model.forward_graph(&mut g, encoded.slice_rows(start, block.len()));
+            let (_, logits) = model.forward_graph(&mut g, &chunks[start / TAPE_CHUNK_ROWS]);
             for (o, &z) in block.iter_mut().zip(g.value(logits).as_slice()) {
                 *o = 1.0 / (1.0 + (-z).exp());
             }
@@ -281,13 +282,14 @@ fn main() {
     // `predict` routes through the compiled plan; `predict_tape` is the
     // tape reference it replaced.
     let encoded = extractor.encode_pairs(&pairs);
-    let dense = encoded.to_dense();
+    let chunks: Vec<EncodedBlocks> =
+        pairs.chunks(TAPE_CHUNK_ROWS).map(|c| extractor.encode_pairs(c)).collect();
     let predict_flops = NUM_PAIRS as u64 * model.per_row_flops() as u64;
     rows.push(row("predict", NUM_PAIRS, predict_flops, || {
         std::hint::black_box(model.predict_encoded(&encoded));
     }));
     rows.push(row("predict_tape", NUM_PAIRS, predict_flops, || {
-        std::hint::black_box(predict_tape(&model, &dense));
+        std::hint::black_box(predict_tape(&model, &chunks));
     }));
 
     // --- emit JSON (hand-written: no serialization dependency) ---
@@ -356,7 +358,7 @@ fn main() {
         std::hint::black_box(model.predict_encoded(&encoded));
     });
     let tape_ms = time_ms(5, || {
-        std::hint::black_box(predict_tape(&model, &dense));
+        std::hint::black_box(predict_tape(&model, &chunks));
     });
     eprintln!(
         "perfjson: predict {plan_ms:.3} ms, predict_tape {tape_ms:.3} ms (plan/tape {:.3}, limit {PLAN_OVER_TAPE_MAX:.2})",

@@ -21,11 +21,13 @@
 //! product, so its logits differ from the literal Eq. 7 by rounding only;
 //! the `f64` oracle keeps the literal form as the reference.
 //!
-//! Inference reads a batch as [`EncodedBlocks`]: per feature, its distinct
-//! blocks `h_j`, and per pair, which one it has. The compiled plan runs
-//! each feature's Eq. 4–5 stages and `relu(t_j)·W1_j` once per distinct
-//! block of the whole call, then the weighted sum and the rest of Θ per
-//! pair. Training records the same forward on the tape over dense rows.
+//! Both forwards read a batch as [`EncodedBlocks`]: per feature, its
+//! distinct blocks `h_j`, and per pair, which one it has. The tape records
+//! each feature's blocks of the batch's pairs as its own constant leaf, so
+//! `h_j` enters Eq. 4 as its own input, as in the paper. The compiled plan
+//! takes those leaves as its inputs: it runs each feature's Eq. 4–5 stages
+//! and `relu(t_j)·W1_j` once per distinct block of the whole call, then the
+//! weighted sum and the rest of Θ per pair.
 
 use crate::config::AdamelConfig;
 use adamel_schema::{EntityPair, FeatureExtractor, Schema};
@@ -59,9 +61,9 @@ pub(crate) struct ModelParams {
 
 /// Output node handles of one forward construction.
 pub(crate) struct ForwardNodes {
-    /// The encoded-batch constant the forward was built over (the plan
-    /// compiler's replay-time leaf).
-    pub input: Var,
+    /// Feature `j`'s blocks of the batch, in feature order (the plan
+    /// compiler's replay-time leaves).
+    pub inputs: Vec<Var>,
     /// Attention distribution `f(x)`, shape `n x F`.
     pub attention: Var,
     /// Classifier logits, shape `n x 1`.
@@ -236,21 +238,26 @@ impl AdamelModel {
         f * 2 * (d * h + h * ha + ha) + 2 * (f * ha * hh + hh)
     }
 
-    /// Builds the full forward graph over an encoded batch. Takes the batch
-    /// by value: the graph owns its constants, so passing ownership avoids
-    /// copying the `n x F·D` block on every forward.
-    pub(crate) fn forward(&self, g: &mut Graph, encoded: Matrix) -> ForwardNodes {
+    /// Builds the full forward graph over the pairs `pairs` of an encoded
+    /// batch, in that order: feature `j`'s leaf holds their rows of its
+    /// block table.
+    pub(crate) fn forward(
+        &self,
+        g: &mut Graph,
+        encoded: &EncodedBlocks,
+        pairs: &[usize],
+    ) -> ForwardNodes {
         let _forward = adamel_obs::span("forward");
         let f = self.extractor.num_features();
-        let d = self.cfg.embed_dim;
-        let n = encoded.rows();
-        let input = g.constant(encoded);
+        let n = pairs.len();
 
         // Per-feature latent projections x_j (Eq. 4).
         let phase = adamel_obs::span("feature_proj");
+        let mut inputs = Vec::with_capacity(f);
         let mut xs = Vec::with_capacity(f);
         for j in 0..f {
-            let h_j = g.slice_cols(input, j * d, d);
+            let h_j = g.constant(encoded.gather(j, pairs));
+            inputs.push(h_j);
             let v_j = g.param(&self.params, self.ids.v[j]);
             let b_j = g.param(&self.params, self.ids.b[j]);
             xs.push(g.linear_relu(h_j, v_j, b_j));
@@ -300,20 +307,21 @@ impl AdamelModel {
         let logits = g.linear(hidden, w2, b2);
         drop(phase);
 
-        ForwardNodes { input, attention, logits }
+        ForwardNodes { inputs, attention, logits }
     }
 
     /// The compiled inference plans, built on first use from one probe
     /// forward at [`PLAN_PROBE_ROWS`] rows.
     fn compiled(&self) -> &CompiledForward {
         self.plan.get_or_init(|| {
-            let cols = self.extractor.num_features() * self.cfg.embed_dim;
+            let (f, d) = (self.extractor.num_features(), self.cfg.embed_dim);
+            let probe = EncodedBlocks::new(1, d, vec![Matrix::zeros(1, d); f], vec![0; f]);
             let mut g = Graph::new();
-            let nodes = self.forward(&mut g, Matrix::zeros(PLAN_PROBE_ROWS, cols));
+            let nodes = self.forward(&mut g, &probe, &[0; PLAN_PROBE_ROWS]);
             // The forward records only replayable ops, and its one
             // batch-sized constant (uniform attention) has identical rows.
             let compile = |outputs: &[Var]| {
-                CompiledPlan::compile(&g, nodes.input, outputs)
+                CompiledPlan::compile(&g, &nodes.inputs, outputs)
                     .unwrap_or_else(|e| panic!("AdamelModel: forward does not compile: {e}"))
             };
             CompiledForward {
@@ -325,13 +333,14 @@ impl AdamelModel {
         })
     }
 
-    /// Builds the full forward graph over an encoded batch (dense rows, or
-    /// an [`EncodedBlocks`] laid out densely) and returns the `(attention,
-    /// logits)` node handles. This is the single-graph hook the
-    /// differential oracle, the plan tests and the `predict_tape` bench row
-    /// use to compare the compiled plan against one recorded tape.
-    pub fn forward_graph(&self, g: &mut Graph, encoded: impl Into<Matrix>) -> (Var, Var) {
-        let nodes = self.forward(g, encoded.into());
+    /// Builds the full forward graph over every pair of an encoded batch
+    /// and returns the `(attention, logits)` node handles. This is the
+    /// single-graph hook the differential oracle, the plan tests and the
+    /// `predict_tape` bench row use to compare the compiled plan against
+    /// one recorded tape.
+    pub fn forward_graph(&self, g: &mut Graph, encoded: &EncodedBlocks) -> (Var, Var) {
+        let pairs: Vec<usize> = (0..encoded.rows()).collect();
+        let nodes = self.forward(g, encoded, &pairs);
         (nodes.attention, nodes.logits)
     }
 
@@ -360,7 +369,8 @@ impl AdamelModel {
             flops,
             |start, block| {
                 let mut bufs = pool.checkout();
-                plan.execute_rows(&self.params, &call, start, block.len() / width, &mut bufs);
+                let rows = block.len() / width;
+                plan.execute_rows(&self.params, encoded, &call, start, rows, &mut bufs);
                 emit(&bufs, block);
                 pool.put_back(bufs);
             },
@@ -610,10 +620,10 @@ mod tests {
         let plan = &model.compiled().predict;
         let mut bufs = PlanBuffers::new();
         plan.execute(&model.params, &encoded, &mut bufs);
-        let d = model.cfg.embed_dim;
+        let (d, dense) = (model.cfg.embed_dim, encoded.to_dense());
         for (j, &w1_j) in model.ids.w1.iter().enumerate() {
             let mut blocks: Vec<Vec<u32>> = (0..encoded.rows())
-                .map(|r| encoded.row(r)[j * d..(j + 1) * d].iter().map(|v| v.to_bits()).collect())
+                .map(|r| dense.row(r)[j * d..(j + 1) * d].iter().map(|v| v.to_bits()).collect())
                 .collect();
             blocks.sort();
             blocks.dedup();
@@ -622,7 +632,7 @@ mod tests {
             assert_eq!(plan.product_rows(w1_j, &bufs), vec![blocks.len()], "feature {j}");
         }
         let mut g = Graph::new();
-        let (_, logits) = model.forward_graph(&mut g, encoded);
+        let (_, logits) = model.forward_graph(&mut g, &encoded);
         let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(plan.output(0, &bufs)), bits(g.value(logits)));
     }
@@ -663,7 +673,7 @@ mod tests {
         }
         let scores = model.predict_encoded(&encoded);
         let mut g = Graph::new();
-        let (_, logits) = model.forward_graph(&mut g, encoded);
+        let (_, logits) = model.forward_graph(&mut g, &encoded);
         let tape: Vec<u32> = g
             .value(logits)
             .as_slice()

@@ -72,12 +72,9 @@ pub fn fit(
 
     let cfg = model.config().clone();
     let train_enc = model.encode(&train.pairs);
-    // The tape reads dense rows; the plans read the blocks.
-    let train_rows = train_enc.to_dense();
     let train_labels = train.labels();
     let target_enc = target.map(|t| model.encode(&t.pairs));
     let support_enc = support.map(|s| model.encode(&s.pairs));
-    let support_rows = support_enc.as_ref().map(EncodedBlocks::to_dense);
     let support_labels = support.map(Domain::labels);
 
     let mut opt = Adam::with_lr(cfg.learning_rate);
@@ -123,8 +120,8 @@ pub fn fit(
         // (Algorithms 2–3 line 10).
         let telemetry = adamel_obs::enabled() || runlog::enabled();
         let mut support_stats: Option<(f64, f64, f64)> = None;
-        let support_batch = match (&support_enc, &support_rows, &support_labels) {
-            (Some(enc), Some(rows), Some(labels)) => {
+        let support_batch = match (&support_enc, &support_labels) {
+            (Some(enc), Some(labels)) => {
                 let weights = support_weights(model, &train_enc, &train_labels, enc, labels);
                 if telemetry && !weights.is_empty() {
                     let sum: f64 = weights.iter().map(|&w| f64::from(w)).sum();
@@ -138,7 +135,8 @@ pub fn fit(
                 }
                 let y = Matrix::from_vec(labels.len(), 1, labels.clone());
                 let w = Matrix::from_vec(labels.len(), 1, weights);
-                Some((rows, y, w))
+                let pairs: Vec<usize> = (0..labels.len()).collect();
+                Some((enc, pairs, y, w))
             }
             _ => None,
         };
@@ -151,12 +149,11 @@ pub fn fit(
         let (mut epoch_base, mut epoch_kl, mut epoch_support) = (0.0f64, 0.0f64, 0.0f64);
         let (mut entropy_sum, mut entropy_rows) = (0.0f64, 0usize);
         for chunk in order.chunks(cfg.batch_size.max(1)) {
-            let batch_enc = train_rows.select_rows(chunk);
             let batch_y =
                 Matrix::from_vec(chunk.len(), 1, chunk.iter().map(|&i| train_labels[i]).collect());
 
             let mut g = Graph::new();
-            let nodes = model.forward(&mut g, batch_enc);
+            let nodes = model.forward(&mut g, &train_enc, chunk);
             if telemetry {
                 // Entropy of g(x) per batch — a value read, no tape ops.
                 let att = g.value(nodes.attention);
@@ -181,10 +178,8 @@ pub fn fit(
             // than taking a standalone optimizer step — Adam's normalized
             // step sizes would otherwise overweight S_U regardless of φ.
             if batches == 0 {
-                if let Some((rows, y, w)) = &support_batch {
-                    // The support encoding is reused every epoch, so the graph
-                    // gets its own copy.
-                    let support_nodes = model.forward(&mut g, (**rows).clone());
+                if let Some((enc, pairs, y, w)) = &support_batch {
+                    let support_nodes = model.forward(&mut g, enc, pairs);
                     let s = g.weighted_bce_with_logits(support_nodes.logits, y.clone(), w.clone());
                     epoch_support += f64::from(g.value(s).item());
                     let s = g.scale(s, cfg.phi);

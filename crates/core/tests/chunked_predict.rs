@@ -86,7 +86,7 @@ fn chunk_boundary_sizes_match_single_shot_graph() {
         let chunked = m.predict_encoded(&encoded);
 
         let mut g = adamel_tensor::Graph::new();
-        let (_, logits) = m.forward_graph(&mut g, encoded);
+        let (_, logits) = m.forward_graph(&mut g, &encoded);
         let single: Vec<f32> =
             g.value(logits).as_slice().iter().map(|&z| 1.0 / (1.0 + (-z).exp())).collect();
 

@@ -9,7 +9,7 @@ use adamel::config::AdamelConfig;
 use adamel::model::AdamelModel;
 use adamel::{fit, Variant};
 use adamel_schema::{Domain, EntityPair, FeatureMode, Record, Schema, SourceId};
-use adamel_tensor::{parallel, Graph, Matrix};
+use adamel_tensor::{parallel, EncodedBlocks, Graph, Matrix};
 
 fn rec(source: u32, id: u64, name: &str, city: &str) -> Record {
     let mut r = Record::new(SourceId(source), id);
@@ -43,9 +43,9 @@ fn bits(scores: &[f32]) -> Vec<u32> {
 }
 
 /// Scores and attention from one `forward_graph` tape over the whole batch.
-fn tape(m: &AdamelModel, encoded: &Matrix) -> (Vec<f32>, Matrix) {
+fn tape(m: &AdamelModel, encoded: &EncodedBlocks) -> (Vec<f32>, Matrix) {
     let mut g = Graph::new();
-    let (attention, logits) = m.forward_graph(&mut g, encoded.clone());
+    let (attention, logits) = m.forward_graph(&mut g, encoded);
     let scores = g.value(logits).as_slice().iter().map(|&z| 1.0 / (1.0 + (-z).exp())).collect();
     (scores, g.value(attention).clone())
 }

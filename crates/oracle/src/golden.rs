@@ -138,7 +138,7 @@ fn evaluate(cfg: &AdamelConfig, schema: &Schema, pairs: &[EntityPair]) -> Expect
     let model = AdamelModel::new(cfg.clone(), schema.clone());
     let encoded = model.encode(pairs);
     let mut g = Graph::new();
-    let (att, logits) = model.forward_graph(&mut g, encoded);
+    let (att, logits) = model.forward_graph(&mut g, &encoded);
     let labels: Vec<f32> =
         pairs.iter().map(|p| if p.label == Some(true) { 1.0 } else { 0.0 }).collect();
     let y = Matrix::from_vec(labels.len(), 1, labels);

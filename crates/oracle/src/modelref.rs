@@ -335,7 +335,7 @@ mod tests {
     fn oracle_encoding_is_close_to_production() {
         let (schema, cfg, pairs) = fixture();
         let model = AdamelModel::new(cfg.clone(), schema.clone());
-        let prod = model.encode(&pairs);
+        let prod = model.encode(&pairs).to_dense();
         let oracle = encode_pairs_ref(&schema, &cfg, &pairs);
         assert_eq!(prod.shape(), oracle.shape());
         for i in 0..prod.rows() {
@@ -351,7 +351,7 @@ mod tests {
         let (schema, cfg, pairs) = fixture();
         let model = AdamelModel::new(cfg, schema);
         let oracle = ModelOracle::new(&model);
-        let encoded = RefMatrix::from_matrix(&model.encode(&pairs));
+        let encoded = RefMatrix::from_matrix(&model.encode(&pairs).to_dense());
         let fwd = oracle.forward(&encoded);
         let prod_att = model.attention(&pairs);
         for i in 0..prod_att.rows() {

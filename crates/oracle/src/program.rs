@@ -50,9 +50,9 @@ pub enum Inst {
         data: Vec<f32>,
     },
     /// The batch leaf: a constant that [`check_program`]'s plan check
-    /// compiles as the plan's replay input. Generated programs read it only
-    /// through `SliceCols`, so its column windows reach the plan's window
-    /// phase.
+    /// compiles as the plan's one replay input, a single feature as wide as
+    /// the leaf. Generated programs read it only through `SliceCols`, which
+    /// the plan's window phase runs over the leaf's distinct rows.
     Input {
         /// Row count (the probe batch size).
         rows: usize,
@@ -361,7 +361,7 @@ pub fn check_program(p: &Program) -> Result<PlanCheck, Discrepancy> {
 /// [`CompiledPlan`] whose input is the program's `Input` leaf (or, in a
 /// program without one, a dummy it never reads), and checks that a replay
 /// equals the tape bit for bit. Replay inputs are the batch grouped into
-/// [`EncodedBlocks`] by [`block_dim`]. A program with an `Input` is then
+/// [`EncodedBlocks`] as one feature. A program with an `Input` is then
 /// replayed over [`regrouped_batch`] of its rows, at another row count,
 /// against a tape of its forward part recorded over that batch. Last, it
 /// restores
@@ -389,10 +389,9 @@ fn check_plan(p: &Program) -> Result<PlanCheck, Discrepancy> {
     let batch_leaf = p.insts.iter().position(|inst| matches!(inst, Inst::Input { .. }));
     let input = batch_leaf.map_or(dummy, |k| vars[k]);
     let probe = g.value(input).clone();
-    let dim = batch_leaf.map_or(1, |k| block_dim(p, k));
-    let blocks = |m: &Matrix| EncodedBlocks::from_dense(m, dim);
+    let blocks = |m: &Matrix| EncodedBlocks::from_dense(m, m.cols());
     let out_vars: Vec<Var> = outputs.iter().map(|&i| vars[i]).collect();
-    let plan = match CompiledPlan::compile(&g, input, &out_vars) {
+    let plan = match CompiledPlan::compile(&g, &[input], &out_vars) {
         Ok(plan) => plan,
         Err(e) => return Ok(PlanCheck::Refused(e)),
     };
@@ -451,31 +450,6 @@ fn check_plan(p: &Program) -> Result<PlanCheck, Discrepancy> {
     plan.execute(&params, &blocks(&probe), &mut bufs);
     compare(&fresh, &fresh_vars, &bufs, "replay after restore", false)?;
     Ok(PlanCheck::Matched(outputs.len()))
-}
-
-/// The block width [`check_plan`] groups the batch `p.insts[batch]` into:
-/// the greatest common divisor of its width and of the start and width of
-/// every slice of it. Every slice then starts and ends on a block
-/// boundary, so a one-block slice reads a block table directly and a wider
-/// one spans several blocks.
-fn block_dim(p: &Program, batch: usize) -> usize {
-    let gcd = |mut a: usize, mut b: usize| {
-        while b != 0 {
-            (a, b) = (b, a % b);
-        }
-        a
-    };
-    let cols = match &p.insts[batch] {
-        Inst::Input { cols, .. } => *cols,
-        _ => 1,
-    };
-    let bounds = p.insts.iter().flat_map(|inst| match inst {
-        Inst::Op(Expr::SliceCols { input, start, width }) if *input == batch => {
-            vec![*start, *width]
-        }
-        _ => Vec::new(),
-    });
-    bounds.fold(cols, gcd).max(1)
 }
 
 /// Quiet NaNs that differ only in payload (the last also in sign).

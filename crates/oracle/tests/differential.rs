@@ -156,7 +156,7 @@ fn pair_encoding_matches_oracle() {
         let model = AdamelModel::new(cfg.clone(), schema.clone());
         let reference = encode_pairs_ref(&schema, &cfg, &pairs);
         for threads in [1usize, 4] {
-            let prod = with_threads(threads, || model.encode(&pairs));
+            let prod = with_threads(threads, || model.encode(&pairs)).to_dense();
             assert_eq!((prod.rows(), prod.cols()), reference.shape());
             for i in 0..prod.rows() {
                 for j in 0..prod.cols() {
@@ -185,7 +185,7 @@ fn model_forward_matches_oracle() {
                 let encoded = model.encode(&pairs);
                 let preds = model.predict_encoded(&encoded);
                 let mut g = Graph::new();
-                let (att, logits) = model.forward_graph(&mut g, encoded);
+                let (att, logits) = model.forward_graph(&mut g, &encoded);
                 (g.value(att).clone(), g.value(logits).clone(), preds)
             });
             for (i, &pred) in preds.iter().enumerate() {
@@ -224,7 +224,7 @@ fn losses_match_oracle() {
 
     let encoded = model.encode(&pairs);
     let mut g = Graph::new();
-    let (att, logits) = model.forward_graph(&mut g, encoded);
+    let (att, logits) = model.forward_graph(&mut g, &encoded);
     let y = Matrix::from_vec(labels_f32.len(), 1, labels_f32);
     let w = Matrix::from_vec(weights_f32.len(), 1, weights_f32);
     let bce = g.weighted_bce_with_logits(logits, y, w);

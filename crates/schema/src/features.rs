@@ -13,14 +13,16 @@
 //! each feature's block is keyed by the token ids its sum adds and each
 //! distinct key is computed once per call ([`crate::encode_cache`]).
 //! Per-record tokenization, hashing, and embedding happen once per distinct
-//! record, from a record-level cache. Laid out densely, the blocks are
+//! record, from a record-level cache. The model reads the tables as they
+//! are, one input per feature, on the tape and in the compiled plan alike.
+//! Laid out densely ([`EncodedBlocks::to_dense`]), the blocks are
 //! bit-identical to the uncached per-pair reference, the oracle's
 //! `encode_pair_uncached`.
 
 use crate::encode_cache::{EncodeCache, EncodeCacheStats};
 use crate::pair::EntityPair;
 use crate::record::{Record, Schema};
-use adamel_tensor::{EncodedBlocks, Matrix};
+use adamel_tensor::EncodedBlocks;
 use adamel_text::HashedFastText;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -45,7 +47,8 @@ impl FeatureMode {
     }
 }
 
-/// Turns aligned entity pairs into dense token-embedding features.
+/// Turns aligned entity pairs into per-feature tables of token-embedding
+/// blocks.
 ///
 /// Thread-safe: the interior encoding cache is mutex-guarded, and batch
 /// encoding takes the lock once per batch, not per pair. Cloning snapshots
@@ -151,18 +154,6 @@ impl FeatureExtractor {
         self.crop
     }
 
-    /// Encodes one pair as a `1 x (F*D)` row: the concatenation of the `F`
-    /// per-feature summed token embeddings `h_j` (Eq. 3).
-    pub fn encode_pair(&self, pair: &EntityPair) -> Matrix {
-        self.encode_pairs(std::slice::from_ref(pair)).into()
-    }
-
-    /// Encodes one pair into a caller-provided `F*D`-length buffer, one
-    /// `D`-wide block per feature in schema order.
-    pub fn encode_pair_into(&self, pair: &EntityPair, out: &mut [f32]) {
-        out.copy_from_slice(self.encode_pair(pair).as_slice());
-    }
-
     /// Encodes a batch of pairs as per-feature tables of distinct blocks.
     /// Distinct records are memoized first (one pass, parallel where it
     /// pays); then each pair's blocks are keyed by the token ids their sums
@@ -218,10 +209,10 @@ mod tests {
             rec(&[("title", "hey jude"), ("artist", "beatles")]),
             rec(&[("title", "hey jude"), ("artist", "p m")]),
         );
-        let row = ex.encode_pair(&pair);
+        let row = ex.encode_pairs(std::slice::from_ref(&pair)).to_dense();
         assert_eq!(row.shape(), (1, 4 * 16));
         let batch = ex.encode_pairs(&[pair.clone(), pair]);
-        assert_eq!(batch.shape(), (2, 4 * 16));
+        assert_eq!((batch.rows(), batch.features(), batch.dim()), (2, 4, 16));
     }
 
     #[test]
@@ -229,7 +220,7 @@ mod tests {
         let ex = extractor(FeatureMode::Both);
         let pair =
             EntityPair::unlabeled(rec(&[("title", "hey jude")]), rec(&[("title", "hey jude")]));
-        let row = ex.encode_pair(&pair);
+        let row = ex.encode_pairs(&[pair]).to_dense();
         // title_shared is feature index 2 (artist_shared, artist_unique,
         // title_shared, title_unique); its block should differ from the
         // missing vector while title_unique equals the missing vector.
@@ -245,7 +236,7 @@ mod tests {
     fn missing_attribute_embeds_missing_vector_everywhere() {
         let ex = extractor(FeatureMode::Both);
         let pair = EntityPair::unlabeled(rec(&[]), rec(&[]));
-        let row = ex.encode_pair(&pair);
+        let row = ex.encode_pairs(&[pair]).to_dense();
         let missing = HashedFastText::new(16, 1).missing_vector();
         for f in 0..4 {
             assert_eq!(&row.as_slice()[f * 16..(f + 1) * 16], missing.as_slice());

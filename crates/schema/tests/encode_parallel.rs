@@ -1,4 +1,4 @@
-//! Batch encoding must be byte-identical to the sequential per-pair path
+//! Batch encoding must be byte-identical to encoding each pair on its own
 //! and to the oracle's uncached reference once its blocks are laid out
 //! densely, for any batch size, thread count, and attribute content
 //! (including empty and missing values).
@@ -51,13 +51,13 @@ proptest! {
         let batch = parallel::with_threads(threads, || ex.encode_pairs(&pairs)).to_dense();
         prop_assert_eq!(batch.shape(), (pairs.len(), ex.num_features() * ex.dim()));
         for (i, p) in pairs.iter().enumerate() {
-            let row = ex.encode_pair(p);
+            let row = ex.encode_pairs(std::slice::from_ref(p)).to_dense();
             prop_assert_eq!(batch.row(i), row.as_slice());
         }
     }
 
     #[test]
-    fn encode_pair_into_matches_encode_pair(
+    fn one_pair_batch_matches_the_uncached_reference(
         attrs in ("[a-z0-9 ]{0,24}", "[a-z0-9 ]{0,24}", "[a-z0-9 ]{0,24}", "[a-z0-9 ]{0,24}"),
     ) {
         for mode in [FeatureMode::Both, FeatureMode::SharedOnly, FeatureMode::UniqueOnly] {
@@ -65,9 +65,9 @@ proptest! {
             let (la, lt, ra, rt) = &attrs;
             let p = pair(la, lt, ra, rt);
             let mut buf = vec![f32::NAN; ex.num_features() * ex.dim()];
-            ex.encode_pair_into(&p, &mut buf);
-            let row = ex.encode_pair(&p);
-            prop_assert_eq!(&buf[..], row.as_slice());
+            encode_pair_uncached(&ex, &p, &mut buf);
+            let row = ex.encode_pairs(std::slice::from_ref(&p)).to_dense();
+            prop_assert_eq!(bits(&buf), bits(row.as_slice()));
         }
     }
 }
@@ -156,7 +156,7 @@ proptest! {
 fn encode_pairs_empty_batch() {
     let ex = extractor(FeatureMode::Both);
     let batch = ex.encode_pairs(&[]);
-    assert_eq!((batch.rows(), batch.cols()), (0, ex.num_features() * ex.dim()));
+    assert_eq!((batch.rows(), batch.features(), batch.dim()), (0, ex.num_features(), ex.dim()));
     assert_eq!(batch.to_dense().shape(), (0, ex.num_features() * ex.dim()));
 }
 

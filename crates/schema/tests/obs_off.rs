@@ -57,8 +57,8 @@ fn trace_off_records_nothing_and_changes_nothing() {
     let ex = extractor();
     let full_cold = ex.encode_pairs(&pairs());
     let full_warm = ex.encode_pairs(&pairs());
-    assert_eq!(off_cold.as_slice(), full_cold.as_slice());
-    assert_eq!(off_warm.as_slice(), full_warm.as_slice());
+    assert_eq!(off_cold.to_dense().as_slice(), full_cold.to_dense().as_slice());
+    assert_eq!(off_warm.to_dense().as_slice(), full_warm.to_dense().as_slice());
     assert!(adamel_obs::spans_entered() > before, "full tracing should enter encode spans");
     let json = adamel_obs::report::render_json();
     assert!(json.contains("encode_pairs"), "missing encode_pairs span: {json}");

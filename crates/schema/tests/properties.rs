@@ -53,7 +53,7 @@ proptest! {
                 mode,
             );
             let pair = EntityPair::unlabeled(a.clone(), b.clone());
-            let row = ex.encode_pair(&pair);
+            let row = ex.encode_pairs(&[pair]).to_dense();
             prop_assert_eq!(row.shape(), (1, ex.num_features() * 8));
             prop_assert!(row.is_finite());
             prop_assert_eq!(ex.feature_names().len(), ex.num_features());
@@ -102,8 +102,8 @@ proptest! {
         l.set("a", v.clone());
         let mut r = Record::new(SourceId(1), 1);
         r.set("a", v);
-        let fwd = ex.encode_pair(&EntityPair::unlabeled(l.clone(), r.clone()));
-        let rev = ex.encode_pair(&EntityPair::unlabeled(r, l));
+        let fwd = ex.encode_pairs(&[EntityPair::unlabeled(l.clone(), r.clone())]).to_dense();
+        let rev = ex.encode_pairs(&[EntityPair::unlabeled(r, l)]).to_dense();
         prop_assert_eq!(fwd, rev);
     }
 

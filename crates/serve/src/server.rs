@@ -4,9 +4,10 @@
 //! threads pop and handle one request per connection. A full queue is
 //! answered `429 Too Many Requests` on the accept thread immediately —
 //! load the daemon cannot absorb is visible to the caller, never silently
-//! buffered. A request whose handler panics is answered `500` with its
-//! trace id, and the worker goes on serving. All threads come from
-//! [`adamel_tensor::parallel::spawn_service`].
+//! buffered. A request must arrive whole within the read timeout, so a
+//! client trickling bytes cannot hold a worker. A request whose handler
+//! panics is answered `500` with its trace id, and the worker goes on
+//! serving. All threads come from [`adamel_tensor::parallel::spawn_service`].
 
 use crate::api::{self, DeleteLine, RecordLine};
 use crate::engine::Engine;
@@ -14,12 +15,12 @@ use crate::http::{self, HttpError, Request};
 use crate::queue::{BoundedQueue, PushError};
 use adamel_schema::SourceId;
 use adamel_tensor::parallel::{self, ServiceHandle};
-use std::io::{BufReader, Read};
+use std::io::{self, BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Most query records one `POST /link` may carry; a larger batch is
 /// answered `413` before any of it is probed. The body cap alone does not
@@ -41,7 +42,8 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
     /// Maximum request-body size in bytes (larger bodies get `413`).
     pub max_body_bytes: usize,
-    /// Per-connection read timeout.
+    /// Time a request's head and body have to arrive in, from when a
+    /// worker takes the connection.
     pub read_timeout: Duration,
 }
 
@@ -187,10 +189,9 @@ fn handle_connection(
     max_body: usize,
     timeout: Duration,
 ) {
-    let _ = stream.set_read_timeout(Some(timeout));
     let request = {
-        let Ok(reader) = stream.try_clone() else { return };
-        read_limited(reader, max_body)
+        let Ok(stream) = stream.try_clone() else { return };
+        read_limited(Deadline { stream, at: Instant::now() + timeout }, max_body)
     };
     let (status, reason, body) = match request {
         Ok(req) => {
@@ -230,6 +231,25 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     match payload.downcast_ref::<&str>() {
         Some(msg) => msg,
         None => payload.downcast_ref::<String>().map_or("non-string panic payload", String::as_str),
+    }
+}
+
+/// A connection whose reads must all finish by `at`: each read waits at
+/// most for the time left, so a request that arrives one slow byte at a
+/// time still times out once, as a whole.
+struct Deadline {
+    stream: TcpStream,
+    at: Instant,
+}
+
+impl Read for Deadline {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.at.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::Error::new(io::ErrorKind::TimedOut, "request read timed out"));
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
     }
 }
 

@@ -19,10 +19,10 @@ use adamel_serve::{
 };
 use adamel_tensor::parallel;
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -467,6 +467,55 @@ fn full_queue_rejects_with_429_and_never_deadlocks() {
     // Fresh requests still work.
     let (status, _) = request(addr, "GET", "/healthz", "");
     assert_eq!(status, 200);
+
+    server.shutdown().expect("clean shutdown");
+    adamel_obs::runlog::set_forced_path(None);
+}
+
+#[test]
+fn a_slow_client_is_cut_off_at_the_read_timeout_and_its_worker_serves_on() {
+    let _guard = serialized();
+    adamel_obs::runlog::set_forced_path(Some("")); // forced off
+
+    let engine = Arc::new(Engine::new(
+        Linker::new(trained_model(), LinkerConfig::default()),
+        EngineConfig::default(),
+    ));
+    let timeout = Duration::from_millis(300);
+    let cfg = ServerConfig { workers: 1, read_timeout: timeout, ..ServerConfig::default() };
+    let server = Server::start(engine, cfg).expect("bind ephemeral port");
+    let addr = server.addr();
+
+    // One byte per 50 ms: each read returns well inside the timeout, but
+    // the 66-byte head would take over 3 s to arrive.
+    let head = format!("GET /healthz HTTP/1.1\r\nHost: test\r\nX-Pad: {}\r\n\r\n", "x".repeat(20));
+    let mut slow = TcpStream::connect(addr).expect("connect");
+    slow.set_read_timeout(Some(Duration::from_millis(50))).expect("set timeout");
+    let started = Instant::now();
+    let mut cut_off = None;
+    for byte in head.bytes() {
+        let mut buf = [0u8; 256];
+        match slow.write_all(&[byte]).and_then(|()| slow.read(&mut buf)) {
+            Ok(0) => {
+                cut_off = Some(started.elapsed());
+                break;
+            }
+            Ok(n) => {
+                panic!("the slow request was answered: {}", String::from_utf8_lossy(&buf[..n]))
+            }
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+            Err(_) => {
+                cut_off = Some(started.elapsed());
+                break;
+            }
+        }
+    }
+    let elapsed = cut_off.expect("the slow client was never cut off");
+    assert!(elapsed < timeout * 4, "cut off after {elapsed:?}, against a {timeout:?} timeout");
+
+    // The one worker is free again.
+    let (status, body) = request(addr, "GET", "/healthz", "");
+    assert_eq!(status, 200, "{body}");
 
     server.shutdown().expect("clean shutdown");
     adamel_obs::runlog::set_forced_path(None);

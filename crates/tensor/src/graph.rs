@@ -12,7 +12,10 @@
 //! earlier nodes. Each op method records its `Expr` ([`Graph::record`]),
 //! which evaluates it through the one forward definition the compiled
 //! plan ([`crate::plan`]) replays as well; this module adds only the
-//! leaves and each op's backward rule.
+//! leaves and each op's backward rule. A model's encoded batch enters as
+//! constant leaves, one per feature, which a compiled plan takes as its
+//! replay inputs. No gradient flows into a constant, so backward skips a
+//! product's gradient toward an operand no parameter feeds.
 
 use crate::expr::Expr;
 use crate::matrix::Matrix;
@@ -255,7 +258,9 @@ impl Graph {
     /// accumulating parameter gradients into `params`.
     ///
     /// The tape is consumed conceptually (gradients of interior nodes are
-    /// dropped afterwards); call once per constructed graph.
+    /// dropped afterwards); call once per constructed graph. A product's
+    /// gradient toward an operand that no parameter feeds (an input leaf)
+    /// is never read, so it is not computed.
     pub fn backward(&self, root: Var, params: &mut ParamSet) {
         adamel_obs::trace_span!("backward");
         assert_eq!(
@@ -265,6 +270,15 @@ impl Graph {
         );
         let mut grads: Vec<Option<Matrix>> = (0..self.nodes.len()).map(|_| None).collect();
         grads[root.0] = Some(Matrix::scalar(1.0));
+        // Whether a parameter is among each node's ancestors (or is it).
+        let mut trainable = vec![false; root.0 + 1];
+        for (i, node) in self.nodes[..=root.0].iter().enumerate() {
+            trainable[i] = match &node.op {
+                Op::Constant => false,
+                Op::Param(_) => true,
+                Op::Expr(expr) => expr.operands().iter().any(|v| trainable[v.0]),
+            };
+        }
 
         for idx in (0..=root.0).rev() {
             let Some(grad) = grads[idx].take() else { continue };
@@ -273,10 +287,12 @@ impl Graph {
                 Op::Param(id) => params.grad_mut(*id).add_assign(&grad),
                 Op::Expr(Expr::MatMul(a, b)) => {
                     // dL/dA = G Bᵀ ; dL/dB = Aᵀ G
-                    let ga = grad.matmul_nt(&self.nodes[b.0].value);
-                    let gb = self.nodes[a.0].value.matmul_tn(&grad);
-                    accumulate(&mut grads, *a, ga);
-                    accumulate(&mut grads, *b, gb);
+                    if trainable[a.0] {
+                        accumulate(&mut grads, *a, grad.matmul_nt(&self.nodes[b.0].value));
+                    }
+                    if trainable[b.0] {
+                        accumulate(&mut grads, *b, self.nodes[a.0].value.matmul_tn(&grad));
+                    }
                 }
                 Op::Expr(Expr::Add(a, b)) => {
                     accumulate(&mut grads, *a, grad.clone());
@@ -581,6 +597,28 @@ mod shape_guard_tests {
         params.zero_grads();
         run(&mut params);
         assert_eq!(params.grad(w).item(), 4.0);
+    }
+
+    #[test]
+    fn a_constant_operand_leaves_the_product_gradient_unchanged() {
+        // `x · w` with `x` a constant skips the gradient toward `x`; `w`
+        // gets the same bits as when `x` is a parameter too.
+        let x = Matrix::from_rows(&[vec![0.3, -1.7, 2.5], vec![1.1, 0.0, -0.6]]);
+        let w = Matrix::from_rows(&[vec![0.5, -2.0], vec![1.25, 0.75], vec![-0.3, 0.9]]);
+        let grad_of_w = |x_is_param: bool| {
+            let mut params = ParamSet::new();
+            let x_id = params.insert("x", x.clone());
+            let w_id = params.insert("w", w.clone());
+            let mut g = Graph::new();
+            let xv = if x_is_param { g.param(&params, x_id) } else { g.constant(x.clone()) };
+            let wv = g.param(&params, w_id);
+            let y = g.matmul(xv, wv);
+            let t = g.tanh(y);
+            let loss = g.sum_all(t);
+            g.backward(loss, &mut params);
+            params.grad(w_id).as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        assert_eq!(grad_of_w(false), grad_of_w(true));
     }
 
     #[test]

@@ -35,7 +35,7 @@
 //! checks ([`crate::sanitize`]), so plan output is **bit-identical** to
 //! recording the same ops on a tape by construction, with the same op
 //! provenance. The plan adds four steps of its own: packed products, row
-//! fills, input windows and gathers (below).
+//! fills, input leaves' rows and gathers (below).
 //! The equivalence suite in `adamel` still compares the plan against one
 //! `forward_graph` tape bit-for-bit across chunk boundaries and feature
 //! modes.
@@ -43,12 +43,13 @@
 //! ## Shape specialization
 //!
 //! A plan is *row-polymorphic*: the probe batch fixes every column width
-//! while row counts follow the replay input. A non-input constant whose row
-//! count matches the probe batch is taken to scale with the batch. When its
-//! rows are all identical (the uniform-attention ablation's `n x F` matrix
-//! of `1/F`), the plan keeps one row and replays it as a row fill at the
-//! replay's row count; when they differ, no replay can reproduce it and
-//! [`CompiledPlan::compile`] rejects it ([`PlanError::ScalingConstant`]).
+//! while row counts follow the replay input. A constant that is not an
+//! input leaf and whose row count matches the probe's leaves is taken to
+//! scale with the batch. When its rows are all identical (the
+//! uniform-attention ablation's `n x F` matrix of `1/F`), the plan keeps
+//! one row and replays it as a row fill at the replay's row count; when
+//! they differ, no replay can reproduce it and [`CompiledPlan::compile`]
+//! rejects it ([`PlanError::ScalingConstant`]).
 //! Loss/reduction ops are recording-only and likewise rejected when
 //! reachable from the requested outputs.
 //!
@@ -56,18 +57,15 @@
 //!
 //! The replay input is an [`EncodedBlocks`]: per feature, a table of its
 //! distinct `D`-wide blocks, and per pair, the table row of each feature.
-//! Compile turns each `slice_cols(Input, start, width)` into an input
-//! window and tags each step with the window it is a row-local function
-//! of: the slice itself; a plain or packed product by, or a row-broadcast
-//! add of, a `Param`/`Const`; `relu`, `tanh`, `sigmoid`, `scale` and
-//! `softmax_rows`; and `add`, `mul`, `mul_col_broadcast`, `concat_cols` and
-//! `slice_cols` whose row operands all share the window. Any other read of
-//! the input is lowered to a window over all its columns.
-//!
-//! A window on one feature's block boundary reads that feature's table as
-//! its distinct rows and the feature's index column as its row map. Any
-//! other window groups its columns of the dense rows by bit pattern; only
-//! the oracle fuzzer's programs have such windows.
+//! The tape records feature `j` as its own constant leaf (the pairs' rows
+//! of table `j`), and compile takes those leaves in feature order: leaf `j`
+//! is window `j`, whose distinct rows are table `j` and whose row map is
+//! index column `j`. Compile tags each step with the window it is a
+//! row-local function of: the leaf itself; a plain or packed product by,
+//! or a row-broadcast add of, a `Param`/`Const`; `relu`, `tanh`,
+//! `sigmoid`, `scale` and `softmax_rows`; and `add`, `mul`,
+//! `mul_col_broadcast`, `concat_cols` and `slice_cols` whose row operands
+//! all share the window.
 //!
 //! Replay then runs in two phases over the whole call:
 //!
@@ -77,7 +75,7 @@
 //!    an untagged step or a requested output reads are kept.
 //! 2. **Pair phase** ([`CompiledPlan::execute_rows`]): the untagged steps
 //!    run over a range of pairs; a `Gather` step copies a kept buffer's row
-//!    for each pair of the range.
+//!    for each pair of the range, found through its window's index column.
 //!
 //! Every row is still computed by the same kernel from the same row, and
 //! the blocked and naive GEMM paths agree bit for bit on finite input, so
@@ -92,12 +90,10 @@ use crate::matrix::Matrix;
 use crate::params::{ParamId, ParamSet};
 use crate::{parallel, sanitize};
 use adamel_obs::mem::MemScope;
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Distinct rows one window-phase task replays: the window phase splits
 /// each window's distinct rows into chunks of this many. Chunk boundaries
@@ -144,12 +140,10 @@ impl std::error::Error for PlanError {}
 ///
 /// Pair `r`'s feature `j` is row [`id(r, j)`](Self::id) of
 /// [`table(j)`](Self::table), a `dim`-wide block. Laid side by side, the
-/// `F` blocks of a pair are its dense `1 x F·dim` row. This is the
-/// compiled plan's replay input: its windows read the tables, never the
-/// dense rows.
-///
-/// Dereferences to the dense `rows x F·dim` matrix, built on first use and
-/// then kept. The autograd tape and the tests read it; replay does not.
+/// `F` blocks of a pair are its dense `1 x F·dim` row. This is the input of
+/// both forwards: the tape records [`gather(j, ..)`](Self::gather) as
+/// feature `j`'s leaf, and a compiled plan reads the tables and the index
+/// directly.
 #[derive(Debug, Clone)]
 pub struct EncodedBlocks {
     rows: usize,
@@ -157,7 +151,6 @@ pub struct EncodedBlocks {
     tables: Vec<Matrix>,
     /// `rows x F`, row-major: the table row of each pair's feature.
     index: Vec<u32>,
-    dense: OnceLock<Matrix>,
 }
 
 impl EncodedBlocks {
@@ -176,7 +169,7 @@ impl EncodedBlocks {
             .chunks(f.max(1))
             .all(|ids| ids.iter().zip(&tables).all(|(&id, t)| (id as usize) < t.rows()));
         assert!(in_range, "EncodedBlocks: an index entry is past its table");
-        Self { rows, dim, tables, index, dense: OnceLock::new() }
+        Self { rows, dim, tables, index }
     }
 
     /// Groups each `dim`-wide column block of `dense` by bit pattern: `+0.0`
@@ -195,11 +188,10 @@ impl EncodedBlocks {
         );
         let f = dense.cols() / dim;
         let mut index = vec![0u32; dense.rows() * f];
-        let mut ids = Vec::new();
         let tables = (0..f)
             .map(|j| {
-                let table = group_bits(dense, j * dim, dim, &mut ids);
-                for (r, &id) in ids.iter().enumerate() {
+                let (table, ids) = group_bits(dense, j * dim, dim);
+                for (r, id) in ids.into_iter().enumerate() {
                     index[r * f + j] = id;
                 }
                 table
@@ -223,11 +215,6 @@ impl EncodedBlocks {
         self.dim
     }
 
-    /// Width of a dense row, `F·dim`.
-    pub fn cols(&self) -> usize {
-        self.features() * self.dim
-    }
-
     /// Feature `j`'s distinct blocks, one per row.
     pub fn table(&self, j: usize) -> &Matrix {
         &self.tables[j]
@@ -238,9 +225,19 @@ impl EncodedBlocks {
         self.index[r * self.features() + j] as usize
     }
 
+    /// Feature `j`'s blocks of the pairs `pairs`, one row each
+    /// (`pairs.len() x dim`).
+    pub fn gather(&self, j: usize, pairs: &[usize]) -> Matrix {
+        let mut data = Vec::with_capacity(pairs.len() * self.dim);
+        for &r in pairs {
+            data.extend_from_slice(self.tables[j].row(self.id(r, j)));
+        }
+        Matrix::from_vec(pairs.len(), self.dim, data)
+    }
+
     /// The dense `rows x F·dim` matrix: each pair's blocks side by side.
     pub fn to_dense(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, self.cols());
+        let mut out = Matrix::zeros(self.rows, self.features() * self.dim);
         for r in 0..self.rows {
             let row = out.row_mut(r);
             for (j, dst) in row.chunks_exact_mut(self.dim.max(1)).enumerate() {
@@ -249,52 +246,26 @@ impl EncodedBlocks {
         }
         out
     }
-
-    /// The distinct rows of columns `[start, start + width)` and, in `ids`,
-    /// each pair's row among them (see the module docs).
-    fn window(&self, start: usize, width: usize, ids: &mut Vec<u32>) -> Cow<'_, Matrix> {
-        if width > 0 && width == self.dim && start % self.dim == 0 {
-            let j = start / self.dim;
-            ids.clear();
-            ids.extend(self.index.iter().skip(j).step_by(self.features()));
-            return Cow::Borrowed(&self.tables[j]);
-        }
-        // Off the block boundaries: group the dense rows' columns.
-        Cow::Owned(group_bits(self, start, width, ids))
-    }
 }
 
 /// Groups the rows of `dense`'s columns `[start, start + width)` by bit
 /// pattern, so `+0.0` and `-0.0` stay apart and so do NaN payloads: returns
-/// the distinct rows in first-seen order and, in `ids`, each row's id.
-fn group_bits(dense: &Matrix, start: usize, width: usize, ids: &mut Vec<u32>) -> Matrix {
+/// the distinct rows in first-seen order and each row's id among them.
+fn group_bits(dense: &Matrix, start: usize, width: usize) -> (Matrix, Vec<u32>) {
     let mut seen: BTreeMap<Vec<u32>, u32> = BTreeMap::new();
     let mut rows = Vec::new();
-    ids.clear();
-    for r in 0..dense.rows() {
-        let cols = &dense.row(r)[start..start + width];
-        let next = seen.len() as u32;
-        let bits = cols.iter().map(|v| v.to_bits()).collect();
-        ids.push(*seen.entry(bits).or_insert_with(|| {
-            rows.extend_from_slice(cols);
-            next
-        }));
-    }
-    Matrix::from_vec(seen.len(), width, rows)
-}
-
-impl Deref for EncodedBlocks {
-    type Target = Matrix;
-
-    fn deref(&self) -> &Matrix {
-        self.dense.get_or_init(|| self.to_dense())
-    }
-}
-
-impl From<EncodedBlocks> for Matrix {
-    fn from(mut blocks: EncodedBlocks) -> Matrix {
-        blocks.dense.take().unwrap_or_else(|| blocks.to_dense())
-    }
+    let ids = (0..dense.rows())
+        .map(|r| {
+            let cols = &dense.row(r)[start..start + width];
+            let next = seen.len() as u32;
+            let bits = cols.iter().map(|v| v.to_bits()).collect();
+            *seen.entry(bits).or_insert_with(|| {
+                rows.extend_from_slice(cols);
+                next
+            })
+        })
+        .collect();
+    (Matrix::from_vec(seen.len(), width, rows), ids)
 }
 
 /// Where a step operand's value lives at replay time.
@@ -323,10 +294,11 @@ enum Kernel {
 /// the phases.
 enum StepOp {
     Kernel(Kernel),
-    /// Window `.0`'s distinct rows (window phase only).
+    /// Input leaf `.0`'s distinct rows: its feature's table (window phase
+    /// only).
     WindowRows(usize),
     /// Kept buffer `src` (`cols` wide), tagged with `window`, at one row
-    /// per pair (pair phase only).
+    /// per pair, by the window's index column (pair phase only).
     Gather {
         src: usize,
         window: usize,
@@ -335,7 +307,7 @@ enum StepOp {
 }
 
 impl StepOp {
-    /// The input window this step is a row-local function of, given the
+    /// The input leaf this step is a row-local function of, given the
     /// window of every earlier buffer (see the module docs), or `None`.
     fn window(&self, buf_window: &[Option<usize>]) -> Option<usize> {
         let win = |s: &Src| match s {
@@ -389,9 +361,8 @@ pub struct CompiledPlan {
     consts: Vec<Matrix>,
     /// Buffer index per requested output, in request order.
     outputs: Vec<usize>,
-    input_cols: usize,
-    /// `(start, width)` of each input column window, in window order.
-    windows: Vec<(usize, usize)>,
+    /// The width of every input leaf.
+    dim: usize,
     /// The window each step is tagged with, if any.
     step_window: Vec<Option<usize>>,
     /// Each window's tagged steps, in step order.
@@ -432,23 +403,19 @@ impl PackedParams {
 }
 
 /// Reusable replay scratch. One arena serves either a call's window phase
-/// (it then holds each window's row map and the kept buffers the pair
-/// phase reads) or one task: a chunk of one window's distinct rows, or a
-/// range of pairs. Buffers grow to the largest task run through them and
-/// are then reused; contents are meaningless between replays.
+/// (it then holds the kept buffers the pair phase reads) or one task: a
+/// chunk of one window's distinct rows, or a range of pairs. Buffers grow
+/// to the largest task run through them and are then reused; contents are
+/// meaningless between replays.
 #[derive(Default)]
 pub struct PlanBuffers {
     /// One buffer per step.
     bufs: Vec<Matrix>,
-    /// Per window: the distinct-row id of each pair of the call.
-    row_ids: Vec<Vec<u32>>,
     /// Per buffer: a kept buffer's rows for every distinct row of its
     /// window, in [`BLOCK_CHUNK_ROWS`]-row chunks; empty otherwise.
     kept: Vec<Vec<Matrix>>,
     /// Per window: the distinct rows its steps ran over in the call.
     replayed: Vec<usize>,
-    /// Pairs in the call.
-    rows: usize,
     /// Bytes the latest use wrote, by length (see
     /// [`logical_bytes`](Self::logical_bytes)).
     need: usize,
@@ -461,8 +428,8 @@ impl PlanBuffers {
     }
 
     /// What the latest use of the arena needed, in bytes, by length rather
-    /// than capacity: for a call's window phase, its kept buffers and row
-    /// maps; for one task, the buffers its steps wrote. Feeds the
+    /// than capacity: for a call's window phase, its kept buffers; for one
+    /// task, the buffers its steps wrote. Feeds the
     /// `tensor.plan.pool.bytes` memory gauge.
     pub fn logical_bytes(&self) -> u64 {
         self.need as u64
@@ -586,15 +553,23 @@ impl Emitter {
 
 impl CompiledPlan {
     /// Compiles the subgraph of `g` that `outputs` depend on, treating
-    /// `input` as the replay-time batch leaf. Nodes the outputs don't reach
+    /// `inputs` as the replay-time batch leaves: leaf `j` is feature `j` of
+    /// the [`EncodedBlocks`] a replay reads. Nodes the outputs don't reach
     /// are pruned (so a plan for the attention head alone skips the
-    /// classifier). The probe graph's batch size is read from `input` and
-    /// only used to find batch-sized constants; replays accept any row
-    /// count with `input`'s column width.
-    pub fn compile(g: &Graph, input: Var, outputs: &[Var]) -> Result<CompiledPlan, PlanError> {
+    /// classifier). The probe graph's batch size is read from the leaves
+    /// and only used to find batch-sized constants; replays accept any row
+    /// count with the leaves' feature count and width.
+    ///
+    /// # Panics
+    ///
+    /// If an input is not a constant leaf, or the inputs differ in shape.
+    pub fn compile(g: &Graph, inputs: &[Var], outputs: &[Var]) -> Result<CompiledPlan, PlanError> {
         let tape = g.tape();
-        let probe_rows = g.value(input).rows();
-        let input_cols = g.value(input).cols();
+        let shape = inputs.first().map(|&v| g.value(v).shape());
+        let leaf = |v: &Var| matches!(tape[v.index()].op, Op::Constant);
+        let fits = inputs.iter().all(|v| leaf(v) && Some(g.value(*v).shape()) == shape);
+        assert!(fits, "CompiledPlan::compile: the inputs are not constant leaves of one shape");
+        let probe_rows = shape.map(|(rows, _)| rows);
 
         let mut needed = vec![false; tape.len()];
         let mut stack: Vec<usize> = outputs.iter().map(|v| v.index()).collect();
@@ -603,9 +578,6 @@ impl CompiledPlan {
                 continue;
             }
             needed[i] = true;
-            if i == input.index() {
-                continue;
-            }
             if let Op::Expr(expr) = &tape[i].op {
                 stack.extend(expr.operands().into_iter().map(Var::index));
             }
@@ -614,32 +586,34 @@ impl CompiledPlan {
         let mut src: Vec<Option<Src>> = vec![None; tape.len()];
         let mut packed: Vec<ParamId> = Vec::new();
         let mut consts = Vec::new();
-        let mut windows: Vec<(usize, usize)> = Vec::new();
         let mut emit = Emitter::default();
         for (i, node) in tape.iter().enumerate() {
-            if !needed[i] || i == input.index() {
+            if !needed[i] {
                 continue;
             }
             let cols = node.value.cols();
             let op = match &node.op {
-                Op::Constant if node.value.rows() == probe_rows => {
-                    // Batch-sized: replayable only as one row repeated,
-                    // so every row must match the first bit for bit.
-                    let v = &node.value;
-                    let differs = |r: usize| {
-                        v.row(r).iter().zip(v.row(0)).any(|(a, b)| a.to_bits() != b.to_bits())
-                    };
-                    if probe_rows == 0 || (1..probe_rows).any(differs) {
-                        return Err(PlanError::ScalingConstant);
+                Op::Constant => match inputs.iter().position(|v| v.index() == i) {
+                    Some(w) => StepOp::WindowRows(w),
+                    None if Some(node.value.rows()) == probe_rows => {
+                        // Batch-sized: replayable only as one row repeated,
+                        // so every row must match the first bit for bit.
+                        let v = &node.value;
+                        let differs = |r: usize| {
+                            v.row(r).iter().zip(v.row(0)).any(|(a, b)| a.to_bits() != b.to_bits())
+                        };
+                        if v.rows() == 0 || (1..v.rows()).any(differs) {
+                            return Err(PlanError::ScalingConstant);
+                        }
+                        consts.push(v.slice_rows(0, 1));
+                        StepOp::Kernel(Kernel::FillRows(consts.len() - 1))
                     }
-                    consts.push(v.slice_rows(0, 1));
-                    StepOp::Kernel(Kernel::FillRows(consts.len() - 1))
-                }
-                Op::Constant => {
-                    consts.push(node.value.clone());
-                    src[i] = Some(Src::Const(consts.len() - 1));
-                    continue;
-                }
+                    None => {
+                        consts.push(node.value.clone());
+                        src[i] = Some(Src::Const(consts.len() - 1));
+                        continue;
+                    }
+                },
                 Op::Param(id) => {
                     src[i] = Some(Src::Param(*id));
                     continue;
@@ -647,24 +621,13 @@ impl CompiledPlan {
                 Op::Expr(expr) if expr.is_training_only() => {
                     return Err(PlanError::UnsupportedOp(expr.name()))
                 }
-                Op::Expr(Expr::SliceCols { input: v, start, width }) if *v == input => {
-                    StepOp::WindowRows(intern(&mut windows, (*start, *width)))
-                }
-                Op::Expr(expr) => {
-                    if src[input.index()].is_none() && expr.operands().contains(&input) {
-                        // Any other read of the batch: a window over all of it.
-                        let w = intern(&mut windows, (0, input_cols));
-                        src[input.index()] =
-                            Some(Src::Buf(emit.push(StepOp::WindowRows(w), input_cols)));
+                Op::Expr(expr) => StepOp::Kernel(match expr.map(|v| resolved(&src, v)) {
+                    // The product's width is its right operand's.
+                    Expr::MatMul(a, Src::Param(param)) if cols >= NR => {
+                        Kernel::MatMulPacked { a, param, slot: intern(&mut packed, param) }
                     }
-                    StepOp::Kernel(match expr.map(|v| resolved(&src, v)) {
-                        // The product's width is its right operand's.
-                        Expr::MatMul(a, Src::Param(param)) if cols >= NR => {
-                            Kernel::MatMulPacked { a, param, slot: intern(&mut packed, param) }
-                        }
-                        expr => Kernel::Expr(expr),
-                    })
-                }
+                    expr => Kernel::Expr(expr),
+                }),
             };
             src[i] = Some(Src::Buf(emit.push(op, cols)));
         }
@@ -672,13 +635,13 @@ impl CompiledPlan {
         let outputs = outputs
             .iter()
             .map(|v| match src[v.index()] {
-                Some(Src::Buf(b)) if v.index() != input.index() => Ok(emit.full_rows(b)),
+                Some(Src::Buf(b)) if !inputs.contains(v) => Ok(emit.full_rows(b)),
                 _ => Err(PlanError::UnsupportedOutput),
             })
             .collect::<Result<Vec<_>, _>>()?;
 
-        let mut window_steps = vec![Vec::new(); windows.len()];
-        let mut window_kept = vec![Vec::new(); windows.len()];
+        let mut window_steps = vec![Vec::new(); inputs.len()];
+        let mut window_kept = vec![Vec::new(); inputs.len()];
         let mut pair_steps = Vec::new();
         for (s, window) in emit.buf_window.iter().enumerate() {
             match *window {
@@ -695,8 +658,7 @@ impl CompiledPlan {
             steps: emit.steps,
             consts,
             outputs,
-            input_cols,
-            windows,
+            dim: shape.map_or(0, |(_, cols)| cols),
             step_window: emit.buf_window,
             window_steps,
             window_kept,
@@ -731,17 +693,17 @@ impl CompiledPlan {
         self.execute_windows(params, input, &BufferPool::new(), 0, bufs);
         let weights = self.weights(params);
         bufs.size_for(self.steps.len());
-        let PlanBuffers { bufs: arena, row_ids, kept, need, .. } = bufs;
-        *need += self.pair_phase(&weights, row_ids, kept, 0, input.rows(), arena);
+        let PlanBuffers { bufs: arena, kept, need, .. } = bufs;
+        *need += self.pair_phase(&weights, input, kept, 0, input.rows(), arena);
     }
 
     /// The window phase of a call over `input` (see the module docs): each
-    /// window's tagged steps over its distinct rows, in chunks with arenas
-    /// from `pool`, packing the weights first if their generation moved.
-    /// The chunks go to worker threads when the work clears the dispatch
-    /// policy at `flops_per_row` estimated FLOPs per distinct row of every
-    /// window together (a pair's whole forward). `call` receives each
-    /// window's row map and the kept buffers
+    /// window's tagged steps over its feature's distinct blocks, in chunks
+    /// with arenas from `pool`, packing the weights first if their
+    /// generation moved. The chunks go to worker threads when the work
+    /// clears the dispatch policy at `flops_per_row` estimated FLOPs per
+    /// distinct row of every window together (a pair's whole forward).
+    /// `call` receives the kept buffers
     /// [`execute_rows`](Self::execute_rows) reads.
     pub fn execute_windows(
         &self,
@@ -753,60 +715,53 @@ impl CompiledPlan {
     ) {
         adamel_obs::trace_span!("plan_replay");
         adamel_obs::trace_count!("plan.replays", 1);
-        assert_eq!(
-            input.cols(),
-            self.input_cols,
-            "CompiledPlan::execute_windows: input width {} != compiled width {}",
-            input.cols(),
-            self.input_cols
+        let n = self.window_steps.len();
+        assert!(
+            input.features() == n && input.dim() == self.dim,
+            "CompiledPlan::execute_windows: {} features {} wide != compiled {n} features {} wide",
+            input.features(),
+            input.dim(),
+            self.dim
         );
-        let n = self.windows.len();
-        call.rows = input.rows();
-        call.row_ids.resize_with(n, Vec::new);
         call.kept.resize_with(self.steps.len(), Vec::new);
         call.kept.iter_mut().for_each(Vec::clear);
         call.replayed.clear();
         call.replayed.resize(n, 0);
-        let tables: Vec<Cow<'_, Matrix>> = self
-            .windows
-            .iter()
-            .zip(&mut call.row_ids)
-            .map(|(&(start, width), ids)| input.window(start, width, ids))
-            .collect();
         if adamel_obs::enabled() {
-            let distinct = tables.iter().map(|t| t.rows()).sum::<usize>();
+            let distinct = (0..n).map(|w| input.table(w).rows()).sum::<usize>();
             adamel_obs::trace_count!("plan.window_rows", (n * input.rows()) as u64);
             adamel_obs::trace_count!("plan.window_distinct_rows", distinct as u64);
         }
 
         let weights = self.weights(params);
-        let tasks: Vec<(usize, usize)> = tables
-            .iter()
-            .enumerate()
-            .flat_map(|(w, t)| (0..t.rows()).step_by(BLOCK_CHUNK_ROWS).map(move |first| (w, first)))
+        let chunk_rows =
+            |w: usize, first: usize| (input.table(w).rows() - first).min(BLOCK_CHUNK_ROWS);
+        let tasks: Vec<(usize, usize)> = (0..n)
+            .flat_map(|w| {
+                (0..input.table(w).rows()).step_by(BLOCK_CHUNK_ROWS).map(move |first| (w, first))
+            })
             .collect();
         let chunk_flops = BLOCK_CHUNK_ROWS * flops_per_row / n.max(1);
         let kept = parallel::parallel_map_collect(tasks.len(), chunk_flops, |t| {
             let (w, first) = tasks[t];
-            let rows = (tables[w].rows() - first).min(BLOCK_CHUNK_ROWS);
             let mut arena = pool.checkout();
-            let kept = self.window_chunk(&weights, w, &tables[w], first, rows, &mut arena);
+            let rows = chunk_rows(w, first);
+            let kept = self.window_chunk(&weights, w, input.table(w), first, rows, &mut arena);
             pool.put_back(arena);
             kept
         });
         for (&(w, first), kept) in tasks.iter().zip(kept) {
-            call.replayed[w] += (tables[w].rows() - first).min(BLOCK_CHUNK_ROWS);
+            call.replayed[w] += chunk_rows(w, first);
             for (b, rows) in kept {
                 call.kept[b].push(rows);
             }
         }
-        let kept_len: usize = call.kept.iter().flatten().map(Matrix::len).sum();
-        let ids_len: usize = call.row_ids.iter().map(Vec::len).sum();
-        call.need = 4 * (kept_len + ids_len);
+        call.need = 4 * call.kept.iter().flatten().map(Matrix::len).sum::<usize>();
     }
 
     /// Runs window `w`'s tagged steps over its distinct rows
-    /// `[first, first + rows)` in `arena`, and hands back the kept buffers.
+    /// `[first, first + rows)` of `table` in `arena`, and hands back the
+    /// kept buffers.
     fn window_chunk(
         &self,
         weights: &Weights<'_>,
@@ -823,7 +778,8 @@ impl CompiledPlan {
             match &self.steps[s] {
                 StepOp::WindowRows(_) => {
                     out.assign_rows_from(table, first, rows);
-                    sanitize::check_finite("slice_cols", out);
+                    // The op the tape records the leaf as.
+                    sanitize::check_finite("constant", out);
                 }
                 StepOp::Kernel(k) => self.kernel(k, weights, head, rows, out),
                 // Never tagged: gathers run in the pair phase.
@@ -834,7 +790,7 @@ impl CompiledPlan {
         self.window_kept[w].iter().map(|&b| (b, std::mem::take(&mut arena.bufs[b]))).collect()
     }
 
-    /// The pair phase over pairs `[start, start + rows)` of the call whose
+    /// The pair phase over pairs `[start, start + rows)` of `input`, whose
     /// window phase [`execute_windows`](Self::execute_windows) wrote into
     /// `call`, into `bufs`; afterwards [`output`](Self::output) holds one
     /// row per pair of the range. This is the chunked-inference entry
@@ -842,25 +798,25 @@ impl CompiledPlan {
     pub fn execute_rows(
         &self,
         params: &ParamSet,
+        input: &EncodedBlocks,
         call: &PlanBuffers,
         start: usize,
         rows: usize,
         bufs: &mut PlanBuffers,
     ) {
         adamel_obs::trace_span!("plan_replay");
-        assert!(start + rows <= call.rows, "CompiledPlan::execute_rows: rows past the call");
+        assert!(start + rows <= input.rows(), "CompiledPlan::execute_rows: rows past the call");
         let weights = self.weights(params);
         bufs.size_for(self.steps.len());
-        bufs.need =
-            self.pair_phase(&weights, &call.row_ids, &call.kept, start, rows, &mut bufs.bufs);
+        bufs.need = self.pair_phase(&weights, input, &call.kept, start, rows, &mut bufs.bufs);
     }
 
-    /// Runs the untagged steps over pairs `[start, start + rows)` into
-    /// `bufs`; returns the bytes they wrote.
+    /// Runs the untagged steps over pairs `[start, start + rows)` of
+    /// `input` into `bufs`; returns the bytes they wrote.
     fn pair_phase(
         &self,
         weights: &Weights<'_>,
-        row_ids: &[Vec<u32>],
+        input: &EncodedBlocks,
         kept: &[Vec<Matrix>],
         start: usize,
         rows: usize,
@@ -875,8 +831,8 @@ impl CompiledPlan {
                     // The kept rows already passed the sanitizer.
                     let chunks = &kept[*src];
                     out.reset_shape(rows, *cols);
-                    for (r, &id) in row_ids[*window][start..start + rows].iter().enumerate() {
-                        let id = id as usize;
+                    for r in 0..rows {
+                        let id = input.id(start + r, *window);
                         let chunk = &chunks[id / BLOCK_CHUNK_ROWS];
                         out.row_mut(r).copy_from_slice(chunk.row(id % BLOCK_CHUNK_ROWS));
                     }
@@ -985,22 +941,21 @@ mod tests {
         )
     }
 
-    /// `x` as one-column blocks: the direct reads of the input in
-    /// [`record`] then replay through a lowered window over two features.
-    fn columns(x: &Matrix) -> EncodedBlocks {
-        EncodedBlocks::from_dense(x, 1)
+    /// `x` as the one feature [`record`]'s input leaf reads.
+    fn one_feature(x: &Matrix) -> EncodedBlocks {
+        EncodedBlocks::from_dense(x, x.cols())
     }
 
     #[test]
     fn replay_matches_tape_at_other_batch_sizes() {
         let (params, w, b) = setup();
         let (g, input, out) = record(&params, w, b, batch(2, 0.0));
-        let plan = CompiledPlan::compile(&g, input, &[out]).expect("compiles");
+        let plan = CompiledPlan::compile(&g, &[input], &[out]).expect("compiles");
         let mut bufs = PlanBuffers::new();
         for rows in [1, 2, 5, 17] {
             let x = batch(rows, 1.5);
             let (g2, _, out2) = record(&params, w, b, x.clone());
-            plan.execute(&params, &columns(&x), &mut bufs);
+            plan.execute(&params, &one_feature(&x), &mut bufs);
             assert_eq!(plan.output(0, &bufs).as_slice(), g2.value(out2).as_slice(), "rows={rows}");
         }
     }
@@ -1009,14 +964,14 @@ mod tests {
     fn replay_reads_live_parameter_values() {
         let (mut params, w, b) = setup();
         let (g, input, out) = record(&params, w, b, batch(2, 0.0));
-        let plan = CompiledPlan::compile(&g, input, &[out]).expect("compiles");
+        let plan = CompiledPlan::compile(&g, &[input], &[out]).expect("compiles");
         // Mutate parameters after compilation; the plan must see the update.
         let snapshot: Vec<Matrix> = params.snapshot().iter().map(|m| m.scale(-0.5)).collect();
         params.restore(&snapshot);
         let x = batch(3, 2.0);
         let (g2, _, out2) = record(&params, w, b, x.clone());
         let mut bufs = PlanBuffers::new();
-        plan.execute(&params, &columns(&x), &mut bufs);
+        plan.execute(&params, &one_feature(&x), &mut bufs);
         assert_eq!(plan.output(0, &bufs).as_slice(), g2.value(out2).as_slice());
     }
 
@@ -1037,7 +992,7 @@ mod tests {
         let b = params.insert("b", grid(1, m, 0.9));
         let record = |params: &ParamSet, x: Matrix| record(params, w, b, x);
         let (g, input, out) = record(&params, Matrix::zeros(2, k));
-        let plan = CompiledPlan::compile(&g, input, &[out]).expect("compiles");
+        let plan = CompiledPlan::compile(&g, &[input], &[out]).expect("compiles");
         assert_eq!(plan.packed, vec![w], "the weight is packed, the bias is not");
 
         let mut bufs = PlanBuffers::new();
@@ -1074,12 +1029,12 @@ mod tests {
     fn execute_rows_matches_whole_batch_slice() {
         let (params, w, b) = setup();
         let (g, input, out) = record(&params, w, b, batch(2, 0.0));
-        let plan = CompiledPlan::compile(&g, input, &[out]).expect("compiles");
-        let full = columns(&batch(9, 0.25));
+        let plan = CompiledPlan::compile(&g, &[input], &[out]).expect("compiles");
+        let full = one_feature(&batch(9, 0.25));
         let mut call = PlanBuffers::new();
         plan.execute_windows(&params, &full, &BufferPool::new(), 0, &mut call);
         let mut bufs = PlanBuffers::new();
-        plan.execute_rows(&params, &call, 3, 4, &mut bufs);
+        plan.execute_rows(&params, &full, &call, 3, 4, &mut bufs);
         let range = plan.output(0, &bufs).clone();
         plan.execute(&params, &full, &mut bufs);
         assert_eq!(range.as_slice(), plan.output(0, &bufs).slice_rows(3, 4).as_slice());
@@ -1114,12 +1069,12 @@ mod tests {
         let (params, w, b) = setup();
         let uniform = |_: usize| vec![1.0 / 3.0; 3];
         let (g, input, out) = record_with_constant(&params, w, b, batch(2, 0.0), uniform);
-        let plan = CompiledPlan::compile(&g, input, &[out]).expect("row-fill constant compiles");
+        let plan = CompiledPlan::compile(&g, &[input], &[out]).expect("row-fill constant compiles");
         let mut bufs = PlanBuffers::new();
         for rows in [1, 2, 5, 17] {
             let x = batch(rows, 0.75);
             let (g2, _, out2) = record_with_constant(&params, w, b, x.clone(), uniform);
-            plan.execute(&params, &columns(&x), &mut bufs);
+            plan.execute(&params, &one_feature(&x), &mut bufs);
             assert_eq!(plan.output(0, &bufs).as_slice(), g2.value(out2).as_slice(), "rows={rows}");
         }
     }
@@ -1131,7 +1086,7 @@ mod tests {
         let varying = |r: usize| vec![r as f32, 1.0, 2.0];
         let (g, input, out) = record_with_constant(&params, w, b, batch(4, 0.0), varying);
         assert!(matches!(
-            CompiledPlan::compile(&g, input, &[out]),
+            CompiledPlan::compile(&g, &[input], &[out]),
             Err(PlanError::ScalingConstant)
         ));
     }
@@ -1153,12 +1108,12 @@ mod tests {
         for (name, loss) in losses {
             // Loss reachable from the requested output set -> unsupported.
             assert_eq!(
-                CompiledPlan::compile(&g, input, &[out, loss]).err(),
+                CompiledPlan::compile(&g, &[input], &[out, loss]).err(),
                 Some(PlanError::UnsupportedOp(name))
             );
         }
         // Same tape, inference output only -> every loss node is pruned away.
-        let plan = CompiledPlan::compile(&g, input, &[out]).expect("prunes the losses");
+        let plan = CompiledPlan::compile(&g, &[input], &[out]).expect("prunes the losses");
         assert_eq!(plan.num_outputs(), 1);
     }
 
@@ -1168,7 +1123,7 @@ mod tests {
         let (g, input, out) = record(&params, w, b, batch(2, 0.0));
         for outputs in [vec![input], vec![out, input]] {
             assert!(matches!(
-                CompiledPlan::compile(&g, input, &outputs),
+                CompiledPlan::compile(&g, &[input], &outputs),
                 Err(PlanError::UnsupportedOutput)
             ));
         }
@@ -1179,13 +1134,13 @@ mod tests {
         let pool = BufferPool::new();
         let (params, w, b) = setup();
         let (g, input, out) = record(&params, w, b, batch(2, 0.0));
-        let plan = CompiledPlan::compile(&g, input, &[out]).expect("compiles");
+        let plan = CompiledPlan::compile(&g, &[input], &[out]).expect("compiles");
         let replay = |x: &Matrix| {
-            let input = columns(x);
+            let input = one_feature(x);
             let mut call = pool.checkout();
             plan.execute_windows(&params, &input, &pool, 0, &mut call);
             let mut bufs = pool.checkout();
-            plan.execute_rows(&params, &call, 0, x.rows(), &mut bufs);
+            plan.execute_rows(&params, &input, &call, 0, x.rows(), &mut bufs);
             let out = plan.output(0, &bufs).clone();
             pool.put_back(bufs);
             pool.put_back(call);
@@ -1207,54 +1162,59 @@ mod tests {
         )
     }
 
+    /// Records feature `j`'s rows of `x` as input leaf `j`, as the model's
+    /// forward does.
+    fn leaves(g: &mut Graph, x: &EncodedBlocks) -> Vec<Var> {
+        let pairs: Vec<usize> = (0..x.rows()).collect();
+        (0..x.features()).map(|j| g.constant(x.gather(j, &pairs))).collect()
+    }
+
     /// Records the two-window program the grouping tests share over `x`
-    /// (`n x 4`, windows `[0, 2)` and `[2, 4)`): per window
-    /// `t_k = tanh(relu(x_k · w + b))`, then the untagged `concat_cols` of
-    /// both and the tagged `t_0` as outputs, with `scale(x_0, -1)` last so a
-    /// merged `+0.0`/`-0.0` row would show in the output's signs.
+    /// (two features, 2 wide): per leaf `t_k = tanh(relu(x_k · w + b))`,
+    /// then the untagged `concat_cols` of both and the tagged `t_0` as
+    /// outputs, with `scale(x_0, -1)` last so a merged `+0.0`/`-0.0` row
+    /// would show in the output's signs.
     fn record_windows(
         params: &ParamSet,
         w: ParamId,
         b: ParamId,
-        x: Matrix,
-    ) -> (Graph, Var, [Var; 3]) {
+        x: &EncodedBlocks,
+    ) -> (Graph, Vec<Var>, [Var; 3]) {
         let mut g = Graph::new();
-        let input = g.constant(x);
+        let inputs = leaves(&mut g, x);
         let wv = g.param(params, w);
         let bv = g.param(params, b);
         let mut ts = Vec::new();
-        for start in [0, 2] {
-            let x_k = g.slice_cols(input, start, 2);
+        for &x_k in &inputs {
             let h = g.linear_relu(x_k, wv, bv);
             ts.push(g.tanh(h));
         }
         let both = g.concat_cols(&ts);
-        let x_0 = g.slice_cols(input, 0, 2);
-        let negated = g.scale(x_0, -1.0);
-        (g, input, [both, ts[0], negated])
+        let negated = g.scale(inputs[0], -1.0);
+        (g, inputs, [both, ts[0], negated])
     }
 
-    /// Replays the two-window program over `x` in `dim`-wide blocks and
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Replays the two-window program over `x` in 2-wide blocks and
     /// requires every output to equal a fresh tape bit for bit; returns the
     /// arena for inspection.
-    fn replay_blocks(x: &Matrix, dim: usize) -> (CompiledPlan, PlanBuffers) {
+    fn replay_windows(x: &Matrix) -> (CompiledPlan, PlanBuffers) {
         let (params, w, b) = setup();
-        let (g, input, outs) = record_windows(&params, w, b, wide(2, 0.0));
-        let plan = CompiledPlan::compile(&g, input, &outs).expect("compiles");
+        let probe = EncodedBlocks::from_dense(&wide(2, 0.0), 2);
+        let (g, inputs, outs) = record_windows(&params, w, b, &probe);
+        let plan = CompiledPlan::compile(&g, &inputs, &outs).expect("compiles");
         let mut bufs = PlanBuffers::new();
-        plan.execute(&params, &EncodedBlocks::from_dense(x, dim), &mut bufs);
-        let (g2, _, outs2) = record_windows(&params, w, b, x.clone());
-        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let x = EncodedBlocks::from_dense(x, 2);
+        plan.execute(&params, &x, &mut bufs);
+        let (g2, _, outs2) = record_windows(&params, w, b, &x);
         for (i, &v) in outs2.iter().enumerate() {
             assert_eq!(plan.output(i, &bufs).shape(), g2.value(v).shape(), "output {i}");
             assert_eq!(bits(plan.output(i, &bufs)), bits(g2.value(v)), "output {i}");
         }
         (plan, bufs)
-    }
-
-    /// [`replay_blocks`] with one feature per window.
-    fn replay_windows(x: &Matrix) -> (CompiledPlan, PlanBuffers) {
-        replay_blocks(x, 2)
     }
 
     fn distinct_per_window(bufs: &PlanBuffers) -> Vec<usize> {
@@ -1265,7 +1225,7 @@ mod tests {
     fn window_of_equal_rows_runs_once_and_gathers() {
         let x = Matrix::from_rows(&vec![vec![0.5, -1.25, 2.0, 0.75]; 9]);
         let (plan, bufs) = replay_windows(&x);
-        assert_eq!(plan.windows, vec![(0, 2), (2, 2)]);
+        assert_eq!(plan.window_steps.len(), 2);
         assert_eq!(distinct_per_window(&bufs), vec![1, 1]);
         assert!(plan.steps.iter().any(|s| matches!(s, StepOp::Gather { .. })));
     }
@@ -1300,7 +1260,6 @@ mod tests {
         };
         let pairs = EncodedBlocks::from_dense(&x, 2);
         assert_eq!(ids(&pairs, 0), vec![0, 1, 2, 3, 2, 0, 1, 3]);
-        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let firsts: Vec<f32> = [0, 1, 2, 3].iter().flat_map(|&r| x.row(r).to_vec()).collect();
         assert_eq!(bits(pairs.table(0)), bits(&Matrix::from_vec(4, 2, firsts)));
         // One-column blocks: the constant column is one block.
@@ -1328,23 +1287,40 @@ mod tests {
     }
 
     #[test]
-    fn windows_off_the_block_boundaries_match_the_tape() {
-        // Blocks one column wide put each window across two features, and
-        // blocks four wide put both windows inside one feature: either way
-        // the windows group their own columns by bit pattern.
-        let rows: Vec<Vec<f32>> = (0..11)
+    fn three_leaves_read_by_tagged_and_untagged_ops_match_the_tape() {
+        // 13 pairs whose three features repeat with periods 2, 3 and 5.
+        // Leaf 1 feeds a tagged product; `concat_cols` of leaves 0 and 2
+        // and a `weighted_sum` over all three read them in the pair phase.
+        let rows: Vec<Vec<f32>> = (0..13)
             .map(|r| {
-                let (a, b) = ((r % 2) as f32, (r % 3) as f32);
-                vec![a - 0.5, 0.25, b * 0.6, -0.0]
+                let (a, b, c) = ((r % 2) as f32, (r % 3) as f32, (r % 5) as f32);
+                vec![a - 0.5, a * 0.25, b * 0.6 - 1.0, -b, c * -0.4, 1.0 - c * 0.2]
             })
             .collect();
-        let x = Matrix::from_rows(&rows);
-        let (_, bufs) = replay_blocks(&x, 1);
-        assert_eq!(distinct_per_window(&bufs), vec![2, 3]);
-        let (_, bufs) = replay_blocks(&x, 4);
-        assert_eq!(distinct_per_window(&bufs), vec![2, 3]);
-        replay_blocks(&wide(5, 0.7), 1);
-        replay_blocks(&wide(5, 0.7), 4);
+        let (params, w, b) = setup();
+        let record = |x: &EncodedBlocks| {
+            let mut g = Graph::new();
+            let inputs = leaves(&mut g, x);
+            let (wv, bv) = (g.param(&params, w), g.param(&params, b));
+            let h = g.linear_relu(inputs[1], wv, bv);
+            let outer = g.concat_cols(&[inputs[0], inputs[2]]);
+            let p = g.softmax_rows(outer);
+            let weights = g.slice_cols(p, 0, 3);
+            let mixed = g.weighted_sum(&inputs, weights);
+            (g, inputs, [h, outer, mixed])
+        };
+        let probe = EncodedBlocks::from_dense(&Matrix::from_rows(&rows[..2]), 2);
+        let (g, inputs, outs) = record(&probe);
+        let plan = CompiledPlan::compile(&g, &inputs, &outs).expect("compiles");
+        let x = EncodedBlocks::from_dense(&Matrix::from_rows(&rows), 2);
+        let mut bufs = PlanBuffers::new();
+        plan.execute(&params, &x, &mut bufs);
+        assert_eq!(distinct_per_window(&bufs), vec![2, 3, 5]);
+        let (g2, _, outs2) = record(&x);
+        for (i, &v) in outs2.iter().enumerate() {
+            assert_eq!(plan.output(i, &bufs).shape(), g2.value(v).shape(), "output {i}");
+            assert_eq!(bits(plan.output(i, &bufs)), bits(g2.value(v)), "output {i}");
+        }
     }
 
     #[test]
@@ -1373,11 +1349,11 @@ mod tests {
             .map(|(s, _)| bufs.bufs[s].len())
             .sum();
         assert!(gathered >= 16 * 2, "the gathered `t_k` rows: {gathered}");
-        let row_ids: usize = bufs.row_ids.iter().map(Vec::len).sum();
-        assert_eq!(row_ids, 2 * 16, "one row id per pair and window");
+        // The row indices are the input's own: the call keeps only each
+        // window's one distinct row of `t_0`, `t_1` and `scale(x_0, -1)`.
         let kept: usize = bufs.kept.iter().flatten().map(Matrix::len).sum();
-        assert!(kept > 0, "the kept `t_k` blocks");
+        assert_eq!(kept, 3 + 3 + 2, "the kept blocks");
         let pair: usize = plan.pair_steps.iter().map(|&s| bufs.bufs[s].len()).sum();
-        assert_eq!(bufs.logical_bytes(), (4 * (kept + row_ids + pair)) as u64);
+        assert_eq!(bufs.logical_bytes(), (4 * (kept + pair)) as u64);
     }
 }

@@ -81,7 +81,7 @@ fn pool_gauge_counts_the_capacity_a_smaller_replay_keeps() {
     let wv = g.param(&params, w);
     let h = g.matmul(x, wv);
     let out = g.relu(h);
-    let plan = CompiledPlan::compile(&g, x, &[out]).expect("compiles");
+    let plan = CompiledPlan::compile(&g, &[x], &[out]).expect("compiles");
 
     let pool = BufferPool::new();
     let gauge = || {
@@ -94,14 +94,15 @@ fn pool_gauge_counts_the_capacity_a_smaller_replay_keeps() {
         let mut call = pool.checkout();
         plan.execute_windows(&params, &input, &pool, 0, &mut call);
         let mut bufs = pool.checkout();
-        plan.execute_rows(&params, &call, 0, rows, &mut bufs);
+        plan.execute_rows(&params, &input, &call, 0, rows, &mut bufs);
         pool.put_back(bufs);
         pool.put_back(call);
     };
     replay(512);
     let after_512 = gauge();
-    // The kept relu rows and one row id per pair: 512 * (8 + 1) floats.
-    assert_eq!(after_512, (512 * 9 * 4, 512 * 9 * 4), "one call's window-phase need");
+    // The kept relu rows, 512 * 8 floats, as large as the pair phase's
+    // gathered rows; the row ids are the input's own.
+    assert_eq!(after_512, (512 * 8 * 4, 512 * 8 * 4), "one call's window-phase need");
     // A smaller replay needs less; the gauge keeps the largest need.
     replay(128);
     assert_eq!(gauge(), after_512, "the largest replay's need, not the latest");
