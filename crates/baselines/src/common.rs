@@ -142,6 +142,9 @@ impl MlpHead {
                 let loss = g.bce_with_logits(logits, y);
                 self.params.zero_grads();
                 g.backward(loss, &mut self.params);
+                // The tape shares the parameter values: drop it so the
+                // optimizer writes them in place.
+                drop(g);
                 self.params.clip_grad_norm(5.0);
                 opt.step(&mut self.params);
             }

@@ -12,19 +12,24 @@
 //! rows are the three GEMM variants, cold pair encoding
 //! (`encode_pairs_cold`, record-level cache dropped first), warm pair
 //! encoding (`encode_pairs`, whose cache-stats delta feeds the `"cache"`
-//! section), and prediction through the compiled plan (`predict`) and
-//! through one `forward_graph` tape per 128-row chunk (`predict_tape`).
-//! `flops` counts the analytic per-pair work (`per_row_flops`), not the
-//! arithmetic the plan skips by running each distinct feature block once.
+//! section), prediction through the compiled plan (`predict`) and
+//! through one `forward_graph` tape per 128-row chunk (`predict_tape`), and
+//! one training step (`train_step`): a one-epoch AdaMEL-few `fit` over one
+//! 16-pair batch, so the batch and the 100-pair support batch go through
+//! one tape, forward and backward, then Adam. `flops` counts the analytic
+//! per-pair work (`per_row_flops`; for `train_step` the tape's forward and
+//! backward, not the attention replays `fit` makes for the support
+//! weights), not the arithmetic the plan and the tape skip by running each
+//! distinct feature block once.
 //! A `"mem"` section (`adamel-mem/v1`) holds the largest row peak and the
 //! final per-gauge ledger. Rows run on one thread, so no number in the
 //! file depends on the host's core count.
 //!
 //! One timing gate rides along: after the file is written, `predict` and
 //! `predict_tape` are each timed best of 5 at one thread with tracing
-//! off. Both go to stderr, and the process exits 1 when the plan is more
-//! than 10% slower than the tape it replaced. Neither number enters the
-//! file.
+//! off, their runs alternating. Both go to stderr, and the process exits 1
+//! when the plan is more than 10% slower than the tape, whose leaves are
+//! grouped as the plan's windows are. Neither number enters the file.
 //!
 //! With `--obs`, an instrumented exercise pass (encode, chunked predict,
 //! attention, a small AdaMEL-hyb training run, and a `Linker::link` call)
@@ -45,6 +50,10 @@ use std::time::Instant;
 
 const MATMUL_M: usize = 128;
 const NUM_PAIRS: usize = 200;
+/// Pairs in the `train_step` row's one batch (the paper's batch size) and
+/// in its support batch.
+const TRAIN_BATCH: usize = 16;
+const SUPPORT_PAIRS: usize = 100;
 
 /// The compiled plan may take at most this multiple of the tape's time.
 const PLAN_OVER_TAPE_MAX: f64 = 1.10;
@@ -69,16 +78,23 @@ fn row(kernel: &'static str, n: usize, flops: u64, f: impl FnOnce()) -> Row {
     Row { kernel, n, flops, peak_bytes }
 }
 
-/// Best-of-`reps` wall time in milliseconds on one thread, with one
-/// untimed warm-up.
-fn time_ms(reps: usize, mut f: impl FnMut()) -> f64 {
-    parallel::with_threads(1, || {
+/// Best-of-`reps` wall times in milliseconds of `a` and of `b` on one
+/// thread, each after one untimed warm-up. Their repetitions alternate, so
+/// a shared host that speeds up or slows down during the measurement
+/// affects both sides alike.
+fn time_pair_ms(reps: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
+    let time = |f: &mut dyn FnMut()| {
+        let t = Instant::now();
         f();
-        let mut best = f64::INFINITY;
+        t.elapsed().as_secs_f64() * 1e3
+    };
+    parallel::with_threads(1, || {
+        a();
+        b();
+        let mut best = (f64::INFINITY, f64::INFINITY);
         for _ in 0..reps {
-            let t = Instant::now();
-            f();
-            best = best.min(t.elapsed().as_secs_f64() * 1e3);
+            best.0 = best.0.min(time(&mut a));
+            best.1 = best.1.min(time(&mut b));
         }
         best
     })
@@ -114,6 +130,16 @@ fn predict_tape(model: &AdamelModel, chunks: &[EncodedBlocks]) -> Vec<f32> {
         },
     );
     scores
+}
+
+/// Analytic tape FLOPs of one trained row: the forward
+/// (`per_row_flops`), then each product's gradient toward its parameter
+/// (the forward's FLOPs again) and toward its other operand, which Eq. 4's
+/// `h_j·V_j` skips because no parameter feeds the encoded input.
+fn train_flops_per_row(model: &AdamelModel) -> u64 {
+    let cfg = model.config();
+    let f = model.extractor().num_features();
+    (3 * model.per_row_flops() - f * 2 * cfg.embed_dim * cfg.feature_dim) as u64
 }
 
 fn random_matrix(rows: usize, cols: usize, rng: &mut rand::rngs::StdRng) -> Matrix {
@@ -254,7 +280,7 @@ fn main() {
 
     // --- pair encoding and end-to-end prediction at paper dims ---
     let (schema, pairs) = synth_pairs(NUM_PAIRS);
-    let model = AdamelModel::new(AdamelConfig::paper(), schema);
+    let model = AdamelModel::new(AdamelConfig::paper(), schema.clone());
     let extractor = model.extractor().clone();
     // Cold: the record-level cache is dropped first, so the run pays full
     // tokenize/hash/embed for every distinct record.
@@ -290,6 +316,22 @@ fn main() {
     }));
     rows.push(row("predict_tape", NUM_PAIRS, predict_flops, || {
         std::hint::black_box(predict_tape(&model, &chunks));
+    }));
+    // One `fit` epoch over exactly one batch, with the support batch on its
+    // tape; labels alternate, since only the work is counted.
+    let labeled = |from: usize, n: usize| {
+        let pairs = pairs[from..from + n]
+            .iter()
+            .enumerate()
+            .map(|(i, p)| EntityPair::labeled(p.left.clone(), p.right.clone(), i % 2 == 0));
+        Domain::new(pairs.collect())
+    };
+    let (train, support) = (labeled(0, TRAIN_BATCH), labeled(TRAIN_BATCH, SUPPORT_PAIRS));
+    let one_epoch = AdamelConfig { epochs: 1, batch_size: TRAIN_BATCH, ..AdamelConfig::paper() };
+    let train_flops = (TRAIN_BATCH + SUPPORT_PAIRS) as u64 * train_flops_per_row(&model);
+    rows.push(row("train_step", TRAIN_BATCH + SUPPORT_PAIRS, train_flops, || {
+        let mut model = AdamelModel::new(one_epoch, schema);
+        std::hint::black_box(fit(&mut model, Variant::Few, &train, None, Some(&support)));
     }));
 
     // --- emit JSON (hand-written: no serialization dependency) ---
@@ -354,12 +396,15 @@ fn main() {
     eprintln!("wrote {out_path}");
 
     // --- the timing gate: compiled plan vs the tape it replaced ---
-    let plan_ms = time_ms(5, || {
-        std::hint::black_box(model.predict_encoded(&encoded));
-    });
-    let tape_ms = time_ms(5, || {
-        std::hint::black_box(predict_tape(&model, &chunks));
-    });
+    let (plan_ms, tape_ms) = time_pair_ms(
+        5,
+        || {
+            std::hint::black_box(model.predict_encoded(&encoded));
+        },
+        || {
+            std::hint::black_box(predict_tape(&model, &chunks));
+        },
+    );
     eprintln!(
         "perfjson: predict {plan_ms:.3} ms, predict_tape {tape_ms:.3} ms (plan/tape {:.3}, limit {PLAN_OVER_TAPE_MAX:.2})",
         plan_ms / tape_ms

@@ -23,11 +23,14 @@
 //!
 //! Both forwards read a batch as [`EncodedBlocks`]: per feature, its
 //! distinct blocks `h_j`, and per pair, which one it has. The tape records
-//! each feature's blocks of the batch's pairs as its own constant leaf, so
-//! `h_j` enters Eq. 4 as its own input, as in the paper. The compiled plan
-//! takes those leaves as its inputs: it runs each feature's Eq. 4–5 stages
-//! and `relu(t_j)·W1_j` once per distinct block of the whole call, then the
-//! weighted sum and the rest of Θ per pair.
+//! each feature as its own grouped leaf, the batch's distinct blocks of
+//! table `j` and each pair's row among them, so `h_j` enters Eq. 4 as its
+//! own input, as in the paper, and the tape runs each feature's Eq. 4–5
+//! stages and `relu(t_j)·W1_j` once per distinct block of the batch; the
+//! weighted sum, the rest of Θ, the losses and backward see per-pair rows.
+//! The compiled plan takes those leaves as its inputs: it runs the same
+//! stages once per distinct block of the whole call, then the weighted sum
+//! and the rest of Θ per pair.
 
 use crate::config::AdamelConfig;
 use adamel_schema::{EntityPair, FeatureExtractor, Schema};
@@ -137,6 +140,24 @@ pub(crate) fn param_shapes(cfg: &AdamelConfig, f: usize) -> Vec<(usize, usize)> 
     shapes
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Test hook: [`feature_leaf`] records per-pair rows instead, the
+    /// ungrouped tape the grouped one is checked against.
+    static PER_PAIR_LEAVES: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Records feature `j` of the pairs `pairs` as a grouped leaf: the batch's
+/// distinct blocks of table `j`, and each pair's row among them.
+fn feature_leaf(g: &mut Graph, encoded: &EncodedBlocks, j: usize, pairs: &[usize]) -> Var {
+    let (distinct, rows) = encoded.distinct(j, pairs);
+    #[cfg(test)]
+    if PER_PAIR_LEAVES.get() {
+        return g.constant(distinct.select_rows(&rows));
+    }
+    g.constant_grouped(distinct, rows)
+}
+
 /// The AdaMEL model: feature extraction plus network parameters.
 ///
 /// Training is performed by [`crate::train::fit`]; the model itself
@@ -239,8 +260,8 @@ impl AdamelModel {
     }
 
     /// Builds the full forward graph over the pairs `pairs` of an encoded
-    /// batch, in that order: feature `j`'s leaf holds their rows of its
-    /// block table.
+    /// batch, in that order: feature `j`'s grouped leaf holds their
+    /// distinct rows of its block table ([`feature_leaf`]).
     pub(crate) fn forward(
         &self,
         g: &mut Graph,
@@ -256,7 +277,7 @@ impl AdamelModel {
         let mut inputs = Vec::with_capacity(f);
         let mut xs = Vec::with_capacity(f);
         for j in 0..f {
-            let h_j = g.constant(encoded.gather(j, pairs));
+            let h_j = feature_leaf(g, encoded, j, pairs);
             inputs.push(h_j);
             let v_j = g.param(&self.params, self.ids.v[j]);
             let b_j = g.param(&self.params, self.ids.b[j]);
@@ -682,6 +703,131 @@ mod tests {
             .collect();
         assert_eq!(scores.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), tape);
         assert_eq!(plan.output(0, &bufs).rows(), 640);
+    }
+
+    /// Runs `f` with [`feature_leaf`] recording per-pair rows, or grouped
+    /// leaves.
+    fn with_leaves<R>(per_pair: bool, f: impl FnOnce() -> R) -> R {
+        PER_PAIR_LEAVES.set(per_pair);
+        let out = f();
+        PER_PAIR_LEAVES.set(false);
+        out
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Three attributes over pairs that repeat contents and miss values, so
+    /// every feature's batch holds repeated blocks and the missing-value
+    /// vector.
+    fn repeating_pairs() -> (Schema, Vec<EntityPair>) {
+        let schema = Schema::new(vec!["artist".into(), "title".into(), "year".into()]);
+        let pairs = (0..14)
+            .map(|i| match i % 4 {
+                0 => pair(&[("title", "hey jude")], &[("title", "hey jude"), ("year", "1968")]),
+                1 => pair(&[("artist", "x"), ("title", "a b")], &[("artist", "y z")]),
+                2 => pair(&[("artist", "q"), ("year", "1970")], &[("artist", "q"), ("title", "c")]),
+                _ => pair(&[], &[("year", if i % 3 == 0 { "1969" } else { "1970" })]),
+            })
+            .collect();
+        (schema, pairs)
+    }
+
+    #[test]
+    fn grouped_leaves_train_to_the_bits_of_per_pair_leaves() {
+        use crate::config::Variant;
+        use adamel_schema::{Domain, FeatureMode};
+        let (schema, pairs) = repeating_pairs();
+        let labels: Vec<f32> = (0..pairs.len()).map(|i| (i % 4 < 2) as u8 as f32).collect();
+        for mode in [FeatureMode::SharedOnly, FeatureMode::UniqueOnly, FeatureMode::Both] {
+            for uniform in [false, true] {
+                let cfg = AdamelConfig {
+                    feature_mode: mode,
+                    uniform_attention: uniform,
+                    epochs: 2,
+                    batch_size: 5,
+                    ..AdamelConfig::tiny()
+                };
+                let label = format!("{mode:?}, uniform attention {uniform}");
+                let model = AdamelModel::new(cfg.clone(), schema.clone());
+                let encoded = model.encode(&pairs);
+                // One batch with repeats, in another order, and the whole
+                // set as a support batch on the same tape, as `fit` records.
+                let batch = [3, 0, 7, 3, 12, 1, 4, 4, 9];
+                let everything: Vec<usize> = (0..pairs.len()).collect();
+                for j in 0..model.extractor().num_features() {
+                    let distinct = encoded.distinct(j, &everything).0.rows();
+                    assert!(distinct <= 4, "{label}: feature {j} has {distinct} distinct blocks");
+                }
+                let step = |per_pair: bool| {
+                    let mut params = ParamSet::new();
+                    for id in model.params.ids() {
+                        params.insert(model.params.name(id), model.params.value(id).clone());
+                    }
+                    with_leaves(per_pair, || {
+                        let mut g = Graph::new();
+                        let nodes = model.forward(&mut g, &encoded, &batch);
+                        let y = Matrix::from_vec(
+                            batch.len(),
+                            1,
+                            batch.iter().map(|&i| labels[i]).collect(),
+                        );
+                        let base = g.bce_with_logits(nodes.logits, y);
+                        let f = model.extractor().num_features();
+                        let q = Matrix::full(1, f, 1.0 / f as f32);
+                        let kl = g.kl_const_rows(nodes.attention, q, 1e-7);
+                        let base = g.add(base, kl);
+                        let support = model.forward(&mut g, &encoded, &everything);
+                        let w = Matrix::from_vec(
+                            pairs.len(),
+                            1,
+                            (0..pairs.len()).map(|i| 0.5 + i as f32 / 7.0).collect(),
+                        );
+                        let y = Matrix::from_vec(pairs.len(), 1, labels.clone());
+                        let s = g.weighted_bce_with_logits(support.logits, y, w);
+                        let loss = g.add(base, s);
+                        g.backward(loss, &mut params);
+                        let mut out = vec![
+                            bits(g.value(nodes.logits)),
+                            bits(g.value(nodes.attention)),
+                            bits(g.value(support.logits)),
+                            bits(g.value(base)),
+                            bits(g.value(loss)),
+                        ];
+                        out.extend(params.ids().map(|id| bits(params.grad(id))));
+                        out
+                    })
+                };
+                assert_eq!(step(true), step(false), "{label}: one step");
+
+                let train = Domain::new(
+                    pairs
+                        .iter()
+                        .zip(&labels)
+                        .map(|(p, &y)| {
+                            EntityPair::labeled(p.left.clone(), p.right.clone(), y > 0.5)
+                        })
+                        .collect(),
+                );
+                let target = Domain::new(pairs[..8].to_vec());
+                let support = Domain::new(train.pairs[4..].to_vec());
+                let trained = |per_pair: bool| {
+                    let mut model = AdamelModel::new(cfg.clone(), schema.clone());
+                    with_leaves(per_pair, || {
+                        crate::train::fit(
+                            &mut model,
+                            Variant::Hyb,
+                            &train,
+                            Some(&target),
+                            Some(&support),
+                        )
+                    });
+                    model.snapshot_params().iter().map(bits).collect::<Vec<_>>()
+                };
+                assert_eq!(trained(true), trained(false), "{label}: two epochs of fit");
+            }
+        }
     }
 
     #[test]

@@ -191,6 +191,9 @@ pub fn fit(
 
             model.params.zero_grads();
             g.backward(loss, &mut model.params);
+            // The tape shares the parameter values; dropping it lets the
+            // optimizer write them in place instead of copying them.
+            drop(g);
             // The extra norm pass is work, not just a read, so it is gated
             // behind the `full` level rather than `enabled()`.
             if adamel_obs::level() == adamel_obs::TraceLevel::Full {

@@ -65,7 +65,7 @@ fn main() -> ExitCode {
         args.size,
         if args.blocked { ", blocked-kernel shapes" } else { "" }
     );
-    let (mut plan_outputs, mut plan_refused) = (0usize, 0u64);
+    let (mut plan_outputs, mut grouped_tape, mut plan_refused) = (0usize, 0usize, 0u64);
     for i in 0..args.iters {
         // Mix the iteration index into the seed so each program is
         // independent yet the whole run replays from --seed alone.
@@ -73,8 +73,9 @@ fn main() -> ExitCode {
         let program =
             gen_program_with(seed, &GenOptions { size: args.size, blocked: args.blocked });
         let d = match check_program(&program) {
-            Ok(PlanCheck::Matched(outputs)) => {
+            Ok(PlanCheck::Matched { outputs, grouped }) => {
                 plan_outputs += outputs;
+                grouped_tape += grouped;
                 None
             }
             Ok(PlanCheck::Refused(_)) => {
@@ -99,6 +100,9 @@ fn main() -> ExitCode {
     println!("no discrepancies in {} programs", args.iters);
     println!(
         "plan replay matched the tape on {plan_outputs} outputs; {plan_refused} programs refused by the plan compiler"
+    );
+    println!(
+        "grouped-leaf tape matched the dense-leaf tape on {grouped_tape} values and gradients"
     );
     ExitCode::SUCCESS
 }

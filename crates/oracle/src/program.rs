@@ -128,9 +128,16 @@ pub struct Fault {
 /// that did not disagree.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlanCheck {
-    /// The plan compiled and every output equalled the tape bit for bit;
-    /// the payload is the number of outputs compared.
-    Matched(usize),
+    /// The plan compiled and every output equalled the tape bit for bit,
+    /// and, over the regrouped batch, a tape with the `Input` as a grouped
+    /// leaf equalled one with it as a dense constant.
+    Matched {
+        /// Plan outputs compared.
+        outputs: usize,
+        /// Values and parameter gradients compared between the grouped and
+        /// the dense tape (0 in a program without an `Input`).
+        grouped: usize,
+    },
     /// The plan compiler refused the program, so nothing was compared.
     Refused(PlanError),
 }
@@ -140,10 +147,18 @@ struct ProdRun {
     grads: Vec<Option<Matrix>>,
 }
 
-/// A batch to record in place of the program's `Input` rows, and which
-/// instructions to record with it: the forward ones (a loss's constants are
-/// sized to the program's own rows).
-type Regroup<'a> = (&'a Matrix, &'a [bool]);
+/// A batch to record in place of the program's `Input` rows.
+#[derive(Clone, Copy)]
+struct Regroup<'a> {
+    /// The rows the `Input` leaf holds instead.
+    batch: &'a Matrix,
+    /// The instructions to record with it (a `weighted_bce_with_logits`'s
+    /// constants are sized to the program's own rows).
+    record: &'a [bool],
+    /// Whether the `Input` enters as a grouped leaf (its distinct rows and
+    /// each row's among them) rather than a dense constant.
+    grouped: bool,
+}
 
 /// Records the program onto `g`, registering its parameters in `params`;
 /// returns each instruction's node and, for `Param`s, its handle. With a
@@ -158,9 +173,15 @@ fn record(
     let mut vars: Vec<Var> = Vec::with_capacity(p.insts.len());
     let mut ids: Vec<Option<ParamId>> = Vec::with_capacity(p.insts.len());
     for (i, inst) in p.insts.iter().enumerate() {
-        if let Some((batch, forward)) = regroup {
+        if let Some(Regroup { batch, record, grouped }) = regroup {
             let stand_in = match inst {
-                _ if !forward[i] => Some(vars[0]),
+                _ if !record[i] => Some(vars[0]),
+                Inst::Input { .. } if grouped => {
+                    let all: Vec<usize> = (0..batch.rows()).collect();
+                    let (distinct, rows) =
+                        EncodedBlocks::from_dense(batch, batch.cols()).distinct(0, &all);
+                    Some(g.constant_grouped(distinct, rows))
+                }
                 Inst::Input { .. } => Some(g.constant(batch.clone())),
                 _ => None,
             };
@@ -396,6 +417,7 @@ fn check_plan(p: &Program) -> Result<PlanCheck, Discrepancy> {
         Err(e) => return Ok(PlanCheck::Refused(e)),
     };
     let mut bufs = PlanBuffers::new();
+    let mut grouped = 0;
     // Every regrouped row holds at most one NaN, so the NaN bits a row
     // computes are fixed, until sigmoid's `-v` flips a NaN's sign and the
     // two signs meet in a binary op. Which operand's NaN the kernel keeps
@@ -408,13 +430,9 @@ fn check_plan(p: &Program) -> Result<PlanCheck, Discrepancy> {
     let nan_signs_meet =
         (0..p.insts.len()).any(|i| forward[i] && matches!(p.insts[i], Inst::Op(Expr::Sigmoid(_))));
     let compare = |tape: &Graph, tape_vars: &[Var], bufs: &PlanBuffers, when: &str, nan_ok| {
-        let same =
-            |a: &f32, b: &f32| a.to_bits() == b.to_bits() || (nan_ok && a.is_nan() && b.is_nan());
         for (o, &i) in outputs.iter().enumerate() {
             let (got, want) = (plan.output(o, bufs), tape.value(tape_vars[i]));
-            let differs = got.shape() != want.shape()
-                || !got.as_slice().iter().zip(want.as_slice()).all(|(a, b)| same(a, b));
-            if differs {
+            if !same_bits(got, want, nan_ok) {
                 return Err(Discrepancy {
                     inst: i,
                     op: p.insts[i].op_name(),
@@ -432,9 +450,11 @@ fn check_plan(p: &Program) -> Result<PlanCheck, Discrepancy> {
         let batch = regrouped_batch(&probe);
         let mut tape_params = ParamSet::new();
         let mut tape = Graph::new();
-        let (tape_vars, _) = record(p, &mut tape_params, &mut tape, Some((&batch, &forward)));
+        let regroup = Regroup { batch: &batch, record: &forward, grouped: false };
+        let (tape_vars, _) = record(p, &mut tape_params, &mut tape, Some(regroup));
         plan.execute(&params, &blocks(&batch), &mut bufs);
         compare(&tape, &tape_vars, &bufs, "grouped replay", nan_signs_meet)?;
+        grouped = check_grouped_tape(p, &batch, nan_signs_meet)?;
     }
 
     let mut perturbed = p.clone();
@@ -449,7 +469,63 @@ fn check_plan(p: &Program) -> Result<PlanCheck, Discrepancy> {
     params.restore(&fresh_params.snapshot());
     plan.execute(&params, &blocks(&probe), &mut bufs);
     compare(&fresh, &fresh_vars, &bufs, "replay after restore", false)?;
-    Ok(PlanCheck::Matched(outputs.len()))
+    Ok(PlanCheck::Matched { outputs: outputs.len(), grouped })
+}
+
+/// Records `p` over `batch` twice, its `Input` once as a grouped leaf and
+/// once as a dense constant, and requires equal bits for every value and,
+/// when the root is a `1 x 1` value, every parameter gradient; NaN matches
+/// any NaN when `nan_ok` (see [`check_plan`]). Every instruction is
+/// recorded except a `weighted_bce_with_logits`, whose constants are sized
+/// to the program's own rows, and what reads one. Returns the number of
+/// values and gradients compared.
+fn check_grouped_tape(p: &Program, batch: &Matrix, nan_ok: bool) -> Result<usize, Discrepancy> {
+    let mut recorded = vec![true; p.insts.len()];
+    for (i, inst) in p.insts.iter().enumerate() {
+        let bce = matches!(inst, Inst::Op(Expr::WeightedBceWithLogits { .. }));
+        recorded[i] = !bce && inst.parents().iter().all(|&q| recorded[q]);
+    }
+    // Each instruction's value, then each parameter's gradient.
+    let run = |grouped: bool| {
+        let mut params = ParamSet::new();
+        let mut g = Graph::new();
+        let regroup = Regroup { batch, record: &recorded, grouped };
+        let (vars, ids) = record(p, &mut params, &mut g, Some(regroup));
+        let values: Vec<(usize, Matrix)> = (0..p.insts.len())
+            .filter(|&i| recorded[i])
+            .map(|i| (i, g.value(vars[i]).clone()))
+            .collect();
+        let mut grads = Vec::new();
+        if recorded[p.root] && g.value(vars[p.root]).shape() == (1, 1) {
+            g.backward(vars[p.root], &mut params);
+            let of = |(i, id): (usize, &Option<ParamId>)| Some((i, params.grad((*id)?).clone()));
+            grads.extend(ids.iter().enumerate().filter_map(of));
+        }
+        [("value", values), ("gradient", grads)]
+    };
+    let mut compared = 0;
+    for ((what, got), (_, want)) in run(true).into_iter().zip(run(false)) {
+        for ((i, a), (_, b)) in got.iter().zip(&want) {
+            if !same_bits(a, b, nan_ok) {
+                return Err(Discrepancy {
+                    inst: *i,
+                    op: p.insts[*i].op_name(),
+                    kind: "grouped tape",
+                    detail: format!("{what}: grouped leaf {a:?} != dense leaf {b:?}"),
+                });
+            }
+        }
+        compared += got.len();
+    }
+    Ok(compared)
+}
+
+/// Whether `a` and `b` have one shape and equal bits, a NaN matching any
+/// NaN when `nan_ok` (see [`check_plan`]).
+fn same_bits(a: &Matrix, b: &Matrix, nan_ok: bool) -> bool {
+    let same =
+        |x: &f32, y: &f32| x.to_bits() == y.to_bits() || (nan_ok && x.is_nan() && y.is_nan());
+    a.shape() == b.shape() && a.as_slice().iter().zip(b.as_slice()).all(|(x, y)| same(x, y))
 }
 
 /// Quiet NaNs that differ only in payload (the last also in sign).
@@ -1090,7 +1166,8 @@ mod tests {
     #[test]
     fn plan_check_replays_the_forward_part() {
         // MatMul and Tanh are compared; the MeanAll root is training-only.
-        assert_eq!(check_plan(&tiny_program()).expect("plan matches"), PlanCheck::Matched(2));
+        let plan = check_plan(&tiny_program()).expect("plan matches");
+        assert!(matches!(plan, PlanCheck::Matched { outputs: 2, .. }), "{plan:?}");
     }
 
     #[test]
@@ -1187,7 +1264,7 @@ mod tests {
             }
             if found {
                 let plan = check_program(&p).unwrap_or_else(|d| panic!("seed {seed}: {d}"));
-                assert!(matches!(plan, PlanCheck::Matched(_)), "seed {seed}: {plan:?}");
+                assert!(matches!(plan, PlanCheck::Matched { .. }), "seed {seed}: {plan:?}");
                 checked += 1;
             }
         }
@@ -1240,7 +1317,7 @@ mod tests {
     #[test]
     fn committed_reproducer_is_what_the_renderer_prints() {
         let program = rendering_program();
-        assert!(matches!(check_program(&program), Ok(PlanCheck::Matched(_))));
+        assert!(matches!(check_program(&program), Ok(PlanCheck::Matched { .. })));
         let text = render_reproducer(&program);
         assert!(
             include_str!("../tests/differential.rs").contains(&text),

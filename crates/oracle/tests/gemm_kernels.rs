@@ -11,7 +11,7 @@
 //! fallback covering cancellation.
 
 use adamel_oracle::{op_ulps, Budget, RefMatrix, EPS32};
-use adamel_tensor::gemm::{use_blocked, KC, MC, MR, NR};
+use adamel_tensor::gemm::{use_blocked_packing, KC, MC, MR, NR};
 use adamel_tensor::parallel::with_threads;
 use adamel_tensor::Matrix;
 use rand::rngs::StdRng;
@@ -117,7 +117,10 @@ fn adversarial_shapes_cover_both_dispatch_paths() {
     // The battery is only adversarial if it actually exercises the blocked
     // kernels AND the naive fallback; pin that the shape list straddles the
     // dispatch predicate so tile-size changes can't silently defang it.
-    let covered: Vec<bool> = shapes().iter().map(|&(n, k, m)| use_blocked(n, k, m)).collect();
+    // The battery multiplies through `Matrix::matmul` and its transposed
+    // variants, which pack `B` per call.
+    let covered: Vec<bool> =
+        shapes().iter().map(|&(n, k, m)| use_blocked_packing(n, k, m)).collect();
     assert!(covered.iter().any(|&c| c), "no shape reaches the blocked kernels");
     assert!(covered.iter().any(|&c| !c), "no shape reaches the naive fallback");
 }

@@ -166,8 +166,11 @@ impl LinkMatch {
 ///     model_version: 2,
 ///     records: 1280,
 ///     readapt_recommended: false,
+///     workers: 4,
+///     workers_live: 4,
 /// };
 /// assert!(h.to_json().contains("\"model_version\": 2"));
+/// assert!(h.to_json().contains("\"workers_live\": 4"));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HealthResponse {
@@ -180,17 +183,24 @@ pub struct HealthResponse {
     /// True once unseen-source traffic dominates the recent link window —
     /// the AdaMEL-zero re-adaptation signal (DESIGN.md §16).
     pub readapt_recommended: bool,
+    /// Worker threads the server was started with.
+    pub workers: usize,
+    /// Worker threads still running; below `workers` once a worker has
+    /// exited, for example by a panic outside a request handler.
+    pub workers_live: usize,
 }
 
 impl HealthResponse {
     /// Serializes to one JSON line (with trailing newline).
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"status\": \"{}\", \"model_version\": {}, \"records\": {}, \"readapt_recommended\": {}}}\n",
+            "{{\"status\": \"{}\", \"model_version\": {}, \"records\": {}, \"readapt_recommended\": {}, \"workers\": {}, \"workers_live\": {}}}\n",
             json::escape(&self.status),
             self.model_version,
             self.records,
-            self.readapt_recommended
+            self.readapt_recommended,
+            self.workers,
+            self.workers_live
         )
     }
 }

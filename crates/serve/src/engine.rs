@@ -412,13 +412,16 @@ impl Engine {
         adamel_obs::runlog::event("error").str("panic", message).emit();
     }
 
-    /// The `GET /healthz` view.
-    pub fn health(&self) -> HealthResponse {
+    /// The `GET /healthz` view, with the server's configured and running
+    /// worker counts.
+    pub fn health(&self, workers: usize, workers_live: usize) -> HealthResponse {
         HealthResponse {
             status: "ok".to_string(),
             model_version: self.model_version(),
             records: self.corpus_len(),
             readapt_recommended: self.readapt.load(Ordering::Relaxed),
+            workers,
+            workers_live,
         }
     }
 
@@ -610,13 +613,13 @@ mod tests {
         let engine =
             Engine::new(trained_linker(), EngineConfig { drift: Some(drift), compute_threads: 0 });
         engine.upsert(corpus());
-        assert!(!engine.health().readapt_recommended);
+        assert!(!engine.health(1, 1).readapt_recommended);
         // Six queries from source 77 (never seen in training) fill the
         // window past the dominance threshold.
         for i in 0..6 {
             engine.link(&[rec(77, i, "alpha beta")]);
         }
-        assert!(engine.health().readapt_recommended);
+        assert!(engine.health(1, 1).readapt_recommended);
     }
 
     #[test]

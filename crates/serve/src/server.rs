@@ -7,7 +7,9 @@
 //! buffered. A request must arrive whole within the read timeout, so a
 //! client trickling bytes cannot hold a worker. A request whose handler
 //! panics is answered `500` with its trace id, and the worker goes on
-//! serving. All threads come from [`adamel_tensor::parallel::spawn_service`].
+//! serving. `/healthz` reports how many workers are still running: each
+//! worker loop counts itself out when it exits, by return or by unwind.
+//! All threads come from [`adamel_tensor::parallel::spawn_service`].
 
 use crate::api::{self, DeleteLine, RecordLine};
 use crate::engine::Engine;
@@ -18,7 +20,7 @@ use adamel_tensor::parallel::{self, ServiceHandle};
 use std::io::{self, BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -88,6 +90,22 @@ fn env_usize(name: &str) -> Option<usize> {
     std::env::var(name).ok()?.trim().parse().ok().filter(|n: &usize| *n > 0)
 }
 
+/// The worker pool's size and how many of its threads are running.
+struct Workers {
+    configured: usize,
+    live: AtomicUsize,
+}
+
+/// Counts a worker out of [`Workers::live`] when its loop exits, whether
+/// it returns or unwinds.
+struct LiveWorker<'a>(&'a AtomicUsize);
+
+impl Drop for LiveWorker<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
 /// A running daemon: accept thread + worker pool around an [`Engine`].
 pub struct Server {
     addr: SocketAddr,
@@ -107,16 +125,23 @@ impl Server {
         let queue = Arc::new(BoundedQueue::new(cfg.queue_capacity));
         let stop = Arc::new(AtomicBool::new(false));
         let mut threads = Vec::new();
+        let configured = cfg.workers.max(1);
+        let workers = Arc::new(Workers { configured, live: AtomicUsize::new(0) });
 
-        for i in 0..cfg.workers.max(1) {
+        for i in 0..configured {
             let queue = Arc::clone(&queue);
             let engine = Arc::clone(&engine);
+            let workers = Arc::clone(&workers);
             let (max_body, timeout) = (cfg.max_body_bytes, cfg.read_timeout);
+            // Counted in before the thread starts, so `/healthz` never sees
+            // a worker that has not begun yet as gone.
+            workers.live.fetch_add(1, Ordering::Relaxed);
             threads.push(parallel::spawn_service(
                 &format!("adamel-serve-worker-{i}"),
                 move || {
+                    let _live = LiveWorker(&workers.live);
                     while let Some(stream) = queue.pop() {
-                        handle_connection(&engine, &queue, stream, max_body, timeout);
+                        handle_connection(&engine, &queue, &workers, stream, max_body, timeout);
                     }
                 },
             )?);
@@ -185,6 +210,7 @@ impl Server {
 fn handle_connection(
     engine: &Engine,
     queue: &BoundedQueue<TcpStream>,
+    workers: &Workers,
     mut stream: TcpStream,
     max_body: usize,
     timeout: Duration,
@@ -207,7 +233,7 @@ fn handle_connection(
             // A panicking handler must not take its worker down with it.
             // The engine's locks recover from poisoning, and a lazily
             // built plan that panicked is simply built again next time.
-            panic::catch_unwind(AssertUnwindSafe(|| route(engine, queue, &req, trace_id)))
+            panic::catch_unwind(AssertUnwindSafe(|| route(engine, queue, workers, &req, trace_id)))
                 .unwrap_or_else(|payload| {
                     engine.note_panic(panic_message(payload.as_ref()));
                     let body =
@@ -275,11 +301,15 @@ fn endpoint_label(method: &str, path: &str) -> &'static str {
 fn route(
     engine: &Engine,
     queue: &BoundedQueue<TcpStream>,
+    workers: &Workers,
     req: &Request,
     trace_id: u64,
 ) -> (u16, &'static str, String) {
     match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/healthz") => (200, "OK", engine.health().to_json()),
+        ("GET", "/healthz") => {
+            let live = workers.live.load(Ordering::Relaxed);
+            (200, "OK", engine.health(workers.configured, live).to_json())
+        }
         ("GET", "/metrics") => (200, "OK", engine.metrics_json(queue.len(), queue.capacity())),
         ("POST", "/records") => match api::parse_body(&req.body, RecordLine::from_json) {
             Ok(lines) => {
@@ -340,5 +370,28 @@ fn route(
             (405, "Method Not Allowed", http::error_body("method not allowed for this path"))
         }
         _ => (404, "Not Found", http::error_body("unknown path")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_worker_counts_itself_out_on_return_and_on_unwind() {
+        let live = Arc::new(AtomicUsize::new(2));
+        let returns = Arc::clone(&live);
+        let worker = parallel::spawn_service("returns", move || {
+            let _live = LiveWorker(&returns);
+        });
+        assert_eq!(worker.and_then(|h| h.join().map_err(io::Error::other)).ok(), Some(()));
+        assert_eq!(live.load(Ordering::Relaxed), 1);
+        let unwinds = Arc::clone(&live);
+        let worker = parallel::spawn_service("unwinds", move || {
+            let _live = LiveWorker(&unwinds);
+            panic!("a worker loop unwinds");
+        });
+        assert!(worker.is_ok_and(|h| h.join().is_err()), "the worker panicked");
+        assert_eq!(live.load(Ordering::Relaxed), 0);
     }
 }

@@ -568,9 +568,13 @@ fn a_panicking_handler_answers_500_and_its_worker_keeps_serving() {
     }
     adamel_tensor::sanitize::set_forced(None);
 
-    // Three panics on two workers, and the daemon still answers.
+    // Three panics on two workers, and the daemon still answers with both
+    // workers running.
     let (status, body) = request(addr, "GET", "/healthz", "");
     assert_eq!(status, 200, "{body}");
+    let h = Json::parse(&body).expect("health JSON");
+    assert_eq!(h.get("workers").and_then(Json::as_u64), Some(2), "{body}");
+    assert_eq!(h.get("workers_live").and_then(Json::as_u64), Some(2), "{body}");
     let (_, metrics) = request(addr, "GET", "/metrics", "");
     let v = Json::parse(&metrics).expect("metrics JSON");
     let panics = v.get("counters").and_then(|c| c.get("panics")).and_then(Json::as_u64);

@@ -15,14 +15,32 @@
 //!
 //! `forward_into` is the only place a computed op meets its kernel and the
 //! sanitizer's op checks. A new op needs its variant here, its kernel in
-//! `forward_into`, its backward arm in [`Graph::backward`], and, in the
-//! oracle, an `f64` reference, a forward budget and a generator arm.
+//! `forward_into`, its backward arm in [`Graph::backward`], its arm in
+//! [`Expr::row_group`], and, in the oracle, an `f64` reference, a forward
+//! budget and a generator arm.
+//!
+//! [`Expr::row_group`] is the one row-locality rule: which ops compute each
+//! output row from the same row of a grouped input alone. The tape
+//! evaluates such an op once per distinct row of its group, and a compiled
+//! plan runs it in its window phase; both ask this function.
 //!
 //! [`Graph::record`]: crate::Graph::record
 //! [`Graph::backward`]: crate::Graph::backward
 
 use crate::matrix::Matrix;
 use crate::sanitize;
+
+/// How an operand's rows relate to the rows of the op reading it, for
+/// [`Expr::row_group`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum RowOperand<G> {
+    /// Row `i` is a function of row `i` of group `G`'s input alone.
+    Grouped(G),
+    /// A `Param`/`Const` leaf that every row reads whole.
+    Broadcast,
+    /// Any other value.
+    Ungrouped,
+}
 
 /// One computed op, generic over its operand handle `V`.
 ///
@@ -132,6 +150,51 @@ impl<V: Copy> Expr<V> {
                 | Expr::WeightedBceWithLogits { .. }
                 | Expr::KlConstRows { .. }
         )
+    }
+
+    /// The group this op is a row-local function of, given how each
+    /// operand's rows relate to the groups (`layout`), or `None`.
+    ///
+    /// A product by, or a row-broadcast add of, a [`Broadcast`] operand is
+    /// row-local in its left operand's group. `add`, `mul`,
+    /// `mul_col_broadcast`, `concat_cols`, `scale`, `relu`, `tanh`,
+    /// `sigmoid`, `softmax_rows` and `slice_cols` are row-local when every
+    /// operand is in one group. `weighted_sum` (its parts may come from
+    /// several groups), the reductions and the losses never are.
+    ///
+    /// [`Broadcast`]: RowOperand::Broadcast
+    pub(crate) fn row_group<G: Copy + PartialEq>(
+        &self,
+        layout: impl Fn(V) -> RowOperand<G>,
+    ) -> Option<G> {
+        match self {
+            Expr::MatMul(a, b) | Expr::AddRowBroadcast(a, b) => match (layout(*a), layout(*b)) {
+                (RowOperand::Grouped(g), RowOperand::Broadcast) => Some(g),
+                _ => None,
+            },
+            Expr::Add(..)
+            | Expr::Mul(..)
+            | Expr::MulColBroadcast(..)
+            | Expr::ConcatCols(_)
+            | Expr::Scale(..)
+            | Expr::Relu(_)
+            | Expr::Tanh(_)
+            | Expr::Sigmoid(_)
+            | Expr::SoftmaxRows(_)
+            | Expr::SliceCols { .. } => {
+                let mut groups = self.operands().into_iter().map(|v| match layout(v) {
+                    RowOperand::Grouped(g) => Some(g),
+                    _ => None,
+                });
+                let first = groups.next()??;
+                groups.all(|g| g == Some(first)).then_some(first)
+            }
+            Expr::WeightedSum { .. }
+            | Expr::MeanAll(_)
+            | Expr::SumAll(_)
+            | Expr::WeightedBceWithLogits { .. }
+            | Expr::KlConstRows { .. } => None,
+        }
     }
 
     /// The operands this op reads, in operand order.

@@ -72,13 +72,30 @@ pub const MC: usize = 64;
 /// threshold is purely a performance knob.
 pub const BLOCKED_MIN_FLOPS: usize = 1 << 13;
 
-/// True when the blocked path should handle an `(n,k) x (k,m)` product.
+/// True when the blocked path should handle an `(n,k) x (k,m)` product
+/// whose `B` is already packed (`PackedB`).
 ///
 /// Degenerate tiles (fewer rows than [`MR`] or columns than [`NR`]) waste
 /// most of the padded microkernel, so they stay on the naive loops too.
 #[inline]
 pub fn use_blocked(n: usize, k: usize, m: usize) -> bool {
     n >= MR && m >= NR && 2usize.saturating_mul(n * k).saturating_mul(m) >= BLOCKED_MIN_FLOPS
+}
+
+/// Row floor of a product that packs `B` on every call (`Matrix::matmul`
+/// and its transposed variants): below it the pack costs more than the
+/// blocked kernel saves. Alternating single-thread runs against a fresh
+/// `B` of `k x m ∈ {256 x 256, 300 x 64, 64 x 256}` ran the naive loop
+/// 1.4–2× faster at 4–8 rows and 1.0–1.2× at 12, level at 16, and slower
+/// from 24 on.
+pub const PACK_MIN_ROWS: usize = 16;
+
+/// True when the blocked path should handle an `(n,k) x (k,m)` product
+/// that packs `B` itself: [`use_blocked`] at [`PACK_MIN_ROWS`] rows or
+/// more.
+#[inline]
+pub fn use_blocked_packing(n: usize, k: usize, m: usize) -> bool {
+    n >= PACK_MIN_ROWS && use_blocked(n, k, m)
 }
 
 /// A logical `rows x cols` view over a row-major backing slice: element
@@ -392,10 +409,14 @@ mod tests {
             (MC - 1, 7, NR),
             (MC + 1, 5, NR * 2),
             (17, KC, 13),
+            // Either side of the per-call packing floor.
+            (PACK_MIN_ROWS - 1, KC, KC),
+            (PACK_MIN_ROWS, KC, KC),
         ] {
             let a = fill(n, k, (n * 1000 + k) as u64);
             let b = fill(k, m, (k * 1000 + m) as u64);
             assert!(use_blocked(n, k, m) || 2 * n * k * m < BLOCKED_MIN_FLOPS);
+            assert_eq!(use_blocked_packing(n, k, m), n >= PACK_MIN_ROWS && use_blocked(n, k, m));
             let mut out = vec![0.0f32; n * m];
             gemm(
                 n,

@@ -4,27 +4,47 @@
 //! inputs, its output value, and enough context to compute vector-Jacobian
 //! products on the way back. A fresh graph is built per training step (define
 //! -by-run); parameters live outside the graph in a
-//! [`ParamSet`](crate::params::ParamSet) and are re-inserted as leaves each
-//! step, which keeps the tape simple and makes gradient accumulation
-//! explicit.
+//! [`ParamSet`](crate::params::ParamSet) and enter each step as leaves that
+//! share the set's storage rather than copy it, which keeps the tape simple
+//! and makes gradient accumulation explicit.
 //!
 //! A node is a constant, a parameter, or a computed op: an [`Expr`] over
 //! earlier nodes. Each op method records its `Expr` ([`Graph::record`]),
 //! which evaluates it through the one forward definition the compiled
 //! plan ([`crate::plan`]) replays as well; this module adds only the
-//! leaves and each op's backward rule. A model's encoded batch enters as
-//! constant leaves, one per feature, which a compiled plan takes as its
-//! replay inputs. No gradient flows into a constant, so backward skips a
-//! product's gradient toward an operand no parameter feeds.
+//! leaves and each op's backward rule. No gradient flows into a constant,
+//! so backward skips a product's gradient toward an operand no parameter
+//! feeds.
+//!
+//! ## Grouped leaves
+//!
+//! A model's encoded batch enters as one constant leaf per feature, which a
+//! compiled plan takes as its replay inputs. Such a leaf is *grouped*
+//! ([`Graph::constant_grouped`]): it holds the batch's distinct rows and,
+//! per logical row, which of them it is. An op that [`Expr::row_group`]
+//! finds row-local in one group (a product by a parameter, `tanh`, ...) is
+//! evaluated once per distinct row and tagged with the group, the same
+//! rule by which a compiled plan's window phase runs once per distinct
+//! block. Every kernel computes a row from that row alone, so the distinct
+//! rows are bit for bit the rows a per-pair evaluation computes.
+//!
+//! Everything else sees per-pair rows: [`Graph::value`] expands a grouped
+//! node to one row per logical row on its first read, an op that is not
+//! row-local reads its operands that way, and backward reads operand values
+//! only through `value`. A grouped node's gradient is per pair too, so
+//! outputs, losses and parameter gradients are the bits an ungrouped tape
+//! computes. The `tensor.graph.bytes` gauge counts what a tape owns: each
+//! node's rows, distinct or not, plus the expansions it made.
 
-use crate::expr::Expr;
+use crate::expr::{Expr, RowOperand};
 use crate::matrix::Matrix;
 use crate::params::{ParamId, ParamSet};
 use crate::sanitize;
+use std::sync::{Arc, OnceLock};
 
 /// Handle to a node on the tape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Var(usize);
+pub struct Var(pub(crate) usize);
 
 impl Var {
     /// Position on the tape; the plan compiler keys its node tables on this.
@@ -45,13 +65,29 @@ pub(crate) enum Op {
 }
 
 pub(crate) struct Node {
-    pub(crate) value: Matrix,
+    /// The value: one row per logical row, or, with a `group`, one row per
+    /// distinct row of that group. A parameter's is the set's own storage.
+    rows: Arc<Matrix>,
+    /// The grouped leaf this node is a row-local function of, if any.
+    group: Option<usize>,
+    /// A grouped node's rows at one row per logical row, built on first
+    /// read.
+    expanded: OnceLock<Matrix>,
     pub(crate) op: Op,
+}
+
+impl Node {
+    /// Column count of the value.
+    pub(crate) fn cols(&self) -> usize {
+        self.rows.cols()
+    }
 }
 
 /// A define-by-run autograd tape.
 pub struct Graph {
     nodes: Vec<Node>,
+    /// Per grouped leaf, the distinct row of each logical row.
+    groups: Vec<Vec<usize>>,
 }
 
 impl Default for Graph {
@@ -62,15 +98,21 @@ impl Default for Graph {
 
 impl Drop for Graph {
     fn drop(&mut self) {
-        // Observe-at-death: nodes only ever append, so a tape's footprint
-        // peaks exactly when it drops. The footprint raises the gauge's
-        // peak, and `current` returns to 0 because the tape's bytes are
-        // freed right here. Observing at drop keeps the per-op hot path
-        // untouched; when tracing is off this is a single relaxed atomic
-        // load.
+        // Observe-at-death: nodes only ever append, and expansions only
+        // ever appear, so a tape's footprint peaks exactly when it drops.
+        // The footprint raises the gauge's peak, and `current` returns to 0
+        // because the tape's bytes are freed right here. Observing at drop
+        // keeps the per-op hot path untouched; when tracing is off this is
+        // a single relaxed atomic load. Parameter leaves are the set's
+        // storage, not the tape's.
         if adamel_obs::enabled() {
-            let bytes: u64 = self.nodes.iter().map(|n| (n.value.as_slice().len() * 4) as u64).sum();
-            adamel_obs::mem::observe("tensor.graph.bytes", bytes);
+            let bytes: usize = self
+                .nodes
+                .iter()
+                .filter(|n| !matches!(n.op, Op::Param(_)))
+                .map(|n| n.rows.len() + n.expanded.get().map_or(0, Matrix::len))
+                .sum();
+            adamel_obs::mem::observe("tensor.graph.bytes", 4 * bytes as u64);
             adamel_obs::mem::observe("tensor.graph.bytes", 0);
         }
     }
@@ -79,17 +121,29 @@ impl Drop for Graph {
 impl Graph {
     /// Creates an empty tape.
     pub fn new() -> Self {
-        Self { nodes: Vec::with_capacity(64) }
+        Self { nodes: Vec::with_capacity(64), groups: Vec::new() }
     }
 
-    fn push(&mut self, value: Matrix, op: Op) -> Var {
-        self.nodes.push(Node { value, op });
+    fn push(&mut self, rows: Arc<Matrix>, group: Option<usize>, op: Op) -> Var {
+        self.nodes.push(Node { rows, group, expanded: OnceLock::new(), op });
         Var(self.nodes.len() - 1)
+    }
+
+    /// How node `v`'s rows relate to the groups, for [`Expr::row_group`].
+    fn layout(&self, v: Var) -> RowOperand<usize> {
+        let node = &self.nodes[v.0];
+        match (node.group, &node.op) {
+            (Some(group), _) => RowOperand::Grouped(group),
+            (None, Op::Param(_) | Op::Constant) => RowOperand::Broadcast,
+            (None, Op::Expr(_)) => RowOperand::Ungrouped,
+        }
     }
 
     /// Evaluates `expr` over the values recorded so far and appends it; each
     /// named op method below is this call with its own [`Expr`]. The kernel
-    /// and the sanitizer's op checks run as the op is recorded.
+    /// and the sanitizer's op checks run as the op is recorded. An op
+    /// row-local in one group runs over the group's distinct rows (see the
+    /// module docs).
     ///
     /// # Panics
     ///
@@ -97,9 +151,14 @@ impl Graph {
     /// do not fit the op.
     pub fn record(&mut self, expr: Expr<Var>) -> Var {
         adamel_obs::trace_op!(expr.name());
+        let group = expr.row_group(|v| self.layout(v));
         let mut value = Matrix::default();
-        expr.forward_into(|v| &self.nodes[v.0].value, &mut value);
-        self.push(value, Op::Expr(expr))
+        match group {
+            // Grouped operands at their distinct rows, leaves whole.
+            Some(_) => expr.forward_into(|v| &self.nodes[v.0].rows, &mut value),
+            None => expr.forward_into(|v| self.value(v), &mut value),
+        }
+        self.push(Arc::new(value), group, Op::Expr(expr))
     }
 
     /// The recorded tape, in push order; the plan compiler walks this.
@@ -117,23 +176,49 @@ impl Graph {
         self.nodes.is_empty()
     }
 
-    /// The forward value of a node.
+    /// The forward value of a node, one row per logical row: a grouped
+    /// node is expanded on its first read.
     pub fn value(&self, v: Var) -> &Matrix {
-        &self.nodes[v.0].value
+        let node = &self.nodes[v.0];
+        match node.group {
+            None => &node.rows,
+            Some(group) => node.expanded.get_or_init(|| node.rows.select_rows(&self.groups[group])),
+        }
     }
 
     /// Inserts a constant (no gradient) input.
     pub fn constant(&mut self, value: Matrix) -> Var {
         // Leaves pass the same finiteness check as computed nodes.
         sanitize::check_finite("constant", &value);
-        self.push(value, Op::Constant)
+        self.push(Arc::new(value), None, Op::Constant)
     }
 
-    /// Inserts a leaf bound to parameter `id`, copying its current value.
+    /// Inserts a grouped constant input: logical row `i` is row `rows[i]`
+    /// of `distinct`. Row-local ops over it run once per distinct row (see
+    /// the module docs); [`value`](Self::value) reads it at one row per
+    /// logical row.
+    ///
+    /// # Panics
+    ///
+    /// If an entry of `rows` is past `distinct`.
+    pub fn constant_grouped(&mut self, distinct: Matrix, rows: Vec<usize>) -> Var {
+        assert!(
+            rows.iter().all(|&r| r < distinct.rows()),
+            "Graph::constant_grouped: a row index is past the {} distinct rows",
+            distinct.rows()
+        );
+        sanitize::check_finite("constant", &distinct);
+        self.groups.push(rows);
+        self.push(Arc::new(distinct), Some(self.groups.len() - 1), Op::Constant)
+    }
+
+    /// Inserts a leaf bound to parameter `id`. The leaf shares the set's
+    /// storage of the current value; a write to the set while the tape is
+    /// alive copies the value first, so the tape keeps what it read.
     pub fn param(&mut self, params: &ParamSet, id: ParamId) -> Var {
-        let value = params.value(id).clone();
+        let value = params.shared_value(id);
         sanitize::check_finite("param", &value);
-        self.push(value, Op::Param(id))
+        self.push(value, None, Op::Param(id))
     }
 
     /// Matrix product.
@@ -260,14 +345,12 @@ impl Graph {
     /// The tape is consumed conceptually (gradients of interior nodes are
     /// dropped afterwards); call once per constructed graph. A product's
     /// gradient toward an operand that no parameter feeds (an input leaf)
-    /// is never read, so it is not computed.
+    /// is never read, so it is not computed. Operand values are read
+    /// through [`value`](Self::value) and every gradient is per logical
+    /// row, grouped nodes' included.
     pub fn backward(&self, root: Var, params: &mut ParamSet) {
         adamel_obs::trace_span!("backward");
-        assert_eq!(
-            self.nodes[root.0].value.shape(),
-            (1, 1),
-            "backward requires a scalar (1x1) root"
-        );
+        assert_eq!(self.value(root).shape(), (1, 1), "backward requires a scalar (1x1) root");
         let mut grads: Vec<Option<Matrix>> = (0..self.nodes.len()).map(|_| None).collect();
         grads[root.0] = Some(Matrix::scalar(1.0));
         // Whether a parameter is among each node's ancestors (or is it).
@@ -288,10 +371,10 @@ impl Graph {
                 Op::Expr(Expr::MatMul(a, b)) => {
                     // dL/dA = G Bᵀ ; dL/dB = Aᵀ G
                     if trainable[a.0] {
-                        accumulate(&mut grads, *a, grad.matmul_nt(&self.nodes[b.0].value));
+                        accumulate(&mut grads, *a, grad.matmul_nt(self.value(*b)));
                     }
                     if trainable[b.0] {
-                        accumulate(&mut grads, *b, self.nodes[a.0].value.matmul_tn(&grad));
+                        accumulate(&mut grads, *b, self.value(*a).matmul_tn(&grad));
                     }
                 }
                 Op::Expr(Expr::Add(a, b)) => {
@@ -310,14 +393,14 @@ impl Graph {
                     accumulate(&mut grads, *bias, gb);
                 }
                 Op::Expr(Expr::Mul(a, b)) => {
-                    let ga = grad.mul(&self.nodes[b.0].value);
-                    let gb = grad.mul(&self.nodes[a.0].value);
+                    let ga = grad.mul(self.value(*b));
+                    let gb = grad.mul(self.value(*a));
                     accumulate(&mut grads, *a, ga);
                     accumulate(&mut grads, *b, gb);
                 }
                 Op::Expr(Expr::MulColBroadcast(a, col)) => {
-                    let aval = &self.nodes[a.0].value;
-                    let cval = &self.nodes[col.0].value;
+                    let aval = self.value(*a);
+                    let cval = self.value(*col);
                     let ga = grad.mul_col_broadcast(cval);
                     // d/dcol_i = Σ_j grad_ij * a_ij
                     let gc = grad.mul(aval).sum_cols();
@@ -326,22 +409,22 @@ impl Graph {
                 }
                 Op::Expr(Expr::Scale(a, s)) => accumulate(&mut grads, *a, grad.scale(*s)),
                 Op::Expr(Expr::Relu(a)) => {
-                    let mask = self.nodes[a.0].value.map(|v| if v > 0.0 { 1.0 } else { 0.0 });
+                    let mask = self.value(*a).map(|v| if v > 0.0 { 1.0 } else { 0.0 });
                     accumulate(&mut grads, *a, grad.mul(&mask));
                 }
                 Op::Expr(Expr::Tanh(a)) => {
-                    let y = &self.nodes[idx].value;
+                    let y = self.value(Var(idx));
                     let deriv = y.map(|t| 1.0 - t * t);
                     accumulate(&mut grads, *a, grad.mul(&deriv));
                 }
                 Op::Expr(Expr::Sigmoid(a)) => {
-                    let y = &self.nodes[idx].value;
+                    let y = self.value(Var(idx));
                     let deriv = y.map(|s| s * (1.0 - s));
                     accumulate(&mut grads, *a, grad.mul(&deriv));
                 }
                 Op::Expr(Expr::SoftmaxRows(a)) => {
                     // dL/dz_ij = p_ij * (g_ij - Σ_k g_ik p_ik)
-                    let p = &self.nodes[idx].value;
+                    let p = self.value(Var(idx));
                     let mut gz = Matrix::zeros(p.rows(), p.cols());
                     for i in 0..p.rows() {
                         let dot: f32 = grad.row(i).iter().zip(p.row(i)).map(|(g, pi)| g * pi).sum();
@@ -352,7 +435,7 @@ impl Graph {
                     accumulate(&mut grads, *a, gz);
                 }
                 Op::Expr(Expr::SliceCols { input, start, width }) => {
-                    let v = &self.nodes[input.0].value;
+                    let v = self.value(*input);
                     let mut gi = Matrix::zeros(v.rows(), v.cols());
                     for i in 0..grad.rows() {
                         for j in 0..*width {
@@ -364,7 +447,7 @@ impl Graph {
                 Op::Expr(Expr::ConcatCols(parts)) => {
                     let mut offset = 0;
                     for part in parts {
-                        let width = self.nodes[part.0].value.cols();
+                        let width = self.nodes[part.0].cols();
                         let gp = grad.slice_cols(offset, width);
                         accumulate(&mut grads, *part, gp);
                         offset += width;
@@ -372,27 +455,27 @@ impl Graph {
                 }
                 Op::Expr(Expr::WeightedSum { parts, weights }) => {
                     // d/dparts[j] = weights[:, j] ⊙ G; d/dweights[i, j] = Σ_c G_ic parts[j]_ic
-                    let w = &self.nodes[weights.0].value;
+                    let w = self.value(*weights);
                     let mut gw_cols = Vec::with_capacity(parts.len());
                     for (j, part) in parts.iter().enumerate() {
-                        gw_cols.push(grad.mul(&self.nodes[part.0].value).sum_cols());
+                        gw_cols.push(grad.mul(self.value(*part)).sum_cols());
                         accumulate(&mut grads, *part, grad.mul_col_broadcast(&w.slice_cols(j, 1)));
                     }
                     let refs: Vec<&Matrix> = gw_cols.iter().collect();
                     accumulate(&mut grads, *weights, Matrix::concat_cols(&refs));
                 }
                 Op::Expr(Expr::MeanAll(a)) => {
-                    let v = &self.nodes[a.0].value;
+                    let v = self.value(*a);
                     let g = grad.item() / v.len().max(1) as f32;
                     accumulate(&mut grads, *a, Matrix::full(v.rows(), v.cols(), g));
                 }
                 Op::Expr(Expr::SumAll(a)) => {
-                    let v = &self.nodes[a.0].value;
+                    let v = self.value(*a);
                     accumulate(&mut grads, *a, Matrix::full(v.rows(), v.cols(), grad.item()));
                 }
                 Op::Expr(Expr::WeightedBceWithLogits { logits, targets, weights }) => {
                     // d/dz of mean_i w_i * bce = w_i (sigmoid(z_i) - y_i) / n
-                    let z = &self.nodes[logits.0].value;
+                    let z = self.value(*logits);
                     let n = z.rows().max(1) as f32;
                     let g = grad.item();
                     let mut gz = Matrix::zeros(z.rows(), 1);
@@ -404,7 +487,7 @@ impl Graph {
                 }
                 Op::Expr(Expr::KlConstRows { probs, target, eps }) => {
                     // d/dp_ij of mean_i Σ_j q_j ln(q_j/(p_ij+eps)) = -q_j/(p_ij+eps)/n
-                    let p = &self.nodes[probs.0].value;
+                    let p = self.value(*probs);
                     let n = p.rows().max(1) as f32;
                     let g = grad.item();
                     let mut gp = Matrix::zeros(p.rows(), p.cols());
@@ -619,6 +702,78 @@ mod shape_guard_tests {
             params.grad(w_id).as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         };
         assert_eq!(grad_of_w(false), grad_of_w(true));
+    }
+
+    #[test]
+    fn a_parameter_leaf_shares_the_set_storage() {
+        let mut params = ParamSet::new();
+        let w = params.insert("w", Matrix::from_rows(&[vec![1.0, 2.0]]));
+        let mut g = Graph::new();
+        let v = g.param(&params, w);
+        assert!(std::ptr::eq(g.value(v), params.value(w)), "the leaf is the set's storage");
+        // A write while the tape is alive copies first: the tape keeps what
+        // it read.
+        params.value_mut(w).set(0, 0, 5.0);
+        assert_eq!(g.value(v).as_slice(), &[1.0, 2.0]);
+        drop(g);
+        let before: *const Matrix = params.value(w);
+        params.value_and_grad_mut(w).0.set(0, 1, 3.0);
+        assert!(std::ptr::eq(before, params.value(w)), "no tape left, so no copy");
+        assert_eq!(params.value(w).as_slice(), &[5.0, 3.0]);
+    }
+
+    #[test]
+    fn grouped_ops_run_per_distinct_row_and_read_per_pair() {
+        // Five logical rows over two distinct ones. `tanh(x · w + b)` is
+        // row-local and stays at two rows; `x + c` with a per-pair
+        // constant is not, and neither is anything reading it.
+        let distinct = Matrix::from_rows(&[vec![0.5, -1.0], vec![-0.0, 2.0]]);
+        let rows = vec![1, 0, 1, 1, 0];
+        let dense = distinct.select_rows(&rows);
+        let c = Matrix::from_vec(5, 2, (0..10).map(|i| i as f32 * 0.25).collect());
+        let mut params = ParamSet::new();
+        let w_id = params.insert("w", Matrix::from_rows(&[vec![1.5, -0.5], vec![0.25, 1.0]]));
+        let b_id = params.insert("b", Matrix::from_rows(&[vec![0.1, -0.2]]));
+        let run = |grouped: bool, params: &mut ParamSet| {
+            let mut g = Graph::new();
+            let x = if grouped {
+                g.constant_grouped(distinct.clone(), rows.clone())
+            } else {
+                g.constant(dense.clone())
+            };
+            let (w, b) = (g.param(params, w_id), g.param(params, b_id));
+            let h = g.linear(x, w, b);
+            let t = g.tanh(h);
+            let cv = g.constant(c.clone());
+            let mixed = g.add(x, cv);
+            let both = g.mul(t, mixed);
+            let loss = g.sum_all(both);
+            let stored: Vec<usize> = g.tape().iter().map(|n| n.rows.rows()).collect();
+            params.zero_grads();
+            g.backward(loss, params);
+            let values: Vec<Vec<u32>> = [x, h, t, mixed, both, loss]
+                .iter()
+                .map(|&v| g.value(v).as_slice().iter().map(|x| x.to_bits()).collect())
+                .collect();
+            let grads: Vec<Vec<u32>> = [w_id, b_id]
+                .iter()
+                .map(|&id| params.grad(id).as_slice().iter().map(|x| x.to_bits()).collect())
+                .collect();
+            (stored, values, grads)
+        };
+        let (stored, values, grads) = run(true, &mut params);
+        // x, w, b, x·w, +b, tanh, c, x + c, t ⊙ (x + c), sum.
+        assert_eq!(stored, vec![2, 2, 1, 2, 2, 2, 5, 5, 5, 1]);
+        let (_, dense_values, dense_grads) = run(false, &mut params);
+        assert_eq!(values, dense_values);
+        assert_eq!(grads, dense_grads);
+    }
+
+    #[test]
+    #[should_panic(expected = "past the 2 distinct rows")]
+    fn a_grouped_leaf_rejects_rows_past_its_distinct_rows() {
+        let mut g = Graph::new();
+        let _ = g.constant_grouped(Matrix::zeros(2, 3), vec![0, 2]);
     }
 
     #[test]

@@ -39,6 +39,9 @@
 //!     let sq = g.mul(diff, diff);
 //!     let loss = g.mean_all(sq);
 //!     g.backward(loss, &mut params);
+//!     // The tape shares the parameter values; without it the step writes
+//!     // them in place.
+//!     drop(g);
 //!     opt.step(&mut params);
 //! }
 //! assert!((params.value(w).get(0, 0) - 1.0).abs() < 0.05);

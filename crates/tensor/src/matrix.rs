@@ -208,7 +208,7 @@ impl Matrix {
         );
         let (n, k, m) = (self.rows, self.cols, other.cols);
         out.reset_shape(n, m);
-        if gemm::use_blocked(n, k, m) {
+        if gemm::use_blocked_packing(n, k, m) {
             let a = gemm::Operand { data: &self.data, rs: k, cs: 1 };
             let b = gemm::Operand { data: &other.data, rs: m, cs: 1 };
             gemm::gemm(n, k, m, &a, &b, &mut out.data);
@@ -275,12 +275,26 @@ impl Matrix {
         );
         let (k, n, m) = (self.rows, self.cols, other.cols);
         let mut out = Matrix::zeros(n, m);
-        if gemm::use_blocked(n, k, m) {
+        if gemm::use_blocked_packing(n, k, m) {
             // The transpose is expressed purely through pack-time strides:
             // logical A[i][p] = self.data[p * n + i].
             let a = gemm::Operand { data: &self.data, rs: 1, cs: n };
             let b = gemm::Operand { data: &other.data, rs: m, cs: 1 };
             gemm::gemm(n, k, m, &a, &b, &mut out.data);
+            return out;
+        }
+        if m == 1 {
+            // `selfᵀ` times a column: rows streamed in ascending `p`, one
+            // accumulator per output, zeros skipped, the loop below's
+            // operation order without its strided column reads.
+            for (a_row, &b) in self.data.chunks_exact(n.max(1)).zip(&other.data) {
+                for (o, &a) in out.data.iter_mut().zip(a_row) {
+                    if a == 0.0 {
+                        continue;
+                    }
+                    *o += a * b;
+                }
+            }
             return out;
         }
         // Per-output-row loop (rather than the k-outer order a transposed
@@ -311,7 +325,18 @@ impl Matrix {
         );
         let (n, k, m) = (self.rows, self.cols, other.rows);
         let mut out = Matrix::zeros(n, m);
-        if gemm::use_blocked(n, k, m) {
+        if k == 1 {
+            // Outer product of two columns. Every path starts an output's
+            // accumulator at `0.0` and adds one product, so a `-0.0`
+            // product is stored as `+0.0` here too.
+            for (out_row, &a) in out.data.chunks_exact_mut(m.max(1)).zip(&self.data) {
+                for (o, &b) in out_row.iter_mut().zip(&other.data) {
+                    *o = 0.0 + a * b;
+                }
+            }
+            return out;
+        }
+        if gemm::use_blocked_packing(n, k, m) {
             let a = gemm::Operand { data: &self.data, rs: k, cs: 1 };
             // Logical B[p][j] = other.data[j * k + p].
             let b = gemm::Operand { data: &other.data, rs: 1, cs: k };
@@ -733,6 +758,79 @@ mod tests {
         for (x, y) in via_t.as_slice().iter().zip(fused.as_slice()) {
             assert!(approx(*x, *y));
         }
+    }
+
+    /// `m x n` values cycling through random, zero, signed-zero and
+    /// sign-mixed entries.
+    fn awkward(rows: usize, cols: usize, seed: u32) -> Matrix {
+        let mut state = seed.wrapping_mul(2_654_435_761).wrapping_add(1);
+        let data = (0..rows * cols)
+            .map(|i| {
+                state ^= state << 13;
+                state ^= state >> 17;
+                state ^= state << 5;
+                let v = (state >> 8) as f32 / (1 << 24) as f32 * 4.0 - 2.0;
+                match i % 7 {
+                    0 => 0.0,
+                    3 => -0.0,
+                    5 => -v.abs() * 1e-30,
+                    _ => v,
+                }
+            })
+            .collect();
+        Matrix::from_vec(rows, cols, data)
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn outer_and_column_products_match_the_general_loops_bitwise() {
+        // The general loops the `k == 1` `matmul_nt` and `m == 1`
+        // `matmul_tn` paths stand in for.
+        let nt_loop = |a: &Matrix, b: &Matrix| {
+            let (n, k, m) = (a.rows(), a.cols(), b.rows());
+            let mut out = Matrix::zeros(n, m);
+            for i in 0..n {
+                for j in 0..m {
+                    let mut acc = 0.0;
+                    for p in 0..k {
+                        acc += a.get(i, p) * b.get(j, p);
+                    }
+                    out.set(i, j, acc);
+                }
+            }
+            out
+        };
+        let tn_loop = |a: &Matrix, b: &Matrix| {
+            let (k, n, m) = (a.rows(), a.cols(), b.cols());
+            let mut out = Matrix::zeros(n, m);
+            for i in 0..n {
+                for p in 0..k {
+                    let x = a.get(p, i);
+                    if x == 0.0 {
+                        continue;
+                    }
+                    for j in 0..m {
+                        out.set(i, j, out.get(i, j) + x * b.get(p, j));
+                    }
+                }
+            }
+            out
+        };
+        for (rows, width, seed) in [(1, 1, 1), (3, 5, 2), (16, 64, 3), (100, 256, 4), (7, 0, 5)] {
+            // `g·aᵀ`: a gradient column times a weight column.
+            let (g, a) = (awkward(rows, 1, seed), awkward(width, 1, seed + 10));
+            assert_eq!(bits(&g.matmul_nt(&a)), bits(&nt_loop(&g, &a)), "nt {rows}x{width}");
+            // `tᵀ·g`: activations transposed times a gradient column.
+            let t = awkward(rows, width, seed + 20);
+            assert_eq!(bits(&t.matmul_tn(&g)), bits(&tn_loop(&t, &g)), "tn {rows}x{width}");
+        }
+        // A `-0.0` product is stored as `+0.0`.
+        let neg = Matrix::from_vec(1, 1, vec![-0.0]);
+        let pos = Matrix::from_vec(1, 1, vec![3.0]);
+        assert_eq!(neg.matmul_nt(&pos).item().to_bits(), 0.0f32.to_bits());
     }
 
     #[test]

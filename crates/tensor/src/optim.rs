@@ -1,6 +1,5 @@
 //! Optimizers: Adam (the paper's choice, Kingma & Ba 2014) and plain SGD.
 
-use crate::matrix::Matrix;
 use crate::params::ParamSet;
 
 /// Common interface so training loops can be generic over the optimizer.
@@ -16,14 +15,19 @@ pub trait Optimizer {
 
 /// Adam with bias correction; defaults match the paper's configuration
 /// (lr = 1e-4) and the standard β/ε choices.
+///
+/// Each moment is one buffer over every scalar of the set, parameters laid
+/// end to end in registration order: two allocations, not two per
+/// parameter, so the state does not fragment the heap a training loop's
+/// tapes churn through, and it goes back to the system whole when dropped.
 pub struct Adam {
     lr: f32,
     beta1: f32,
     beta2: f32,
     eps: f32,
     t: u64,
-    m: Vec<Matrix>,
-    v: Vec<Matrix>,
+    m: Vec<f32>,
+    v: Vec<f32>,
 }
 
 impl Adam {
@@ -38,18 +42,16 @@ impl Adam {
     }
 
     fn ensure_state(&mut self, params: &ParamSet) {
-        if self.m.len() == params.len() {
+        let scalars = params.num_scalars();
+        if self.m.len() == scalars {
             return;
         }
         assert!(
             self.m.is_empty(),
             "Adam: parameter set grew after the first step; create a new optimizer"
         );
-        for id in params.ids() {
-            let shape = params.value(id).shape();
-            self.m.push(Matrix::zeros(shape.0, shape.1));
-            self.v.push(Matrix::zeros(shape.0, shape.1));
-        }
+        self.m = vec![0.0; scalars];
+        self.v = vec![0.0; scalars];
     }
 }
 
@@ -67,15 +69,16 @@ impl Optimizer for Adam {
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        for (k, id) in params.ids().collect::<Vec<_>>().into_iter().enumerate() {
+        let mut offset = 0;
+        for id in params.ids().collect::<Vec<_>>() {
             let (value, grad) = params.value_and_grad_mut(id);
-            let m = &mut self.m[k];
-            let v = &mut self.v[k];
+            let span = offset..offset + value.len();
+            offset = span.end;
             for (((val, mv), vv), g) in value
                 .as_mut_slice()
                 .iter_mut()
-                .zip(m.as_mut_slice().iter_mut())
-                .zip(v.as_mut_slice().iter_mut())
+                .zip(&mut self.m[span.clone()])
+                .zip(&mut self.v[span])
                 .zip(grad.as_slice())
             {
                 *mv = self.beta1 * *mv + (1.0 - self.beta1) * g;
@@ -134,6 +137,7 @@ impl Optimizer for Sgd {
 mod tests {
     use super::*;
     use crate::graph::Graph;
+    use crate::matrix::Matrix;
 
     /// Minimizing (w - 3)² should drive w toward 3 with either optimizer.
     fn quadratic_descent(opt: &mut dyn Optimizer) -> f32 {

@@ -9,9 +9,15 @@
 //! Two reads that see the same generation saw the same values, in the same
 //! set, so a consumer can cache something derived from the values (the
 //! compiled plan's packed weights) and key it on the generation alone.
+//!
+//! Values are reference-counted: an autograd tape's parameter leaf shares
+//! the set's storage instead of copying it, and every write goes through
+//! [`Arc::make_mut`], which copies only while such a tape is still alive.
+//! A training step therefore drops its tape before the optimizer writes.
 
 use crate::matrix::Matrix;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Source of every [`ParamSet::generation`]; process-wide, so no two value
 /// states of any sets ever share a generation.
@@ -27,7 +33,7 @@ pub struct ParamId(pub(crate) usize);
 
 struct ParamEntry {
     name: String,
-    value: Matrix,
+    value: Arc<Matrix>,
     grad: Matrix,
 }
 
@@ -64,7 +70,7 @@ impl ParamSet {
     pub fn insert(&mut self, name: impl Into<String>, value: Matrix) -> ParamId {
         self.generation = next_generation();
         let grad = Matrix::zeros(value.rows(), value.cols());
-        self.entries.push(ParamEntry { name: name.into(), value, grad });
+        self.entries.push(ParamEntry { name: name.into(), value: Arc::new(value), grad });
         ParamId(self.entries.len() - 1)
     }
 
@@ -89,10 +95,17 @@ impl ParamSet {
         &self.entries[id.0].value
     }
 
-    /// Mutable value access (used by optimizers and serialization).
+    /// The storage of a parameter's current value, shared rather than
+    /// copied (a tape's parameter leaf holds it).
+    pub(crate) fn shared_value(&self, id: ParamId) -> Arc<Matrix> {
+        Arc::clone(&self.entries[id.0].value)
+    }
+
+    /// Mutable value access (used by optimizers and serialization). Copies
+    /// the value first only while a tape still shares it.
     pub fn value_mut(&mut self, id: ParamId) -> &mut Matrix {
         self.generation = next_generation();
-        &mut self.entries[id.0].value
+        Arc::make_mut(&mut self.entries[id.0].value)
     }
 
     /// Accumulated gradient of a parameter.
@@ -111,7 +124,7 @@ impl ParamSet {
     pub fn value_and_grad_mut(&mut self, id: ParamId) -> (&mut Matrix, &Matrix) {
         self.generation = next_generation();
         let e = &mut self.entries[id.0];
-        (&mut e.value, &e.grad)
+        (Arc::make_mut(&mut e.value), &e.grad)
     }
 
     /// The name given at registration.
@@ -156,7 +169,7 @@ impl ParamSet {
     /// Deep-copies all current values (snapshot for early stopping / best
     /// model tracking).
     pub fn snapshot(&self) -> Vec<Matrix> {
-        self.entries.iter().map(|e| e.value.clone()).collect()
+        self.entries.iter().map(|e| Matrix::clone(&e.value)).collect()
     }
 
     /// Restores values from a [`snapshot`](Self::snapshot). Panics if the
@@ -166,7 +179,7 @@ impl ParamSet {
         self.generation = next_generation();
         for (e, s) in self.entries.iter_mut().zip(snapshot) {
             assert_eq!(e.value.shape(), s.shape(), "ParamSet::restore shape mismatch");
-            e.value = s.clone();
+            e.value = Arc::new(s.clone());
         }
     }
 }

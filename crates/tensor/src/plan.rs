@@ -57,15 +57,14 @@
 //!
 //! The replay input is an [`EncodedBlocks`]: per feature, a table of its
 //! distinct `D`-wide blocks, and per pair, the table row of each feature.
-//! The tape records feature `j` as its own constant leaf (the pairs' rows
-//! of table `j`), and compile takes those leaves in feature order: leaf `j`
-//! is window `j`, whose distinct rows are table `j` and whose row map is
-//! index column `j`. Compile tags each step with the window it is a
-//! row-local function of: the leaf itself; a plain or packed product by,
-//! or a row-broadcast add of, a `Param`/`Const`; `relu`, `tanh`,
-//! `sigmoid`, `scale` and `softmax_rows`; and `add`, `mul`,
-//! `mul_col_broadcast`, `concat_cols` and `slice_cols` whose row operands
-//! all share the window.
+//! The tape records feature `j` as its own grouped leaf (the distinct
+//! blocks of table `j` and each pair's row among them), and compile takes
+//! those leaves in feature order: leaf `j` is window `j`, whose distinct
+//! rows are table `j` and whose row map is index column `j`. Compile tags
+//! the leaf with its window and each computed step with the window
+//! `Expr::row_group` finds it row-local in, a buffer's layout being its
+//! window and a `Param`/`Const` a broadcast leaf. That is the rule by
+//! which the tape runs an op once per distinct row of a grouped leaf.
 //!
 //! Replay then runs in two phases over the whole call:
 //!
@@ -83,7 +82,7 @@
 //! `plan.window_rows` and `plan.window_distinct_rows` counters sum each
 //! call's pair rows and distinct rows over its windows.
 
-use crate::expr::Expr;
+use crate::expr::{Expr, RowOperand};
 use crate::gemm::{PackedB, NR};
 use crate::graph::{Graph, Op, Var};
 use crate::matrix::Matrix;
@@ -141,9 +140,9 @@ impl std::error::Error for PlanError {}
 /// Pair `r`'s feature `j` is row [`id(r, j)`](Self::id) of
 /// [`table(j)`](Self::table), a `dim`-wide block. Laid side by side, the
 /// `F` blocks of a pair are its dense `1 x F·dim` row. This is the input of
-/// both forwards: the tape records [`gather(j, ..)`](Self::gather) as
-/// feature `j`'s leaf, and a compiled plan reads the tables and the index
-/// directly.
+/// both forwards: the tape records [`distinct(j, ..)`](Self::distinct) as
+/// feature `j`'s grouped leaf, and a compiled plan reads the tables and the
+/// index directly.
 #[derive(Debug, Clone)]
 pub struct EncodedBlocks {
     rows: usize,
@@ -225,14 +224,24 @@ impl EncodedBlocks {
         self.index[r * self.features() + j] as usize
     }
 
-    /// Feature `j`'s blocks of the pairs `pairs`, one row each
-    /// (`pairs.len() x dim`).
-    pub fn gather(&self, j: usize, pairs: &[usize]) -> Matrix {
-        let mut data = Vec::with_capacity(pairs.len() * self.dim);
-        for &r in pairs {
-            data.extend_from_slice(self.tables[j].row(self.id(r, j)));
-        }
-        Matrix::from_vec(pairs.len(), self.dim, data)
+    /// Feature `j`'s distinct blocks among the pairs `pairs`, in
+    /// first-seen order, and each pair's row among them: the arguments of
+    /// [`Graph::constant_grouped`]. Over every pair in order they are table
+    /// `j` and index column `j`.
+    pub fn distinct(&self, j: usize, pairs: &[usize]) -> (Matrix, Vec<usize>) {
+        let mut local: BTreeMap<usize, usize> = BTreeMap::new();
+        let mut picked = Vec::new();
+        let rows = pairs
+            .iter()
+            .map(|&r| {
+                let id = self.id(r, j);
+                *local.entry(id).or_insert_with(|| {
+                    picked.push(id);
+                    picked.len() - 1
+                })
+            })
+            .collect();
+        (self.tables[j].select_rows(&picked), rows)
     }
 
     /// The dense `rows x F·dim` matrix: each pair's blocks side by side.
@@ -294,9 +303,9 @@ enum Kernel {
 /// the phases.
 enum StepOp {
     Kernel(Kernel),
-    /// Input leaf `.0`'s distinct rows: its feature's table (window phase
-    /// only).
-    WindowRows(usize),
+    /// An input leaf's distinct rows: the table of the feature its step
+    /// is tagged with (window phase only).
+    WindowRows,
     /// Kept buffer `src` (`cols` wide), tagged with `window`, at one row
     /// per pair, by the window's index column (pair phase only).
     Gather {
@@ -304,53 +313,6 @@ enum StepOp {
         window: usize,
         cols: usize,
     },
-}
-
-impl StepOp {
-    /// The input leaf this step is a row-local function of, given the
-    /// window of every earlier buffer (see the module docs), or `None`.
-    fn window(&self, buf_window: &[Option<usize>]) -> Option<usize> {
-        let win = |s: &Src| match s {
-            Src::Buf(i) => buf_window[*i],
-            _ => None,
-        };
-        let leaf = |s: &Src| matches!(s, Src::Param(_) | Src::Const(_));
-        match self {
-            StepOp::WindowRows(w) => Some(*w),
-            StepOp::Kernel(Kernel::MatMulPacked { a, .. }) => win(a),
-            StepOp::Kernel(Kernel::Expr(Expr::MatMul(a, b) | Expr::AddRowBroadcast(a, b))) => {
-                win(a).filter(|_| leaf(b))
-            }
-            StepOp::Kernel(Kernel::Expr(
-                expr @ (Expr::Add(..)
-                | Expr::Mul(..)
-                | Expr::MulColBroadcast(..)
-                | Expr::ConcatCols(_)
-                | Expr::Scale(..)
-                | Expr::Relu(_)
-                | Expr::Tanh(_)
-                | Expr::Sigmoid(_)
-                | Expr::SoftmaxRows(_)
-                | Expr::SliceCols { .. }),
-            )) => {
-                // Row-local: tagged when every operand shares one window.
-                let srcs = expr.operands();
-                let w = win(srcs.first()?)?;
-                srcs.iter().all(|s| win(s) == Some(w)).then_some(w)
-            }
-            StepOp::Kernel(
-                Kernel::Expr(
-                    Expr::WeightedSum { .. }
-                    | Expr::MeanAll(_)
-                    | Expr::SumAll(_)
-                    | Expr::WeightedBceWithLogits { .. }
-                    | Expr::KlConstRows { .. },
-                )
-                | Kernel::FillRows(_),
-            )
-            | StepOp::Gather { .. } => None,
-        }
-    }
 }
 
 /// A frozen, shape-specialized forward program: compile once, replay many.
@@ -512,10 +474,18 @@ struct Emitter {
 }
 
 impl Emitter {
-    /// Appends `op`, tagged with its window, and returns its buffer. An
+    /// How buffer or leaf `s` reads in [`Expr::row_group`]: a buffer by its
+    /// window, a parameter or frozen constant whole.
+    fn layout(&self, s: Src) -> RowOperand<usize> {
+        match s {
+            Src::Buf(b) => self.buf_window[b].map_or(RowOperand::Ungrouped, RowOperand::Grouped),
+            Src::Param(_) | Src::Const(_) => RowOperand::Broadcast,
+        }
+    }
+
+    /// Appends `op`, tagged with `window`, and returns its buffer. An
     /// untagged op reads each tagged operand through its `Gather`.
-    fn push(&mut self, op: StepOp, cols: usize) -> usize {
-        let window = op.window(&self.buf_window);
+    fn push(&mut self, op: StepOp, window: Option<usize>, cols: usize) -> usize {
         let op = match op {
             StepOp::Kernel(Kernel::Expr(expr)) if window.is_none() => {
                 StepOp::Kernel(Kernel::Expr(expr.map(|s| match s {
@@ -543,7 +513,7 @@ impl Emitter {
             Some(buf) => buf,
             None => {
                 let cols = self.buf_cols[i];
-                let buf = self.push(StepOp::Gather { src: i, window, cols }, cols);
+                let buf = self.push(StepOp::Gather { src: i, window, cols }, None, cols);
                 self.gathered[i] = Some(buf);
                 buf
             }
@@ -554,11 +524,13 @@ impl Emitter {
 impl CompiledPlan {
     /// Compiles the subgraph of `g` that `outputs` depend on, treating
     /// `inputs` as the replay-time batch leaves: leaf `j` is feature `j` of
-    /// the [`EncodedBlocks`] a replay reads. Nodes the outputs don't reach
-    /// are pruned (so a plan for the attention head alone skips the
-    /// classifier). The probe graph's batch size is read from the leaves
-    /// and only used to find batch-sized constants; replays accept any row
-    /// count with the leaves' feature count and width.
+    /// the [`EncodedBlocks`] a replay reads. The leaves are constants,
+    /// grouped ([`Graph::constant_grouped`], as a model's forward records
+    /// them) or not. Nodes the outputs don't reach are pruned (so a plan
+    /// for the attention head alone skips the classifier). The probe
+    /// graph's batch size is the leaves' logical row count and only used to
+    /// find batch-sized constants; replays accept any row count with the
+    /// leaves' feature count and width.
     ///
     /// # Panics
     ///
@@ -591,29 +563,33 @@ impl CompiledPlan {
             if !needed[i] {
                 continue;
             }
-            let cols = node.value.cols();
-            let op = match &node.op {
-                Op::Constant => match inputs.iter().position(|v| v.index() == i) {
-                    Some(w) => StepOp::WindowRows(w),
-                    None if Some(node.value.rows()) == probe_rows => {
-                        // Batch-sized: replayable only as one row repeated,
-                        // so every row must match the first bit for bit.
-                        let v = &node.value;
-                        let differs = |r: usize| {
-                            v.row(r).iter().zip(v.row(0)).any(|(a, b)| a.to_bits() != b.to_bits())
-                        };
-                        if v.rows() == 0 || (1..v.rows()).any(differs) {
-                            return Err(PlanError::ScalingConstant);
+            let cols = node.cols();
+            let (op, window) = match &node.op {
+                Op::Constant => {
+                    let value = g.value(Var(i));
+                    match inputs.iter().position(|v| v.index() == i) {
+                        Some(w) => (StepOp::WindowRows, Some(w)),
+                        None if Some(value.rows()) == probe_rows => {
+                            // Batch-sized: replayable only as one row
+                            // repeated, so every row must match the first
+                            // bit for bit.
+                            let differs = |r: usize| {
+                                let pairs = value.row(r).iter().zip(value.row(0));
+                                pairs.into_iter().any(|(a, b)| a.to_bits() != b.to_bits())
+                            };
+                            if value.rows() == 0 || (1..value.rows()).any(differs) {
+                                return Err(PlanError::ScalingConstant);
+                            }
+                            consts.push(value.slice_rows(0, 1));
+                            (StepOp::Kernel(Kernel::FillRows(consts.len() - 1)), None)
                         }
-                        consts.push(v.slice_rows(0, 1));
-                        StepOp::Kernel(Kernel::FillRows(consts.len() - 1))
+                        None => {
+                            consts.push(value.clone());
+                            src[i] = Some(Src::Const(consts.len() - 1));
+                            continue;
+                        }
                     }
-                    None => {
-                        consts.push(node.value.clone());
-                        src[i] = Some(Src::Const(consts.len() - 1));
-                        continue;
-                    }
-                },
+                }
                 Op::Param(id) => {
                     src[i] = Some(Src::Param(*id));
                     continue;
@@ -621,15 +597,20 @@ impl CompiledPlan {
                 Op::Expr(expr) if expr.is_training_only() => {
                     return Err(PlanError::UnsupportedOp(expr.name()))
                 }
-                Op::Expr(expr) => StepOp::Kernel(match expr.map(|v| resolved(&src, v)) {
-                    // The product's width is its right operand's.
-                    Expr::MatMul(a, Src::Param(param)) if cols >= NR => {
-                        Kernel::MatMulPacked { a, param, slot: intern(&mut packed, param) }
-                    }
-                    expr => Kernel::Expr(expr),
-                }),
+                Op::Expr(expr) => {
+                    let expr = expr.map(|v| resolved(&src, v));
+                    let window = expr.row_group(|s| emit.layout(s));
+                    let kernel = match expr {
+                        // The product's width is its right operand's.
+                        Expr::MatMul(a, Src::Param(param)) if cols >= NR => {
+                            Kernel::MatMulPacked { a, param, slot: intern(&mut packed, param) }
+                        }
+                        expr => Kernel::Expr(expr),
+                    };
+                    (StepOp::Kernel(kernel), window)
+                }
             };
-            src[i] = Some(Src::Buf(emit.push(op, cols)));
+            src[i] = Some(Src::Buf(emit.push(op, window, cols)));
         }
 
         let outputs = outputs
@@ -776,7 +757,7 @@ impl CompiledPlan {
             let (head, tail) = arena.bufs.split_at_mut(s);
             let out = &mut tail[0];
             match &self.steps[s] {
-                StepOp::WindowRows(_) => {
+                StepOp::WindowRows => {
                     out.assign_rows_from(table, first, rows);
                     // The op the tape records the leaf as.
                     sanitize::check_finite("constant", out);
@@ -838,7 +819,7 @@ impl CompiledPlan {
                     }
                 }
                 // Always tagged: window rows run in the window phase.
-                StepOp::WindowRows(_) => {}
+                StepOp::WindowRows => {}
             }
         }
         4 * self.pair_steps.iter().map(|&s| bufs[s].len()).sum::<usize>()
@@ -1162,11 +1143,16 @@ mod tests {
         )
     }
 
-    /// Records feature `j`'s rows of `x` as input leaf `j`, as the model's
-    /// forward does.
+    /// Records feature `j`'s rows of `x` as grouped input leaf `j`, as the
+    /// model's forward does.
     fn leaves(g: &mut Graph, x: &EncodedBlocks) -> Vec<Var> {
         let pairs: Vec<usize> = (0..x.rows()).collect();
-        (0..x.features()).map(|j| g.constant(x.gather(j, &pairs))).collect()
+        (0..x.features())
+            .map(|j| {
+                let (distinct, rows) = x.distinct(j, &pairs);
+                g.constant_grouped(distinct, rows)
+            })
+            .collect()
     }
 
     /// Records the two-window program the grouping tests share over `x`
