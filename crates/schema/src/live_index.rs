@@ -9,17 +9,17 @@
 //!
 //! ## Equivalence contract
 //!
-//! The candidate ranking is defined to match `BlockingIndex` exactly:
-//! records ranked by (shared-token count descending, key ascending), capped
-//! at `limit`. Because [`snapshot`](LiveIndex::snapshot) yields records in
-//! key order, a `BlockingIndex` built over that snapshot ranks by position
-//! ascending on ties — which *is* key order — so
-//! [`candidates`](LiveIndex::candidates) returns the keys of exactly the
-//! records `BlockingIndex::candidates_for` returns, in the same order, on
-//! every query (property-tested below). `adamel-serve` scores those
-//! records, fetched by key with [`get`](LiveIndex::get), and so produces
-//! the same pairs, in the same order, as the offline `Linker::link` over
-//! the snapshot: its scores are bit-identical.
+//! Both indexes tokenize with `block_tokens` and rank with the one
+//! `Postings::rank` of [`blocking`](crate::blocking): (shared-token count
+//! descending, id ascending), capped at `limit`. The id is the record key
+//! here and the position in the key-ordered
+//! [`snapshot`](LiveIndex::snapshot) in a `BlockingIndex` over it, so
+//! [`candidates`](LiveIndex::candidates) returns the keys of
+//! `BlockingIndex::candidates_for`'s records, in its order (tested below,
+//! also against a brute-force count). `adamel-serve` scores those records,
+//! got by key with [`get`](LiveIndex::get): the same pairs in the same
+//! order as the offline `Linker::link` over the snapshot, so bit-identical
+//! scores.
 //!
 //! ## Memory gauge
 //!
@@ -28,9 +28,9 @@
 //! per record) and publishes it as the `schema.live_index.bytes` gauge of
 //! the `adamel-obs` memory ledger after every mutation.
 
+use crate::blocking::{block_tokens, Postings};
 use crate::record::{Record, SourceId};
-use adamel_text::tokenize;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// The memory-ledger gauge holding [`LiveIndex`]'s running byte total.
 const BYTES_GAUGE: &str = "schema.live_index.bytes";
@@ -43,7 +43,7 @@ pub type RecordKey = (SourceId, u64);
 pub struct LiveIndex {
     block_attrs: Vec<String>,
     records: BTreeMap<RecordKey, Record>,
-    by_token: BTreeMap<String, BTreeSet<RecordKey>>,
+    postings: Postings<RecordKey>,
     /// Running sum of [`record_bytes`] over `records`.
     bytes: u64,
 }
@@ -58,12 +58,7 @@ fn record_bytes(r: &Record) -> u64 {
 impl LiveIndex {
     /// An empty index blocking on the word tokens of `block_attrs`.
     pub fn new(block_attrs: Vec<String>) -> Self {
-        Self { block_attrs, records: BTreeMap::new(), by_token: BTreeMap::new(), bytes: 0 }
-    }
-
-    /// The blocking attributes this index tokenizes.
-    pub fn block_attrs(&self) -> &[String] {
-        &self.block_attrs
+        Self { block_attrs, records: BTreeMap::new(), postings: Postings::default(), bytes: 0 }
     }
 
     /// Number of indexed records.
@@ -76,53 +71,12 @@ impl LiveIndex {
         self.records.is_empty()
     }
 
-    /// Number of distinct blocking tokens with at least one posting.
-    pub fn num_blocks(&self) -> usize {
-        self.by_token.len()
-    }
-
-    /// Distinct blocking tokens of one record, in first-seen order
-    /// (matching `BlockingIndex::new`'s per-record token walk).
-    fn tokens_of(&self, r: &Record) -> Vec<String> {
-        let mut seen = BTreeSet::new();
-        let mut out = Vec::new();
-        for attr in &self.block_attrs {
-            if let Some(v) = r.get(attr) {
-                for t in tokenize(v) {
-                    if seen.insert(t.clone()) {
-                        out.push(t);
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    fn unindex(&mut self, key: RecordKey, record: &Record) {
-        self.bytes -= record_bytes(record);
-        for t in self.tokens_of(record) {
-            if let Some(postings) = self.by_token.get_mut(&t) {
-                postings.remove(&key);
-                if postings.is_empty() {
-                    self.by_token.remove(&t);
-                }
-            }
-        }
-    }
-
     /// Inserts or replaces the record with the same `(source, entity_id)`
     /// key. Returns `true` when an existing record was replaced.
     pub fn upsert(&mut self, record: Record) -> bool {
         let key = (record.source, record.entity_id);
-        let replaced = if let Some(old) = self.records.remove(&key) {
-            self.unindex(key, &old);
-            true
-        } else {
-            false
-        };
-        for t in self.tokens_of(&record) {
-            self.by_token.entry(t).or_default().insert(key);
-        }
+        let replaced = self.take(key);
+        self.postings.insert(key, block_tokens(&record, &self.block_attrs));
         self.bytes += record_bytes(&record);
         self.records.insert(key, record);
         adamel_obs::mem::observe(BYTES_GAUGE, self.bytes);
@@ -132,15 +86,22 @@ impl LiveIndex {
     /// Removes the record with the given key. Returns `true` when a record
     /// was actually removed.
     pub fn delete(&mut self, source: SourceId, entity_id: u64) -> bool {
-        let key = (source, entity_id);
-        match self.records.remove(&key) {
-            Some(old) => {
-                self.unindex(key, &old);
-                adamel_obs::mem::observe(BYTES_GAUGE, self.bytes);
-                true
-            }
-            None => false,
+        let removed = self.take((source, entity_id));
+        if removed {
+            adamel_obs::mem::observe(BYTES_GAUGE, self.bytes);
         }
+        removed
+    }
+
+    /// Drops the record with `key`, its postings and its bytes. Returns
+    /// `true` when there was one.
+    fn take(&mut self, key: RecordKey) -> bool {
+        let Some(old) = self.records.remove(&key) else {
+            return false;
+        };
+        self.postings.remove(key, &block_tokens(&old, &self.block_attrs));
+        self.bytes -= record_bytes(&old);
+        true
     }
 
     /// The indexed record with the given key, if any.
@@ -160,17 +121,7 @@ impl LiveIndex {
     /// at `limit` — the same ranking `BlockingIndex::candidates_for`
     /// produces over the key-order snapshot.
     pub fn candidates(&self, query: &Record, limit: usize) -> Vec<RecordKey> {
-        let mut counts: BTreeMap<RecordKey, usize> = BTreeMap::new();
-        for t in self.tokens_of(query) {
-            if let Some(postings) = self.by_token.get(&t) {
-                for &k in postings {
-                    *counts.entry(k).or_insert(0) += 1;
-                }
-            }
-        }
-        let mut ranked: Vec<(RecordKey, usize)> = counts.into_iter().collect();
-        ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        ranked.into_iter().take(limit).map(|(k, _)| k).collect()
+        self.postings.rank(&block_tokens(query, &self.block_attrs), limit)
     }
 }
 
@@ -178,7 +129,9 @@ impl LiveIndex {
 mod tests {
     use super::*;
     use crate::blocking::BlockingIndex;
+    use adamel_text::tokenize;
     use rand::{Rng, SeedableRng};
+    use std::collections::BTreeSet;
 
     fn rec(source: u32, id: u64, title: &str) -> Record {
         let mut r = Record::new(SourceId(source), id);
@@ -210,7 +163,7 @@ mod tests {
         assert!(li.delete(SourceId(0), 1));
         assert!(!li.delete(SourceId(0), 1), "double delete is a no-op");
         assert_eq!(li.candidates(&rec(9, 9, "alpha"), 10), vec![(SourceId(0), 2)]);
-        assert_eq!(li.num_blocks(), 2, "beta posting list must be dropped entirely");
+        assert_eq!(li.postings.num_blocks(), 2, "beta posting list must be dropped entirely");
     }
 
     fn keys_of(records: &[Record]) -> Vec<RecordKey> {
@@ -265,9 +218,28 @@ mod tests {
         assert_eq!(li.bytes, 0);
     }
 
+    /// Every record sharing a distinct token with `query`, with its count
+    /// of shared distinct tokens, fully sorted by (count descending, key
+    /// ascending).
+    fn brute_force(snap: &[Record], query: &str) -> Vec<(RecordKey, usize)> {
+        let q: BTreeSet<String> = tokenize(query).into_iter().collect();
+        let mut ranked: Vec<(RecordKey, usize)> = snap
+            .iter()
+            .map(|r| {
+                let title: BTreeSet<String> =
+                    r.get("title").map(tokenize).unwrap_or_default().into_iter().collect();
+                ((r.source, r.entity_id), title.intersection(&q).count())
+            })
+            .filter(|&(_, n)| n > 0)
+            .collect();
+        ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        ranked
+    }
+
     /// The contract the serving path relies on: LiveIndex candidates over a
-    /// mutating corpus agree with a fresh BlockingIndex over the snapshot,
-    /// for every query, after every mutation.
+    /// mutating corpus agree with a fresh BlockingIndex over the snapshot
+    /// (key order ≡ snapshot position) and with a brute-force count over
+    /// every record, for every query, after every mutation.
     #[test]
     fn candidates_match_blocking_index_under_churn() {
         let vocab = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta"];
@@ -277,6 +249,7 @@ mod tests {
             (0..n).map(|_| vocab[rng.gen_range(0usize..vocab.len())]).collect::<Vec<_>>().join(" ")
         };
         let mut li = LiveIndex::new(vec!["title".into()]);
+        let mut ties_at_the_cut = 0;
         for step in 0..200u64 {
             let source = rng.gen_range(0u32..3);
             let id = rng.gen_range(0u64..30);
@@ -295,7 +268,8 @@ mod tests {
             for _ in 0..5 {
                 let qt = title(&mut rng);
                 let q = rec(9, 999, &qt);
-                for limit in [1, 3, 100] {
+                let reference = brute_force(&snap, &qt);
+                for limit in [0, 1, 3, 100] {
                     let live = li.candidates(&q, limit);
                     let batch: Vec<RecordKey> = bi
                         .candidates_for(&q, &["title"], limit)
@@ -303,8 +277,19 @@ mod tests {
                         .filter_map(|i| keys.get(i).copied())
                         .collect();
                     assert_eq!(live, batch, "query `{qt}` limit {limit} diverged");
+                    let brute: Vec<RecordKey> =
+                        reference.iter().take(limit).map(|&(k, _)| k).collect();
+                    assert_eq!(live, brute, "query `{qt}` limit {limit} left the reference");
+                    let count_at = |i: usize| reference.get(i).map(|&(_, n)| n);
+                    if limit > 0
+                        && count_at(limit).is_some()
+                        && count_at(limit - 1) == count_at(limit)
+                    {
+                        ties_at_the_cut += 1;
+                    }
                 }
             }
         }
+        assert!(ties_at_the_cut > 0, "no query had a tie straddling its cut");
     }
 }

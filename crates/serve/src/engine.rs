@@ -7,11 +7,13 @@
 //! [`adamel_schema::LiveIndex`] for candidate keys, fetches those records
 //! from it, and routes them through
 //! [`Linker::score_candidates`](adamel::Linker::score_candidates) — the
-//! literal second half of `Linker::link`. `LiveIndex` ranks candidates
-//! `(shared-token count desc, key asc)`, which over the key-ordered corpus
-//! snapshot coincides with the batch `BlockingIndex` ranking
-//! `(count desc, position asc)`; both paths therefore build the same pairs
-//! in the same order, and downstream run the same code. A served batch is
+//! literal second half of `Linker::link`. `LiveIndex` and the batch
+//! `BlockingIndex` call one ranking (`Postings::rank` in
+//! `adamel_schema::blocking`), by `(shared-token count desc, id asc)`.
+//! The id is the record key here and the position offline, and in the
+//! key-ordered corpus snapshot key order is position order, so both paths
+//! build the same pairs in the same order, and downstream run the same
+//! code. A served batch is
 //! bit-identical to `Linker::link(queries, &corpus_snapshot)` — asserted
 //! in `tests/churn_link.rs` under churn and in `tests/end_to_end.rs` over
 //! sockets.

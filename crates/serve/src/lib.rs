@@ -31,8 +31,8 @@
 //!
 //! Scoring routes through [`Linker::score_candidates`]
 //! (`adamel::pipeline`), the exact batch path `Linker::link` uses offline
-//! (candidates from the incremental index are defined to rank identically
-//! to the batch `BlockingIndex`), so a served batch is **bit-identical** to
+//! (the incremental index and the batch `BlockingIndex` call one
+//! candidate ranking), so a served batch is **bit-identical** to
 //! the offline pipeline on the same pairs — through the compiled inference
 //! plan, at any thread count.
 //!
