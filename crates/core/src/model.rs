@@ -517,7 +517,8 @@ impl AdamelModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adamel_schema::{EntityPair, Record, Schema, SourceId};
+    use adamel_schema::{Domain, EntityPair, Record, Schema, SourceId};
+    use adamel_tensor::SegmentFault;
 
     fn schema() -> Schema {
         Schema::new(vec!["artist".into(), "title".into()])
@@ -735,99 +736,179 @@ mod tests {
     }
 
     #[test]
-    fn grouped_leaves_train_to_the_bits_of_per_pair_leaves() {
-        use crate::config::Variant;
-        use adamel_schema::{Domain, FeatureMode};
+    fn grouped_leaves_train_within_budget_of_per_pair_leaves() {
+        use adamel_schema::FeatureMode;
         let (schema, pairs) = repeating_pairs();
-        let labels: Vec<f32> = (0..pairs.len()).map(|i| (i % 4 < 2) as u8 as f32).collect();
+        let labels = repeating_labels();
         for mode in [FeatureMode::SharedOnly, FeatureMode::UniqueOnly, FeatureMode::Both] {
             for uniform in [false, true] {
                 let cfg = AdamelConfig {
                     feature_mode: mode,
                     uniform_attention: uniform,
-                    epochs: 2,
-                    batch_size: 5,
-                    ..AdamelConfig::tiny()
+                    ..repeating_config()
                 };
                 let label = format!("{mode:?}, uniform attention {uniform}");
                 let model = AdamelModel::new(cfg.clone(), schema.clone());
                 let encoded = model.encode(&pairs);
-                // One batch with repeats, in another order, and the whole
-                // set as a support batch on the same tape, as `fit` records.
-                let batch = [3, 0, 7, 3, 12, 1, 4, 4, 9];
                 let everything: Vec<usize> = (0..pairs.len()).collect();
                 for j in 0..model.extractor().num_features() {
                     let distinct = encoded.distinct(j, &everything).0.rows();
                     assert!(distinct <= 4, "{label}: feature {j} has {distinct} distinct blocks");
                 }
-                let step = |per_pair: bool| {
-                    let mut params = ParamSet::new();
-                    for id in model.params.ids() {
-                        params.insert(model.params.name(id), model.params.value(id).clone());
-                    }
-                    with_leaves(per_pair, || {
-                        let mut g = Graph::new();
-                        let nodes = model.forward(&mut g, &encoded, &batch);
-                        let y = Matrix::from_vec(
-                            batch.len(),
-                            1,
-                            batch.iter().map(|&i| labels[i]).collect(),
-                        );
-                        let base = g.bce_with_logits(nodes.logits, y);
-                        let f = model.extractor().num_features();
-                        let q = Matrix::full(1, f, 1.0 / f as f32);
-                        let kl = g.kl_const_rows(nodes.attention, q, 1e-7);
-                        let base = g.add(base, kl);
-                        let support = model.forward(&mut g, &encoded, &everything);
-                        let w = Matrix::from_vec(
-                            pairs.len(),
-                            1,
-                            (0..pairs.len()).map(|i| 0.5 + i as f32 / 7.0).collect(),
-                        );
-                        let y = Matrix::from_vec(pairs.len(), 1, labels.clone());
-                        let s = g.weighted_bce_with_logits(support.logits, y, w);
-                        let loss = g.add(base, s);
-                        g.backward(loss, &mut params);
-                        let mut out = vec![
-                            bits(g.value(nodes.logits)),
-                            bits(g.value(nodes.attention)),
-                            bits(g.value(support.logits)),
-                            bits(g.value(base)),
-                            bits(g.value(loss)),
-                        ];
-                        out.extend(params.ids().map(|id| bits(params.grad(id))));
-                        out
-                    })
-                };
-                assert_eq!(step(true), step(false), "{label}: one step");
-
-                let train = Domain::new(
-                    pairs
-                        .iter()
-                        .zip(&labels)
-                        .map(|(p, &y)| {
-                            EntityPair::labeled(p.left.clone(), p.right.clone(), y > 0.5)
-                        })
-                        .collect(),
+                // Values bit for bit; gradients, and what two epochs of
+                // `fit` train from them, within the grouped budget.
+                let (values, grads) = one_step(&model, &encoded, &labels, false);
+                let (dense_values, dense_grads) = one_step(&model, &encoded, &labels, true);
+                assert_eq!(values, dense_values, "{label}: one step's values");
+                assert!(
+                    within_grouped_budget(&grads, &dense_grads),
+                    "{label}: one step's gradients"
                 );
-                let target = Domain::new(pairs[..8].to_vec());
-                let support = Domain::new(train.pairs[4..].to_vec());
                 let trained = |per_pair: bool| {
                     let mut model = AdamelModel::new(cfg.clone(), schema.clone());
-                    with_leaves(per_pair, || {
-                        crate::train::fit(
-                            &mut model,
-                            Variant::Hyb,
-                            &train,
-                            Some(&target),
-                            Some(&support),
-                        )
-                    });
-                    model.snapshot_params().iter().map(bits).collect::<Vec<_>>()
+                    let report = with_leaves(per_pair, || fit_repeating(&mut model, &pairs));
+                    let mut out = model.snapshot_params();
+                    out.push(Matrix::from_vec(1, report.epochs, report.epoch_losses));
+                    out
                 };
-                assert_eq!(trained(true), trained(false), "{label}: two epochs of fit");
+                assert!(
+                    within_grouped_budget(&trained(false), &trained(true)),
+                    "{label}: two epochs of fit"
+                );
             }
         }
+    }
+
+    #[test]
+    fn a_broken_segment_sum_fails_the_grouped_budget() {
+        // The mutation check of the test above: a tape whose segment sum
+        // leaves out one pair's gradient row, or adds it into the wrong
+        // distinct row, falls outside the budget in one step and in `fit`.
+        let (schema, pairs) = repeating_pairs();
+        let labels = repeating_labels();
+        let model = AdamelModel::new(repeating_config(), schema.clone());
+        let encoded = model.encode(&pairs);
+        let (_, dense_grads) = one_step(&model, &encoded, &labels, true);
+        let mut dense_model = AdamelModel::new(repeating_config(), schema.clone());
+        with_leaves(true, || fit_repeating(&mut dense_model, &pairs));
+        let dense_params = dense_model.snapshot_params();
+        for pair in 0..STEP_BATCH.len() {
+            for fault in [SegmentFault::Drop(pair), SegmentFault::Misroute(pair)] {
+                let (_, grads) =
+                    Graph::with_segment_fault(fault, || one_step(&model, &encoded, &labels, false));
+                assert!(!within_grouped_budget(&grads, &dense_grads), "{fault:?}: one step");
+                let mut model = AdamelModel::new(repeating_config(), schema.clone());
+                Graph::with_segment_fault(fault, || fit_repeating(&mut model, &pairs));
+                let params = model.snapshot_params();
+                assert!(!within_grouped_budget(&params, &dense_params), "{fault:?}: fit");
+            }
+        }
+    }
+
+    #[test]
+    fn training_is_thread_count_invariant() {
+        // Backward sums grouped gradients in pair order on the calling
+        // thread, and every kernel keeps each element's order whatever the
+        // worker count, so two epochs of `fit` train the same bits on one
+        // thread and on three.
+        let (schema, pairs) = repeating_pairs();
+        let train = |threads: usize| {
+            adamel_tensor::parallel::with_threads(threads, || {
+                let mut model = AdamelModel::new(repeating_config(), schema.clone());
+                let report = fit_repeating(&mut model, &pairs);
+                let mut out: Vec<Vec<u32>> = model.snapshot_params().iter().map(bits).collect();
+                out.push(report.epoch_losses.iter().map(|v| v.to_bits()).collect());
+                out
+            })
+        };
+        assert_eq!(train(1), train(3));
+    }
+
+    /// The configuration of the grouped-leaf tests: two epochs in batches
+    /// of five.
+    fn repeating_config() -> AdamelConfig {
+        AdamelConfig { epochs: 2, batch_size: 5, ..AdamelConfig::tiny() }
+    }
+
+    /// Labels of [`repeating_pairs`]: two matches, then two non-matches.
+    fn repeating_labels() -> Vec<f32> {
+        (0..14).map(|i| (i % 4 < 2) as u8 as f32).collect()
+    }
+
+    /// Whether every element of `got` is within the grouped-gradient budget
+    /// of `want` (DESIGN §10): `(rows + 4) · ε₃₂ · max(scale, 1)`, with
+    /// `rows` the pairs on one step's tape and `scale` the largest
+    /// magnitude in `want`.
+    fn within_grouped_budget(got: &[Matrix], want: &[Matrix]) -> bool {
+        let rows = STEP_BATCH.len() + 14;
+        let elements =
+            |ms: &[Matrix]| ms.iter().flat_map(|m| m.as_slice().to_vec()).collect::<Vec<_>>();
+        let (got, want) = (elements(got), elements(want));
+        let scale = want.iter().fold(1.0f32, |acc, v| acc.max(v.abs()));
+        let budget = (rows as f32 + 4.0) * f32::EPSILON * scale;
+        got.len() == want.len() && got.iter().zip(&want).all(|(x, y)| (x - y).abs() <= budget)
+    }
+
+    /// The batch [`one_step`] records, with repeats and in another order.
+    const STEP_BATCH: [usize; 9] = [3, 0, 7, 3, 12, 1, 4, 4, 9];
+
+    /// One training step as `fit` records it: a batch of the pairs with its
+    /// KL term, and all of them as a support batch on the same tape. Returns
+    /// the logits, attention, losses and the loss's bits, and every
+    /// parameter's gradient.
+    fn one_step(
+        model: &AdamelModel,
+        encoded: &EncodedBlocks,
+        labels: &[f32],
+        per_pair: bool,
+    ) -> (Vec<Vec<u32>>, Vec<Matrix>) {
+        let mut params = ParamSet::new();
+        for id in model.params.ids() {
+            params.insert(model.params.name(id), model.params.value(id).clone());
+        }
+        let everything: Vec<usize> = (0..encoded.rows()).collect();
+        with_leaves(per_pair, || {
+            let mut g = Graph::new();
+            let nodes = model.forward(&mut g, encoded, &STEP_BATCH);
+            let y = Matrix::from_vec(
+                STEP_BATCH.len(),
+                1,
+                STEP_BATCH.iter().map(|&i| labels[i]).collect(),
+            );
+            let base = g.bce_with_logits(nodes.logits, y);
+            let f = model.extractor().num_features();
+            let q = Matrix::full(1, f, 1.0 / f as f32);
+            let kl = g.kl_const_rows(nodes.attention, q, 1e-7);
+            let base = g.add(base, kl);
+            let support = model.forward(&mut g, encoded, &everything);
+            let n = everything.len();
+            let w = Matrix::from_vec(n, 1, (0..n).map(|i| 0.5 + i as f32 / 7.0).collect());
+            let y = Matrix::from_vec(n, 1, labels.to_vec());
+            let s = g.weighted_bce_with_logits(support.logits, y, w);
+            let loss = g.add(base, s);
+            g.backward(loss, &mut params);
+            let values = [nodes.logits, nodes.attention, support.logits, base, loss]
+                .iter()
+                .map(|&v| bits(g.value(v)))
+                .collect();
+            (values, params.ids().map(|id| params.grad(id).clone()).collect())
+        })
+    }
+
+    /// [`repeating_config`]'s two epochs of AdaMEL-hyb on `pairs`, with a
+    /// target of the first eight and a support set of all but the first
+    /// four.
+    fn fit_repeating(model: &mut AdamelModel, pairs: &[EntityPair]) -> crate::train::TrainReport {
+        let train = Domain::new(
+            pairs
+                .iter()
+                .zip(repeating_labels())
+                .map(|(p, y)| EntityPair::labeled(p.left.clone(), p.right.clone(), y > 0.5))
+                .collect(),
+        );
+        let target = Domain::new(pairs[..8].to_vec());
+        let support = Domain::new(train.pairs[4..].to_vec());
+        crate::train::fit(model, crate::config::Variant::Hyb, &train, Some(&target), Some(&support))
     }
 
     #[test]

@@ -38,4 +38,4 @@ pub use program::{
     render_reproducer, shrink, Discrepancy, Fault, GenOptions, Inst, PlanCheck, Program,
 };
 pub use refmat::RefMatrix;
-pub use ulp::{op_ulps, reduction_budget, ulp_distance, Budget, EPS32};
+pub use ulp::{grouped_gradient_budget, op_ulps, reduction_budget, ulp_distance, Budget, EPS32};

@@ -30,7 +30,7 @@
 //! [`render_reproducer`] prints as a paste-able test.
 
 use crate::refmat::RefMatrix;
-use crate::ulp::{op_ulps, ulp_distance, Budget, EPS32};
+use crate::ulp::{grouped_gradient_budget, op_ulps, ulp_distance, Budget, EPS32};
 use adamel_tensor::plan::{CompiledPlan, EncodedBlocks, PlanBuffers, PlanError};
 use adamel_tensor::{Expr, Graph, Matrix, ParamId, ParamSet, Var};
 use rand::rngs::StdRng;
@@ -474,18 +474,20 @@ fn check_plan(p: &Program) -> Result<PlanCheck, Discrepancy> {
 
 /// Records `p` over `batch` twice, its `Input` once as a grouped leaf and
 /// once as a dense constant, and requires equal bits for every value and,
-/// when the root is a `1 x 1` value, every parameter gradient; NaN matches
-/// any NaN when `nan_ok` (see [`check_plan`]). Every instruction is
-/// recorded except a `weighted_bce_with_logits`, whose constants are sized
-/// to the program's own rows, and what reads one. Returns the number of
-/// values and gradients compared.
+/// when the root is a `1 x 1` value, every parameter gradient within
+/// [`grouped_gradient_budget`] of the dense tape's: the grouped tape sums a
+/// gradient's per-pair terms per distinct row first. NaN matches any NaN
+/// in a gradient, and in a value when `nan_ok` (see [`check_plan`]). Every
+/// instruction is recorded except a `weighted_bce_with_logits`, whose
+/// constants are sized to the program's own rows, and what reads one.
+/// Returns the number of values and gradients compared.
 fn check_grouped_tape(p: &Program, batch: &Matrix, nan_ok: bool) -> Result<usize, Discrepancy> {
     let mut recorded = vec![true; p.insts.len()];
     for (i, inst) in p.insts.iter().enumerate() {
         let bce = matches!(inst, Inst::Op(Expr::WeightedBceWithLogits { .. }));
         recorded[i] = !bce && inst.parents().iter().all(|&q| recorded[q]);
     }
-    // Each instruction's value, then each parameter's gradient.
+    // Each instruction's value, and each parameter's gradient.
     let run = |grouped: bool| {
         let mut params = ParamSet::new();
         let mut g = Graph::new();
@@ -501,23 +503,58 @@ fn check_grouped_tape(p: &Program, batch: &Matrix, nan_ok: bool) -> Result<usize
             let of = |(i, id): (usize, &Option<ParamId>)| Some((i, params.grad((*id)?).clone()));
             grads.extend(ids.iter().enumerate().filter_map(of));
         }
-        [("value", values), ("gradient", grads)]
+        (values, grads)
     };
-    let mut compared = 0;
-    for ((what, got), (_, want)) in run(true).into_iter().zip(run(false)) {
-        for ((i, a), (_, b)) in got.iter().zip(&want) {
-            if !same_bits(a, b, nan_ok) {
-                return Err(Discrepancy {
-                    inst: *i,
-                    op: p.insts[*i].op_name(),
-                    kind: "grouped tape",
-                    detail: format!("{what}: grouped leaf {a:?} != dense leaf {b:?}"),
-                });
-            }
+    let ((values, grads), (dense_values, dense_grads)) = (run(true), run(false));
+    let fail = |i: usize, detail: String| Discrepancy {
+        inst: i,
+        op: p.insts[i].op_name(),
+        kind: "grouped tape",
+        detail,
+    };
+    for ((i, a), (_, b)) in values.iter().zip(&dense_values) {
+        if !same_bits(a, b, nan_ok) {
+            return Err(fail(*i, format!("value: grouped leaf {a:?} != dense leaf {b:?}")));
         }
-        compared += got.len();
     }
-    Ok(compared)
+    let scale = grads
+        .iter()
+        .chain(&dense_grads)
+        .flat_map(|(_, m)| m.as_slice())
+        .filter(|v| v.is_finite())
+        .fold(0.0f64, |acc, v| acc.max(f64::from(v.abs())));
+    let budget = grouped_gradient_budget(batch.rows(), scale);
+    // A NaN batch row reaches a parameter gradient through `0 · NaN` terms,
+    // which the naive product kernels skip and the blocked ones keep. The
+    // two tapes run their products over different row counts, so over a
+    // batch with NaN rows an element may be NaN on one and finite on the
+    // other.
+    let nan_rows = batch.as_slice().iter().any(|v| v.is_nan());
+    for ((i, a), (_, b)) in grads.iter().zip(&dense_grads) {
+        if a.shape() != b.shape() {
+            return Err(fail(*i, format!("gradient: grouped leaf {a:?} vs dense leaf {b:?}")));
+        }
+        let within = |(x, y): (&f32, &f32)| {
+            (x.is_nan() && y.is_nan())
+                || (nan_rows && (x.is_nan() || y.is_nan()))
+                || budget.accepts(*x, (*y).into())
+        };
+        if let Some(e) = a.as_slice().iter().zip(b.as_slice()).position(|xy| !within(xy)) {
+            let (x, y) = (a.as_slice()[e], b.as_slice()[e]);
+            let (r, c) = (e / a.cols(), e % a.cols());
+            return Err(fail(
+                *i,
+                format!(
+                    "gradient element ({r},{c}): grouped leaf {x:e} vs dense leaf {y:e} \
+                     ({} ulps, budget {} ulps / {:e} abs)",
+                    ulp_distance(x, y),
+                    budget.ulps,
+                    budget.abs
+                ),
+            ));
+        }
+    }
+    Ok(values.len() + grads.len())
 }
 
 /// Whether `a` and `b` have one shape and equal bits, a NaN matching any

@@ -8,11 +8,12 @@ use adamel::{support_weights, AdamelConfig, AdamelModel};
 use adamel_data::{make_mel_split, EntityType, MusicConfig, MusicWorld, Scenario, SplitCounts};
 use adamel_oracle::{
     check_program, check_with_fault, encode_pairs_ref, gen_program, op_ulps, reduction_budget,
-    render_reproducer, support_weights_ref, Budget, Fault, ModelOracle, RefMatrix, EPS32,
+    render_reproducer, support_weights_ref, Budget, Fault, Inst, ModelOracle, Program, RefMatrix,
+    EPS32,
 };
 use adamel_schema::EntityPair;
 use adamel_tensor::parallel::with_threads;
-use adamel_tensor::{Graph, Matrix};
+use adamel_tensor::{Expr, Graph, Matrix, SegmentFault};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -128,6 +129,61 @@ fn injected_kernel_bugs_are_caught() {
         }
     }
     assert!(checked > 20, "mutation sweep too small ({checked} faults)");
+}
+
+/// The model's attention head in miniature: two feature windows of a
+/// batch of three repeated rows, each through `tanh(x · W1_j)`, energies
+/// through a shared `w_att`, a softmax over their concatenation weighting
+/// the features' sum, and the mean as the root. Column 0, the column the
+/// regrouped batch's NaN rows poison, is left unread.
+fn attention_program() -> Program {
+    let base =
+        [[0.5, -1.25, 0.75, 2.0, -0.5], [-1.5, 0.25, 1.5, -0.75, 1.0], [2.0, 1.0, -0.5, 0.5, 0.25]];
+    let data = (0..6).flat_map(|r| base[r % 3]).collect();
+    let param = |rows, cols, seed: f32| Inst::Param {
+        rows,
+        cols,
+        data: (0..rows * cols).map(|i| ((i as f32 + seed) * 0.7).sin()).collect(),
+    };
+    Program {
+        insts: vec![
+            Inst::Input { rows: 6, cols: 5, data },
+            Inst::Op(Expr::SliceCols { input: 0, start: 1, width: 2 }),
+            Inst::Op(Expr::SliceCols { input: 0, start: 3, width: 2 }),
+            param(2, 3, 1.0),
+            param(2, 3, 2.0),
+            Inst::Op(Expr::MatMul(1, 3)),
+            Inst::Op(Expr::MatMul(2, 4)),
+            Inst::Op(Expr::Tanh(5)),
+            Inst::Op(Expr::Tanh(6)),
+            param(3, 1, 3.0),
+            Inst::Op(Expr::MatMul(7, 9)),
+            Inst::Op(Expr::MatMul(8, 9)),
+            Inst::Op(Expr::ConcatCols(vec![10, 11])),
+            Inst::Op(Expr::SoftmaxRows(12)),
+            Inst::Op(Expr::WeightedSum { parts: vec![7, 8], weights: 13 }),
+            Inst::Op(Expr::MeanAll(14)),
+        ],
+        root: 15,
+    }
+}
+
+#[test]
+fn broken_segment_sums_are_caught() {
+    // A mutation check on the grouped-gradient budget: a tape whose segment
+    // sum leaves out one pair's gradient row, or adds it into the wrong
+    // distinct row, must fail the grouped-tape comparison. The regrouped
+    // batch's first 19 rows cycle through the three distinct ones.
+    let program = attention_program();
+    assert!(check_program(&program).is_ok(), "the clean program must pass");
+    for pair in 0..19 {
+        for fault in [SegmentFault::Drop(pair), SegmentFault::Misroute(pair)] {
+            let err = Graph::with_segment_fault(fault, || check_program(&program))
+                .expect_err(&format!("{fault:?} went undetected"));
+            assert_eq!(err.kind, "grouped tape", "{fault:?}: {err}");
+            assert!(err.detail.starts_with("gradient"), "{fault:?}: {err}");
+        }
+    }
 }
 
 /// Small labeled world shared by the model-level tests.

@@ -4,10 +4,11 @@
 //! threads pop and handle one request per connection. A full queue is
 //! answered `429 Too Many Requests` on the accept thread immediately —
 //! load the daemon cannot absorb is visible to the caller, never silently
-//! buffered. A request must arrive whole within the read timeout, so a
-//! client trickling bytes cannot hold a worker. A request whose handler
-//! panics is answered `500` with its trace id, and the worker goes on
-//! serving. `/healthz` reports how many workers are still running: each
+//! buffered. A request must arrive whole within the read timeout, and its
+//! response must be written within as long again, so a client trickling
+//! bytes, or one that stops reading, cannot hold a worker. A request whose
+//! handler panics is answered `500` with its trace id, and the worker goes
+//! on serving. `/healthz` reports how many workers are still running: each
 //! worker loop counts itself out when it exits, by return or by unwind.
 //! All threads come from [`adamel_tensor::parallel::spawn_service`].
 
@@ -17,7 +18,7 @@ use crate::http::{self, HttpError, Request};
 use crate::queue::{BoundedQueue, PushError};
 use adamel_schema::SourceId;
 use adamel_tensor::parallel::{self, ServiceHandle};
-use std::io::{self, BufReader, Read};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -45,7 +46,8 @@ pub struct ServerConfig {
     /// Maximum request-body size in bytes (larger bodies get `413`).
     pub max_body_bytes: usize,
     /// Time a request's head and body have to arrive in, from when a
-    /// worker takes the connection.
+    /// worker takes the connection; its response then has as long again
+    /// to be written.
     pub read_timeout: Duration,
 }
 
@@ -211,7 +213,7 @@ fn handle_connection(
     engine: &Engine,
     queue: &BoundedQueue<TcpStream>,
     workers: &Workers,
-    mut stream: TcpStream,
+    stream: TcpStream,
     max_body: usize,
     timeout: Duration,
 ) {
@@ -249,6 +251,10 @@ fn handle_connection(
         Err(HttpError::BadRequest(msg)) => (400, "Bad Request", http::error_body(&msg)),
         Err(HttpError::Io(_)) => return, // client went away; nothing to answer
     };
+    // The response gets its own `timeout` to be written in, so a client
+    // that stops reading a response larger than the socket buffers cannot
+    // hold the worker either.
+    let mut stream = Deadline { stream, at: Instant::now() + timeout };
     let _ = http::write_response(&mut stream, status, reason, &body);
 }
 
@@ -260,22 +266,43 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     }
 }
 
-/// A connection whose reads must all finish by `at`: each read waits at
-/// most for the time left, so a request that arrives one slow byte at a
-/// time still times out once, as a whole.
+/// A connection whose reads, or writes, must all finish by `at`: each
+/// call waits at most for the time left, so a request that arrives one
+/// slow byte at a time, or a response its client drains slowly or not at
+/// all, still times out once, as a whole.
 struct Deadline {
     stream: TcpStream,
     at: Instant,
 }
 
-impl Read for Deadline {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+impl Deadline {
+    /// The time left before `at`, or a `TimedOut` error naming `what`.
+    fn left(&self, what: &str) -> io::Result<Duration> {
         let left = self.at.saturating_duration_since(Instant::now());
         if left.is_zero() {
-            return Err(io::Error::new(io::ErrorKind::TimedOut, "request read timed out"));
+            return Err(io::Error::new(io::ErrorKind::TimedOut, format!("{what} timed out")));
         }
+        Ok(left)
+    }
+}
+
+impl Read for Deadline {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.left("request read")?;
         self.stream.set_read_timeout(Some(left))?;
         self.stream.read(buf)
+    }
+}
+
+impl Write for Deadline {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let left = self.left("response write")?;
+        self.stream.set_write_timeout(Some(left))?;
+        self.stream.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.stream.flush()
     }
 }
 

@@ -522,6 +522,57 @@ fn a_slow_client_is_cut_off_at_the_read_timeout_and_its_worker_serves_on() {
 }
 
 #[test]
+fn a_client_that_never_reads_is_cut_off_at_the_write_deadline_and_its_worker_serves_on() {
+    let _guard = serialized();
+    adamel_obs::runlog::set_forced_path(Some("")); // forced off
+
+    // Every query blocks with all 2,000 corpus records and every candidate
+    // is a match: 64 queries answer about 12 MB of match lines, more than
+    // the socket buffers of both ends hold.
+    let linker_cfg = LinkerConfig {
+        max_candidates_per_record: 2_000,
+        threshold: 0.0,
+        ..LinkerConfig::default()
+    };
+    let engine_cfg = EngineConfig { drift: None, ..EngineConfig::default() };
+    let engine = Arc::new(Engine::new(Linker::new(trained_model(), linker_cfg), engine_cfg));
+    let timeout = Duration::from_millis(500);
+    let cfg = ServerConfig { workers: 1, read_timeout: timeout, ..ServerConfig::default() };
+    let server = Server::start(engine, cfg).expect("bind ephemeral port");
+    let addr = server.addr();
+    let corpus: Vec<Record> = (0..2_000).map(|i| rec(1, i, "alpha beta")).collect();
+    let (status, body) = request(addr, "POST", "/records", &jsonl(&corpus));
+    assert_eq!(status, 200, "{body}");
+
+    let queries: Vec<Record> = (0..64).map(|i| rec(9, i, "alpha beta")).collect();
+    let body = jsonl(&queries);
+    let mut stuck = TcpStream::connect(addr).expect("connect");
+    write!(
+        stuck,
+        "POST /link HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .expect("send the request");
+
+    // The one worker writes until the deadline, gives up, and takes the
+    // next connection: this request waits for it and is answered.
+    let (status, body) = request(addr, "GET", "/healthz", "");
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"workers_live\": 1"), "{body}");
+
+    // What reached the stuck client is a cut-off response.
+    stuck.set_read_timeout(Some(Duration::from_secs(30))).expect("set timeout");
+    let mut raw = Vec::new();
+    let _ = stuck.read_to_end(&mut raw);
+    let raw = String::from_utf8_lossy(&raw);
+    assert!(raw.starts_with("HTTP/1.1 200"), "{}", &raw[..raw.len().min(200)]);
+    assert!(!raw.contains("\"summary\""), "the whole response was written");
+
+    server.shutdown().expect("clean shutdown");
+    adamel_obs::runlog::set_forced_path(None);
+}
+
+#[test]
 fn a_panicking_handler_answers_500_and_its_worker_keeps_serving() {
     let _guard = serialized();
     let ledger =

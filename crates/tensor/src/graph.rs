@@ -28,13 +28,21 @@
 //! block. Every kernel computes a row from that row alone, so the distinct
 //! rows are bit for bit the rows a per-pair evaluation computes.
 //!
-//! Everything else sees per-pair rows: [`Graph::value`] expands a grouped
-//! node to one row per logical row on its first read, an op that is not
-//! row-local reads its operands that way, and backward reads operand values
-//! only through `value`. A grouped node's gradient is per pair too, so
-//! outputs, losses and parameter gradients are the bits an ungrouped tape
-//! computes. The `tensor.graph.bytes` gauge counts what a tape owns: each
-//! node's rows, distinct or not, plus the expansions it made.
+//! A forward op that is not row-local reads per-pair rows: [`Graph::value`]
+//! expands a grouped node to one row per logical row on its first read.
+//! Outputs and losses are therefore the bits an ungrouped tape computes.
+//!
+//! Backward keeps a grouped node's gradient at its distinct rows too, and
+//! runs the node's backward rule there, over its operands' distinct rows.
+//! Every such rule is linear in the gradient with coefficients that depend
+//! on the row alone, so a distinct row's gradient is the sum of its logical
+//! rows' gradients. Where an op that is not row-local hands a gradient to a
+//! grouped operand, backward sums logical row `p` into distinct row
+//! `rows[p]`, serially and in ascending `p`, so the result does not depend
+//! on the thread count. Parameter gradients then sum their terms in another
+//! order than an ungrouped tape does: they agree with it up to rounding, not
+//! bit for bit. The `tensor.graph.bytes` gauge counts what a tape owns:
+//! each node's rows, distinct or not, plus the expansions it made.
 
 use crate::expr::{Expr, RowOperand};
 use crate::matrix::Matrix;
@@ -345,14 +353,18 @@ impl Graph {
     /// The tape is consumed conceptually (gradients of interior nodes are
     /// dropped afterwards); call once per constructed graph. A product's
     /// gradient toward an operand that no parameter feeds (an input leaf)
-    /// is never read, so it is not computed. Operand values are read
-    /// through [`value`](Self::value) and every gradient is per logical
-    /// row, grouped nodes' included.
+    /// is never read, so it is not computed. A grouped node's gradient and
+    /// backward rule run at its distinct rows (see the module docs), so
+    /// backward never expands a grouped node.
     pub fn backward(&self, root: Var, params: &mut ParamSet) {
         adamel_obs::trace_span!("backward");
-        assert_eq!(self.value(root).shape(), (1, 1), "backward requires a scalar (1x1) root");
+        assert_eq!(
+            (self.logical_rows(root), self.nodes[root.0].cols()),
+            (1, 1),
+            "backward requires a scalar (1x1) root"
+        );
         let mut grads: Vec<Option<Matrix>> = (0..self.nodes.len()).map(|_| None).collect();
-        grads[root.0] = Some(Matrix::scalar(1.0));
+        self.accumulate(&mut grads, false, root, Matrix::scalar(1.0));
         // Whether a parameter is among each node's ancestors (or is it).
         let mut trainable = vec![false; root.0 + 1];
         for (i, node) in self.nodes[..=root.0].iter().enumerate() {
@@ -365,66 +377,71 @@ impl Graph {
 
         for idx in (0..=root.0).rev() {
             let Some(grad) = grads[idx].take() else { continue };
-            match &self.nodes[idx].op {
-                Op::Constant => {}
-                Op::Param(id) => params.grad_mut(*id).add_assign(&grad),
-                Op::Expr(Expr::MatMul(a, b)) => {
+            let node = &self.nodes[idx];
+            let expr = match &node.op {
+                Op::Constant => continue,
+                Op::Param(id) => {
+                    params.grad_mut(*id).add_assign(&grad);
+                    continue;
+                }
+                Op::Expr(expr) => expr,
+            };
+            adamel_obs::trace_op!(expr.name());
+            // A grouped node's gradient, and the operand values its rule
+            // reads, are at the group's distinct rows; any other node's are
+            // per pair.
+            let grouped = node.group.is_some();
+            let val = |v: Var| if grouped { &*self.nodes[v.0].rows } else { self.value(v) };
+            let mut acc = |v: Var, g: Matrix| self.accumulate(&mut grads, grouped, v, g);
+            match expr {
+                Expr::MatMul(a, b) => {
                     // dL/dA = G Bᵀ ; dL/dB = Aᵀ G
                     if trainable[a.0] {
-                        accumulate(&mut grads, *a, grad.matmul_nt(self.value(*b)));
+                        acc(*a, grad.matmul_nt(val(*b)));
                     }
                     if trainable[b.0] {
-                        accumulate(&mut grads, *b, self.value(*a).matmul_tn(&grad));
+                        acc(*b, val(*a).matmul_tn(&grad));
                     }
                 }
-                Op::Expr(Expr::Add(a, b)) => {
-                    accumulate(&mut grads, *a, grad.clone());
-                    accumulate(&mut grads, *b, grad);
+                Expr::Add(a, b) => {
+                    acc(*a, grad.clone());
+                    acc(*b, grad);
                 }
-                Op::Expr(Expr::AddRowBroadcast(a, bias)) => {
+                Expr::AddRowBroadcast(a, bias) => {
                     // Bias gradient is the column sum of the upstream grad.
-                    let mut gb = Matrix::zeros(1, grad.cols());
-                    for i in 0..grad.rows() {
-                        for j in 0..grad.cols() {
-                            gb.set(0, j, gb.get(0, j) + grad.get(i, j));
-                        }
-                    }
-                    accumulate(&mut grads, *a, grad);
-                    accumulate(&mut grads, *bias, gb);
+                    let gb = grad.sum_rows();
+                    acc(*a, grad);
+                    acc(*bias, gb);
                 }
-                Op::Expr(Expr::Mul(a, b)) => {
-                    let ga = grad.mul(self.value(*b));
-                    let gb = grad.mul(self.value(*a));
-                    accumulate(&mut grads, *a, ga);
-                    accumulate(&mut grads, *b, gb);
+                Expr::Mul(a, b) => {
+                    let ga = grad.mul(val(*b));
+                    let gb = grad.mul(val(*a));
+                    acc(*a, ga);
+                    acc(*b, gb);
                 }
-                Op::Expr(Expr::MulColBroadcast(a, col)) => {
-                    let aval = self.value(*a);
-                    let cval = self.value(*col);
-                    let ga = grad.mul_col_broadcast(cval);
+                Expr::MulColBroadcast(a, col) => {
+                    let ga = grad.mul_col_broadcast(val(*col));
                     // d/dcol_i = Σ_j grad_ij * a_ij
-                    let gc = grad.mul(aval).sum_cols();
-                    accumulate(&mut grads, *a, ga);
-                    accumulate(&mut grads, *col, gc);
+                    let gc = grad.mul(val(*a)).sum_cols();
+                    acc(*a, ga);
+                    acc(*col, gc);
                 }
-                Op::Expr(Expr::Scale(a, s)) => accumulate(&mut grads, *a, grad.scale(*s)),
-                Op::Expr(Expr::Relu(a)) => {
-                    let mask = self.value(*a).map(|v| if v > 0.0 { 1.0 } else { 0.0 });
-                    accumulate(&mut grads, *a, grad.mul(&mask));
+                Expr::Scale(a, s) => acc(*a, grad.scale(*s)),
+                Expr::Relu(a) => {
+                    let mask = val(*a).map(|v| if v > 0.0 { 1.0 } else { 0.0 });
+                    acc(*a, grad.mul(&mask));
                 }
-                Op::Expr(Expr::Tanh(a)) => {
-                    let y = self.value(Var(idx));
-                    let deriv = y.map(|t| 1.0 - t * t);
-                    accumulate(&mut grads, *a, grad.mul(&deriv));
+                Expr::Tanh(a) => {
+                    let deriv = val(Var(idx)).map(|t| 1.0 - t * t);
+                    acc(*a, grad.mul(&deriv));
                 }
-                Op::Expr(Expr::Sigmoid(a)) => {
-                    let y = self.value(Var(idx));
-                    let deriv = y.map(|s| s * (1.0 - s));
-                    accumulate(&mut grads, *a, grad.mul(&deriv));
+                Expr::Sigmoid(a) => {
+                    let deriv = val(Var(idx)).map(|s| s * (1.0 - s));
+                    acc(*a, grad.mul(&deriv));
                 }
-                Op::Expr(Expr::SoftmaxRows(a)) => {
+                Expr::SoftmaxRows(a) => {
                     // dL/dz_ij = p_ij * (g_ij - Σ_k g_ik p_ik)
-                    let p = self.value(Var(idx));
+                    let p = val(Var(idx));
                     let mut gz = Matrix::zeros(p.rows(), p.cols());
                     for i in 0..p.rows() {
                         let dot: f32 = grad.row(i).iter().zip(p.row(i)).map(|(g, pi)| g * pi).sum();
@@ -432,50 +449,49 @@ impl Graph {
                             gz.set(i, j, p.get(i, j) * (grad.get(i, j) - dot));
                         }
                     }
-                    accumulate(&mut grads, *a, gz);
+                    acc(*a, gz);
                 }
-                Op::Expr(Expr::SliceCols { input, start, width }) => {
-                    let v = self.value(*input);
+                Expr::SliceCols { input, start, width } => {
+                    let v = val(*input);
                     let mut gi = Matrix::zeros(v.rows(), v.cols());
                     for i in 0..grad.rows() {
                         for j in 0..*width {
                             gi.set(i, start + j, grad.get(i, j));
                         }
                     }
-                    accumulate(&mut grads, *input, gi);
+                    acc(*input, gi);
                 }
-                Op::Expr(Expr::ConcatCols(parts)) => {
+                Expr::ConcatCols(parts) => {
                     let mut offset = 0;
                     for part in parts {
                         let width = self.nodes[part.0].cols();
-                        let gp = grad.slice_cols(offset, width);
-                        accumulate(&mut grads, *part, gp);
+                        acc(*part, grad.slice_cols(offset, width));
                         offset += width;
                     }
                 }
-                Op::Expr(Expr::WeightedSum { parts, weights }) => {
+                Expr::WeightedSum { parts, weights } => {
                     // d/dparts[j] = weights[:, j] ⊙ G; d/dweights[i, j] = Σ_c G_ic parts[j]_ic
-                    let w = self.value(*weights);
+                    let w = val(*weights);
                     let mut gw_cols = Vec::with_capacity(parts.len());
                     for (j, part) in parts.iter().enumerate() {
-                        gw_cols.push(grad.mul(self.value(*part)).sum_cols());
-                        accumulate(&mut grads, *part, grad.mul_col_broadcast(&w.slice_cols(j, 1)));
+                        gw_cols.push(grad.mul(val(*part)).sum_cols());
+                        acc(*part, grad.mul_col_broadcast(&w.slice_cols(j, 1)));
                     }
                     let refs: Vec<&Matrix> = gw_cols.iter().collect();
-                    accumulate(&mut grads, *weights, Matrix::concat_cols(&refs));
+                    acc(*weights, Matrix::concat_cols(&refs));
                 }
-                Op::Expr(Expr::MeanAll(a)) => {
-                    let v = self.value(*a);
+                Expr::MeanAll(a) => {
+                    let v = val(*a);
                     let g = grad.item() / v.len().max(1) as f32;
-                    accumulate(&mut grads, *a, Matrix::full(v.rows(), v.cols(), g));
+                    acc(*a, Matrix::full(v.rows(), v.cols(), g));
                 }
-                Op::Expr(Expr::SumAll(a)) => {
-                    let v = self.value(*a);
-                    accumulate(&mut grads, *a, Matrix::full(v.rows(), v.cols(), grad.item()));
+                Expr::SumAll(a) => {
+                    let v = val(*a);
+                    acc(*a, Matrix::full(v.rows(), v.cols(), grad.item()));
                 }
-                Op::Expr(Expr::WeightedBceWithLogits { logits, targets, weights }) => {
+                Expr::WeightedBceWithLogits { logits, targets, weights } => {
                     // d/dz of mean_i w_i * bce = w_i (sigmoid(z_i) - y_i) / n
-                    let z = self.value(*logits);
+                    let z = val(*logits);
                     let n = z.rows().max(1) as f32;
                     let g = grad.item();
                     let mut gz = Matrix::zeros(z.rows(), 1);
@@ -483,11 +499,11 @@ impl Graph {
                         let s = 1.0 / (1.0 + (-z.get(i, 0)).exp());
                         gz.set(i, 0, g * weights.get(i, 0) * (s - targets.get(i, 0)) / n);
                     }
-                    accumulate(&mut grads, *logits, gz);
+                    acc(*logits, gz);
                 }
-                Op::Expr(Expr::KlConstRows { probs, target, eps }) => {
+                Expr::KlConstRows { probs, target, eps } => {
                     // d/dp_ij of mean_i Σ_j q_j ln(q_j/(p_ij+eps)) = -q_j/(p_ij+eps)/n
-                    let p = self.value(*probs);
+                    let p = val(*probs);
                     let n = p.rows().max(1) as f32;
                     let g = grad.item();
                     let mut gp = Matrix::zeros(p.rows(), p.cols());
@@ -499,17 +515,93 @@ impl Graph {
                             }
                         }
                     }
-                    accumulate(&mut grads, *probs, gp);
+                    acc(*probs, gp);
                 }
             }
         }
     }
+
+    /// Rows of node `v`'s value, one per logical row.
+    fn logical_rows(&self, v: Var) -> usize {
+        let node = &self.nodes[v.0];
+        node.group.map_or(node.rows.rows(), |group| self.groups[group].len())
+    }
+
+    /// Adds `grad`, the gradient a node hands its operand `var`, into
+    /// `var`'s slot. A grouped node hands its grouped operands gradients at
+    /// their distinct rows (`from_grouped`); any other node hands a grouped
+    /// operand one row per logical row, which [`segment_sum`] folds into
+    /// the distinct rows here.
+    fn accumulate(&self, grads: &mut [Option<Matrix>], from_grouped: bool, var: Var, grad: Matrix) {
+        let node = &self.nodes[var.0];
+        let grad = match node.group {
+            Some(group) if !from_grouped => {
+                adamel_obs::trace_op!("segment_sum");
+                segment_sum(&grad, &self.groups[group], node.rows.rows())
+            }
+            _ => grad,
+        };
+        match &mut grads[var.0] {
+            Some(existing) => existing.add_assign(&grad),
+            slot => *slot = Some(grad),
+        }
+    }
 }
 
-fn accumulate(grads: &mut [Option<Matrix>], var: Var, grad: Matrix) {
-    match &mut grads[var.0] {
-        Some(existing) => existing.add_assign(&grad),
-        slot => *slot = Some(grad),
+/// Sums row `p` of `grad` into row `rows[p]` of a `distinct x cols`
+/// result, in ascending `p` on the calling thread: a grouped node's
+/// gradient at its distinct rows, given the gradient at its logical rows.
+fn segment_sum(grad: &Matrix, rows: &[usize], distinct: usize) -> Matrix {
+    assert_eq!(grad.rows(), rows.len(), "segment_sum: one gradient row per logical row");
+    let mut out = Matrix::zeros(distinct, grad.cols());
+    #[cfg(feature = "mutation")]
+    let fault = SEGMENT_FAULT.get();
+    for (p, &d) in rows.iter().enumerate() {
+        #[cfg(feature = "mutation")]
+        let d = match fault {
+            Some(SegmentFault::Drop(q)) if q == p => continue,
+            Some(SegmentFault::Misroute(q)) if q == p => (d + 1) % distinct,
+            _ => d,
+        };
+        for (o, &g) in out.row_mut(d).iter_mut().zip(grad.row(p)) {
+            *o += g;
+        }
+    }
+    out
+}
+
+/// A deliberately broken segment sum, so the checks that compare grouped
+/// and per-pair gradients can show they catch one: what happens to one
+/// logical row's gradient on its way into the distinct rows. Built only
+/// with the `mutation` feature, which the workspace's test builds turn on.
+#[cfg(feature = "mutation")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SegmentFault {
+    /// Logical row `p`'s gradient is left out.
+    Drop(usize),
+    /// Logical row `p`'s gradient lands in the distinct row after its own
+    /// (cyclically).
+    Misroute(usize),
+}
+
+#[cfg(feature = "mutation")]
+thread_local! {
+    static SEGMENT_FAULT: std::cell::Cell<Option<SegmentFault>> = const { std::cell::Cell::new(None) };
+}
+
+#[cfg(feature = "mutation")]
+impl Graph {
+    /// Runs `f` with every segment sum on this thread broken by `fault`;
+    /// the previous setting is restored on exit, including on panic.
+    pub fn with_segment_fault<R>(fault: SegmentFault, f: impl FnOnce() -> R) -> R {
+        struct Restore(Option<SegmentFault>);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                SEGMENT_FAULT.set(self.0);
+            }
+        }
+        let _restore = Restore(SEGMENT_FAULT.replace(Some(fault)));
+        f()
     }
 }
 
@@ -751,22 +843,74 @@ mod shape_guard_tests {
             let stored: Vec<usize> = g.tape().iter().map(|n| n.rows.rows()).collect();
             params.zero_grads();
             g.backward(loss, params);
+            let expanded: Vec<bool> = g.tape().iter().map(|n| n.expanded.get().is_some()).collect();
             let values: Vec<Vec<u32>> = [x, h, t, mixed, both, loss]
                 .iter()
                 .map(|&v| g.value(v).as_slice().iter().map(|x| x.to_bits()).collect())
                 .collect();
-            let grads: Vec<Vec<u32>> = [w_id, b_id]
-                .iter()
-                .map(|&id| params.grad(id).as_slice().iter().map(|x| x.to_bits()).collect())
-                .collect();
-            (stored, values, grads)
+            let grads: Vec<Matrix> =
+                [w_id, b_id].iter().map(|&id| params.grad(id).clone()).collect();
+            (stored, expanded, values, grads)
         };
-        let (stored, values, grads) = run(true, &mut params);
+        let (stored, expanded, values, grads) = run(true, &mut params);
         // x, w, b, x·w, +b, tanh, c, x + c, t ⊙ (x + c), sum.
         assert_eq!(stored, vec![2, 2, 1, 2, 2, 2, 5, 5, 5, 1]);
-        let (_, dense_values, dense_grads) = run(false, &mut params);
+        // Only the forward's per-pair reads expanded a node: `x + c` read
+        // `x` and `t ⊙ (x + c)` read `t`; backward expanded nothing.
+        let reads = vec![true, false, false, false, false, true, false, false, false, false];
+        assert_eq!(expanded, reads);
+        let (_, _, dense_values, dense_grads) = run(false, &mut params);
         assert_eq!(values, dense_values);
-        assert_eq!(grads, dense_grads);
+        // The gradients sum the same terms in another order: within the
+        // grouped budget of DESIGN §10, `(rows + 4) · ε · max(scale, 1)`.
+        for (got, want) in grads.iter().zip(&dense_grads) {
+            let scale = want.as_slice().iter().fold(1.0f32, |acc, v| acc.max(v.abs()));
+            let budget = (rows.len() as f32 + 4.0) * f32::EPSILON * scale;
+            for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
+                assert!((a - b).abs() <= budget, "{a} vs {b}, budget {budget}");
+            }
+        }
+    }
+
+    #[test]
+    fn backward_sums_a_grouped_gradient_into_distinct_rows_in_pair_order() {
+        // `sum(c ⊙ (x · w))` with `x` grouped: `x · w` gets gradient `c`
+        // per pair, which backward sums into the distinct rows before
+        // `dw = x_dᵀ · G_d`. Both must be the bits of a naive per-row loop
+        // in ascending pair order, including the unused distinct row 3.
+        let distinct = Matrix::from_rows(&[
+            vec![0.5, -1.0, 3.0],
+            vec![-0.0, 2.0, 0.125],
+            vec![1e-3, 7.5, -0.25],
+            vec![4.0, 4.0, 4.0],
+        ]);
+        let rows = vec![2, 0, 2, 1, 2, 0, 2];
+        let c = Matrix::from_vec(
+            7,
+            2,
+            (0..14).map(|i| (i as f32 * 1.37).sin() * 10f32.powi(i % 5 - 2)).collect(),
+        );
+        let mut params = ParamSet::new();
+        let w_id =
+            params.insert("w", Matrix::from_vec(3, 2, vec![1.5, -0.5, 0.25, 1.0, -2.0, 0.75]));
+        let mut g = Graph::new();
+        let x = g.constant_grouped(distinct.clone(), rows.clone());
+        let w = g.param(&params, w_id);
+        let h = g.matmul(x, w);
+        let cv = g.constant(c.clone());
+        let weighted = g.mul(h, cv);
+        let loss = g.sum_all(weighted);
+        g.backward(loss, &mut params);
+
+        let mut naive = Matrix::zeros(distinct.rows(), c.cols());
+        for (p, &d) in rows.iter().enumerate() {
+            for j in 0..c.cols() {
+                naive.set(d, j, naive.get(d, j) + c.get(p, j));
+            }
+        }
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&segment_sum(&c, &rows, distinct.rows())), bits(&naive));
+        assert_eq!(bits(params.grad(w_id)), bits(&distinct.matmul_tn(&naive)));
     }
 
     #[test]

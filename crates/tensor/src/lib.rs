@@ -63,6 +63,8 @@ pub mod plan;
 pub mod sanitize;
 
 pub use expr::Expr;
+#[cfg(feature = "mutation")]
+pub use graph::SegmentFault;
 pub use graph::{Graph, Var};
 pub use matrix::Matrix;
 pub use optim::{Adam, Optimizer, Sgd};

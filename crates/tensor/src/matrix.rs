@@ -275,7 +275,7 @@ impl Matrix {
         );
         let (k, n, m) = (self.rows, self.cols, other.cols);
         let mut out = Matrix::zeros(n, m);
-        if gemm::use_blocked_packing(n, k, m) {
+        if gemm::use_blocked_packing(n, k, m) && k >= gemm::PACK_MIN_DEPTH {
             // The transpose is expressed purely through pack-time strides:
             // logical A[i][p] = self.data[p * n + i].
             let a = gemm::Operand { data: &self.data, rs: 1, cs: n };
@@ -336,23 +336,22 @@ impl Matrix {
             }
             return out;
         }
-        if gemm::use_blocked_packing(n, k, m) {
+        // From `MR` rows on, not `PACK_MIN_ROWS`: the fallback below is a
+        // dot product per element, not the axpy loop that floor was
+        // measured against, and at `k = 256` the blocked path ran 1.2× as
+        // fast at 4 rows and 1.7–2.2× at 8 to 12.
+        if gemm::use_blocked(n, k, m) {
             let a = gemm::Operand { data: &self.data, rs: k, cs: 1 };
             // Logical B[p][j] = other.data[j * k + p].
             let b = gemm::Operand { data: &other.data, rs: 1, cs: k };
             gemm::gemm(n, k, m, &a, &b, &mut out.data);
             return out;
         }
+        // Row `i` of the result is `other` times row `i` of `self`: the
+        // matrix-vector kernel, whose interleaved dots keep each element's
+        // one accumulator and ascending `k` order (see `gemm::dot_rows`).
         parallel::parallel_for_rows(&mut out.data, m, 2 * k * m, |i, out_row| {
-            let a_row = &self.data[i * k..(i + 1) * k];
-            for (j, o) in out_row.iter_mut().enumerate() {
-                let b_row = &other.data[j * k..(j + 1) * k];
-                let mut acc = 0.0;
-                for (&a, &b) in a_row.iter().zip(b_row) {
-                    acc += a * b;
-                }
-                *o = acc;
-            }
+            gemm::dot_rows(&other.data, k, &self.data[i * k..(i + 1) * k], out_row);
         });
         out
     }
@@ -537,17 +536,24 @@ impl Matrix {
 
     /// Column-wise mean, producing a `1 x cols` row vector.
     pub fn mean_rows(&self) -> Matrix {
-        let mut out = Matrix::zeros(1, self.cols);
+        let mut out = self.sum_rows();
         if self.rows == 0 {
             return out;
         }
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out.data[j] += self.data[i * self.cols + j];
-            }
-        }
         let inv = 1.0 / self.rows as f32;
         out.data.iter_mut().for_each(|v| *v *= inv);
+        out
+    }
+
+    /// Sum of the rows, producing a `1 x m` row vector; each column adds
+    /// its elements in ascending row order.
+    pub fn sum_rows(&self) -> Matrix {
+        let mut out = Matrix::zeros(1, self.cols);
+        for row in self.data.chunks_exact(self.cols.max(1)) {
+            for (o, &v) in out.data.iter_mut().zip(row) {
+                *o += v;
+            }
+        }
         out
     }
 
@@ -785,40 +791,45 @@ mod tests {
         m.as_slice().iter().map(|v| v.to_bits()).collect()
     }
 
+    /// `a · bᵀ` as the general loop: per element, ascending `k`.
+    fn nt_loop(a: &Matrix, b: &Matrix) -> Matrix {
+        let (n, k, m) = (a.rows(), a.cols(), b.rows());
+        let mut out = Matrix::zeros(n, m);
+        for i in 0..n {
+            for j in 0..m {
+                let mut acc = 0.0;
+                for p in 0..k {
+                    acc += a.get(i, p) * b.get(j, p);
+                }
+                out.set(i, j, acc);
+            }
+        }
+        out
+    }
+
+    /// `aᵀ · b` as the general loop: per element, ascending `k`, exact
+    /// zeros of `a` skipped.
+    fn tn_loop(a: &Matrix, b: &Matrix) -> Matrix {
+        let (k, n, m) = (a.rows(), a.cols(), b.cols());
+        let mut out = Matrix::zeros(n, m);
+        for i in 0..n {
+            for p in 0..k {
+                let x = a.get(p, i);
+                if x == 0.0 {
+                    continue;
+                }
+                for j in 0..m {
+                    out.set(i, j, out.get(i, j) + x * b.get(p, j));
+                }
+            }
+        }
+        out
+    }
+
     #[test]
     fn outer_and_column_products_match_the_general_loops_bitwise() {
         // The general loops the `k == 1` `matmul_nt` and `m == 1`
         // `matmul_tn` paths stand in for.
-        let nt_loop = |a: &Matrix, b: &Matrix| {
-            let (n, k, m) = (a.rows(), a.cols(), b.rows());
-            let mut out = Matrix::zeros(n, m);
-            for i in 0..n {
-                for j in 0..m {
-                    let mut acc = 0.0;
-                    for p in 0..k {
-                        acc += a.get(i, p) * b.get(j, p);
-                    }
-                    out.set(i, j, acc);
-                }
-            }
-            out
-        };
-        let tn_loop = |a: &Matrix, b: &Matrix| {
-            let (k, n, m) = (a.rows(), a.cols(), b.cols());
-            let mut out = Matrix::zeros(n, m);
-            for i in 0..n {
-                for p in 0..k {
-                    let x = a.get(p, i);
-                    if x == 0.0 {
-                        continue;
-                    }
-                    for j in 0..m {
-                        out.set(i, j, out.get(i, j) + x * b.get(p, j));
-                    }
-                }
-            }
-            out
-        };
         for (rows, width, seed) in [(1, 1, 1), (3, 5, 2), (16, 64, 3), (100, 256, 4), (7, 0, 5)] {
             // `g·aᵀ`: a gradient column times a weight column.
             let (g, a) = (awkward(rows, 1, seed), awkward(width, 1, seed + 10));
@@ -831,6 +842,21 @@ mod tests {
         let neg = Matrix::from_vec(1, 1, vec![-0.0]);
         let pos = Matrix::from_vec(1, 1, vec![3.0]);
         assert_eq!(neg.matmul_nt(&pos).item().to_bits(), 0.0f32.to_bits());
+    }
+
+    #[test]
+    fn transposed_products_match_the_loops_either_side_of_the_blocked_floors() {
+        use crate::gemm::{KC, MR, PACK_MIN_DEPTH, PACK_MIN_ROWS};
+        // `matmul_nt` turns blocked at `MR` rows and `matmul_tn` at
+        // `PACK_MIN_DEPTH` deep: a gradient over a few distinct rows.
+        for rows in [1, MR - 1, MR, PACK_MIN_ROWS - 1, PACK_MIN_ROWS] {
+            let (g, w) = (awkward(rows, KC, 30 + rows as u32), awkward(64, KC, 40));
+            assert_eq!(bits(&g.matmul_nt(&w)), bits(&nt_loop(&g, &w)), "nt at {rows} rows");
+        }
+        for depth in [1, PACK_MIN_DEPTH - 1, PACK_MIN_DEPTH, PACK_MIN_ROWS] {
+            let (a, g) = (awkward(depth, 64, 50 + depth as u32), awkward(depth, 32, 60));
+            assert_eq!(bits(&a.matmul_tn(&g)), bits(&tn_loop(&a, &g)), "tn at depth {depth}");
+        }
     }
 
     #[test]
