@@ -473,22 +473,28 @@ fn check_plan(p: &Program) -> Result<PlanCheck, Discrepancy> {
 }
 
 /// Records `p` over `batch` twice, its `Input` once as a grouped leaf and
-/// once as a dense constant, and requires equal bits for every value and,
-/// when the root is a `1 x 1` value, every parameter gradient within
-/// [`grouped_gradient_budget`] of the dense tape's: the grouped tape sums a
-/// gradient's per-pair terms per distinct row first. NaN matches any NaN
-/// in a gradient, and in a value when `nan_ok` (see [`check_plan`]). Every
-/// instruction is recorded except a `weighted_bce_with_logits`, whose
-/// constants are sized to the program's own rows, and what reads one.
-/// Returns the number of values and gradients compared.
+/// once as a dense constant, and requires equal bits for every value; NaN
+/// matches any NaN when `nan_ok` (see [`check_plan`]). When the root is a
+/// `1 x 1` value it then records both tapes again over the rows of `batch`
+/// that hold no NaN, and requires every parameter gradient within
+/// [`grouped_gradient_budget`] of the dense tape's, a NaN only against a
+/// NaN: the grouped tape sums a gradient's per-pair terms per distinct row
+/// first. The NaN rows stay out of the gradient half because they reach a
+/// gradient through `0 · NaN` terms, which the naive product kernels skip
+/// and the blocked ones keep, and the two tapes run their products over
+/// different row counts. Every instruction is recorded except a
+/// `weighted_bce_with_logits`, whose constants are sized to the program's
+/// own rows, and what reads one. Returns the number of values and
+/// gradients compared.
 fn check_grouped_tape(p: &Program, batch: &Matrix, nan_ok: bool) -> Result<usize, Discrepancy> {
     let mut recorded = vec![true; p.insts.len()];
     for (i, inst) in p.insts.iter().enumerate() {
         let bce = matches!(inst, Inst::Op(Expr::WeightedBceWithLogits { .. }));
         recorded[i] = !bce && inst.parents().iter().all(|&q| recorded[q]);
     }
-    // Each instruction's value, and each parameter's gradient.
-    let run = |grouped: bool| {
+    // Each instruction's value and, with `backward`, each parameter's
+    // gradient.
+    let run = |batch: &Matrix, grouped: bool, backward: bool| {
         let mut params = ParamSet::new();
         let mut g = Graph::new();
         let regroup = Regroup { batch, record: &recorded, grouped };
@@ -498,24 +504,31 @@ fn check_grouped_tape(p: &Program, batch: &Matrix, nan_ok: bool) -> Result<usize
             .map(|i| (i, g.value(vars[i]).clone()))
             .collect();
         let mut grads = Vec::new();
-        if recorded[p.root] && g.value(vars[p.root]).shape() == (1, 1) {
+        if backward && g.value(vars[p.root]).shape() == (1, 1) {
             g.backward(vars[p.root], &mut params);
             let of = |(i, id): (usize, &Option<ParamId>)| Some((i, params.grad((*id)?).clone()));
             grads.extend(ids.iter().enumerate().filter_map(of));
         }
         (values, grads)
     };
-    let ((values, grads), (dense_values, dense_grads)) = (run(true), run(false));
     let fail = |i: usize, detail: String| Discrepancy {
         inst: i,
         op: p.insts[i].op_name(),
         kind: "grouped tape",
         detail,
     };
+    // Over a batch without NaN rows one pair of tapes serves both halves.
+    let finite = nan_free_rows(batch);
+    let one_batch = finite.rows() == batch.rows();
+    let (values, mut grads) = run(batch, true, one_batch);
+    let (dense_values, mut dense_grads) = run(batch, false, one_batch);
     for ((i, a), (_, b)) in values.iter().zip(&dense_values) {
         if !same_bits(a, b, nan_ok) {
             return Err(fail(*i, format!("value: grouped leaf {a:?} != dense leaf {b:?}")));
         }
+    }
+    if !one_batch {
+        (grads, dense_grads) = (run(&finite, true, true).1, run(&finite, false, true).1);
     }
     let scale = grads
         .iter()
@@ -523,21 +536,13 @@ fn check_grouped_tape(p: &Program, batch: &Matrix, nan_ok: bool) -> Result<usize
         .flat_map(|(_, m)| m.as_slice())
         .filter(|v| v.is_finite())
         .fold(0.0f64, |acc, v| acc.max(f64::from(v.abs())));
-    let budget = grouped_gradient_budget(batch.rows(), scale);
-    // A NaN batch row reaches a parameter gradient through `0 · NaN` terms,
-    // which the naive product kernels skip and the blocked ones keep. The
-    // two tapes run their products over different row counts, so over a
-    // batch with NaN rows an element may be NaN on one and finite on the
-    // other.
-    let nan_rows = batch.as_slice().iter().any(|v| v.is_nan());
+    let budget = grouped_gradient_budget(finite.rows(), scale);
     for ((i, a), (_, b)) in grads.iter().zip(&dense_grads) {
         if a.shape() != b.shape() {
             return Err(fail(*i, format!("gradient: grouped leaf {a:?} vs dense leaf {b:?}")));
         }
         let within = |(x, y): (&f32, &f32)| {
-            (x.is_nan() && y.is_nan())
-                || (nan_rows && (x.is_nan() || y.is_nan()))
-                || budget.accepts(*x, (*y).into())
+            x == y || (x.is_nan() && y.is_nan()) || budget.accepts(*x, (*y).into())
         };
         if let Some(e) = a.as_slice().iter().zip(b.as_slice()).position(|xy| !within(xy)) {
             let (x, y) = (a.as_slice()[e], b.as_slice()[e]);
@@ -555,6 +560,14 @@ fn check_grouped_tape(p: &Program, batch: &Matrix, nan_ok: bool) -> Result<usize
         }
     }
     Ok(values.len() + grads.len())
+}
+
+/// The rows of `batch` that hold no NaN, in order.
+fn nan_free_rows(batch: &Matrix) -> Matrix {
+    let clean = |r: &usize| !batch.row(*r).iter().any(|v| v.is_nan());
+    let kept: Vec<usize> = (0..batch.rows()).filter(clean).collect();
+    let data = kept.iter().flat_map(|&r| batch.row(r).iter().copied()).collect();
+    Matrix::from_vec(kept.len(), batch.cols(), data)
 }
 
 /// Whether `a` and `b` have one shape and equal bits, a NaN matching any

@@ -128,9 +128,9 @@ pub fn reduction_budget(op: &str, reduce_len: usize, abs_scale: f64) -> Budget {
 /// backward rule runs, so every product toward a parameter adds its
 /// `rows` terms in another order. `scale` is the largest finite gradient
 /// magnitude in the program, and the floor of 1 (the root's own gradient)
-/// covers gradients that cancel to nearly nothing. Over the 2,025 programs
+/// covers gradients that cancel to nearly nothing. Over the 1,225 programs
 /// of fuzz seeds 20240805, 7, 99, 20260808, 11 and 5 (the last three in
-/// the blocked profile) the largest gap outside the ULP part was 2.3% of
+/// the blocked profile) the largest gap outside the ULP part was 6.6% of
 /// the absolute bound; a pair's row dropped from a segment sum, or added
 /// into the wrong distinct row, exceeds it (`broken_segment_sums_are_caught`).
 pub fn grouped_gradient_budget(rows: usize, scale: f64) -> Budget {
