@@ -12,24 +12,17 @@
 //! rows are the three GEMM variants, cold pair encoding
 //! (`encode_pairs_cold`, record-level cache dropped first), warm pair
 //! encoding (`encode_pairs`, whose cache-stats delta feeds the `"cache"`
-//! section), prediction through the compiled plan (`predict`) and
-//! through one `forward_graph` tape per 128-row chunk (`predict_tape`), and
+//! section), prediction (`predict`, the model's two-phase forward), and
 //! one training step (`train_step`): a one-epoch AdaMEL-few `fit` over one
 //! 16-pair batch, so the batch and the 100-pair support batch go through
 //! one tape, forward and backward, then Adam. `flops` counts the analytic
 //! per-pair work (`per_row_flops`; for `train_step` the tape's forward and
-//! backward, not the attention replays `fit` makes for the support
-//! weights), not the arithmetic the plan and the tape skip by running each
-//! distinct feature block once.
+//! backward, not the attention passes `fit` makes for the support
+//! weights), not the arithmetic the forward skips by running each distinct
+//! feature block once.
 //! A `"mem"` section (`adamel-mem/v1`) holds the largest row peak and the
 //! final per-gauge ledger. Rows run on one thread, so no number in the
 //! file depends on the host's core count.
-//!
-//! One timing gate rides along: after the file is written, `predict` and
-//! `predict_tape` are each timed best of 5 at one thread with tracing
-//! off, their runs alternating. Both go to stderr, and the process exits 1
-//! when the plan is more than 10% slower than the tape, whose leaves are
-//! grouped as the plan's windows are. Neither number enters the file.
 //!
 //! With `--obs`, an instrumented exercise pass (encode, chunked predict,
 //! attention, a small AdaMEL-hyb training run, and a `Linker::link` call)
@@ -44,9 +37,8 @@ use adamel::pipeline::{Linker, LinkerConfig};
 use adamel::train::fit;
 use adamel_obs::TraceLevel;
 use adamel_schema::{Domain, EntityPair, Record, Schema, SourceId};
-use adamel_tensor::{parallel, EncodedBlocks, Graph, Matrix};
+use adamel_tensor::{parallel, Matrix};
 use rand::{Rng, SeedableRng};
-use std::time::Instant;
 
 const MATMUL_M: usize = 128;
 const NUM_PAIRS: usize = 200;
@@ -54,9 +46,6 @@ const NUM_PAIRS: usize = 200;
 /// in its support batch.
 const TRAIN_BATCH: usize = 16;
 const SUPPORT_PAIRS: usize = 100;
-
-/// The compiled plan may take at most this multiple of the tape's time.
-const PLAN_OVER_TAPE_MAX: f64 = 1.10;
 
 struct Row {
     kernel: &'static str,
@@ -76,60 +65,6 @@ fn row(kernel: &'static str, n: usize, flops: u64, f: impl FnOnce()) -> Row {
     let peak_bytes = adamel_obs::mem::peak_total();
     adamel_obs::set_forced(Some(TraceLevel::Off));
     Row { kernel, n, flops, peak_bytes }
-}
-
-/// Best-of-`reps` wall times in milliseconds of `a` and of `b` on one
-/// thread, each after one untimed warm-up. Their repetitions alternate, so
-/// a shared host that speeds up or slows down during the measurement
-/// affects both sides alike.
-fn time_pair_ms(reps: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
-    let time = |f: &mut dyn FnMut()| {
-        let t = Instant::now();
-        f();
-        t.elapsed().as_secs_f64() * 1e3
-    };
-    parallel::with_threads(1, || {
-        a();
-        b();
-        let mut best = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..reps {
-            best.0 = best.0.min(time(&mut a));
-            best.1 = best.1.min(time(&mut b));
-        }
-        best
-    })
-}
-
-/// The timing gate: the compiled plan must not lose to the tape it
-/// replaced by more than [`PLAN_OVER_TAPE_MAX`].
-fn plan_within_budget(plan_ms: f64, tape_ms: f64) -> bool {
-    plan_ms <= tape_ms * PLAN_OVER_TAPE_MAX
-}
-
-/// Rows per recorded tape in the `predict_tape` reference: the chunk size
-/// `AdamelModel::predict_encoded` replays its plan at.
-const TAPE_CHUNK_ROWS: usize = 128;
-
-/// The tape reference the `predict_tape` row measures: one `forward_graph`
-/// tape recorded per [`TAPE_CHUNK_ROWS`]-row chunk, chunks spread over the
-/// parallel runtime exactly as the compiled plan's are. `chunks` holds
-/// each chunk's pairs encoded on their own.
-fn predict_tape(model: &AdamelModel, chunks: &[EncodedBlocks]) -> Vec<f32> {
-    let mut scores = vec![0.0f32; chunks.iter().map(EncodedBlocks::rows).sum()];
-    parallel::parallel_for_row_blocks(
-        &mut scores,
-        1,
-        TAPE_CHUNK_ROWS,
-        model.per_row_flops(),
-        |start, block| {
-            let mut g = Graph::new();
-            let (_, logits) = model.forward_graph(&mut g, &chunks[start / TAPE_CHUNK_ROWS]);
-            for (o, &z) in block.iter_mut().zip(g.value(logits).as_slice()) {
-                *o = 1.0 / (1.0 + (-z).exp());
-            }
-        },
-    );
-    scores
 }
 
 /// Analytic tape FLOPs of one trained row: the forward
@@ -305,17 +240,10 @@ fn main() {
     } else {
         warm_hits as f64 / (warm_hits + warm_misses) as f64
     };
-    // `predict` routes through the compiled plan; `predict_tape` is the
-    // tape reference it replaced.
     let encoded = extractor.encode_pairs(&pairs);
-    let chunks: Vec<EncodedBlocks> =
-        pairs.chunks(TAPE_CHUNK_ROWS).map(|c| extractor.encode_pairs(c)).collect();
     let predict_flops = NUM_PAIRS as u64 * model.per_row_flops() as u64;
     rows.push(row("predict", NUM_PAIRS, predict_flops, || {
         std::hint::black_box(model.predict_encoded(&encoded));
-    }));
-    rows.push(row("predict_tape", NUM_PAIRS, predict_flops, || {
-        std::hint::black_box(predict_tape(&model, &chunks));
     }));
     // One `fit` epoch over exactly one batch, with the support batch on its
     // tape; labels alternate, since only the work is counted.
@@ -394,34 +322,4 @@ fn main() {
     std::fs::write(&out_path, &out).unwrap_or_else(|e| panic!("write {out_path}: {e}"));
     print!("{out}");
     eprintln!("wrote {out_path}");
-
-    // --- the timing gate: compiled plan vs the tape it replaced ---
-    let (plan_ms, tape_ms) = time_pair_ms(
-        5,
-        || {
-            std::hint::black_box(model.predict_encoded(&encoded));
-        },
-        || {
-            std::hint::black_box(predict_tape(&model, &chunks));
-        },
-    );
-    eprintln!(
-        "perfjson: predict {plan_ms:.3} ms, predict_tape {tape_ms:.3} ms (plan/tape {:.3}, limit {PLAN_OVER_TAPE_MAX:.2})",
-        plan_ms / tape_ms
-    );
-    if !plan_within_budget(plan_ms, tape_ms) {
-        eprintln!("perfjson: predict takes more than {PLAN_OVER_TAPE_MAX:.2}x predict_tape");
-        std::process::exit(1);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::plan_within_budget;
-
-    #[test]
-    fn plan_gate_allows_ten_percent_over_tape() {
-        assert!(plan_within_budget(109.0, 100.0));
-        assert!(!plan_within_budget(111.0, 100.0));
-    }
 }

@@ -14,32 +14,45 @@
 //! are the same rounded product `g·t`, and otherwise both are zero (up to
 //! the sign of a zero). Splitting `W1` into its `F` row blocks `W1_j` (`H' x
 //! H_hidden` each) then gives `z·W1 = Σ_j g_j·(relu(t_j)·W1_j)`. The
-//! product `relu(t_j)·W1_j` depends on feature `j`'s block alone, so the
-//! compiled plan runs it once per distinct block, like the Eq. 4–5 stages,
-//! and only the weighted sum over features runs once per pair. The
-//! factored sum adds its terms in another order than one `F·H'`-long dot
-//! product, so its logits differ from the literal Eq. 7 by rounding only;
-//! the `f64` oracle keeps the literal form as the reference.
+//! product `relu(t_j)·W1_j` depends on feature `j`'s block alone, so it runs
+//! once per distinct block, like the Eq. 4–5 stages, and only the weighted
+//! sum over features runs once per pair. The factored sum adds its terms in
+//! another order than one `F·H'`-long dot product, so its logits differ from
+//! the literal Eq. 7 by rounding only; the `f64` oracle keeps the literal
+//! form as the reference.
 //!
-//! Both forwards read a batch as [`EncodedBlocks`]: per feature, its
-//! distinct blocks `h_j`, and per pair, which one it has. The tape records
-//! each feature as its own grouped leaf, the batch's distinct blocks of
-//! table `j` and each pair's row among them, so `h_j` enters Eq. 4 as its
-//! own input, as in the paper, and the tape runs each feature's Eq. 4–5
-//! stages and `relu(t_j)·W1_j` once per distinct block of the batch; the
-//! weighted sum, the rest of Θ, the losses and backward see per-pair rows.
-//! The compiled plan takes those leaves as its inputs: it runs the same
-//! stages once per distinct block of the whole call, then the weighted sum
-//! and the rest of Θ per pair.
+//! The forward reads a batch as [`EncodedBlocks`]: per feature, its
+//! distinct blocks `h_j`, and per pair, which one it has. It is written
+//! once, as per-stage helpers every caller records on an autograd tape:
+//!
+//! * **Training** ([`AdamelModel::forward`]) records the whole batch on one
+//!   tape, each feature as its own grouped leaf (the batch's distinct blocks
+//!   of table `j` and each pair's row among them), so the tape runs each
+//!   feature's Eq. 4–5 stages and `relu(t_j)·W1_j` once per distinct block;
+//!   the weighted sum, the rest of Θ, the losses and backward see per-pair
+//!   rows.
+//! * **Inference** ([`AdamelModel::predict_with_attention`],
+//!   [`AdamelModel::attention_encoded`]) runs the same stages in two phases
+//!   on short-lived tapes. The *block phase* records each chunk of at most
+//!   [`CHUNK_ROWS`] distinct blocks of one feature on its own tape (Eq. 4–5,
+//!   and `u_j = relu(t_j)·W1_j` when scoring) and keeps only `e_j` and
+//!   `u_j`: each distinct block of the call runs once. The *pair phase*
+//!   records each chunk of [`CHUNK_ROWS`] pairs on its own tape over their
+//!   gathered `e_j` and `u_j` rows as constants: Eq. 6's softmax, the
+//!   weighted sum and the rest of Θ. Chunks of either phase run on worker
+//!   threads.
+//!
+//! Every stage computes a row from that row alone, with the kernels the
+//! training tape runs, so inference equals one [`AdamelModel::forward_graph`]
+//! tape over the whole batch bit for bit, at any chunking and thread count.
 
 use crate::config::AdamelConfig;
+use adamel_obs::span;
 use adamel_schema::{EntityPair, FeatureExtractor, Schema};
-use adamel_tensor::plan::{BufferPool, CompiledPlan, PlanBuffers};
 use adamel_tensor::{init, parallel, EncodedBlocks, Graph, Matrix, ParamId, ParamSet, Var};
 use adamel_text::HashedFastText;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::OnceLock;
 
 /// Handles to all trainable parameters.
 pub(crate) struct ModelParams {
@@ -64,29 +77,10 @@ pub(crate) struct ModelParams {
 
 /// Output node handles of one forward construction.
 pub(crate) struct ForwardNodes {
-    /// Feature `j`'s blocks of the batch, in feature order (the plan
-    /// compiler's replay-time leaves).
-    pub inputs: Vec<Var>,
     /// Attention distribution `f(x)`, shape `n x F`.
     pub attention: Var,
     /// Classifier logits, shape `n x 1`.
     pub logits: Var,
-}
-
-/// The tape-free inference programs, compiled lazily from one probe forward.
-///
-/// The predict plan has two outputs, `[logits, attention]`, so one replay
-/// both scores a batch and yields its Eq. 5–6 attention rows. The attention
-/// plan stops at `f(x)` and never replays the classifier; it serves the
-/// callers that never need scores (training's target-attention mean,
-/// `support_weights`, `feature_importance`). Each plan gets its own
-/// warm-buffer pool because buffer *i* holds differently shaped
-/// intermediates per plan.
-struct CompiledForward {
-    predict: CompiledPlan,
-    attention: CompiledPlan,
-    predict_pool: BufferPool,
-    attention_pool: BufferPool,
 }
 
 /// Pairs together with the outputs of one forward pass over them: row `i`
@@ -101,28 +95,26 @@ pub struct ScoredPairs {
     pub attention: Matrix,
 }
 
-/// Probe batch size used to record the plan. Any value ≥ 2 works; 2 keeps
-/// the probe cheap while staying clear of row-count 1, which legitimate
-/// `1 x k` constants (none today) would collide with in the compiler's
-/// batch-sized-constant check, and lets that check see whether the
-/// uniform-attention constant's rows are identical.
-const PLAN_PROBE_ROWS: usize = 2;
-
-/// Pair-phase chunk size: `predict`/`attention` run the plan's window phase
-/// once per call, over each feature's distinct blocks, and then its pair
-/// phase (the attention-weighted sum over features and the steps after it)
-/// once per chunk of this many pairs, on scoped worker threads. Every
-/// forward op is row-independent, so chunk boundaries (a function of this
-/// constant alone, never the thread count) do not change the numbers:
-/// chunked output is bit-identical to one monolithic `forward_graph` tape.
+/// Rows per inference tape: the block phase records at most this many
+/// distinct blocks of one feature per tape, and the pair phase this many
+/// pairs. Every forward op is row-independent, so chunk boundaries (a
+/// function of this constant alone, never the thread count) do not change
+/// the numbers.
 ///
 /// Between the phases a call keeps, per distinct block of each feature,
 /// the attention energy and `u_j = relu(t_j)·W1_j`: about 1 KB per distinct
 /// block at paper dimensions, so at most the dense `n x F·D` encoding's
-/// size when no block repeats. A pair chunk's arena holds the gathered
-/// `u_j` rows of its pairs. The plan packs its weights once per parameter
-/// generation, not once per replay.
-const PREDICT_CHUNK_ROWS: usize = 128;
+/// size when no block repeats. A tape holds one chunk's intermediates and
+/// drops when the chunk is done.
+const CHUNK_ROWS: usize = 128;
+
+/// What the block phase keeps of one chunk of a feature's distinct blocks.
+struct BlockRows {
+    /// The attention energies `e_j`, one per block.
+    energy: Matrix,
+    /// `u_j = relu(t_j)·W1_j` per block when the call scores, else empty.
+    term: Matrix,
+}
 
 /// The shape of every parameter [`AdamelModel::new`] registers for `f`
 /// features under `cfg`, in registration (snapshot) order: `V[j]`, `b[j]`
@@ -168,12 +160,6 @@ pub struct AdamelModel {
     pub(crate) extractor: FeatureExtractor,
     pub(crate) params: ParamSet,
     pub(crate) ids: ModelParams,
-    /// Lazily compiled inference plans. Plans read parameters live from
-    /// `self.params`, so training and
-    /// [`restore_params`](Self::restore_params) never invalidate them; the
-    /// weights a plan keeps packed follow the parameters' generation and
-    /// are repacked on the first replay after a change.
-    plan: OnceLock<CompiledForward>,
 }
 
 impl AdamelModel {
@@ -208,7 +194,7 @@ impl AdamelModel {
         let b2 = params.insert("Theta.b2", Matrix::zeros(1, 1));
 
         let ids = ModelParams { v, b, w_att, a_att, w1, b1, w2, b2 };
-        Self { cfg, extractor, params, ids, plan: OnceLock::new() }
+        Self { cfg, extractor, params, ids }
     }
 
     /// The configuration.
@@ -259,6 +245,61 @@ impl AdamelModel {
         f * 2 * (d * h + h * ha + ha) + 2 * (f * ha * hh + hh)
     }
 
+    /// Eq. 4 for feature `j`: `x_j = relu(h_j V_j + b_j)`.
+    fn project(&self, g: &mut Graph, j: usize, h_j: Var) -> Var {
+        let v_j = g.param(&self.params, self.ids.v[j]);
+        let b_j = g.param(&self.params, self.ids.b[j]);
+        g.linear_relu(h_j, v_j, b_j)
+    }
+
+    /// The attention head's shared `W` and `a`, as leaves of `g`.
+    fn attention_params(&self, g: &mut Graph) -> (Var, Var) {
+        (g.param(&self.params, self.ids.w_att), g.param(&self.params, self.ids.a_att))
+    }
+
+    /// Eq. 5 for one feature: the tanh projection `t_j = tanh(x_j W)` and
+    /// the energy `e_j = aᵀ t_j`. `t_j` is both the attention input and the
+    /// `H'`-dim representation Θ consumes (§4.5's `F·H'·H_hidden` term).
+    fn energy(g: &mut Graph, x_j: Var, (w_att, a_att): (Var, Var)) -> (Var, Var) {
+        let t = g.matmul(x_j, w_att);
+        let t = g.tanh(t);
+        (t, g.matmul(t, a_att))
+    }
+
+    /// Eq. 6 over `n` rows of per-feature energies: `f(x)`, each row summing
+    /// to 1. The uniform-attention ablation replaces the learned
+    /// distribution with the constant `1/F` vector.
+    fn attention_weights(&self, g: &mut Graph, energies: &[Var], n: usize) -> Var {
+        let e = g.concat_cols(energies);
+        if self.cfg.uniform_attention {
+            let f = energies.len();
+            g.constant(Matrix::full(n, f, 1.0 / f as f32))
+        } else {
+            g.softmax_rows(e)
+        }
+    }
+
+    /// Feature `j`'s term of Θ's factored first layer (module docs):
+    /// `u_j = relu(t_j)·W1_j`.
+    fn feature_term(&self, g: &mut Graph, j: usize, t_j: Var) -> Var {
+        let r_j = g.relu(t_j);
+        let w1_j = g.param(&self.params, self.ids.w1[j]);
+        g.matmul(r_j, w1_j)
+    }
+
+    /// Θ over the per-feature terms (Eq. 7): `z·W1 = Σ_j g_j·u_j`, exact
+    /// elementwise because `g_j ≥ 0`, then the bias, `relu` and the second
+    /// layer. Returns the logits.
+    fn classify(&self, g: &mut Graph, us: &[Var], attention: Var) -> Var {
+        let z_w1 = g.weighted_sum(us, attention);
+        let b1 = g.param(&self.params, self.ids.b1);
+        let z_w1 = g.add_row_broadcast(z_w1, b1);
+        let hidden = g.relu(z_w1);
+        let w2 = g.param(&self.params, self.ids.w2);
+        let b2 = g.param(&self.params, self.ids.b2);
+        g.linear(hidden, w2, b2)
+    }
+
     /// Builds the full forward graph over the pairs `pairs` of an encoded
     /// batch, in that order: feature `j`'s grouped leaf holds their
     /// distinct rows of its block table ([`feature_leaf`]).
@@ -268,135 +309,174 @@ impl AdamelModel {
         encoded: &EncodedBlocks,
         pairs: &[usize],
     ) -> ForwardNodes {
-        let _forward = adamel_obs::span("forward");
+        let _forward = span("forward");
         let f = self.extractor.num_features();
-        let n = pairs.len();
 
-        // Per-feature latent projections x_j (Eq. 4).
-        let phase = adamel_obs::span("feature_proj");
-        let mut inputs = Vec::with_capacity(f);
-        let mut xs = Vec::with_capacity(f);
-        for j in 0..f {
-            let h_j = feature_leaf(g, encoded, j, pairs);
-            inputs.push(h_j);
-            let v_j = g.param(&self.params, self.ids.v[j]);
-            let b_j = g.param(&self.params, self.ids.b[j]);
-            xs.push(g.linear_relu(h_j, v_j, b_j));
-        }
+        let phase = span("feature_proj");
+        let xs: Vec<Var> = (0..f)
+            .map(|j| {
+                let h_j = feature_leaf(g, encoded, j, pairs);
+                self.project(g, j, h_j)
+            })
+            .collect();
         drop(phase);
 
-        // Shared attention energies e_j = aᵀ tanh(W x_j) (Eq. 5). The tanh
-        // projections t_j are kept: they are both the attention input and
-        // the H'-dim representation Θ consumes (§4.5's F·H'·H_hidden term).
-        let phase = adamel_obs::span("attention_head");
-        let w_att = g.param(&self.params, self.ids.w_att);
-        let a_att = g.param(&self.params, self.ids.a_att);
-        let mut ts = Vec::with_capacity(f);
-        let mut energies = Vec::with_capacity(f);
-        for &x_j in &xs {
-            let t = g.matmul(x_j, w_att);
-            let t = g.tanh(t);
-            energies.push(g.matmul(t, a_att));
-            ts.push(t);
-        }
-        let e = g.concat_cols(&energies);
-        // f(x), rows sum to 1 (Eq. 6); the uniform-attention ablation
-        // replaces the learned distribution with the constant 1/F vector.
-        let attention = if self.cfg.uniform_attention {
-            g.constant(Matrix::full(n, f, 1.0 / f as f32))
-        } else {
-            g.softmax_rows(e)
-        };
+        let phase = span("attention_head");
+        let head = self.attention_params(g);
+        let (ts, energies): (Vec<Var>, Vec<Var>) =
+            xs.iter().map(|&x_j| Self::energy(g, x_j, head)).unzip();
+        let attention = self.attention_weights(g, &energies, pairs.len());
         drop(phase);
 
-        let phase = adamel_obs::span("classifier");
-        // Classifier Θ over z_j = relu(g_j * t_j) (Eq. 7), its first layer
-        // factored as in the module docs: z·W1 = Σ_j g_j·u_j with
-        // u_j = relu(t_j)·W1_j, exact elementwise because g_j ≥ 0.
-        let mut us = Vec::with_capacity(f);
-        for (&t_j, &w1_j) in ts.iter().zip(&self.ids.w1) {
-            let r_j = g.relu(t_j);
-            let w1_j = g.param(&self.params, w1_j);
-            us.push(g.matmul(r_j, w1_j));
-        }
-        let z_w1 = g.weighted_sum(&us, attention);
-        let b1 = g.param(&self.params, self.ids.b1);
-        let z_w1 = g.add_row_broadcast(z_w1, b1);
-        let hidden = g.relu(z_w1);
-        let w2 = g.param(&self.params, self.ids.w2);
-        let b2 = g.param(&self.params, self.ids.b2);
-        let logits = g.linear(hidden, w2, b2);
+        let phase = span("classifier");
+        let us: Vec<Var> =
+            ts.iter().enumerate().map(|(j, &t_j)| self.feature_term(g, j, t_j)).collect();
+        let logits = self.classify(g, &us, attention);
         drop(phase);
 
-        ForwardNodes { inputs, attention, logits }
-    }
-
-    /// The compiled inference plans, built on first use from one probe
-    /// forward at [`PLAN_PROBE_ROWS`] rows.
-    fn compiled(&self) -> &CompiledForward {
-        self.plan.get_or_init(|| {
-            let (f, d) = (self.extractor.num_features(), self.cfg.embed_dim);
-            let probe = EncodedBlocks::new(1, d, vec![Matrix::zeros(1, d); f], vec![0; f]);
-            let mut g = Graph::new();
-            let nodes = self.forward(&mut g, &probe, &[0; PLAN_PROBE_ROWS]);
-            // The forward records only replayable ops, and its one
-            // batch-sized constant (uniform attention) has identical rows.
-            let compile = |outputs: &[Var]| {
-                CompiledPlan::compile(&g, &nodes.inputs, outputs)
-                    .unwrap_or_else(|e| panic!("AdamelModel: forward does not compile: {e}"))
-            };
-            CompiledForward {
-                predict: compile(&[nodes.logits, nodes.attention]),
-                attention: compile(&[nodes.attention]),
-                predict_pool: BufferPool::new(),
-                attention_pool: BufferPool::new(),
-            }
-        })
+        ForwardNodes { attention, logits }
     }
 
     /// Builds the full forward graph over every pair of an encoded batch
-    /// and returns the `(attention, logits)` node handles. This is the
-    /// single-graph hook the differential oracle, the plan tests and the
-    /// `predict_tape` bench row use to compare the compiled plan against
-    /// one recorded tape.
+    /// and returns the `(attention, logits)` node handles: the one-tape
+    /// reference the differential oracle and the inference tests compare
+    /// the two-phase forward against.
     pub fn forward_graph(&self, g: &mut Graph, encoded: &EncodedBlocks) -> (Var, Var) {
         let pairs: Vec<usize> = (0..encoded.rows()).collect();
         let nodes = self.forward(g, encoded, &pairs);
         (nodes.attention, nodes.logits)
     }
 
-    /// Replays `plan` over `encoded`: its window phase once, then its pair
-    /// phase in [`PREDICT_CHUNK_ROWS`]-row chunks, each into warm buffers
-    /// from `pool`. Returns a row-major block of `width` values per row
-    /// that `emit` fills from each chunk's outputs. Replay runs the kernels
-    /// the tape ops delegate to, so the values are bit-identical to one
-    /// `forward_graph` tape.
-    fn replay(
+    /// The block phase over one chunk: distinct blocks
+    /// `[first, first + rows)` of feature `j`'s table, on a tape of their
+    /// own. Keeps the energies and, when `scores`, the classifier terms.
+    fn block_chunk(
         &self,
-        plan: &CompiledPlan,
-        pool: &BufferPool,
         encoded: &EncodedBlocks,
+        j: usize,
+        first: usize,
+        rows: usize,
+        scores: bool,
+    ) -> BlockRows {
+        let mut g = Graph::new();
+        let phase = span("feature_proj");
+        let h_j = g.constant(encoded.table(j).slice_rows(first, rows));
+        let x_j = self.project(&mut g, j, h_j);
+        drop(phase);
+        let phase = span("attention_head");
+        let head = self.attention_params(&mut g);
+        let (t_j, e_j) = Self::energy(&mut g, x_j, head);
+        drop(phase);
+        let mut term = Matrix::default();
+        if scores {
+            let _phase = span("classifier");
+            let u_j = self.feature_term(&mut g, j, t_j);
+            term = g.value(u_j).clone();
+        }
+        BlockRows { energy: g.value(e_j).clone(), term }
+    }
+
+    /// The block phase of a call (module docs): every feature's distinct
+    /// blocks in chunks of [`CHUNK_ROWS`], the chunks spread over worker
+    /// threads. Returns each feature's chunks in table order.
+    fn block_phase(&self, encoded: &EncodedBlocks, scores: bool) -> Vec<Vec<BlockRows>> {
+        let _phase = span("block_phase");
+        let f = encoded.features();
+        if adamel_obs::enabled() {
+            let distinct = (0..f).map(|j| encoded.table(j).rows()).sum::<usize>();
+            adamel_obs::trace_count!("block_phase.rows", (f * encoded.rows()) as u64);
+            adamel_obs::trace_count!("block_phase.distinct_rows", distinct as u64);
+        }
+        let tasks: Vec<(usize, usize)> = (0..f)
+            .flat_map(|j| {
+                (0..encoded.table(j).rows()).step_by(CHUNK_ROWS).map(move |first| (j, first))
+            })
+            .collect();
+        let chunk_flops = CHUNK_ROWS * self.per_row_flops() / f.max(1);
+        let mut chunks = parallel::parallel_map_collect(tasks.len(), chunk_flops, |t| {
+            let (j, first) = tasks[t];
+            let rows = (encoded.table(j).rows() - first).min(CHUNK_ROWS);
+            self.block_chunk(encoded, j, first, rows, scores)
+        })
+        .into_iter();
+        (0..f)
+            .map(|j| chunks.by_ref().take(encoded.table(j).rows().div_ceil(CHUNK_ROWS)).collect())
+            .collect()
+    }
+
+    /// The pair phase over pairs `[start, start + out.len() / width)`, on a
+    /// tape of their own, reading the block phase's `kept` rows: writes
+    /// each pair's attention row and, when `width` has room for it, its
+    /// score first.
+    fn pair_chunk(
+        &self,
+        encoded: &EncodedBlocks,
+        kept: &[Vec<BlockRows>],
+        start: usize,
         width: usize,
-        emit: impl Fn(&PlanBuffers, &mut [f32]) + Sync,
-    ) -> Vec<f32> {
+        out: &mut [f32],
+    ) {
+        let f = kept.len();
+        let rows = out.len() / width;
+        // Feature `j`'s kept rows of these pairs, as one constant.
+        let gather = |g: &mut Graph, j: usize, pick: fn(&BlockRows) -> &Matrix| {
+            let mut m = Matrix::zeros(rows, pick(&kept[j][0]).cols());
+            for r in 0..rows {
+                let id = encoded.id(start + r, j);
+                m.row_mut(r).copy_from_slice(pick(&kept[j][id / CHUNK_ROWS]).row(id % CHUNK_ROWS));
+            }
+            g.constant(m)
+        };
+        let mut g = Graph::new();
+        let phase = span("attention_head");
+        let energies: Vec<Var> = (0..f).map(|j| gather(&mut g, j, |b| &b.energy)).collect();
+        let attention = self.attention_weights(&mut g, &energies, rows);
+        drop(phase);
+        let logits = (width > f).then(|| {
+            let _phase = span("classifier");
+            let us: Vec<Var> = (0..f).map(|j| gather(&mut g, j, |b| &b.term)).collect();
+            self.classify(&mut g, &us, attention)
+        });
+        let att = g.value(attention).as_slice().chunks_exact(f.max(1));
+        for (r, (row, a)) in out.chunks_exact_mut(width).zip(att).enumerate() {
+            if let Some(logits) = logits {
+                let z = g.value(logits).get(r, 0);
+                row[0] = 1.0 / (1.0 + (-z).exp());
+            }
+            row[width - f..].copy_from_slice(a);
+        }
+    }
+
+    /// Both phases over `encoded`: the block phase once per call, then the
+    /// pair phase in [`CHUNK_ROWS`]-pair chunks on worker threads. Returns a
+    /// row-major block per pair: its score (when `scores`) and its
+    /// attention row.
+    ///
+    /// # Panics
+    ///
+    /// If `encoded` does not hold the model's features at its embedding
+    /// width.
+    fn two_phase(&self, encoded: &EncodedBlocks, scores: bool) -> Vec<f32> {
+        let f = self.extractor.num_features();
+        assert_eq!(
+            (encoded.features(), encoded.dim()),
+            (f, self.cfg.embed_dim),
+            "AdamelModel: encoded blocks do not fit the model's features and embedding width"
+        );
+        let width = usize::from(scores) + f;
         let mut out = vec![0.0f32; encoded.rows() * width];
-        let flops = self.per_row_flops();
-        let mut call = pool.checkout();
-        plan.execute_windows(&self.params, encoded, pool, flops, &mut call);
+        if out.is_empty() {
+            return out;
+        }
+        let kept = self.block_phase(encoded, scores);
+        let _phase = span("pair_phase");
         parallel::parallel_for_row_blocks(
             &mut out,
             width,
-            PREDICT_CHUNK_ROWS,
-            flops,
-            |start, block| {
-                let mut bufs = pool.checkout();
-                let rows = block.len() / width;
-                plan.execute_rows(&self.params, encoded, &call, start, rows, &mut bufs);
-                emit(&bufs, block);
-                pool.put_back(bufs);
-            },
+            CHUNK_ROWS,
+            self.per_row_flops(),
+            |start, block| self.pair_chunk(encoded, &kept, start, width, block),
         );
-        pool.put_back(call);
         out
     }
 
@@ -414,26 +494,14 @@ impl AdamelModel {
     }
 
     /// Match scores and attention rows for pre-encoded pairs, from one
-    /// replay of the predict plan: `f(x)` is an intermediate of scoring, so
-    /// it costs no second forward.
+    /// two-phase forward: `f(x)` is an intermediate of scoring, so it costs
+    /// no second forward.
     pub fn predict_with_attention(&self, encoded: &EncodedBlocks) -> (Vec<f32>, Matrix) {
         adamel_obs::trace_span!("predict");
         adamel_obs::trace_count!("predict.rows", encoded.rows() as u64);
-        adamel_obs::trace_count!(
-            "predict.chunks",
-            encoded.rows().div_ceil(PREDICT_CHUNK_ROWS) as u64
-        );
-        let cf = self.compiled();
+        adamel_obs::trace_count!("predict.chunks", encoded.rows().div_ceil(CHUNK_ROWS) as u64);
         let f = self.extractor.num_features();
-        let rows = self.replay(&cf.predict, &cf.predict_pool, encoded, 1 + f, |bufs, block| {
-            let logits = cf.predict.output(0, bufs).as_slice();
-            let att = cf.predict.output(1, bufs).as_slice();
-            for ((row, &z), a) in block.chunks_exact_mut(1 + f).zip(logits).zip(att.chunks_exact(f))
-            {
-                row[0] = 1.0 / (1.0 + (-z).exp());
-                row[1..].copy_from_slice(a);
-            }
-        });
+        let rows = self.two_phase(encoded, true);
         let scores = rows.iter().step_by(1 + f).copied().collect();
         let attention: Vec<f32> = rows.chunks_exact(1 + f).flat_map(|r| &r[1..]).copied().collect();
         (scores, Matrix::from_vec(encoded.rows(), f, attention))
@@ -453,17 +521,13 @@ impl AdamelModel {
         self.attention_encoded(&encoded)
     }
 
-    /// Attention distributions for pre-encoded pairs, from the attention
-    /// plan (classifier skipped).
+    /// Attention distributions for pre-encoded pairs, from the two-phase
+    /// forward without the classifier.
     pub fn attention_encoded(&self, encoded: &EncodedBlocks) -> Matrix {
         adamel_obs::trace_span!("attention");
         adamel_obs::trace_count!("attention.rows", encoded.rows() as u64);
-        let cf = self.compiled();
-        let f = self.extractor.num_features();
-        let out = self.replay(&cf.attention, &cf.attention_pool, encoded, f, |bufs, block| {
-            block.copy_from_slice(cf.attention.output(0, bufs).as_slice())
-        });
-        Matrix::from_vec(encoded.rows(), f, out)
+        let out = self.two_phase(encoded, false);
+        Matrix::from_vec(encoded.rows(), self.extractor.num_features(), out)
     }
 
     /// Deep copies of all parameter tensors, in registration order (for
@@ -626,10 +690,29 @@ mod tests {
         }
     }
 
+    /// The rows of `u_j = relu(t_j)·W1_j` the block phase computed for each
+    /// feature of a scoring call, chunk by chunk.
+    fn term_rows(model: &AdamelModel, encoded: &EncodedBlocks) -> Vec<Vec<usize>> {
+        let kept = model.block_phase(encoded, true);
+        kept.iter().map(|chunks| chunks.iter().map(|c| c.term.rows()).collect()).collect()
+    }
+
+    /// Scores and attention rows from one `forward_graph` tape.
+    fn tape(model: &AdamelModel, encoded: &EncodedBlocks) -> (Vec<u32>, Vec<u32>) {
+        let mut g = Graph::new();
+        let (attention, logits) = model.forward_graph(&mut g, encoded);
+        let sigmoid = |z: &f32| (1.0 / (1.0 + (-z).exp())).to_bits();
+        (g.value(logits).as_slice().iter().map(sigmoid).collect(), bits(g.value(attention)))
+    }
+
+    fn score_bits(scores: &[f32]) -> Vec<u32> {
+        scores.iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn w1_products_run_once_per_distinct_feature_block() {
         // Twelve pairs cycling through three contents, one of them missing
-        // the artist on both sides: every feature window repeats its rows.
+        // the artist on both sides: every feature repeats its blocks.
         let model = AdamelModel::new(AdamelConfig::tiny(), schema());
         let pairs: Vec<EntityPair> = (0..12)
             .map(|i| match i % 3 {
@@ -639,29 +722,23 @@ mod tests {
             })
             .collect();
         let encoded = model.encode(&pairs);
-        let plan = &model.compiled().predict;
-        let mut bufs = PlanBuffers::new();
-        plan.execute(&model.params, &encoded, &mut bufs);
         let (d, dense) = (model.cfg.embed_dim, encoded.to_dense());
-        for (j, &w1_j) in model.ids.w1.iter().enumerate() {
+        for (j, rows) in term_rows(&model, &encoded).into_iter().enumerate() {
             let mut blocks: Vec<Vec<u32>> = (0..encoded.rows())
                 .map(|r| dense.row(r)[j * d..(j + 1) * d].iter().map(|v| v.to_bits()).collect())
                 .collect();
             blocks.sort();
             blocks.dedup();
             assert!(blocks.len() < encoded.rows(), "feature {j} repeats a block");
-            // One product, over the distinct blocks: no gather precedes it.
-            assert_eq!(plan.product_rows(w1_j, &bufs), vec![blocks.len()], "feature {j}");
+            // One product, over the distinct blocks.
+            assert_eq!(rows, vec![blocks.len()], "feature {j}");
         }
-        let mut g = Graph::new();
-        let (_, logits) = model.forward_graph(&mut g, &encoded);
-        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(plan.output(0, &bufs)), bits(g.value(logits)));
+        assert_eq!(score_bits(&model.predict_encoded(&encoded)), tape(&model, &encoded).0);
     }
 
     #[test]
     fn w1_products_run_once_per_call_not_once_per_chunk() {
-        // 640 pairs (five predict chunks) cycling through seven contents:
+        // 640 pairs (five pair-phase chunks) cycling through seven contents:
         // every block of a feature repeats in every chunk.
         let model = AdamelModel::new(AdamelConfig::tiny(), schema());
         let titles = ["hey jude", "let it be", "a b", "yesterday", "", "help", "a"];
@@ -672,17 +749,13 @@ mod tests {
             })
             .collect();
         let encoded = model.encode(&pairs);
-        let plan = &model.compiled().predict;
-        let mut bufs = PlanBuffers::new();
-        plan.execute(&model.params, &encoded, &mut bufs);
-        let d = model.cfg.embed_dim;
-        for (j, &w1_j) in model.ids.w1.iter().enumerate() {
+        for (j, rows) in term_rows(&model, &encoded).into_iter().enumerate() {
             let keys = encoded.table(j).rows();
             let per_chunk: usize = (0..640)
-                .step_by(PREDICT_CHUNK_ROWS)
+                .step_by(CHUNK_ROWS)
                 .map(|start| {
                     let mut ids: Vec<usize> =
-                        (start..start + PREDICT_CHUNK_ROWS).map(|r| encoded.id(r, j)).collect();
+                        (start..start + CHUNK_ROWS).map(|r| encoded.id(r, j)).collect();
                     ids.sort_unstable();
                     ids.dedup();
                     ids.len()
@@ -690,20 +763,68 @@ mod tests {
                 .sum();
             assert!(keys < per_chunk, "feature {j}: its blocks repeat across chunks");
             // One product over the call's distinct keys, not one per chunk.
-            assert_eq!(plan.product_rows(w1_j, &bufs), vec![keys], "feature {j}");
-            assert_eq!(encoded.table(j).cols(), d);
+            assert_eq!(rows, vec![keys], "feature {j}");
         }
-        let scores = model.predict_encoded(&encoded);
-        let mut g = Graph::new();
-        let (_, logits) = model.forward_graph(&mut g, &encoded);
-        let tape: Vec<u32> = g
-            .value(logits)
-            .as_slice()
-            .iter()
-            .map(|&z| (1.0 / (1.0 + (-z).exp())).to_bits())
+        assert_eq!(score_bits(&model.predict_encoded(&encoded)), tape(&model, &encoded).0);
+    }
+
+    /// Pseudo-random rows, none equal to another.
+    fn distinct_rows(rows: usize, cols: usize, seed: usize) -> Matrix {
+        let data = (0..rows * cols).map(|i| ((i * 7 + seed * 13) as f32 * 0.37).sin());
+        Matrix::from_vec(rows, cols, data.collect())
+    }
+
+    #[test]
+    fn both_phases_match_one_tape_at_chunk_edges() {
+        // Feature tables one below, at and one above a chunk of distinct
+        // blocks, and two chunks and three blocks, over 300 pairs (three
+        // pair-phase chunks, the last ragged), one pair, and none.
+        let model = AdamelModel::new(AdamelConfig::tiny(), schema());
+        let (f, d) = (model.extractor().num_features(), model.cfg.embed_dim);
+        let counts = [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 3];
+        assert_eq!(f, counts.len());
+        let batch = |n: usize| {
+            let tables = counts.iter().enumerate().map(|(j, &c)| distinct_rows(c, d, j)).collect();
+            let index = (0..n * f).map(|i| ((i / f) * 5 % counts[i % f]) as u32).collect();
+            EncodedBlocks::new(n, d, tables, index)
+        };
+        for n in [300, 1, 0] {
+            let encoded = batch(n);
+            let (scores, attention) = tape(&model, &encoded);
+            for threads in [1, 3] {
+                let label = format!("{n} pairs, {threads} threads");
+                parallel::with_threads(threads, || {
+                    assert_eq!(score_bits(&model.predict_encoded(&encoded)), scores, "{label}");
+                    let (s, a) = model.predict_with_attention(&encoded);
+                    assert_eq!((score_bits(&s), bits(&a)), (scores.clone(), attention.clone()));
+                    assert_eq!(bits(&model.attention_encoded(&encoded)), attention, "{label}");
+                });
+            }
+            if n == 300 {
+                let rows = term_rows(&model, &encoded);
+                assert_eq!(rows[3], vec![CHUNK_ROWS, CHUNK_ROWS, 3], "chunks of the widest table");
+                let all: Vec<usize> = rows.iter().map(|r| r.iter().sum()).collect();
+                assert_eq!(all, counts, "every distinct block once");
+            }
+        }
+        // `score` encodes its own pairs: 300 with mostly distinct titles,
+        // one, and none.
+        let pairs: Vec<EntityPair> = (0..300)
+            .map(|i| pair(&[("title", &format!("t{i}")), ("artist", "x")], &[("title", "t")]))
             .collect();
-        assert_eq!(scores.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), tape);
-        assert_eq!(plan.output(0, &bufs).rows(), 640);
+        for n in [300, 1, 0] {
+            let encoded = model.encode(&pairs[..n]);
+            let (scores, attention) = tape(&model, &encoded);
+            for threads in [1, 3] {
+                let scored = parallel::with_threads(threads, || model.score(pairs[..n].to_vec()));
+                assert_eq!(
+                    score_bits(&scored.scores),
+                    scores,
+                    "score, {n} pairs, {threads} threads"
+                );
+                assert_eq!(bits(&scored.attention), attention, "score attention, {n} pairs");
+            }
+        }
     }
 
     /// Runs `f` with [`feature_leaf`] recording per-pair rows, or grouped

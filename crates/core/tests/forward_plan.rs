@@ -1,9 +1,10 @@
-//! The compiled inference plan must be invisible: replaying the tape-free
-//! `CompiledPlan` program must produce **bit-identical** scores and
-//! attention distributions to recording one monolithic `forward_graph`
-//! tape over the whole batch, at every chunk-boundary batch size, in every
-//! feature mode, at every thread count, after parameters change, and for
-//! the uniform-attention ablation.
+//! Two-phase inference must be invisible: running the forward in its two
+//! phases (each distinct block once per call, then the pairs in chunks,
+//! each chunk on a short-lived tape) must produce **bit-identical**
+//! scores and attention distributions to recording one monolithic
+//! `forward_graph` tape over the whole batch, at every chunk-boundary batch
+//! size, in every feature mode, at every thread count, after parameters
+//! change, and for the uniform-attention ablation.
 
 use adamel::config::AdamelConfig;
 use adamel::model::AdamelModel;
@@ -50,9 +51,9 @@ fn tape(m: &AdamelModel, encoded: &EncodedBlocks) -> (Vec<f32>, Matrix) {
     (scores, g.value(attention).clone())
 }
 
-/// Asserts the plan and one tape agree bit-for-bit on every inference
+/// Asserts inference and one tape agree bit-for-bit on every inference
 /// surface: `predict_encoded`, `predict_with_attention` (both outputs of
-/// the predict plan) and `attention_encoded` (the attention plan).
+/// one scoring forward) and `attention_encoded` (no classifier).
 fn assert_plan_matches_tape(m: &AdamelModel, n: u64, label: &str) {
     let encoded = m.encode(&pairs_n(n));
     let (tape_scores, tape_att) = tape(m, &encoded);
@@ -61,7 +62,7 @@ fn assert_plan_matches_tape(m: &AdamelModel, n: u64, label: &str) {
     assert_eq!(
         bits(&plan_scores),
         bits(&tape_scores),
-        "{label}: plan scores drifted from tape at n = {n}"
+        "{label}: inference scores drifted from tape at n = {n}"
     );
     let (scores, att) = m.predict_with_attention(&encoded);
     assert_eq!(bits(&scores), bits(&tape_scores), "{label}: two-output scores at n = {n}");
@@ -77,7 +78,7 @@ fn assert_plan_matches_tape(m: &AdamelModel, n: u64, label: &str) {
     assert_eq!(
         bits(plan_att.as_slice()),
         bits(tape_att.as_slice()),
-        "{label}: plan attention drifted from tape at n = {n}"
+        "{label}: inference attention drifted from tape at n = {n}"
     );
 }
 
@@ -87,7 +88,7 @@ const CHUNK_EDGES: [u64; 8] = [127, 128, 129, 640, 511, 512, 513, 1024];
 
 #[test]
 fn plan_matches_tape_at_chunk_boundaries() {
-    // The plan splits the batch at chunk edges, the reference tape does not.
+    // Inference splits the batch at chunk edges, the reference tape does not.
     let m = AdamelModel::new(AdamelConfig::tiny(), schema());
     for n in CHUNK_EDGES {
         assert_plan_matches_tape(&m, n, "boundaries");
@@ -113,20 +114,20 @@ fn plan_is_thread_count_invariant() {
     let base_att = parallel::with_threads(1, || m.attention_encoded(&encoded));
     for t in [2, 4, 8] {
         let scores = parallel::with_threads(t, || m.predict_encoded(&encoded));
-        assert_eq!(bits(&base), bits(&scores), "plan scores vary at {t} threads");
+        assert_eq!(bits(&base), bits(&scores), "inference scores vary at {t} threads");
         let att = parallel::with_threads(t, || m.attention_encoded(&encoded));
         assert_eq!(
             bits(base_att.as_slice()),
             bits(att.as_slice()),
-            "plan attention varies at {t} threads"
+            "inference attention varies at {t} threads"
         );
     }
 }
 
 #[test]
 fn uniform_attention_compiles_and_matches_forward_graph() {
-    // The ablation records an `n x F` constant of identical rows, which the
-    // plan replays as a row fill at each chunk's row count.
+    // The ablation records an `n x F` constant of identical rows, which
+    // inference records at each pair chunk's row count.
     let cfg = AdamelConfig::tiny().with_uniform_attention(true);
     let m = AdamelModel::new(cfg, schema());
     for n in [1u64, 127, 129, 511, 513] {
@@ -143,11 +144,11 @@ fn uniform_attention_compiles_and_matches_forward_graph() {
 
 #[test]
 fn plan_stays_valid_after_training() {
-    // Compile the plan against the freshly initialized parameters, then
-    // mutate every parameter by training; the plan reads parameters live,
-    // so replay must track the trained weights bit-for-bit.
+    // Pack the weights of the freshly initialized parameters, then mutate
+    // every parameter by training; every write drops its pack, so
+    // inference must track the trained weights bit-for-bit.
     let mut m = AdamelModel::new(AdamelConfig::tiny(), schema());
-    let before = m.predict(&pairs_n(16)); // forces plan compilation
+    let before = m.predict(&pairs_n(16));
     assert_eq!(before.len(), 16);
 
     let train: Vec<EntityPair> = pairs_n(24)

@@ -35,7 +35,7 @@ pub use modelref::{
 pub use prauc::{pr_auc_ref, pr_curve_ref, RefPrPoint};
 pub use program::{
     check_program, check_with_fault, eval_oracle_root, gen_program, gen_program_with,
-    render_reproducer, shrink, Discrepancy, Fault, GenOptions, Inst, PlanCheck, Program,
+    render_reproducer, shrink, Discrepancy, Fault, GenOptions, Inst, Program,
 };
 pub use refmat::RefMatrix;
 pub use ulp::{grouped_gradient_budget, op_ulps, reduction_budget, ulp_distance, Budget, EPS32};

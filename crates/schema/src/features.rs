@@ -14,7 +14,7 @@
 //! distinct key is computed once per call ([`crate::encode_cache`]).
 //! Per-record tokenization, hashing, and embedding happen once per distinct
 //! record, from a record-level cache. The model reads the tables as they
-//! are, one input per feature, on the tape and in the compiled plan alike.
+//! are, one input per feature, in training and inference alike.
 //! Laid out densely ([`EncodedBlocks::to_dense`]), the blocks are
 //! bit-identical to the uncached per-pair reference, the oracle's
 //! `encode_pair_uncached`.

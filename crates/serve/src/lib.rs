@@ -33,8 +33,8 @@
 //! (`adamel::pipeline`), the exact batch path `Linker::link` uses offline
 //! (the incremental index and the batch `BlockingIndex` call one
 //! candidate ranking), so a served batch is **bit-identical** to
-//! the offline pipeline on the same pairs — through the compiled inference
-//! plan, at any thread count.
+//! the offline pipeline on the same pairs — through the model's two-phase
+//! inference, at any thread count.
 //!
 //! The model is swapped atomically: requests clone an
 //! `Arc<Linker>` out of an `RwLock` and score against that clone, so a

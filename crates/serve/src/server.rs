@@ -233,8 +233,8 @@ fn handle_connection(
             let _request = adamel_obs::op_span(&format!("req.{trace_id}"));
             let _trace = adamel_obs::runlog::trace_scope(trace_id);
             // A panicking handler must not take its worker down with it.
-            // The engine's locks recover from poisoning, and a lazily
-            // built plan that panicked is simply built again next time.
+            // The engine's locks recover from poisoning, and a weight
+            // whose lazy packing panicked is simply packed again next time.
             panic::catch_unwind(AssertUnwindSafe(|| route(engine, queue, workers, &req, trace_id)))
                 .unwrap_or_else(|payload| {
                     engine.note_panic(panic_message(payload.as_ref()));

@@ -592,8 +592,8 @@ fn a_panicking_handler_answers_500_and_its_worker_keeps_serving() {
     assert_eq!(status, 200, "{body}");
 
     // Every weight at a large finite value: the snapshot loads, and with
-    // the sanitizer on (forced, so release builds check too) the plan's
-    // probe forward panics on an overflowing product in every `/link`.
+    // the sanitizer on (forced, so release builds check too) the forward
+    // panics on an overflowing product in every `/link`.
     let snapshot = |m: &AdamelModel| {
         let mut bytes = Vec::new();
         adamel::save_model(m, &mut bytes).expect("serialize model");

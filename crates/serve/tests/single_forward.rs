@@ -63,7 +63,7 @@ fn served_link_with_drift_runs_one_forward_per_scored_pair() {
     assert!(candidates > 0, "the queries must block onto the corpus");
     assert_eq!(pairs_scored, Some(candidates));
     assert_eq!(predict_rows, pairs_scored, "drift must not re-run predict");
-    assert_eq!(attention_rows, None, "drift must not run the attention plan");
+    assert_eq!(attention_rows, None, "drift must not run the attention-only forward");
 
     let metrics = Json::parse(&engine.metrics_json(0, 1)).expect("metrics json");
     let drift_events = metrics.get("counters").and_then(|c| c.get("drift_events"));

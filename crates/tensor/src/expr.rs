@@ -1,14 +1,11 @@
 //! The computed ops of the forward program and its losses, defined once.
 //!
-//! An [`Expr`] is one computed op over operand handles `V`. Three users
+//! An [`Expr`] is one computed op over operand handles `V`. Two users
 //! share it, each with its own handle:
 //!
 //! * the autograd tape records an `Expr<Var>` over tape positions
 //!   ([`Graph::record`]) and evaluates it with [`Expr::forward_into`];
-//! * a compiled plan ([`crate::plan`]) maps each recorded op onto its replay
-//!   locations ([`Expr::map`]) and calls the same `forward_into`, so it
-//!   computes the tape's bits by construction; it refuses the ops
-//!   [`Expr::is_training_only`] names;
+//!   training and inference both run on the tape;
 //! * the differential fuzzer (`adamel-oracle`) writes its programs as
 //!   `Expr<usize>` over instruction indices and holds an `f64` reference
 //!   for every variant.
@@ -21,13 +18,13 @@
 //!
 //! [`Expr::row_group`] is the one row-locality rule: which ops compute each
 //! output row from the same row of a grouped input alone. The tape
-//! evaluates such an op once per distinct row of its group, and a compiled
-//! plan runs it in its window phase; both ask this function.
+//! evaluates such an op once per distinct row of its group.
 //!
 //! [`Graph::record`]: crate::Graph::record
 //! [`Graph::backward`]: crate::Graph::backward
 
 use crate::matrix::Matrix;
+use crate::params::LazyPack;
 use crate::sanitize;
 
 /// How an operand's rows relate to the rows of the op reading it, for
@@ -140,18 +137,6 @@ impl<V: Copy> Expr<V> {
         }
     }
 
-    /// True for the ops that exist only for training: the losses and the
-    /// full reductions. A compiled plan refuses them.
-    pub fn is_training_only(&self) -> bool {
-        matches!(
-            self,
-            Expr::MeanAll(_)
-                | Expr::SumAll(_)
-                | Expr::WeightedBceWithLogits { .. }
-                | Expr::KlConstRows { .. }
-        )
-    }
-
     /// The group this op is a row-local function of, given how each
     /// operand's rows relate to the groups (`layout`), or `None`.
     ///
@@ -244,10 +229,20 @@ impl<V: Copy> Expr<V> {
     /// Computes the op into `out` (reshaped to fit), reading each operand's
     /// value through `val`, then runs the sanitizer's checks on the result:
     /// every output finite, a softmax output a row distribution (Eq. 5–6),
-    /// and the KL term non-negative (Eq. 9–10).
-    pub(crate) fn forward_into<'a>(&self, val: impl Fn(V) -> &'a Matrix, out: &mut Matrix) {
+    /// and the KL term non-negative (Eq. 9–10). A product whose right
+    /// operand is a parameter (`pack` gives its cached panels) reads the
+    /// panels instead of packing it.
+    pub(crate) fn forward_into<'a>(
+        &self,
+        val: impl Fn(V) -> &'a Matrix,
+        pack: impl Fn(V) -> Option<&'a LazyPack>,
+        out: &mut Matrix,
+    ) {
         match self {
-            Expr::MatMul(a, b) => val(*a).matmul_into(val(*b), out),
+            Expr::MatMul(a, b) => match pack(*b) {
+                Some(panels) => val(*a).matmul_packed_into(val(*b), panels, out),
+                None => val(*a).matmul_into(val(*b), out),
+            },
             Expr::Add(a, b) => val(*a).add_into(val(*b), out),
             Expr::AddRowBroadcast(a, b) => val(*a).add_row_broadcast_into(val(*b), out),
             Expr::Mul(a, b) => val(*a).mul_into(val(*b), out),

@@ -14,7 +14,7 @@
 //!   loop autovectorization-friendly regardless of the logical operand
 //!   layout — the same packed kernel serves `A·B`, `Aᵀ·B`, and `A·Bᵀ` by
 //!   changing only the *pack-time* strides. A `B` that outlives many
-//!   products (an inference weight) can be packed once into a `PackedB`
+//!   products (a parameter's value) can be packed once into a `PackedB`
 //!   and multiplied through `gemm_packed`, which skips the per-call pack;
 //!   packing is a pure copy, so both entry points compute the same bits.
 //! * **Matrix-vector products.** A `B` of one column never reaches the
@@ -72,8 +72,8 @@ pub const MC: usize = 64;
 /// threshold is purely a performance knob.
 pub const BLOCKED_MIN_FLOPS: usize = 1 << 13;
 
-/// True when the blocked path should handle an `(n,k) x (k,m)` product
-/// whose `B` is already packed (`PackedB`).
+/// True when an `(n,k) x (k,m)` product is big enough for the blocked
+/// path, before the cost of packing `B` (see [`use_blocked_packing`]).
 ///
 /// Degenerate tiles (fewer rows than [`MR`] or columns than [`NR`]) waste
 /// most of the padded microkernel, so they stay on the naive loops too.
@@ -521,10 +521,10 @@ mod tests {
         for &(n, k, m) in &[(MR, 3, NR), (MC + 1, KC + 1, NR * 2 + 3), (17, KC, 13)] {
             let a = fill(n, k, (n * 7 + k) as u64);
             let b = fill(k, m, (k * 7 + m) as u64);
-            let packed = PackedB::pack(&b);
-            assert_eq!(packed.shape(), (k, m));
+            assert_eq!(PackedB::pack(&b).shape(), (k, m));
+            let pack = crate::params::LazyPack::default();
             let mut out = Matrix::zeros(0, 0);
-            a.matmul_packed_into(&b, &packed, &mut out);
+            a.matmul_packed_into(&b, &pack, &mut out);
             assert_eq!(out.as_slice(), naive(&a, &b).as_slice(), "shape ({n},{k},{m})");
         }
     }

@@ -10,23 +10,23 @@
 //!
 //! A node is a constant, a parameter, or a computed op: an [`Expr`] over
 //! earlier nodes. Each op method records its `Expr` ([`Graph::record`]),
-//! which evaluates it through the one forward definition the compiled
-//! plan ([`crate::plan`]) replays as well; this module adds only the
-//! leaves and each op's backward rule. No gradient flows into a constant,
+//! which evaluates it through the op's one forward definition; this module
+//! adds only the leaves and each op's backward rule. A parameter leaf
+//! shares the set's cached GEMM panels as well as its value, so products by
+//! one weight on any tape pack it once. No gradient flows into a constant,
 //! so backward skips a product's gradient toward an operand no parameter
 //! feeds.
 //!
 //! ## Grouped leaves
 //!
-//! A model's encoded batch enters as one constant leaf per feature, which a
-//! compiled plan takes as its replay inputs. Such a leaf is *grouped*
-//! ([`Graph::constant_grouped`]): it holds the batch's distinct rows and,
-//! per logical row, which of them it is. An op that [`Expr::row_group`]
-//! finds row-local in one group (a product by a parameter, `tanh`, ...) is
-//! evaluated once per distinct row and tagged with the group, the same
-//! rule by which a compiled plan's window phase runs once per distinct
-//! block. Every kernel computes a row from that row alone, so the distinct
-//! rows are bit for bit the rows a per-pair evaluation computes.
+//! A model's encoded batch enters a training tape as one constant leaf per
+//! feature. Such a leaf is *grouped* ([`Graph::constant_grouped`]): it
+//! holds the batch's distinct rows and, per logical row, which of them it
+//! is. An op that [`Expr::row_group`] finds row-local in one group (a
+//! product by a parameter, `tanh`, ...) is evaluated once per distinct row
+//! and tagged with the group. Every kernel computes a row from that row
+//! alone, so the distinct rows are bit for bit the rows a per-pair
+//! evaluation computes.
 //!
 //! A forward op that is not row-local reads per-pair rows: [`Graph::value`]
 //! expands a grouped node to one row per logical row on its first read.
@@ -46,33 +46,26 @@
 
 use crate::expr::{Expr, RowOperand};
 use crate::matrix::Matrix;
-use crate::params::{ParamId, ParamSet};
+use crate::params::{LazyPack, ParamId, ParamSet};
 use crate::sanitize;
 use std::sync::{Arc, OnceLock};
 
 /// Handle to a node on the tape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Var(pub(crate) usize);
-
-impl Var {
-    /// Position on the tape; the plan compiler keys its node tables on this.
-    pub(crate) fn index(self) -> usize {
-        self.0
-    }
-}
+pub struct Var(usize);
 
 /// The recorded operation of a tape node.
-pub(crate) enum Op {
+enum Op {
     /// Constant input; no gradient flows further.
     Constant,
-    /// Leaf bound to a trainable parameter; backward accumulates into the
-    /// parameter's gradient buffer.
-    Param(ParamId),
+    /// Leaf bound to a trainable parameter, with the panels of the value it
+    /// read; backward accumulates into the parameter's gradient buffer.
+    Param(ParamId, Arc<LazyPack>),
     /// A computed op over earlier nodes.
     Expr(Expr<Var>),
 }
 
-pub(crate) struct Node {
+struct Node {
     /// The value: one row per logical row, or, with a `group`, one row per
     /// distinct row of that group. A parameter's is the set's own storage.
     rows: Arc<Matrix>,
@@ -81,12 +74,12 @@ pub(crate) struct Node {
     /// A grouped node's rows at one row per logical row, built on first
     /// read.
     expanded: OnceLock<Matrix>,
-    pub(crate) op: Op,
+    op: Op,
 }
 
 impl Node {
     /// Column count of the value.
-    pub(crate) fn cols(&self) -> usize {
+    fn cols(&self) -> usize {
         self.rows.cols()
     }
 }
@@ -117,7 +110,7 @@ impl Drop for Graph {
             let bytes: usize = self
                 .nodes
                 .iter()
-                .filter(|n| !matches!(n.op, Op::Param(_)))
+                .filter(|n| !matches!(n.op, Op::Param(..)))
                 .map(|n| n.rows.len() + n.expanded.get().map_or(0, Matrix::len))
                 .sum();
             adamel_obs::mem::observe("tensor.graph.bytes", 4 * bytes as u64);
@@ -142,7 +135,7 @@ impl Graph {
         let node = &self.nodes[v.0];
         match (node.group, &node.op) {
             (Some(group), _) => RowOperand::Grouped(group),
-            (None, Op::Param(_) | Op::Constant) => RowOperand::Broadcast,
+            (None, Op::Param(..) | Op::Constant) => RowOperand::Broadcast,
             (None, Op::Expr(_)) => RowOperand::Ungrouped,
         }
     }
@@ -160,18 +153,17 @@ impl Graph {
     pub fn record(&mut self, expr: Expr<Var>) -> Var {
         adamel_obs::trace_op!(expr.name());
         let group = expr.row_group(|v| self.layout(v));
+        let pack = |v: Var| match &self.nodes[v.0].op {
+            Op::Param(_, pack) => Some(&**pack),
+            _ => None,
+        };
         let mut value = Matrix::default();
         match group {
             // Grouped operands at their distinct rows, leaves whole.
-            Some(_) => expr.forward_into(|v| &self.nodes[v.0].rows, &mut value),
-            None => expr.forward_into(|v| self.value(v), &mut value),
+            Some(_) => expr.forward_into(|v| &self.nodes[v.0].rows, pack, &mut value),
+            None => expr.forward_into(|v| self.value(v), pack, &mut value),
         }
         self.push(Arc::new(value), group, Op::Expr(expr))
-    }
-
-    /// The recorded tape, in push order; the plan compiler walks this.
-    pub(crate) fn tape(&self) -> &[Node] {
-        &self.nodes
     }
 
     /// Number of nodes recorded so far.
@@ -221,12 +213,13 @@ impl Graph {
     }
 
     /// Inserts a leaf bound to parameter `id`. The leaf shares the set's
-    /// storage of the current value; a write to the set while the tape is
-    /// alive copies the value first, so the tape keeps what it read.
+    /// storage of the current value and its cached panels; a write to the
+    /// set while the tape is alive copies the value first and starts new
+    /// panels, so the tape keeps what it read.
     pub fn param(&mut self, params: &ParamSet, id: ParamId) -> Var {
-        let value = params.shared_value(id);
+        let (value, pack) = params.shared(id);
         sanitize::check_finite("param", &value);
-        self.push(value, None, Op::Param(id))
+        self.push(value, None, Op::Param(id, pack))
     }
 
     /// Matrix product.
@@ -370,7 +363,7 @@ impl Graph {
         for (i, node) in self.nodes[..=root.0].iter().enumerate() {
             trainable[i] = match &node.op {
                 Op::Constant => false,
-                Op::Param(_) => true,
+                Op::Param(..) => true,
                 Op::Expr(expr) => expr.operands().iter().any(|v| trainable[v.0]),
             };
         }
@@ -380,7 +373,7 @@ impl Graph {
             let node = &self.nodes[idx];
             let expr = match &node.op {
                 Op::Constant => continue,
-                Op::Param(id) => {
+                Op::Param(id, _) => {
                     params.grad_mut(*id).add_assign(&grad);
                     continue;
                 }
@@ -713,6 +706,43 @@ mod tests {
     }
 
     #[test]
+    fn packed_weights_follow_every_kind_of_parameter_mutation() {
+        // Big enough that `x · w` packs `w`, so the tape's product reads the
+        // set's cached panels of it.
+        use crate::gemm::{use_blocked_packing, NR, PACK_MIN_ROWS};
+        let (n, k, m) = (PACK_MIN_ROWS + 1, 16, 2 * NR);
+        assert!(use_blocked_packing(n, k, m));
+        let grid = |rows: usize, cols: usize, seed: f32| {
+            let data = (0..rows * cols).map(|i| ((i as f32 * 0.61 + seed).sin()) * 1.5);
+            Matrix::from_vec(rows, cols, data.collect())
+        };
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let x = grid(n, k, 0.7);
+        let check = |params: &ParamSet, w: ParamId, label: &str| {
+            let mut g = Graph::new();
+            let (xv, wv) = (g.constant(x.clone()), g.param(params, w));
+            let y = g.matmul(xv, wv);
+            assert!(params.is_packed(w), "{label}: the product packed nothing");
+            assert_eq!(bits(g.value(y)), bits(&x.matmul(params.value(w))), "{label}");
+        };
+        let mut params = ParamSet::new();
+        let w = params.insert("w", grid(k, m, 0.3));
+        check(&params, w, "fresh");
+        params.value_mut(w).as_mut_slice()[0] += 1.0;
+        check(&params, w, "value_mut");
+        params.value_and_grad_mut(w).0.as_mut_slice()[m + 1] -= 2.0;
+        check(&params, w, "value_and_grad_mut");
+        let flipped: Vec<Matrix> = params.snapshot().iter().map(|v| v.scale(-0.5)).collect();
+        params.restore(&flipped);
+        check(&params, w, "restore");
+        // Another set with the same shapes has panels of its own.
+        let mut other = ParamSet::new();
+        let w2 = other.insert("w", grid(k, m, 2.0));
+        check(&other, w2, "other set");
+        check(&params, w, "back to the first set");
+    }
+
+    #[test]
     #[should_panic(expected = "scalar")]
     fn backward_rejects_non_scalar_root() {
         let mut params = ParamSet::new();
@@ -840,10 +870,10 @@ mod shape_guard_tests {
             let mixed = g.add(x, cv);
             let both = g.mul(t, mixed);
             let loss = g.sum_all(both);
-            let stored: Vec<usize> = g.tape().iter().map(|n| n.rows.rows()).collect();
+            let stored: Vec<usize> = g.nodes.iter().map(|n| n.rows.rows()).collect();
             params.zero_grads();
             g.backward(loss, params);
-            let expanded: Vec<bool> = g.tape().iter().map(|n| n.expanded.get().is_some()).collect();
+            let expanded: Vec<bool> = g.nodes.iter().map(|n| n.expanded.get().is_some()).collect();
             let values: Vec<Vec<u32>> = [x, h, t, mixed, both, loss]
                 .iter()
                 .map(|&v| g.value(v).as_slice().iter().map(|x| x.to_bits()).collect())

@@ -50,6 +50,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+mod encoded;
 mod expr;
 mod graph;
 mod matrix;
@@ -59,9 +60,9 @@ mod params;
 pub mod gemm;
 pub mod init;
 pub mod parallel;
-pub mod plan;
 pub mod sanitize;
 
+pub use encoded::EncodedBlocks;
 pub use expr::Expr;
 #[cfg(feature = "mutation")]
 pub use graph::SegmentFault;
@@ -69,4 +70,3 @@ pub use graph::{Graph, Var};
 pub use matrix::Matrix;
 pub use optim::{Adam, Optimizer, Sgd};
 pub use params::{ParamId, ParamSet};
-pub use plan::EncodedBlocks;

@@ -17,11 +17,12 @@
 //!
 //! Forward kernels take an `*_into` form writing into a caller-owned
 //! buffer; the one forward definition of each op (the `expr` module) calls
-//! it for the autograd tape and the compiled plan alike. Where backward
+//! it for the autograd tape. Where backward
 //! passes, analysis code or tests need a fresh matrix, an allocating form
 //! (`matmul`, `add`, …) delegates to the `*_into` form, so there is
 //! exactly one implementation of each kernel.
 
+use crate::params::LazyPack;
 use crate::{gemm, parallel};
 use std::fmt;
 
@@ -49,8 +50,7 @@ impl fmt::Debug for Matrix {
 }
 
 impl Default for Matrix {
-    /// An empty `0 x 0` matrix — the placeholder `std::mem::take` swaps in
-    /// when plan buffers are staged.
+    /// An empty `0 x 0` matrix, the buffer an `*_into` kernel fills.
     fn default() -> Self {
         Matrix::zeros(0, 0)
     }
@@ -238,31 +238,19 @@ impl Matrix {
         });
     }
 
-    /// [`matmul_into`](Self::matmul_into) with `other` also supplied as
-    /// `packed`, its panels packed ahead of time. Shapes the blocked kernel
-    /// takes run over `packed` without repacking; the rest fall back to
-    /// `matmul_into` on `other`. Packing is a pure copy, so the result is
-    /// bit-identical to `matmul_into` either way.
-    pub(crate) fn matmul_packed_into(
-        &self,
-        other: &Matrix,
-        packed: &gemm::PackedB,
-        out: &mut Matrix,
-    ) {
+    /// [`matmul_into`](Self::matmul_into) by a parameter value `other`
+    /// whose panels `pack` caches: a product that would pack `other` reads
+    /// the cached panels instead, packing them on first use. Packing is a
+    /// pure copy, so the result is bit-identical to `matmul_into`.
+    pub(crate) fn matmul_packed_into(&self, other: &Matrix, pack: &LazyPack, out: &mut Matrix) {
         let (n, k, m) = (self.rows, self.cols, other.cols);
-        if !gemm::use_blocked(n, k, m) {
+        if k != other.rows || !gemm::use_blocked_packing(n, k, m) {
             self.matmul_into(other, out);
             return;
         }
-        assert_eq!(
-            (k, m),
-            packed.shape(),
-            "Matrix::matmul_packed: {n}x{k} * packed {:?} shape mismatch",
-            packed.shape()
-        );
         out.reset_shape(n, m);
         let a = gemm::Operand { data: &self.data, rs: k, cs: 1 };
-        gemm::gemm_packed(n, &a, packed, &mut out.data);
+        gemm::gemm_packed(n, &a, pack.panels(other), &mut out.data);
     }
 
     /// `selfᵀ * other`; shapes `(k,n)ᵀ x (k,m) -> (n,m)`. Used by backward
@@ -672,16 +660,6 @@ impl Matrix {
         for i in 0..self.rows {
             out.row_mut(i).copy_from_slice(&self.row(i)[start..start + width]);
         }
-    }
-
-    /// Copies rows `[start, start + count)` of `src` into `self` (reshaped
-    /// to fit) — the allocation-free counterpart of
-    /// [`slice_rows`](Self::slice_rows) the inference plan uses to stage
-    /// each chunk of a batch.
-    pub fn assign_rows_from(&mut self, src: &Matrix, start: usize, count: usize) {
-        assert!(start + count <= src.rows, "Matrix::assign_rows_from out of bounds");
-        self.reset_shape(count, src.cols);
-        self.data.copy_from_slice(&src.data[start * src.cols..(start + count) * src.cols]);
     }
 
     /// Copies a contiguous row block `[start, start + count)`; cheap

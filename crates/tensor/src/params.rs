@@ -4,27 +4,40 @@
 //! can be built every step while values, gradients, and optimizer state
 //! persist across steps.
 //!
-//! Every set carries a *generation*: a number drawn from one process-wide
-//! counter whenever the set is created or any of its values may change.
-//! Two reads that see the same generation saw the same values, in the same
-//! set, so a consumer can cache something derived from the values (the
-//! compiled plan's packed weights) and key it on the generation alone.
-//!
 //! Values are reference-counted: an autograd tape's parameter leaf shares
 //! the set's storage instead of copying it, and every write goes through
 //! [`Arc::make_mut`], which copies only while such a tape is still alive.
 //! A training step therefore drops its tape before the optimizer writes.
+//!
+//! Each value also carries its GEMM panels ([`LazyPack`]), built by the
+//! first product that would pack the value anyway and shared with every
+//! tape that reads it, so a weight is packed once rather than once per
+//! product. Every write drops them. Packing is a pure copy, so a product
+//! over the panels is bit-identical to one that packs per call; the
+//! `tensor.params.packed.bytes` gauge counts the panels alive.
 
+use crate::gemm::PackedB;
 use crate::matrix::Matrix;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use adamel_obs::mem::MemScope;
+use std::sync::{Arc, OnceLock};
 
-/// Source of every [`ParamSet::generation`]; process-wide, so no two value
-/// states of any sets ever share a generation.
-static NEXT_GENERATION: AtomicU64 = AtomicU64::new(1);
+/// A parameter value's GEMM panels, packed on first use.
+#[derive(Default)]
+pub(crate) struct LazyPack(OnceLock<(PackedB, MemScope)>);
 
-fn next_generation() -> u64 {
-    NEXT_GENERATION.fetch_add(1, Ordering::Relaxed)
+impl LazyPack {
+    /// The panels of `value`, the value this cell was handed out with,
+    /// packed on the first call.
+    pub(crate) fn panels(&self, value: &Matrix) -> &PackedB {
+        &self
+            .0
+            .get_or_init(|| {
+                let panels = PackedB::pack(value);
+                let gauge = MemScope::new("tensor.params.packed.bytes", panels.bytes());
+                (panels, gauge)
+            })
+            .0
+    }
 }
 
 /// Handle to a parameter inside a [`ParamSet`].
@@ -34,43 +47,30 @@ pub struct ParamId(pub(crate) usize);
 struct ParamEntry {
     name: String,
     value: Arc<Matrix>,
+    /// The panels of `value`; replaced on every write.
+    pack: Arc<LazyPack>,
     grad: Matrix,
 }
 
 /// A named collection of trainable matrices with gradient buffers.
+#[derive(Default)]
 pub struct ParamSet {
     entries: Vec<ParamEntry>,
-    generation: u64,
-}
-
-impl Default for ParamSet {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl ParamSet {
     /// Creates an empty parameter set.
     pub fn new() -> Self {
-        Self { entries: Vec::new(), generation: next_generation() }
-    }
-
-    /// The current value generation (see the module docs): it changes on
-    /// [`insert`](Self::insert), [`value_mut`](Self::value_mut),
-    /// [`value_and_grad_mut`](Self::value_and_grad_mut) and
-    /// [`restore`](Self::restore) — every way to change a value — and is
-    /// never shared with another set. Gradient updates leave it alone.
-    pub fn generation(&self) -> u64 {
-        self.generation
+        Self::default()
     }
 
     /// Registers a parameter, returning its handle. Names are for
     /// introspection and need not be unique (e.g. per-feature weights share a
     /// prefix).
     pub fn insert(&mut self, name: impl Into<String>, value: Matrix) -> ParamId {
-        self.generation = next_generation();
         let grad = Matrix::zeros(value.rows(), value.cols());
-        self.entries.push(ParamEntry { name: name.into(), value: Arc::new(value), grad });
+        let (name, value, pack) = (name.into(), Arc::new(value), Arc::default());
+        self.entries.push(ParamEntry { name, value, pack, grad });
         ParamId(self.entries.len() - 1)
     }
 
@@ -95,17 +95,24 @@ impl ParamSet {
         &self.entries[id.0].value
     }
 
-    /// The storage of a parameter's current value, shared rather than
-    /// copied (a tape's parameter leaf holds it).
-    pub(crate) fn shared_value(&self, id: ParamId) -> Arc<Matrix> {
-        Arc::clone(&self.entries[id.0].value)
+    /// The storage of a parameter's current value and its panels, shared
+    /// rather than copied (a tape's parameter leaf holds them).
+    pub(crate) fn shared(&self, id: ParamId) -> (Arc<Matrix>, Arc<LazyPack>) {
+        let e = &self.entries[id.0];
+        (Arc::clone(&e.value), Arc::clone(&e.pack))
+    }
+
+    /// Whether a product has packed the parameter's current value.
+    #[cfg(test)]
+    pub(crate) fn is_packed(&self, id: ParamId) -> bool {
+        self.entries[id.0].pack.0.get().is_some()
     }
 
     /// Mutable value access (used by optimizers and serialization). Copies
-    /// the value first only while a tape still shares it.
+    /// the value first only while a tape still shares it, and drops its
+    /// panels.
     pub fn value_mut(&mut self, id: ParamId) -> &mut Matrix {
-        self.generation = next_generation();
-        Arc::make_mut(&mut self.entries[id.0].value)
+        self.value_and_grad_mut(id).0
     }
 
     /// Accumulated gradient of a parameter.
@@ -120,10 +127,10 @@ impl ParamSet {
 
     /// Simultaneous mutable value / immutable gradient access for one
     /// parameter — lets optimizers update in place without cloning the
-    /// gradient.
+    /// gradient. Drops the value's panels, as `value_mut` does.
     pub fn value_and_grad_mut(&mut self, id: ParamId) -> (&mut Matrix, &Matrix) {
-        self.generation = next_generation();
         let e = &mut self.entries[id.0];
+        e.pack = Arc::default();
         (Arc::make_mut(&mut e.value), &e.grad)
     }
 
@@ -176,10 +183,10 @@ impl ParamSet {
     /// shapes do not line up.
     pub fn restore(&mut self, snapshot: &[Matrix]) {
         assert_eq!(snapshot.len(), self.entries.len(), "ParamSet::restore arity mismatch");
-        self.generation = next_generation();
         for (e, s) in self.entries.iter_mut().zip(snapshot) {
             assert_eq!(e.value.shape(), s.shape(), "ParamSet::restore shape mismatch");
             e.value = Arc::new(s.clone());
+            e.pack = Arc::default();
         }
     }
 }
@@ -222,31 +229,31 @@ mod tests {
     }
 
     #[test]
-    fn every_value_mutation_moves_the_generation() {
+    fn every_value_write_drops_the_pack() {
         let mut p = ParamSet::new();
-        let other = ParamSet::new();
-        assert_ne!(p.generation(), other.generation(), "sets never share a generation");
-        let mut seen = vec![p.generation()];
-        let mut moved = |p: &ParamSet, how: &str| {
-            assert!(!seen.contains(&p.generation()), "{how} kept an old generation");
-            seen.push(p.generation());
+        let a = p.insert("w", Matrix::zeros(2, 16));
+        let pack = |p: &ParamSet| {
+            p.shared(a).1.panels(p.value(a));
+            assert!(p.is_packed(a));
         };
-        let a = p.insert("w", Matrix::zeros(1, 2));
-        moved(&p, "insert");
+        assert!(!p.is_packed(a), "insert packs nothing");
+        pack(&p);
         p.value_mut(a).set(0, 0, 1.0);
-        moved(&p, "value_mut");
+        assert!(!p.is_packed(a), "value_mut kept the pack");
+        pack(&p);
         p.value_and_grad_mut(a).0.set(0, 1, 2.0);
-        moved(&p, "value_and_grad_mut");
+        assert!(!p.is_packed(a), "value_and_grad_mut kept the pack");
+        pack(&p);
         let snap = p.snapshot();
         p.restore(&snap);
-        moved(&p, "restore");
+        assert!(!p.is_packed(a), "restore kept the pack");
         // Gradient-only updates and reads keep it.
-        let g = p.generation();
+        pack(&p);
         p.grad_mut(a).set(0, 0, 3.0);
         p.clip_grad_norm(1.0);
         p.zero_grads();
         let _ = p.value(a);
-        assert_eq!(p.generation(), g);
+        assert!(p.is_packed(a));
     }
 
     #[test]
