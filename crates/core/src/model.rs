@@ -774,22 +774,47 @@ mod tests {
         Matrix::from_vec(rows, cols, data.collect())
     }
 
-    #[test]
-    fn both_phases_match_one_tape_at_chunk_edges() {
-        // Feature tables one below, at and one above a chunk of distinct
-        // blocks, and two chunks and three blocks, over 300 pairs (three
-        // pair-phase chunks, the last ragged), one pair, and none.
-        let model = AdamelModel::new(AdamelConfig::tiny(), schema());
+    /// Blocks per feature table one below, at and one above a chunk of
+    /// distinct blocks, and two chunks and three blocks.
+    const EDGE_COUNTS: [usize; 4] =
+        [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 3];
+
+    /// `n` pairs over feature tables of [`EDGE_COUNTS`] distinct blocks.
+    fn chunk_edge_batch(model: &AdamelModel, n: usize) -> EncodedBlocks {
         let (f, d) = (model.extractor().num_features(), model.cfg.embed_dim);
-        let counts = [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 3];
-        assert_eq!(f, counts.len());
-        let batch = |n: usize| {
-            let tables = counts.iter().enumerate().map(|(j, &c)| distinct_rows(c, d, j)).collect();
-            let index = (0..n * f).map(|i| ((i / f) * 5 % counts[i % f]) as u32).collect();
-            EncodedBlocks::new(n, d, tables, index)
-        };
+        assert_eq!(f, EDGE_COUNTS.len());
+        let tables = EDGE_COUNTS.iter().enumerate().map(|(j, &c)| distinct_rows(c, d, j)).collect();
+        let index = (0..n * f).map(|i| ((i / f) * 5 % EDGE_COUNTS[i % f]) as u32).collect();
+        EncodedBlocks::new(n, d, tables, index)
+    }
+
+    #[test]
+    fn block_phase_chunks_cover_every_distinct_block_once() {
+        let model = AdamelModel::new(AdamelConfig::tiny(), schema());
+        let encoded = chunk_edge_batch(&model, 300);
+        let rows = term_rows(&model, &encoded);
+        assert_eq!(rows[3], vec![CHUNK_ROWS, CHUNK_ROWS, 3], "chunks of the widest table");
+        for (j, chunks) in rows.iter().enumerate() {
+            assert!(chunks.iter().all(|&c| c <= CHUNK_ROWS), "feature {j}: {chunks:?}");
+        }
+        let all: Vec<usize> = rows.iter().map(|r| r.iter().sum()).collect();
+        assert_eq!(all, EDGE_COUNTS, "every distinct block once");
+        let (scores, attention) = tape(&model, &encoded);
+        for threads in [1, 3] {
+            parallel::with_threads(threads, || {
+                let (s, a) = model.predict_with_attention(&encoded);
+                assert_eq!((score_bits(&s), bits(&a)), (scores.clone(), attention.clone()));
+            });
+        }
+    }
+
+    #[test]
+    fn pair_phase_chunks_match_one_tape_at_chunk_edges() {
+        // 300 pairs (three pair-phase chunks, the last ragged), one pair,
+        // and none.
+        let model = AdamelModel::new(AdamelConfig::tiny(), schema());
         for n in [300, 1, 0] {
-            let encoded = batch(n);
+            let encoded = chunk_edge_batch(&model, n);
             let (scores, attention) = tape(&model, &encoded);
             for threads in [1, 3] {
                 let label = format!("{n} pairs, {threads} threads");
@@ -799,12 +824,6 @@ mod tests {
                     assert_eq!((score_bits(&s), bits(&a)), (scores.clone(), attention.clone()));
                     assert_eq!(bits(&model.attention_encoded(&encoded)), attention, "{label}");
                 });
-            }
-            if n == 300 {
-                let rows = term_rows(&model, &encoded);
-                assert_eq!(rows[3], vec![CHUNK_ROWS, CHUNK_ROWS, 3], "chunks of the widest table");
-                let all: Vec<usize> = rows.iter().map(|r| r.iter().sum()).collect();
-                assert_eq!(all, counts, "every distinct block once");
             }
         }
         // `score` encodes its own pairs: 300 with mostly distinct titles,
